@@ -18,6 +18,7 @@
 #include "aaa/adequation.hpp"
 #include "aaa/durations.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -111,7 +112,7 @@ void print_region_series() {
       const bool use_a = (idx % 2) == 0;
       options.selection[name] = use_a ? "filt_a" : "filt_b";
       if (regions > 0)
-        adequation.pin(name, "D" + std::to_string(1 + (use_a ? 0 : 1) % regions));
+        adequation.pin(name, strprintf("D%d", 1 + (use_a ? 0 : 1) % regions));
       ++idx;
     }
     const aaa::Schedule with = adequation.run(options);

@@ -123,7 +123,7 @@ BENCHMARK(BM_RequestMiss)->Unit(benchmark::kMicrosecond);
 void BM_ProtocolBuild(benchmark::State& state) {
   const mccdma::CaseStudy cs = mccdma::build_case_study();
   const auto& stream = cs.bundle.variant("D1", "qam16").bitstream;
-  rtr::ProtocolBuilder builder(aaa::Placement::Fpga, fabric::PortKind::Icap, 40e6, 1e9);
+  rtr::ProtocolBuilder builder(aaa::Placement::Fpga, 40e6, 1e9);
   for (auto _ : state) {
     benchmark::DoNotOptimize(builder.build(cs.bundle.device, stream));
   }

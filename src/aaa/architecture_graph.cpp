@@ -190,7 +190,9 @@ ArchitectureGraph make_figure1_architecture(int dynamic_regions, double il_bandw
   const NodeId il = arch.add_medium(MediumNode{"IL", il_bandwidth_bytes_per_s, 100});
   arch.connect(arch.by_name("F1"), il);
   for (int i = 1; i <= dynamic_regions; ++i) {
-    const std::string name = "D" + std::to_string(i);
+    // Not "D" + std::to_string(i): GCC 12 at -O3 flags it with a
+    // -Werror=restrict false positive (GCC bug 105329).
+    const std::string name = strprintf("D%d", i);
     arch.add_operator(OperatorNode{name, OperatorKind::FpgaRegion, 1.0, "XC2V2000", name});
     arch.connect(arch.by_name(name), il);
   }

@@ -107,8 +107,13 @@ std::string bench_json(const std::string& suite, bool smoke,
     out += "      \"config\": {";
     for (std::size_t i = 0; i < rec.config.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + json_escape(rec.config[i].first) + "\": \"" +
-             json_escape(rec.config[i].second) + "\"";
+      // Appended piecewise: `"\"" + std::string` trips GCC 12's -O3
+      // -Werror=restrict false positive (GCC bug 105329).
+      out += '"';
+      out += json_escape(rec.config[i].first);
+      out += "\": \"";
+      out += json_escape(rec.config[i].second);
+      out += '"';
     }
     out += "},\n";
     out += "      \"repeats\": " + std::to_string(rec.repeats) + ",\n";
@@ -120,7 +125,9 @@ std::string bench_json(const std::string& suite, bool smoke,
     out += "      \"extra\": {";
     for (std::size_t i = 0; i < rec.extra.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + json_escape(rec.extra[i].first) + "\": " + json_number(rec.extra[i].second);
+      out += '"';
+      out += json_escape(rec.extra[i].first);
+      out += "\": " + json_number(rec.extra[i].second);
     }
     out += "}\n";
     out += "    }";

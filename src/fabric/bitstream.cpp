@@ -243,15 +243,6 @@ class NullSink : public BitstreamReader::Sink {
   void write_frame(const FrameAddress&, std::span<const std::uint8_t>) override {}
 };
 
-/// Records packet actions for decode_packets().
-class RecordingSink : public BitstreamReader::Sink {
- public:
-  void write_frame(const FrameAddress& addr, std::span<const std::uint8_t>) override {
-    touched.push_back(addr);
-  }
-  std::vector<FrameAddress> touched;
-};
-
 }  // namespace
 
 ParseResult BitstreamReader::validate(const DeviceModel& device, std::span<const std::uint8_t> stream) {

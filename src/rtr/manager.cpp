@@ -88,8 +88,7 @@ ReconfigManager::ReconfigManager(const synth::DesignBundle& bundle, ManagerConfi
       config_(config),
       store_(store),
       policy_(policy),
-      builder_(config.builder, config.port_kind, config.cpu_builder_bytes_per_s,
-               config.fpga_builder_bytes_per_s),
+      builder_(config.builder, config.cpu_builder_bytes_per_s, config.fpga_builder_bytes_per_s),
       memory_(bundle.device),
       port_(config.port_kind,
             config.port_timing.value_or(fabric::ConfigPort::default_timing(config.port_kind)),
@@ -159,60 +158,68 @@ TimeNs ReconfigManager::cold_load_latency(const std::string& module) const {
   return latency;
 }
 
-std::vector<std::uint8_t> ReconfigManager::fetch_stream(const std::string& module) {
+std::span<const std::uint8_t> ReconfigManager::fetch_stream(const std::string& module,
+                                                           std::vector<std::uint8_t>& scratch) {
   const auto stored = store_.get(module);
-  std::vector<std::uint8_t> raw(stored.begin(), stored.end());
-  if (fetch_fault_hook_) fetch_fault_hook_(module, raw);
-  return raw;
-}
-
-void ReconfigManager::apply_load(const std::string& region, const std::string& module) {
-  const std::vector<std::uint8_t> raw = fetch_stream(module);
-  const BuildResult built = builder_.build(bundle_.device, raw);
-  port_.load(built.stream, module);
-  if (config_.verify_loads) {
-    const auto frames = bundle_.floorplan.region_frames(region);
-    PDR_CHECK(memory_.region_owned_by(frames, module), "ReconfigManager",
-              "after loading '" + module + "', region '" + region +
-                  "' frames are not all owned by it");
-  }
-  stats_.bytes_loaded += raw.size();
-  bump("bytes_loaded", static_cast<double>(raw.size()));
+  if (!fetch_fault_hook_) return stored;
+  // The hook corrupts a private copy: bus damage must never reach the store.
+  scratch.assign(stored.begin(), stored.end());
+  fetch_fault_hook_(module, scratch);
+  return scratch;
 }
 
 ReconfigManager::LoadFailure ReconfigManager::attempt_load(const std::string& region,
-                                                           const std::string& module) {
-  const std::vector<std::uint8_t> raw = fetch_stream(module);
-  // CRC / framing check before the stream ever reaches the port: a
-  // corrupted image is rejected while the region still holds its previous
-  // (intact) configuration.
+                                                           const std::string& module,
+                                                           bool throw_on_failure) {
+  std::vector<std::uint8_t> scratch;
+  const std::span<const std::uint8_t> raw = fetch_stream(module, scratch);
+  // `failure` names the stage in flight, so a throw from it classifies.
+  LoadFailure failure = LoadFailure::CrcReject;
   try {
-    fabric::BitstreamReader::validate(bundle_.device, raw);
+    // The builder's framing/CRC check runs before the stream ever reaches
+    // the port: a corrupted image is rejected while the region still
+    // holds its previous (intact) configuration.
+    builder_.build(bundle_.device, raw);
+    failure = LoadFailure::PortAbort;  // the port dying mid-transfer
+    port_.load(raw, module);
+    failure = LoadFailure::ReadbackMismatch;
+    if (config_.verify_loads)
+      PDR_CHECK(memory_.region_owned_by(bundle_.floorplan.region_frames(region), module),
+                "ReconfigManager",
+                "after loading '" + module + "', region '" + region +
+                    "' frames are not all owned by it");
   } catch (const Error&) {
-    ++stats_.crc_rejects;
-    bump("crc_rejects");
-    return LoadFailure::CrcReject;
-  }
-  const BuildResult built = builder_.build(bundle_.device, raw);
-  try {
-    port_.load(built.stream, module);
-  } catch (const Error&) {
-    // The port died mid-transfer; part of the region is now foreign.
-    ++stats_.port_aborts;
-    bump("port_aborts");
-    return LoadFailure::PortAbort;
-  }
-  if (config_.verify_loads) {
-    const auto frames = bundle_.floorplan.region_frames(region);
-    if (!memory_.region_owned_by(frames, module)) {
-      ++stats_.readback_failures;
-      bump("readback_failures");
-      return LoadFailure::ReadbackMismatch;
+    if (throw_on_failure) throw;
+    switch (failure) {
+      case LoadFailure::CrcReject:
+        ++stats_.crc_rejects;
+        bump("crc_rejects");
+        break;
+      case LoadFailure::PortAbort:
+        ++stats_.port_aborts;
+        bump("port_aborts");
+        break;
+      default:
+        ++stats_.readback_failures;
+        bump("readback_failures");
+        break;
     }
+    ++stats_.load_failures;
+    bump("load_failures");
+    return failure;
   }
   stats_.bytes_loaded += raw.size();
   bump("bytes_loaded", static_cast<double>(raw.size()));
   return LoadFailure::None;
+}
+
+bool ReconfigManager::fallback_load(const std::string& region, const std::string& module,
+                                    TimeNs& extra) {
+  for (int i = 0; i <= config_.recovery.max_retries; ++i) {
+    extra += cold_load_latency(module);
+    if (attempt_load(region, module, /*throw_on_failure=*/false) == LoadFailure::None) return true;
+  }
+  return false;
 }
 
 void ReconfigManager::set_health(const std::string& region, RegionHealth health, TimeNs now,
@@ -278,23 +285,20 @@ ReconfigManager::LoadResult ReconfigManager::perform_load(const std::string& reg
   LoadResult result;
   result.resident = module;
   if (!config_.recovery.enabled) {
-    apply_load(region, module);  // throws on any failure, as it always did
+    attempt_load(region, module, /*throw_on_failure=*/true);
     return result;
   }
 
   TimeNs backoff = config_.recovery.retry_backoff;
   TimeNs backoff_spent = 0;
   for (int attempt = 0;; ++attempt) {
-    const LoadFailure failure = attempt_load(region, module);
-    if (failure == LoadFailure::None) {
+    if (attempt_load(region, module, /*throw_on_failure=*/false) == LoadFailure::None) {
       // A clean verified load rewrote the whole region: whatever state it
       // was in (degraded readback, earlier failure), it is healthy now.
       set_health(region, RegionHealth::Healthy, now,
                  attempt > 0 ? "retry succeeded" : "load verified");
       return result;
     }
-    ++stats_.load_failures;
-    bump("load_failures");
     set_health(region, RegionHealth::Degraded,
                now, std::string(category) + " of '" + module + "' failed");
     if (attempt >= config_.recovery.max_retries) break;
@@ -333,34 +337,15 @@ ReconfigManager::LoadResult ReconfigManager::perform_load(const std::string& reg
   ++stats_.fallbacks;
   bump("fallbacks");
   result.fell_back = true;
-  const std::string blank_name = ensure_blank_stream(region);
-  bool blanked = false;
-  for (int i = 0; i <= config_.recovery.max_retries && !blanked; ++i) {
-    result.extra += cold_load_latency(blank_name);
-    blanked = attempt_load(region, blank_name) == LoadFailure::None;
-    if (!blanked) {
-      ++stats_.load_failures;
-      bump("load_failures");
-    }
-  }
+  const bool blanked = fallback_load(region, ensure_blank_stream(region), result.extra);
   if (blanked) {
     ++stats_.blanks;
     bump("blanks");
   }
   const auto safe = config_.safe_modules.find(region);
-  const bool have_safe =
-      blanked && safe != config_.safe_modules.end() && safe->second != module;
-  bool safe_loaded = false;
-  if (have_safe) {
-    for (int i = 0; i <= config_.recovery.max_retries && !safe_loaded; ++i) {
-      result.extra += cold_load_latency(safe->second);
-      safe_loaded = attempt_load(region, safe->second) == LoadFailure::None;
-      if (!safe_loaded) {
-        ++stats_.load_failures;
-        bump("load_failures");
-      }
-    }
-  }
+  const bool safe_loaded = blanked && safe != config_.safe_modules.end() &&
+                           safe->second != module &&
+                           fallback_load(region, safe->second, result.extra);
   if (safe_loaded) {
     result.resident = safe->second;
     set_health(region, RegionHealth::Healthy, now, "fell back to safe module '" + safe->second + "'");
@@ -521,7 +506,7 @@ void ReconfigManager::set_resident(const std::string& region, const std::string&
   PDR_CHECK(loaded_.count(region) > 0, "ReconfigManager::set_resident",
             "unknown region '" + region + "'");
   consume_certified_load(region, module, "startup residency");
-  apply_load(region, module);
+  attempt_load(region, module, /*throw_on_failure=*/true);
   loaded_[region] = module;
 }
 

@@ -34,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -240,8 +241,9 @@ class ReconfigManager {
   /// nothing, matching the verifier's residency analysis.
   void enable_certified_replay(std::map<std::string, std::vector<std::string>> loads);
 
-  /// Fault hook consulted on every external-memory fetch: may mutate the
-  /// fetched copy (transient bus corruption) and returns true if it did.
+  /// Fault hook consulted on every external-memory fetch: may mutate its
+  /// private copy of the fetched bytes (transient bus corruption; the
+  /// store is never touched) and returns true if it did.
   /// Permanent store damage goes through BitstreamStore::corrupt instead.
   using FetchFaultHook = std::function<bool(const std::string& module,
                                             std::vector<std::uint8_t>& bytes)>;
@@ -292,23 +294,28 @@ class ReconfigManager {
     bool failed = false;
   };
 
-  /// Streams `module` out of the external store (the fetch fault hook may
-  /// corrupt the copy in flight).
-  std::vector<std::uint8_t> fetch_stream(const std::string& module);
+  /// Streams `module` out of the external store: the store's own bytes,
+  /// or — when a fetch fault hook is set — a copy in `scratch` that the
+  /// hook may corrupt in flight without touching the store.
+  std::span<const std::uint8_t> fetch_stream(const std::string& module,
+                                             std::vector<std::uint8_t>& scratch);
 
-  /// Applies the physical load through builder + port, throwing on any
-  /// failure (the legacy non-recovering path).
-  void apply_load(const std::string& region, const std::string& module);
-
-  /// One recovering load attempt: CRC pre-check, port transfer, readback
-  /// verification — classified instead of thrown.
-  LoadFailure attempt_load(const std::string& region, const std::string& module);
+  /// The one physical load: fetch, builder validation (the CRC gate),
+  /// port transfer, readback verification. A failure is rethrown as its
+  /// pdr::Error when `throw_on_failure`; otherwise it is counted
+  /// (load_failures plus its cause) and returned as a classification.
+  LoadFailure attempt_load(const std::string& region, const std::string& module,
+                           bool throw_on_failure);
 
   /// Full self-healing load: attempt, bounded retry with backoff, then
-  /// blank + safe-module fallback. With recovery disabled, delegates to
-  /// apply_load (and so throws on failure).
+  /// blank + safe-module fallback. With recovery disabled, a single
+  /// throwing attempt_load.
   LoadResult perform_load(const std::string& region, const std::string& module,
                           const char* category, TimeNs now, bool allow_fallback = true);
+
+  /// One bounded fallback round: up to max_retries + 1 attempts at
+  /// `module`, each adding a cold load to `extra`. True once one succeeds.
+  bool fallback_load(const std::string& region, const std::string& module, TimeNs& extra);
 
   /// Registers (once) and names the region's MFWR-compressed blank stream.
   std::string ensure_blank_stream(const std::string& region);

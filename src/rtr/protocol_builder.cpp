@@ -4,10 +4,9 @@
 
 namespace pdr::rtr {
 
-ProtocolBuilder::ProtocolBuilder(aaa::Placement placement, fabric::PortKind mode,
-                                 double cpu_bytes_per_s, double fpga_bytes_per_s)
+ProtocolBuilder::ProtocolBuilder(aaa::Placement placement, double cpu_bytes_per_s,
+                                 double fpga_bytes_per_s)
     : placement_(placement),
-      mode_(mode),
       cpu_bytes_per_s_(cpu_bytes_per_s),
       fpga_bytes_per_s_(fpga_bytes_per_s) {
   PDR_CHECK(cpu_bytes_per_s_ > 0 && fpga_bytes_per_s_ > 0, "ProtocolBuilder",
@@ -25,7 +24,6 @@ BuildResult ProtocolBuilder::build(const fabric::DeviceModel& device,
 
   BuildResult result;
   result.frames = parsed.frames_written;
-  result.stream.assign(raw.begin(), raw.end());
   result.build_time = transfer_time_ns(raw.size(), throughput_bytes_per_s());
   if (metrics_ != nullptr) {
     metrics_->counter("rtr.builder.builds").add();

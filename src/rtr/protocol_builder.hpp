@@ -4,28 +4,26 @@
 // which is in charge to construct a valid reconfiguration stream in
 // agreement with the used protocol mode (e.g selectmap)." (§5)
 //
-// The builder consumes a raw partial bitstream from the store, validates
-// its structure against the target device (sync word, IDCODE, packet
-// framing, CRC) and emits the port-mode stream. Where it runs (paper's
-// 'P' label: FPGA or CPU) determines its throughput and therefore how
-// much it contributes to reconfiguration latency.
+// The builder checks a raw partial bitstream fetched from the store
+// against the target device (sync word, IDCODE, packet framing, CRC); the
+// port then streams those same bytes, so the builder copies nothing.
+// Where it runs (paper's 'P' label: FPGA or CPU) determines its
+// throughput and therefore how much it contributes to reconfiguration
+// latency.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "aaa/constraints.hpp"
 #include "fabric/bitstream.hpp"
-#include "fabric/config_port.hpp"
 #include "obs/metrics.hpp"
 #include "util/units.hpp"
 
 namespace pdr::rtr {
 
 struct BuildResult {
-  std::vector<std::uint8_t> stream;  ///< port-ready stream
-  TimeNs build_time = 0;             ///< time the builder itself needs
+  TimeNs build_time = 0;  ///< time the builder itself needs
   int frames = 0;
 };
 
@@ -34,14 +32,12 @@ class ProtocolBuilder {
   /// `cpu_bytes_per_s`: software framing throughput when placed on the
   /// CPU; `fpga_bytes_per_s`: hardware builder throughput (usually above
   /// the port rate, i.e. transparent).
-  ProtocolBuilder(aaa::Placement placement, fabric::PortKind mode, double cpu_bytes_per_s,
-                  double fpga_bytes_per_s);
+  ProtocolBuilder(aaa::Placement placement, double cpu_bytes_per_s, double fpga_bytes_per_s);
 
   aaa::Placement placement() const { return placement_; }
-  fabric::PortKind mode() const { return mode_; }
   double throughput_bytes_per_s() const;
 
-  /// Validates `raw` against `device` and produces the port stream.
+  /// Validates `raw` against `device`: the stream is port-ready as is.
   /// Throws pdr::Error (with the precise packet defect) on malformed
   /// streams — a corrupted external memory must never reach the fabric.
   BuildResult build(const fabric::DeviceModel& device, std::span<const std::uint8_t> raw) const;
@@ -52,7 +48,6 @@ class ProtocolBuilder {
 
  private:
   aaa::Placement placement_;
-  fabric::PortKind mode_;
   double cpu_bytes_per_s_;
   double fpga_bytes_per_s_;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -7,6 +7,7 @@
 #include "aaa/architecture_graph.hpp"
 #include "aaa/durations.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace pdr::aaa {
 namespace {
@@ -178,7 +179,7 @@ TEST(AlgorithmGraph, RepetitionIndexStaysConsistentUnderFuzz) {
     std::string prev = "in";
     const int chain = 2 + static_cast<int>(rnd(4));
     for (int i = 0; i < chain; ++i) {
-      const std::string name = "c" + std::to_string(i);
+      const std::string name = strprintf("c%d", i);
       g.add_compute(name, "fir");
       g.add_dependency(prev, name, 64 + 8 * static_cast<Bytes>(i));
       expandable.push_back(name);

@@ -6,6 +6,7 @@
 #include "aaa/durations.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace pdr::aaa {
@@ -295,7 +296,7 @@ TEST(Adequation, HeuristicBeatsRoundRobinOnWideGraph) {
   AlgorithmGraph g;
   g.add_operation({"s", "src", {}, OpClass::Sensor, {}});
   for (int i = 0; i < 8; ++i) {
-    const std::string name = "w" + std::to_string(i);
+    const std::string name = strprintf("w%d", i);
     g.add_compute(name, "work");
     g.add_dependency("s", name, 4096);
   }

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "fault/campaign.hpp"
 #include "fault/fault_spec.hpp"
 #include "fault/injector.hpp"
 #include "fault/scrub_scheduler.hpp"
+#include "obs/metrics.hpp"
 #include "rtr/manager.hpp"
 #include "sim/event_queue.hpp"
+#include "synth/bitgen.hpp"
 #include "synth/flow.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -286,14 +291,93 @@ TEST(SelfHealing, FailsRegionWhenNoSafeModuleWorks) {
 
 TEST(SelfHealing, RecoveryDisabledStillThrows) {
   const synth::DesignBundle bundle = test_bundle();
-  rtr::BitstreamStore store(100e6, 0);
-  rtr::NonePrefetch policy;
-  rtr::ReconfigManager manager(bundle, rtr::ManagerConfig{}, store, policy);
-  store.corrupt("qam16", 100);
-  EXPECT_THROW(manager.request("D1", "qam16", 0), pdr::Error);
-  EXPECT_TRUE(manager.loaded("D1").empty());
-  EXPECT_EQ(manager.stats().retries, 0);
-  EXPECT_EQ(manager.stats().fallbacks, 0);
+  // With recovery off, every failure mode throws its own pdr::Error text
+  // and leaves every recovery counter at zero.
+  using Arm = std::function<void(rtr::BitstreamStore&, rtr::ReconfigManager&)>;
+  const auto expect_throw = [&bundle](const char* mode, const Arm& arm,
+                                      const std::string& message) {
+    rtr::BitstreamStore store(100e6, 0);
+    rtr::NonePrefetch policy;
+    rtr::ReconfigManager manager(bundle, rtr::ManagerConfig{}, store, policy);
+    arm(store, manager);
+    try {
+      manager.request("D1", "qam16", 0);
+      ADD_FAILURE() << mode << ": expected pdr::Error";
+    } catch (const pdr::Error& e) {
+      EXPECT_EQ(std::string(e.what()), message) << mode;
+    }
+    EXPECT_TRUE(manager.loaded("D1").empty()) << mode;
+    const rtr::ManagerStats& s = manager.stats();
+    EXPECT_EQ(s.load_failures, 0) << mode;
+    EXPECT_EQ(s.crc_rejects, 0) << mode;
+    EXPECT_EQ(s.port_aborts, 0) << mode;
+    EXPECT_EQ(s.readback_failures, 0) << mode;
+    EXPECT_EQ(s.retries, 0) << mode;
+    EXPECT_EQ(s.fallbacks, 0) << mode;
+  };
+  const std::string crc_message =
+      "BitstreamReader: CRC mismatch: stream 0x26d3bd6d, computed 0x468a7653";
+  expect_throw(
+      "crc reject",
+      [](rtr::BitstreamStore& store, rtr::ReconfigManager&) { store.corrupt("qam16", 100); },
+      crc_message);
+  expect_throw(
+      "port abort",
+      [](rtr::BitstreamStore&, rtr::ReconfigManager& manager) {
+        manager.port().set_fault_hook([](Bytes, const std::string&) { return 0.5; });
+      },
+      "ConfigPort: load of 'qam16' aborted after 13400 of 26804 bytes (0 frames committed)");
+  expect_throw(
+      "readback mismatch",
+      [&bundle](rtr::BitstreamStore& store, rtr::ReconfigManager&) {
+        // A valid stream covering half the region leaves foreign frames.
+        auto frames = bundle.floorplan.region_frames("D1");
+        frames.resize(frames.size() / 2);
+        store.add("qam16", synth::generate_uniform_bitstream(bundle.device, frames, 0));
+      },
+      "ReconfigManager: after loading 'qam16', region 'D1' frames are not all owned by it");
+
+  // set_resident() throws in either recovery mode, with the same text.
+  {
+    rtr::BitstreamStore store(100e6, 0);
+    rtr::NonePrefetch policy;
+    rtr::ReconfigManager manager(bundle, recovering_config(), store, policy);
+    store.corrupt("qam16", 100);
+    try {
+      manager.set_resident("D1", "qam16");
+      ADD_FAILURE() << "set_resident: expected pdr::Error";
+    } catch (const pdr::Error& e) {
+      EXPECT_EQ(std::string(e.what()), crc_message);
+    }
+    EXPECT_EQ(manager.stats().crc_rejects, 0);
+  }
+
+  // Recovery on: a stream the builder rejects never counts as a build, and
+  // the fetch hook corrupts a private copy — the stored image is untouched.
+  {
+    rtr::BitstreamStore store(100e6, 0);
+    rtr::NonePrefetch policy;
+    rtr::ReconfigManager manager(bundle, recovering_config(), store, policy);
+    obs::MetricsRegistry metrics;
+    manager.set_observability(nullptr, &metrics);
+    const auto stored = store.get("qam16");
+    const std::vector<std::uint8_t> before(stored.begin(), stored.end());
+    int corrupted = 0;
+    manager.set_fetch_fault_hook(
+        [&corrupted](const std::string&, std::vector<std::uint8_t>& bytes) {
+          if (corrupted > 0) return false;
+          bytes[bytes.size() / 2] ^= 0xFF;
+          ++corrupted;
+          return true;
+        });
+    manager.request("D1", "qam16", 0);
+    EXPECT_EQ(corrupted, 1);
+    EXPECT_EQ(manager.loaded("D1"), "qam16");
+    EXPECT_EQ(manager.stats().crc_rejects, 1);
+    EXPECT_EQ(metrics.counter("rtr.builder.builds").value(), 1.0);  // the retry only
+    const auto after = store.get("qam16");
+    EXPECT_TRUE(std::equal(after.begin(), after.end(), before.begin(), before.end()));
+  }
 }
 
 TEST(SelfHealing, RetryJitterIsSeededAndReproducible) {

@@ -16,6 +16,7 @@
 #include "mccdma/case_study.hpp"
 #include "mccdma/flow_presets.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 using namespace pdr;
 
@@ -287,7 +288,7 @@ TEST(ScenarioRunner, MergedMetricsAreExactUnderEightJobs) {
   // job runs this test to prove data-race freedom, not just totals.)
   std::vector<flow::Scenario> scenarios;
   for (int i = 0; i < 32; ++i) {
-    scenarios.push_back({"s" + std::to_string(i), [i](flow::ObsSinks& sinks) {
+    scenarios.push_back({strprintf("s%d", i), [i](flow::ObsSinks& sinks) {
                            for (int k = 0; k <= i; ++k) sinks.metrics.counter("sweep.work").add();
                            sinks.metrics.histogram("sweep.h", {1.0, 10.0}).observe(i);
                            return std::string();

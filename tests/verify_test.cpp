@@ -27,6 +27,7 @@
 #include "sim/executive_player.hpp"
 #include "synth/flow.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 #include "verify/verify.hpp"
 
@@ -55,12 +56,12 @@ aaa::ArchitectureGraph region_arch(int regions = 1) {
   aaa::ArchitectureGraph arch;
   arch.add_operator(aaa::OperatorNode{"CPU", aaa::OperatorKind::Processor, 1.0, "", ""});
   for (int i = 1; i <= regions; ++i) {
-    const std::string name = "D" + std::to_string(i);
+    const std::string name = strprintf("D%d", i);
     arch.add_operator(aaa::OperatorNode{name, aaa::OperatorKind::FpgaRegion, 1.0, "XC2V2000", name});
   }
   arch.add_medium(aaa::MediumNode{"BUS", 100e6, 100});
   arch.connect("CPU", "BUS");
-  for (int i = 1; i <= regions; ++i) arch.connect("D" + std::to_string(i), "BUS");
+  for (int i = 1; i <= regions; ++i) arch.connect(strprintf("D%d", i), "BUS");
   return arch;
 }
 
