@@ -145,6 +145,10 @@ struct BadCase {
   const char* text;
 };
 
+// Without a printer gtest shows the param as the bytes of its two pointers,
+// so the ctest name discovered from --gtest_list_tests changes every run.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
+
 class BadConstraintsTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(BadConstraintsTest, RejectedWithLineNumber) {

@@ -106,6 +106,10 @@ struct BadProject {
   const char* text;
 };
 
+// Without a printer gtest shows the param as the bytes of its two pointers,
+// so the ctest name discovered from --gtest_list_tests changes every run.
+void PrintTo(const BadProject& c, std::ostream* os) { *os << c.label; }
+
 class BadProjectTest : public ::testing::TestWithParam<BadProject> {};
 
 TEST_P(BadProjectTest, RejectedWithLineInfo) {
