@@ -55,11 +55,14 @@ namespace {
 struct SuiteOptions {
   bool smoke = false;
   std::string out_dir = ".";
-  int repeats = 0;  ///< 0 = tier default
+  int repeats = 0;  ///< 0 = default (3)
 };
 
-int default_repeats(const SuiteOptions& opts) { return opts.repeats > 0 ? opts.repeats : (opts.smoke ? 1 : 3); }
-int default_warmup(const SuiteOptions& opts) { return opts.smoke ? 0 : 1; }
+// Both tiers take one warm-up and three timed repeats per record: the
+// regression gate compares the smoke tier's mean, and a single cold sample
+// on a loaded host is noise, not a measurement.
+int default_repeats(const SuiteOptions& opts) { return opts.repeats > 0 ? opts.repeats : 3; }
+constexpr int kWarmupRuns = 1;
 
 void push_generator_config(BenchRecord& rec, const GeneratorConfig& cfg, int regions, int cpus) {
   rec.config.emplace_back("shape", bench::graph_shape_name(cfg.shape));
@@ -112,7 +115,7 @@ std::vector<BenchRecord> run_adequation_suite(const SuiteOptions& opts, bool& id
     run_opts.ready_policy = aaa::ReadyPolicy::IndexedHeap;
     aaa::Schedule last;
     BenchRecord rec =
-        bench::measure("adequation/" + cfg.name(), default_warmup(opts), default_repeats(opts),
+        bench::measure("adequation/" + cfg.name(), kWarmupRuns, default_repeats(opts),
                        [&] { last = adequation.run(run_opts); });
     push_generator_config(rec, cfg, regions, cpus);
     rec.config.emplace_back("ready_policy", "indexed_heap");
@@ -217,7 +220,7 @@ std::vector<BenchRecord> run_explore_suite(const SuiteOptions& opts) {
   std::size_t pareto = 0;
   std::size_t failed = 0;
   BenchRecord rec = bench::measure(
-      strprintf("explore/%s/points%zu", cfg.name().c_str(), points), default_warmup(opts),
+      strprintf("explore/%s/points%zu", cfg.name().c_str(), points), kWarmupRuns,
       default_repeats(opts), [&] {
         const flow::ExplorationReport report = explorer.run();
         pareto = report.pareto.size();
@@ -258,7 +261,7 @@ std::vector<BenchRecord> run_floorplan_suite(const SuiteOptions& opts) {
 
   plan::PlanResult last;
   BenchRecord rec = bench::measure(
-      strprintf("floorplan/%s/regions%d", cfg.name().c_str(), regions), default_warmup(opts),
+      strprintf("floorplan/%s/regions%d", cfg.name().c_str(), regions), kWarmupRuns,
       default_repeats(opts), [&] { last = plan::plan_floorplan(project, plan_opts); });
   push_generator_config(rec, cfg, regions, cpus);
   rec.config.emplace_back("max_rounds", std::to_string(plan_opts.max_rounds));
@@ -328,7 +331,7 @@ std::vector<BenchRecord> run_flow_suite(const SuiteOptions& opts) {
     const fault::FaultSpec spec = fault::parse_fault_spec(spec_text);
     const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
     BenchRecord rec = bench::measure(
-        strprintf("flow/fault-campaigns/h%dms", horizon_ms), default_warmup(opts),
+        strprintf("flow/fault-campaigns/h%dms", horizon_ms), kWarmupRuns,
         default_repeats(opts), [&] {
           for (int s = 0; s < campaigns_per_repeat; ++s) {
             rtr::BitstreamStore store = mccdma::make_case_study_store();
@@ -372,7 +375,7 @@ std::vector<BenchRecord> run_service_suite(const SuiteOptions& opts) {
 
     svc::ServiceReport last;
     BenchRecord rec = bench::measure(
-        strprintf("service/fleet%d/req%d", devices, traffic.requests), default_warmup(opts),
+        strprintf("service/fleet%d/req%d", devices, traffic.requests), kWarmupRuns,
         default_repeats(opts), [&] {
           svc::ServiceConfig config;
           config.jobs = 4;

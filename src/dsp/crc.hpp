@@ -13,6 +13,8 @@ std::uint32_t crc32(std::span<const std::uint8_t> data);
 /// Incremental CRC-32 accumulator.
 class Crc32 {
  public:
+  /// Folds `data` in eight bytes per step (slice-by-8); the result equals
+  /// update_byte() over every byte in order.
   void update(std::span<const std::uint8_t> data);
   void update_byte(std::uint8_t byte);
   std::uint32_t value() const { return state_ ^ 0xffffffffu; }

@@ -24,13 +24,6 @@ std::uint32_t word_at(std::span<const std::uint8_t> bytes, std::size_t word_inde
          (static_cast<std::uint32_t>(bytes[i + 2]) << 8) | static_cast<std::uint32_t>(bytes[i + 3]);
 }
 
-void crc_word(dsp::Crc32& crc, std::uint32_t w) {
-  crc.update_byte(static_cast<std::uint8_t>(w >> 24));
-  crc.update_byte(static_cast<std::uint8_t>(w >> 16));
-  crc.update_byte(static_cast<std::uint8_t>(w >> 8));
-  crc.update_byte(static_cast<std::uint8_t>(w));
-}
-
 }  // namespace
 
 BitstreamWriter::BitstreamWriter(const DeviceModel& device) : device_(device) {}
@@ -74,9 +67,8 @@ void BitstreamWriter::write_far(const FrameAddress& addr) {
   PDR_CHECK(FrameMap(device_).valid(addr), "BitstreamWriter::write_far",
             "frame address " + addr.to_string() + " not on device " + device_.name);
   put_header(ConfigReg::Far, 1);
-  const std::uint32_t far = addr.encode();
-  put_word(far);
-  crc_word(crc_, far);
+  put_word(addr.encode());
+  crc_.update(std::span(out_).last(4));
 }
 
 void BitstreamWriter::write_fdri(std::span<const std::uint8_t> data) {
@@ -84,13 +76,10 @@ void BitstreamWriter::write_fdri(std::span<const std::uint8_t> data) {
   const auto frame_bytes = static_cast<std::size_t>(device_.frame_bytes());
   PDR_CHECK(!data.empty() && data.size() % frame_bytes == 0, "BitstreamWriter::write_fdri",
             "FDRI data must be a whole number of frames");
-  const std::size_t words = data.size() / 4;
-  put_header(ConfigReg::Fdri, words);
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint32_t word = word_at(data, w);
-    put_word(word);
-    crc_word(crc_, word);
-  }
+  put_header(ConfigReg::Fdri, data.size() / 4);
+  // Frame bytes are already in stream (big-endian word) order.
+  out_.insert(out_.end(), data.begin(), data.end());
+  crc_.update(data);
   have_fdri_frame_ = true;
 }
 
@@ -102,8 +91,7 @@ void BitstreamWriter::write_mfwr(const FrameAddress& addr) {
   put_header(ConfigReg::Mfwr, 2);
   put_word(0);  // two dummy payload words, as in the real protocol
   put_word(0);
-  crc_word(crc_, 0);
-  crc_word(crc_, 0);
+  crc_.update(std::span(out_).last(8));
 }
 
 void BitstreamWriter::end() {
@@ -139,7 +127,8 @@ ParseResult BitstreamReader::parse(std::span<const std::uint8_t> stream) {
   bool crc_checked = false;
   const auto frame_words = static_cast<std::size_t>(device_.frame_words());
   const auto frame_bytes = static_cast<std::size_t>(device_.frame_bytes());
-  std::vector<std::uint8_t> last_frame;  ///< most recent FDRI frame, for MFWR
+  std::span<const std::uint8_t> last_frame;  ///< most recent FDRI frame, for MFWR
+  std::vector<std::uint8_t> zero_frame;      ///< what an empty FDRI burst leaves for MFWR
 
   while (w < total_words) {
     const std::uint32_t header = word_at(stream, w++);
@@ -169,11 +158,10 @@ ParseResult BitstreamReader::parse(std::span<const std::uint8_t> stream) {
       }
       case ConfigReg::Far: {
         PDR_CHECK(count == 1, "BitstreamReader", "FAR packet must have 1 word");
-        const std::uint32_t far_word = word_at(stream, w++);
-        far = FrameAddress::decode(far_word);
+        crc.update(stream.subspan(w * 4, 4));
+        far = FrameAddress::decode(word_at(stream, w++));
         PDR_CHECK(frames_.valid(*far), "BitstreamReader",
                   "FAR " + far->to_string() + " not on device " + device_.name);
-        crc_word(crc, far_word);
         break;
       }
       case ConfigReg::Fdri: {
@@ -182,29 +170,31 @@ ParseResult BitstreamReader::parse(std::span<const std::uint8_t> stream) {
         PDR_CHECK(count % frame_words == 0, "BitstreamReader",
                   "FDRI word count is not a whole number of frames");
         const std::size_t n_frames = count / frame_words;
-        std::vector<std::uint8_t> frame(frame_bytes);
+        // The burst's bytes are the frames' bytes in order: CRC it as one
+        // span and hand the sink views into the stream, no copy.
+        const auto burst = stream.subspan(w * 4, count * 4);
+        w += count;
+        crc.update(burst);
         for (std::size_t f = 0; f < n_frames; ++f) {
-          for (std::size_t fw = 0; fw < frame_words; ++fw) {
-            const std::uint32_t word = word_at(stream, w++);
-            crc_word(crc, word);
-            frame[fw * 4 + 0] = static_cast<std::uint8_t>(word >> 24);
-            frame[fw * 4 + 1] = static_cast<std::uint8_t>(word >> 16);
-            frame[fw * 4 + 2] = static_cast<std::uint8_t>(word >> 8);
-            frame[fw * 4 + 3] = static_cast<std::uint8_t>(word);
-          }
-          sink_.write_frame(*far, frame);
+          sink_.write_frame(*far, burst.subspan(f * frame_bytes, frame_bytes));
           result.touched.push_back(*far);
           ++result.frames_written;
           if (f + 1 < n_frames) far = frames_.next(*far);
         }
-        last_frame = std::move(frame);
+        if (n_frames > 0) {
+          last_frame = burst.last(frame_bytes);
+        } else {
+          zero_frame.assign(frame_bytes, 0);
+          last_frame = zero_frame;
+        }
         break;
       }
       case ConfigReg::Mfwr: {
         PDR_CHECK(count == 2, "BitstreamReader", "MFWR packet must have 2 words");
         PDR_CHECK(!last_frame.empty(), "BitstreamReader", "MFWR with no preceding FDRI frame");
         PDR_CHECK(far.has_value(), "BitstreamReader", "MFWR with no FAR set");
-        for (int d = 0; d < 2; ++d) crc_word(crc, word_at(stream, w++));
+        crc.update(stream.subspan(w * 4, 8));
+        w += 2;
         sink_.write_frame(*far, last_frame);
         result.touched.push_back(*far);
         ++result.frames_written;

@@ -107,7 +107,12 @@ struct ParseResult {
 /// a precise message on any violation.
 class BitstreamReader {
  public:
-  /// Frame sink: receives (address, frame_bytes) for every frame.
+  /// Frame sink: receives (address, frame_bytes) for every frame. The
+  /// bytes are a view into the parsed stream itself (an MFWR repeats the
+  /// view of the last FDRI frame), valid only for the duration of the
+  /// call: a sink that needs them later copies them. All frames of an
+  /// FDRI burst reach the sink only once the whole burst is known to lie
+  /// inside the stream, so a truncated burst writes none of them.
   class Sink {
    public:
     virtual ~Sink() = default;

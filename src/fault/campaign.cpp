@@ -119,8 +119,9 @@ CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamSto
   manager.port().set_fault_hook(
       [&injector](Bytes, const std::string&) { return injector.next_port_abort(); });
   manager.set_fetch_fault_hook(
-      [&injector](const std::string& module, std::vector<std::uint8_t>& bytes) {
-        return injector.maybe_corrupt_fetch(module, bytes);
+      [&injector](const std::string& module, std::span<const std::uint8_t> stored,
+                  std::vector<std::uint8_t>& corrupted) {
+        return injector.maybe_corrupt_fetch(module, stored, corrupted);
       });
 
   sim::EventQueue queue;

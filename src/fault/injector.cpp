@@ -67,17 +67,19 @@ double FaultInjector::next_port_abort() {
 }
 
 bool FaultInjector::maybe_corrupt_fetch(const std::string& module,
-                                        std::vector<std::uint8_t>& bytes) {
+                                        std::span<const std::uint8_t> stored,
+                                        std::vector<std::uint8_t>& corrupted) {
   const FetchFault* fault = spec_.find_fetch_fault(module);
-  if (fault == nullptr || bytes.empty()) return false;
+  if (fault == nullptr || stored.empty()) return false;
   auto it = fetch_rngs_.find(module);
   if (it == fetch_rngs_.end()) it = fetch_rngs_.emplace(module, stream("fetch", module)).first;
   Rng& rng = it->second;
   if (!rng.chance(fault->prob)) return false;
   const auto index =
-      static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+      static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(stored.size()) - 1));
   const auto mask = static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
-  bytes[index] ^= mask;
+  corrupted.assign(stored.begin(), stored.end());
+  corrupted[index] ^= mask;
   ++fetch_corruptions_;
   return true;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,9 +45,13 @@ class FaultInjector {
   /// (0, 1) — cut the transfer there — or -1 for a clean load.
   double next_port_abort();
 
-  /// Fetch hook: if this fetch of `module` draws a transient fault, flips
-  /// one pseudo-random byte of `bytes` and returns true.
-  bool maybe_corrupt_fetch(const std::string& module, std::vector<std::uint8_t>& bytes);
+  /// Fetch hook (rtr::ReconfigManager::FetchFaultHook): if this fetch of
+  /// `module` draws a transient fault, fills `corrupted` with `stored`
+  /// with one pseudo-random bit flipped and returns true; otherwise
+  /// returns false and leaves `corrupted` alone. The draws (chance, byte
+  /// index, bit) depend only on the seed, the module and `stored.size()`.
+  bool maybe_corrupt_fetch(const std::string& module, std::span<const std::uint8_t> stored,
+                           std::vector<std::uint8_t>& corrupted);
 
   /// Deterministic byte position for a permanent store damage of `module`.
   std::size_t damage_byte(const std::string& module, std::size_t stream_bytes) const;

@@ -1,5 +1,7 @@
 #include "rtr/bitstream_store.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace pdr::rtr {
@@ -13,38 +15,50 @@ BitstreamStore::BitstreamStore(double bandwidth_bytes_per_s, TimeNs access_laten
 void BitstreamStore::add(const std::string& module, std::vector<std::uint8_t> bitstream) {
   PDR_CHECK(!module.empty(), "BitstreamStore::add", "module name must not be empty");
   PDR_CHECK(!bitstream.empty(), "BitstreamStore::add", "empty bitstream for '" + module + "'");
-  pristine_[module] = bitstream;  // golden copy: what repair() restores
-  streams_[module] = std::move(bitstream);
+  Image& img = streams_[module];
+  img.pristine = bitstream;
+  img.bytes = std::move(bitstream);
+  img.version = ++last_version_;
+}
+
+const BitstreamStore::Image& BitstreamStore::image(const std::string& module,
+                                                   const char* where) const {
+  const auto it = streams_.find(module);
+  PDR_CHECK(it != streams_.end(), where, "no bitstream for module '" + module + "'");
+  return it->second;
+}
+
+BitstreamStore::Image& BitstreamStore::image(const std::string& module, const char* where) {
+  return const_cast<Image&>(std::as_const(*this).image(module, where));
 }
 
 void BitstreamStore::corrupt(const std::string& module, std::size_t byte_index,
                              std::uint8_t xor_mask) {
-  const auto it = streams_.find(module);
-  PDR_CHECK(it != streams_.end(), "BitstreamStore::corrupt",
-            "no bitstream for module '" + module + "'");
-  PDR_CHECK(byte_index < it->second.size(), "BitstreamStore::corrupt",
+  Image& img = image(module, "BitstreamStore::corrupt");
+  PDR_CHECK(byte_index < img.bytes.size(), "BitstreamStore::corrupt",
             "byte index out of range for '" + module + "'");
   PDR_CHECK(xor_mask != 0, "BitstreamStore::corrupt", "xor mask must flip at least one bit");
-  it->second[byte_index] ^= xor_mask;
+  img.bytes[byte_index] ^= xor_mask;
+  img.version = ++last_version_;
   ++corruptions_;
 }
 
 void BitstreamStore::repair(const std::string& module) {
-  const auto it = streams_.find(module);
-  PDR_CHECK(it != streams_.end(), "BitstreamStore::repair",
-            "no bitstream for module '" + module + "'");
-  const auto& golden = pristine_.at(module);
-  if (it->second == golden) return;  // undamaged — nothing to restore
-  it->second = golden;
+  Image& img = image(module, "BitstreamStore::repair");
+  if (img.bytes == img.pristine) return;  // undamaged — nothing to restore
+  img.bytes = img.pristine;
+  img.version = ++last_version_;
   ++repairs_;
 }
 
 bool BitstreamStore::contains(const std::string& module) const { return streams_.count(module) > 0; }
 
 std::span<const std::uint8_t> BitstreamStore::get(const std::string& module) const {
-  const auto it = streams_.find(module);
-  PDR_CHECK(it != streams_.end(), "BitstreamStore::get", "no bitstream for module '" + module + "'");
-  return it->second;
+  return image(module, "BitstreamStore::get").bytes;
+}
+
+std::uint64_t BitstreamStore::version(const std::string& module) const {
+  return image(module, "BitstreamStore::version").version;
 }
 
 Bytes BitstreamStore::size_of(const std::string& module) const { return get(module).size(); }
@@ -55,7 +69,7 @@ TimeNs BitstreamStore::fetch_time(const std::string& module) const {
 
 Bytes BitstreamStore::total_bytes() const {
   Bytes total = 0;
-  for (const auto& [name, s] : streams_) total += s.size();
+  for (const auto& [name, img] : streams_) total += img.bytes.size();
   return total;
 }
 

@@ -36,6 +36,13 @@ class BitstreamStore {
   /// external memory from a golden copy. No-op on an undamaged module.
   void repair(const std::string& module);
 
+  /// Version of a module's current image: a store-wide counter value,
+  /// renewed whenever the bytes change (add(), corrupt(), and a repair()
+  /// that restores bytes), never reused. A reader that checked the image
+  /// at version v may trust bytes still at version v without checking them
+  /// again.
+  std::uint64_t version(const std::string& module) const;
+
   /// Number of bytes ever damaged through corrupt().
   int corruptions() const { return corruptions_; }
 
@@ -57,8 +64,18 @@ class BitstreamStore {
  private:
   double bandwidth_;
   TimeNs latency_;
-  std::map<std::string, std::vector<std::uint8_t>> streams_;
-  std::map<std::string, std::vector<std::uint8_t>> pristine_;  ///< golden copies, first add() wins
+  struct Image {
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint8_t> pristine;  ///< golden copy of the last add(): what repair() restores
+    std::uint64_t version = 0;
+  };
+
+  /// The module's image; throws pdr::Error (from `where`) if unknown.
+  const Image& image(const std::string& module, const char* where) const;
+  Image& image(const std::string& module, const char* where);
+
+  std::map<std::string, Image> streams_;
+  std::uint64_t last_version_ = 0;
   int corruptions_ = 0;
   int repairs_ = 0;
 };

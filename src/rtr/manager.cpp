@@ -1,6 +1,7 @@
 #include "rtr/manager.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -158,28 +159,31 @@ TimeNs ReconfigManager::cold_load_latency(const std::string& module) const {
   return latency;
 }
 
-std::span<const std::uint8_t> ReconfigManager::fetch_stream(const std::string& module,
-                                                           std::vector<std::uint8_t>& scratch) {
-  const auto stored = store_.get(module);
-  if (!fetch_fault_hook_) return stored;
-  // The hook corrupts a private copy: bus damage must never reach the store.
-  scratch.assign(stored.begin(), stored.end());
-  fetch_fault_hook_(module, scratch);
-  return scratch;
-}
-
 ReconfigManager::LoadFailure ReconfigManager::attempt_load(const std::string& region,
                                                            const std::string& module,
                                                            bool throw_on_failure) {
-  std::vector<std::uint8_t> scratch;
-  const std::span<const std::uint8_t> raw = fetch_stream(module, scratch);
+  // Fetch: the store's own bytes, or — when the fault hook damages this
+  // transfer — the corrupted copy it hands back; the store is never touched.
+  const std::span<const std::uint8_t> stored = store_.get(module);
+  std::vector<std::uint8_t> corrupted;
+  const bool intact = !fetch_fault_hook_ || !fetch_fault_hook_(module, stored, corrupted);
+  const std::span<const std::uint8_t> raw = intact ? stored : std::span<const std::uint8_t>(corrupted);
   // `failure` names the stage in flight, so a throw from it classifies.
   LoadFailure failure = LoadFailure::CrcReject;
   try {
     // The builder's framing/CRC check runs before the stream ever reaches
     // the port: a corrupted image is rejected while the region still
-    // holds its previous (intact) configuration.
-    builder_.build(bundle_.device, raw);
+    // holds its previous (intact) configuration. It walks each stored
+    // image version once; the store's own bytes at a version it accepted
+    // before are counted and priced again, not re-walked.
+    const std::uint64_t version = store_.version(module);
+    std::uint64_t& accepted = validated_[module];
+    if (intact && accepted == version) {
+      builder_.record(raw);
+    } else {
+      builder_.build(bundle_.device, raw);
+      if (intact) accepted = version;
+    }
     failure = LoadFailure::PortAbort;  // the port dying mid-transfer
     port_.load(raw, module);
     failure = LoadFailure::ReadbackMismatch;
@@ -545,21 +549,49 @@ TimeNs ReconfigManager::blank(const std::string& region, TimeNs now) {
   return done;
 }
 
+const std::vector<std::size_t>& ReconfigManager::frame_offsets(
+    const synth::ModuleArtifact& artifact) const {
+  const auto it = frame_offsets_.find(&artifact);
+  if (it != frame_offsets_.end()) return it->second;
+
+  // The zero-copy parser hands each frame over as a view into the stream,
+  // so its byte offset is the view's distance from the stream's start.
+  struct OffsetSink : fabric::BitstreamReader::Sink {
+    OffsetSink(const fabric::DeviceModel& device, const std::uint8_t* base)
+        : map(device), base(base) {}
+    void write_frame(const fabric::FrameAddress& addr,
+                     std::span<const std::uint8_t> data) override {
+      at[map.linear_index(addr)] = static_cast<std::size_t>(data.data() - base);
+    }
+    fabric::FrameMap map;
+    const std::uint8_t* base;
+    std::map<int, std::size_t> at;  ///< linear frame index -> byte offset
+  };
+  OffsetSink sink(bundle_.device, artifact.bitstream.data());
+  fabric::BitstreamReader(bundle_.device, sink).parse(artifact.bitstream);
+
+  std::vector<std::size_t> offsets;
+  offsets.reserve(artifact.placement.frames.size());
+  for (const auto& addr : artifact.placement.frames) {
+    const auto found = sink.at.find(sink.map.linear_index(addr));
+    PDR_CHECK(found != sink.at.end(), "ReconfigManager::verify_resident",
+              "module '" + artifact.name + "' bitstream does not write frame " + addr.to_string());
+    offsets.push_back(found->second);
+  }
+  return frame_offsets_.emplace(&artifact, std::move(offsets)).first->second;
+}
+
 int ReconfigManager::verify_resident(const std::string& region) const {
   const std::string& module = loaded(region);
   PDR_CHECK(!module.empty(), "ReconfigManager::verify_resident",
             "region '" + region + "' has no resident module");
   const auto& artifact = bundle_.variant(region, module);
-  const fabric::FrameMap map(bundle_.device);
+  const std::vector<std::size_t>& offsets = frame_offsets(artifact);
   int corrupted = 0;
-  for (const auto& addr : artifact.placement.frames) {
-    const auto data = memory_.read_frame(addr);
-    const int linear = map.linear_index(addr);
-    bool bad = false;
-    for (std::size_t b = 0; b < data.size() && !bad; ++b)
-      bad = data[b] !=
-            synth::frame_payload_byte(artifact.netlist_hash, linear, static_cast<int>(b));
-    if (bad) ++corrupted;
+  for (std::size_t k = 0; k < offsets.size(); ++k) {
+    const auto data = memory_.read_frame(artifact.placement.frames[k]);
+    if (std::memcmp(data.data(), artifact.bitstream.data() + offsets[k], data.size()) != 0)
+      ++corrupted;
   }
   return corrupted;
 }

@@ -205,9 +205,11 @@ class ReconfigManager {
   /// Returns completion time.
   TimeNs blank(const std::string& region, TimeNs now);
 
-  /// Readback verification: compares the region's configuration frames
-  /// against the resident module's expected payload; returns the number
-  /// of corrupted frames (0 = clean). Throws if nothing is resident.
+  /// Readback verification: compares each of the region's configuration
+  /// frames (memcmp) against that frame's bytes inside the resident
+  /// module's own ModuleArtifact::bitstream — immutable, shared by every
+  /// device, and independent of any store damage; returns the number of
+  /// corrupted frames (0 = clean). Throws if nothing is resident.
   int verify_resident(const std::string& region) const;
 
   /// Scrubbing: rewrites the resident module's frames (full fetch+build+
@@ -241,12 +243,16 @@ class ReconfigManager {
   /// nothing, matching the verifier's residency analysis.
   void enable_certified_replay(std::map<std::string, std::vector<std::string>> loads);
 
-  /// Fault hook consulted on every external-memory fetch: may mutate its
-  /// private copy of the fetched bytes (transient bus corruption; the
-  /// store is never touched) and returns true if it did.
-  /// Permanent store damage goes through BitstreamStore::corrupt instead.
+  /// Fault hook consulted on every external-memory fetch with the store's
+  /// own bytes of `module`. To damage this transfer (transient bus
+  /// corruption) it fills `corrupted` with the damaged copy and returns
+  /// true; the load then uses that copy, and it always gets the builder's
+  /// full check. Returning false leaves `corrupted` untouched and the load
+  /// streams `stored` itself, with no copy. The hook must not keep
+  /// `stored`. Permanent store damage goes through BitstreamStore::corrupt.
   using FetchFaultHook = std::function<bool(const std::string& module,
-                                            std::vector<std::uint8_t>& bytes)>;
+                                            std::span<const std::uint8_t> stored,
+                                            std::vector<std::uint8_t>& corrupted)>;
   void set_fetch_fault_hook(FetchFaultHook hook) { fetch_fault_hook_ = std::move(hook); }
 
   /// Module resident in a region ("" if never configured).
@@ -294,14 +300,9 @@ class ReconfigManager {
     bool failed = false;
   };
 
-  /// Streams `module` out of the external store: the store's own bytes,
-  /// or — when a fetch fault hook is set — a copy in `scratch` that the
-  /// hook may corrupt in flight without touching the store.
-  std::span<const std::uint8_t> fetch_stream(const std::string& module,
-                                             std::vector<std::uint8_t>& scratch);
-
-  /// The one physical load: fetch, builder validation (the CRC gate),
-  /// port transfer, readback verification. A failure is rethrown as its
+  /// The one physical load: fetch (the fault hook may swap in a corrupted
+  /// copy), builder validation (the CRC gate; walked once per stored image
+  /// version), port transfer, readback verification. A failure is rethrown as its
   /// pdr::Error when `throw_on_failure`; otherwise it is counted
   /// (load_failures plus its cause) and returned as a classification.
   LoadFailure attempt_load(const std::string& region, const std::string& module,
@@ -319,6 +320,10 @@ class ReconfigManager {
 
   /// Registers (once) and names the region's MFWR-compressed blank stream.
   std::string ensure_blank_stream(const std::string& region);
+
+  /// Byte offset of each of `artifact`'s frames (placement order) inside
+  /// its bitstream; indexed on first use by parsing that bitstream once.
+  const std::vector<std::size_t>& frame_offsets(const synth::ModuleArtifact& artifact) const;
 
   /// Records a health transition (stats, gauge and trace instant).
   void set_health(const std::string& region, RegionHealth health, TimeNs now,
@@ -358,6 +363,11 @@ class ReconfigManager {
   ManagerStats stats_;
   Rng recovery_rng_;  ///< retry-jitter stream (seeded from recovery.jitter_seed)
   FetchFaultHook fetch_fault_hook_;
+  /// Per module, the store version whose bytes the builder last accepted
+  /// (0 = none): loading those same bytes again skips the builder's walk.
+  std::map<std::string, std::uint64_t> validated_;
+  /// verify_resident's frame index, one entry per module read back.
+  mutable std::map<const synth::ModuleArtifact*, std::vector<std::size_t>> frame_offsets_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 };

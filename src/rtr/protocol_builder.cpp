@@ -20,20 +20,23 @@ double ProtocolBuilder::throughput_bytes_per_s() const {
 BuildResult ProtocolBuilder::build(const fabric::DeviceModel& device,
                                    std::span<const std::uint8_t> raw) const {
   // Structural validation IS the builder's job: framing, addresses, CRC.
-  const fabric::ParseResult parsed = fabric::BitstreamReader::validate(device, raw);
-
   BuildResult result;
-  result.frames = parsed.frames_written;
-  result.build_time = transfer_time_ns(raw.size(), throughput_bytes_per_s());
+  result.frames = fabric::BitstreamReader::validate(device, raw).frames_written;
+  result.build_time = record(raw);
+  return result;
+}
+
+TimeNs ProtocolBuilder::record(std::span<const std::uint8_t> raw) const {
+  const TimeNs build_time = transfer_time_ns(raw.size(), throughput_bytes_per_s());
   if (metrics_ != nullptr) {
     metrics_->counter("rtr.builder.builds").add();
     metrics_->counter("rtr.builder.bytes").add(static_cast<double>(raw.size()));
     metrics_
         ->histogram("rtr.builder.build_time_ns", obs::latency_buckets_ns(),
                     "protocol builder framing time per stream")
-        .observe(static_cast<double>(result.build_time));
+        .observe(static_cast<double>(build_time));
   }
-  return result;
+  return build_time;
 }
 
 }  // namespace pdr::rtr

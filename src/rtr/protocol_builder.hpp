@@ -6,7 +6,9 @@
 //
 // The builder checks a raw partial bitstream fetched from the store
 // against the target device (sync word, IDCODE, packet framing, CRC); the
-// port then streams those same bytes, so the builder copies nothing.
+// port then streams those same bytes, so the builder copies nothing. The
+// check needs to run once per distinct image: record() accounts a build of
+// bytes already accepted.
 // Where it runs (paper's 'P' label: FPGA or CPU) determines its
 // throughput and therefore how much it contributes to reconfiguration
 // latency.
@@ -41,6 +43,12 @@ class ProtocolBuilder {
   /// Throws pdr::Error (with the precise packet defect) on malformed
   /// streams — a corrupted external memory must never reach the fabric.
   BuildResult build(const fabric::DeviceModel& device, std::span<const std::uint8_t> raw) const;
+
+  /// Counts one build of `raw` (rtr.builder.* metrics) and returns its
+  /// build time, without walking the stream. build() ends with it; a
+  /// caller passing bytes that an earlier build() accepted, unchanged
+  /// since, calls it instead, so every build is still counted and priced.
+  TimeNs record(std::span<const std::uint8_t> raw) const;
 
   /// Mirrors build counts/bytes and a build-time histogram into `metrics`
   /// under "rtr.builder." (nullptr = off).

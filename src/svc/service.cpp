@@ -273,8 +273,9 @@ void FleetService::build_fleet(int devices) {
       dev->manager->port().set_fault_hook(
           [inj](Bytes, const std::string&) { return inj->next_port_abort(); });
       dev->manager->set_fetch_fault_hook(
-          [inj](const std::string& module, std::vector<std::uint8_t>& bytes) {
-            return inj->maybe_corrupt_fetch(module, bytes);
+          [inj](const std::string& module, std::span<const std::uint8_t> stored,
+                std::vector<std::uint8_t>& corrupted) {
+            return inj->maybe_corrupt_fetch(module, stored, corrupted);
           });
       for (const auto& [region, frames] : frames_of_) {
         Device::SeuCursor cursor;

@@ -11,6 +11,7 @@
 #include "dsp/gray.hpp"
 #include "dsp/prbs.hpp"
 #include "dsp/walsh.hpp"
+#include "mccdma/case_study.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -375,6 +376,45 @@ TEST(Crc32, ResetRestoresInitialState) {
   c.update_byte(0xff);
   c.reset();
   EXPECT_EQ(c.value(), crc32({}));
+}
+
+/// Reference CRC: one table lookup per byte, in order.
+std::uint32_t bytewise_crc(std::span<const std::uint8_t> data) {
+  Crc32 crc;
+  for (const std::uint8_t b : data) crc.update_byte(b);
+  return crc.value();
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthOffsetAndSplit) {
+  std::vector<std::uint8_t> buf(64 + 7);
+  Rng rng(23);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto data = std::span<const std::uint8_t>(buf).subspan(offset, len);
+      const std::uint32_t expect = bytewise_crc(data);
+      ASSERT_EQ(crc32(data), expect) << "offset " << offset << ", length " << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        Crc32 two;
+        two.update(data.first(split));
+        two.update(data.subspan(split));
+        ASSERT_EQ(two.value(), expect)
+            << "offset " << offset << ", length " << len << ", split " << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseOnCaseStudyBitstreams) {
+  const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
+  std::vector<const std::vector<std::uint8_t>*> streams{&bundle.initial_bitstream};
+  for (const auto& [region, variants] : bundle.dynamic_variants)
+    for (const auto& v : variants) streams.push_back(&v.bitstream);
+  ASSERT_GE(streams.size(), 3u);  // the full-device stream and both D1 variants
+  for (const auto* stream : streams) {
+    ASSERT_FALSE(stream->empty());
+    EXPECT_EQ(crc32(*stream), bytewise_crc(*stream)) << stream->size() << "-byte stream";
+  }
 }
 
 // --- convolutional code + Viterbi ----------------------------------------------

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fabric/bitstream.hpp"
 #include "fabric/config_memory.hpp"
 #include "fabric/config_port.hpp"
+#include "mccdma/case_study.hpp"
 #include "synth/bitgen.hpp"
 #include "util/error.hpp"
 
@@ -368,6 +371,41 @@ TEST(Bitgen, PartialBitstreamRoundTripsThroughPort) {
   for (int b = 0; b < 16; ++b)
     EXPECT_EQ(f0[static_cast<std::size_t>(b)],
               synth::frame_payload_byte(0xdeadbeef, map.linear_index(frames[0]), b));
+}
+
+TEST(Bitgen, PortLoadOfCaseStudyStreamsMatchesFramePayloadBytes) {
+  // The reader hands the port views into the stream; what lands in
+  // configuration memory must be exactly the generator's payload bytes,
+  // for every variant (FDRI bursts) and for a blank (MFWR repeats).
+  const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
+  const FrameMap map(bundle.device);
+  ConfigMemory mem(bundle.device);
+  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  int variants = 0;
+  for (const auto& [region, artifacts] : bundle.dynamic_variants) {
+    for (const auto& v : artifacts) {
+      port.load(v.bitstream, v.name);
+      for (const auto& addr : v.placement.frames) {
+        const auto data = mem.read_frame(addr);
+        for (int b = 0; b < bundle.device.frame_bytes(); ++b)
+          ASSERT_EQ(data[static_cast<std::size_t>(b)],
+                    synth::frame_payload_byte(v.netlist_hash, map.linear_index(addr), b))
+              << v.name << " frame " << addr.to_string() << " byte " << b;
+        EXPECT_EQ(mem.frame_owner(addr), v.name);
+      }
+      ++variants;
+    }
+    const auto frames = bundle.floorplan.region_frames(region);
+    const auto blank = synth::generate_uniform_bitstream(bundle.device, frames, 0);
+    EXPECT_EQ(port.load(blank, "blank").frames_written, static_cast<int>(frames.size()));
+    for (const auto& addr : frames) {
+      const auto data = mem.read_frame(addr);
+      EXPECT_TRUE(std::all_of(data.begin(), data.end(), [](std::uint8_t x) { return x == 0; }))
+          << "frame " << addr.to_string() << " not blanked";
+      EXPECT_EQ(mem.frame_owner(addr), "blank");
+    }
+  }
+  EXPECT_GE(variants, 2);
 }
 
 TEST(Bitgen, DifferentHashesDifferentPayload) {

@@ -196,15 +196,17 @@ TEST(FaultInjector, FetchCorruptionFlipsExactlyOneByte) {
   FaultSpec spec;
   spec.fetch_faults.push_back(FetchFault{"m", 1.0});
   FaultInjector inj(spec, 5);
-  std::vector<std::uint8_t> bytes(256, 0xAB);
-  ASSERT_TRUE(inj.maybe_corrupt_fetch("m", bytes));
+  const std::vector<std::uint8_t> stored(256, 0xAB);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(inj.maybe_corrupt_fetch("m", stored, bytes));
+  ASSERT_EQ(bytes.size(), stored.size());
   int changed = 0;
   for (const std::uint8_t b : bytes) changed += b != 0xAB;
   EXPECT_EQ(changed, 1);
   EXPECT_EQ(inj.fetch_corruptions(), 1);
   // Unlisted module: never corrupted.
   std::vector<std::uint8_t> other(64, 1);
-  EXPECT_FALSE(inj.maybe_corrupt_fetch("other", other));
+  EXPECT_FALSE(inj.maybe_corrupt_fetch("other", std::vector<std::uint8_t>(64, 1), other));
   EXPECT_EQ(other, std::vector<std::uint8_t>(64, 1));
 }
 
@@ -217,8 +219,10 @@ TEST(SelfHealing, RetriesTransientFetchCorruption) {
   rtr::ReconfigManager manager(bundle, recovering_config(), store, policy);
   // First fetch arrives corrupted (CRC reject), every later one is clean.
   int fetches = 0;
-  manager.set_fetch_fault_hook([&fetches](const std::string&, std::vector<std::uint8_t>& bytes) {
+  manager.set_fetch_fault_hook([&fetches](const std::string&, std::span<const std::uint8_t> stored,
+                                          std::vector<std::uint8_t>& bytes) {
     if (++fetches == 1) {
+      bytes.assign(stored.begin(), stored.end());
       bytes[bytes.size() / 2] ^= 0xFF;
       return true;
     }
@@ -364,8 +368,10 @@ TEST(SelfHealing, RecoveryDisabledStillThrows) {
     const std::vector<std::uint8_t> before(stored.begin(), stored.end());
     int corrupted = 0;
     manager.set_fetch_fault_hook(
-        [&corrupted](const std::string&, std::vector<std::uint8_t>& bytes) {
+        [&corrupted](const std::string&, std::span<const std::uint8_t> stored,
+                     std::vector<std::uint8_t>& bytes) {
           if (corrupted > 0) return false;
+          bytes.assign(stored.begin(), stored.end());
           bytes[bytes.size() / 2] ^= 0xFF;
           ++corrupted;
           return true;
@@ -378,6 +384,85 @@ TEST(SelfHealing, RecoveryDisabledStillThrows) {
     const auto after = store.get("qam16");
     EXPECT_TRUE(std::equal(after.begin(), after.end(), before.begin(), before.end()));
   }
+}
+
+TEST(SelfHealing, StoreDamageAfterACleanLoadIsStillRejected) {
+  // The builder's check is skipped only for bytes it already accepted: a
+  // clean load of qam16, then damage to its stored image, must still be
+  // caught before the port, and a repair must make it loadable again.
+  const synth::DesignBundle bundle = test_bundle();
+  const std::string crc_message =
+      "BitstreamReader: CRC mismatch: stream 0x26d3bd6d, computed 0x468a7653";
+  for (const bool recovery : {true, false}) {
+    SCOPED_TRACE(recovery ? "recovery on" : "recovery off");
+    rtr::BitstreamStore store(100e6, 0);
+    rtr::NonePrefetch policy;
+    rtr::ReconfigManager manager(bundle, recovery ? recovering_config() : rtr::ManagerConfig{},
+                                 store, policy);
+    manager.set_safe_module("D1", "qpsk");
+    manager.request("D1", "qam16", 0);
+    manager.request("D1", "qpsk", manager.port_free_at());
+    store.corrupt("qam16", 100);
+    if (recovery) {
+      manager.request("D1", "qam16", manager.port_free_at());
+      EXPECT_GT(manager.stats().crc_rejects, 0);
+      EXPECT_EQ(manager.stats().port_aborts, 0);
+      EXPECT_EQ(manager.loaded("D1"), "qpsk");  // fell back
+    } else {
+      try {
+        manager.request("D1", "qam16", manager.port_free_at());
+        ADD_FAILURE() << "expected pdr::Error";
+      } catch (const pdr::Error& e) {
+        EXPECT_EQ(std::string(e.what()), crc_message);
+      }
+      EXPECT_EQ(manager.stats().crc_rejects, 0);
+    }
+    store.repair("qam16");
+    manager.request("D1", "qam16", manager.port_free_at());
+    EXPECT_EQ(manager.loaded("D1"), "qam16");
+    EXPECT_EQ(manager.verify_resident("D1"), 0);
+  }
+}
+
+TEST(SelfHealing, FetchHookCopiesOnlyWhenItCorrupts) {
+  // The hook sees the store's own bytes, not a copy. When it declines, the
+  // load streams those bytes and ignores whatever `corrupted` holds. When
+  // it corrupts a module whose stored image the builder already accepted,
+  // the copy still gets the builder's full check: a CrcReject, and the
+  // port never sees it.
+  const synth::DesignBundle bundle = test_bundle();
+  rtr::BitstreamStore store(100e6, 0);
+  rtr::NonePrefetch policy;
+  rtr::ReconfigManager manager(bundle, recovering_config(), store, policy);
+  int calls = 0;
+  bool corrupt_next = false;
+  manager.set_fetch_fault_hook([&](const std::string& module, std::span<const std::uint8_t> stored,
+                                   std::vector<std::uint8_t>& corrupted) {
+    ++calls;
+    EXPECT_EQ(stored.data(), store.get(module).data()) << module;
+    EXPECT_TRUE(corrupted.empty());
+    if (!corrupt_next) {
+      corrupted.assign(stored.size(), 0x00);  // never streamed: the hook declines
+      return false;
+    }
+    corrupt_next = false;
+    corrupted.assign(stored.begin(), stored.end());
+    corrupted[corrupted.size() / 2] ^= 0xFF;
+    return true;
+  });
+  manager.request("D1", "qam16", 0);
+  manager.request("D1", "qpsk", manager.port_free_at());
+  EXPECT_EQ(manager.stats().load_failures, 0);
+  const int port_loads = manager.port().loads();
+  corrupt_next = true;
+  manager.request("D1", "qam16", manager.port_free_at());
+  EXPECT_EQ(calls, 4);  // the corrupted fetch and its clean retry
+  EXPECT_EQ(manager.stats().crc_rejects, 1);
+  EXPECT_EQ(manager.stats().port_aborts, 0);
+  EXPECT_EQ(manager.stats().retries, 1);
+  EXPECT_EQ(manager.port().loads(), port_loads + 1);  // only the clean retry
+  EXPECT_EQ(manager.loaded("D1"), "qam16");
+  EXPECT_EQ(manager.verify_resident("D1"), 0);
 }
 
 TEST(SelfHealing, RetryJitterIsSeededAndReproducible) {

@@ -65,6 +65,11 @@ struct FixtureCase {
   Rule rule;
 };
 
+// Without a printer gtest shows the param as the bytes of its pointer and
+// enum, so the full ctest name discovered from --gtest_list_tests changes
+// every run.
+void PrintTo(const FixtureCase& c, std::ostream* os) { *os << c.file; }
+
 class LintFixture : public ::testing::TestWithParam<FixtureCase> {};
 
 TEST_P(LintFixture, FiresItsRuleCode) {

@@ -8,6 +8,7 @@
 #include "rtr/manager.hpp"
 #include "rtr/prefetch.hpp"
 #include "rtr/protocol_builder.hpp"
+#include "synth/bitgen.hpp"
 #include "synth/flow.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -564,6 +565,44 @@ TEST(Manager, VerifyDetectsSeuAndScrubRepairs) {
   EXPECT_EQ(f.manager->verify_resident("D1"), 0);
   EXPECT_EQ(f.manager->stats().scrubs, 1);
   EXPECT_EQ(f.manager->loaded("D1"), "qam16");  // residency unchanged
+}
+
+TEST(Manager, VerifyResidentMatchesFramePayloadRecount) {
+  ManagerFixture f;
+  const auto frames = f.bundle.floorplan.region_frames("D1");
+  const fabric::FrameMap map(f.bundle.device);
+  auto& memory = const_cast<fabric::ConfigMemory&>(f.manager->memory());
+  for (const std::string module : {"qpsk", "qam16"}) {
+    f.manager->request("D1", module, f.manager->port_free_at());
+    const auto& artifact = f.bundle.variant("D1", module);
+    // Reference recount: every byte against the generator's payload.
+    const auto recount = [&] {
+      int bad = 0;
+      for (const auto& addr : artifact.placement.frames) {
+        const auto data = f.manager->memory().read_frame(addr);
+        for (std::size_t b = 0; b < data.size(); ++b)
+          if (data[b] != synth::frame_payload_byte(artifact.netlist_hash, map.linear_index(addr),
+                                                   static_cast<int>(b))) {
+            ++bad;
+            break;
+          }
+      }
+      return bad;
+    };
+    EXPECT_EQ(f.manager->verify_resident("D1"), 0);
+    EXPECT_EQ(recount(), 0);
+    // k upsets on k distinct frames read back as k corrupted frames.
+    for (int k = 1; k <= 4; ++k) {
+      memory.flip_bit(frames[static_cast<std::size_t>(k * 7)], k, k % 8);
+      EXPECT_EQ(f.manager->verify_resident("D1"), k) << module;
+      EXPECT_EQ(recount(), k) << module;
+    }
+    // A second upset in an already-corrupted frame adds no frame.
+    memory.flip_bit(frames[7], 0, 0);
+    EXPECT_EQ(f.manager->verify_resident("D1"), 4);
+    f.manager->scrub("D1", f.manager->port_free_at());
+    EXPECT_EQ(f.manager->verify_resident("D1"), 0);
+  }
 }
 
 TEST(Manager, ScrubWithoutResidentThrows) {
