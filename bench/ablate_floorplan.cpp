@@ -13,8 +13,6 @@
 // (parallel under --jobs N) writing index-owned row slots; tables render
 // in row order afterwards, so output is identical for any --jobs value.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "fabric/bus_macro.hpp"
@@ -22,6 +20,8 @@
 #include "mccdma/case_study.hpp"
 #include "rtr/manager.hpp"
 #include "synth/flow.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -41,7 +41,7 @@ struct SweepRow {
   std::string full;
 };
 
-void print_width_sweep(const flow::ObsSinks& io, int jobs) {
+void print_width_sweep(const util::ArgParser& args, int jobs) {
   std::puts("=== region width sweep (XC2V2000, case-study memory) ===\n");
   const int widths[] = {2, 3, 4, 5, 6, 8, 12, 16, 24, 32};
 
@@ -80,7 +80,7 @@ void print_width_sweep(const flow::ObsSinks& io, int jobs) {
   t.print();
   std::puts("\n(reconfiguration time scales linearly with region width: partial");
   std::puts(" bitstreams are full-height column sets)\n");
-  sweep.write_obs(io.trace_path, io.metrics_path);
+  sweep.write_obs(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
 }
 
 void print_bus_macro_sweep() {
@@ -143,51 +143,20 @@ void print_device_sweep(int jobs) {
   std::puts(" Modular Design tax the paper's placement rules imply)\n");
 }
 
-void BM_PartialBitgen(benchmark::State& state) {
-  const fabric::DeviceModel dev = fabric::xc2v2000();
-  const fabric::FrameMap map(dev);
-  const auto frames = map.frames_for_clb_range(40, 40 + static_cast<int>(state.range(0)) - 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(synth::generate_partial_bitstream(dev, frames, 12345));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(frames.size()) * dev.frame_bytes());
-}
-BENCHMARK(BM_PartialBitgen)->Arg(2)->Arg(5)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_BitstreamValidate(benchmark::State& state) {
-  const fabric::DeviceModel dev = fabric::xc2v2000();
-  const fabric::FrameMap map(dev);
-  const auto frames = map.frames_for_clb_range(43, 47);
-  const auto stream = synth::generate_partial_bitstream(dev, frames, 99);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fabric::BitstreamReader::validate(dev, stream));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_BitstreamValidate)->Unit(benchmark::kMicrosecond);
-
-void BM_FloorplanValidation(benchmark::State& state) {
-  for (auto _ : state) {
-    fabric::Floorplan plan(fabric::xc2v2000());
-    plan.add_region("S", 0, 9, false);
-    plan.add_region("D1", 40, 44, true, 32, 32);
-    plan.add_region("D2", 45, 47, true, 16, 16);
-    benchmark::DoNotOptimize(plan.region_frames("D1"));
-  }
-}
-BENCHMARK(BM_FloorplanValidation);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
-  const int jobs = flow::jobs_from_argv(argc, argv, 1);
-  print_width_sweep(io, jobs);
-  print_bus_macro_sweep();
-  print_device_sweep(jobs);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    const util::ArgParser args("ablate_floorplan", argc - 1, argv + 1,
+                               {{"--trace-out", true}, {"--metrics-out", true}, {"--jobs", true}},
+                               0);
+    const int jobs = static_cast<int>(args.uint_or("--jobs", 1));
+    print_width_sweep(args, jobs);
+    print_bus_macro_sweep();
+    print_device_sweep(jobs);
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "ablate_floorplan: %s\n", e.what());
+    return 1;
+  }
 }

@@ -15,13 +15,13 @@
 // index-owned slots and the tables are rendered in row order afterwards,
 // so the printed output is identical for any --jobs value.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "flow/scenario.hpp"
 #include "mccdma/case_study.hpp"
 #include "mccdma/system.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -67,7 +67,7 @@ Accum run_policy(aaa::PrefetchChoice policy, Bytes cache, int seeds, flow::ObsSi
   return acc;
 }
 
-void print_policy_table(const flow::ObsSinks& io, int jobs) {
+void print_policy_table(const util::ArgParser& args, int jobs) {
   const int seeds = 6;
   std::printf("=== prefetch policy ablation (%d fading traces x 30k symbols) ===\n\n", seeds);
   struct Row {
@@ -115,7 +115,7 @@ void print_policy_table(const flow::ObsSinks& io, int jobs) {
   std::puts(" the Markov predictor stages instantly after each switch, so with only");
   std::puts(" two modules it converts every later switch into a staged load; the");
   std::puts(" cache removes the external fetch for modules seen before)\n");
-  sweep.write_obs(io.trace_path, io.metrics_path);
+  sweep.write_obs(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
 }
 
 void print_guard_sweep(int jobs) {
@@ -165,38 +165,20 @@ void print_guard_sweep(int jobs) {
   std::puts(" at the cost of more speculative stagings)\n");
 }
 
-void BM_SystemPrefetchOn(benchmark::State& state) {
-  mccdma::SystemConfig config;
-  config.seed = 9;
-  config.ber_sample_every = 0;
-  for (auto _ : state) {
-    mccdma::TransmitterSystem system(mccdma::shared_case_study(), config);
-    benchmark::DoNotOptimize(system.run(2000));
-  }
-}
-BENCHMARK(BM_SystemPrefetchOn)->Unit(benchmark::kMillisecond);
-
-void BM_SystemPrefetchOff(benchmark::State& state) {
-  mccdma::SystemConfig config;
-  config.seed = 9;
-  config.prefetch = aaa::PrefetchChoice::None;
-  config.ber_sample_every = 0;
-  for (auto _ : state) {
-    mccdma::TransmitterSystem system(mccdma::shared_case_study(), config);
-    benchmark::DoNotOptimize(system.run(2000));
-  }
-}
-BENCHMARK(BM_SystemPrefetchOff)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
-  const int jobs = flow::jobs_from_argv(argc, argv, 1);
-  mccdma::shared_case_study();  // warm the bundle before the thread pool
-  print_policy_table(io, jobs);
-  print_guard_sweep(jobs);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    const util::ArgParser args("ablate_prefetch", argc - 1, argv + 1,
+                               {{"--trace-out", true}, {"--metrics-out", true}, {"--jobs", true}},
+                               0);
+    const int jobs = static_cast<int>(args.uint_or("--jobs", 1));
+    mccdma::shared_case_study();  // warm the bundle before the thread pool
+    print_policy_table(args, jobs);
+    print_guard_sweep(jobs);
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "ablate_prefetch: %s\n", e.what());
+    return 1;
+  }
 }

@@ -14,8 +14,6 @@
 // run as a ScenarioRunner scenario into an index-owned slot, so the
 // table is identical for any --jobs value.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "fault/campaign.hpp"
@@ -23,6 +21,8 @@
 #include "flow/scenario.hpp"
 #include "mccdma/case_study.hpp"
 #include "rtr/manager.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -52,7 +52,7 @@ fault::CampaignReport run_scrub_campaign(TimeNs period, double seu_rate_hz, Time
                              &sinks.tracer, &sinks.metrics);
 }
 
-void print_scrub_table(const flow::ObsSinks& io, int jobs) {
+void print_scrub_table(const util::ArgParser& args, int jobs) {
   std::puts("=== scrub period vs. SEU exposure (Poisson SEUs at 50/s, 2 s run) ===");
   std::puts("(exaggerated upset rate so one run shows the trade-off)\n");
   const TimeNs horizon = 2_s;
@@ -84,7 +84,7 @@ void print_scrub_table(const flow::ObsSinks& io, int jobs) {
   t.print();
   std::puts("\n(faster scrubbing shortens the corruption window but eats the very");
   std::puts(" port the adaptive modulation needs for its reconfigurations)\n");
-  sweep.write_obs(io.trace_path, io.metrics_path);
+  sweep.write_obs(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
 }
 
 void print_verify_cost() {
@@ -102,54 +102,20 @@ void print_verify_cost() {
          manager.verify_resident("D1"));
 }
 
-void BM_VerifyResident(benchmark::State& state) {
-  const auto& cs = mccdma::shared_case_study();
-  rtr::BitstreamStore store = mccdma::make_case_study_store();
-  rtr::NonePrefetch policy;
-  rtr::ReconfigManager manager(cs.bundle, rtr::sundance_manager_config(), store, policy);
-  manager.set_resident("D1", "qpsk");
-  for (auto _ : state) benchmark::DoNotOptimize(manager.verify_resident("D1"));
-}
-BENCHMARK(BM_VerifyResident)->Unit(benchmark::kMicrosecond);
-
-void BM_Scrub(benchmark::State& state) {
-  const auto& cs = mccdma::shared_case_study();
-  rtr::BitstreamStore store = mccdma::make_case_study_store();
-  rtr::NonePrefetch policy;
-  rtr::ReconfigManager manager(cs.bundle, rtr::sundance_manager_config(), store, policy);
-  manager.set_resident("D1", "qpsk");
-  TimeNs now = 0;
-  for (auto _ : state) now = manager.scrub("D1", now);
-}
-BENCHMARK(BM_Scrub)->Unit(benchmark::kMicrosecond);
-
-/// One full fault campaign per iteration — the end-to-end cost of the
-/// injection + recovery machinery itself.
-void BM_FaultCampaign(benchmark::State& state) {
-  fault::FaultSpec spec;
-  spec.seed = 7;
-  spec.horizon = 100_ms;
-  spec.seus.push_back(fault::SeuProcess{"D1", 200.0});
-  spec.port_abort_prob = 0.05;
-  fault::CampaignConfig config;
-  config.manager = rtr::sundance_manager_config();
-  const auto& cs = mccdma::shared_case_study();
-  for (auto _ : state) {
-    rtr::BitstreamStore store = mccdma::make_case_study_store();
-    benchmark::DoNotOptimize(fault::run_campaign(cs.bundle, store, spec, config));
-  }
-}
-BENCHMARK(BM_FaultCampaign)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
-  const int jobs = flow::jobs_from_argv(argc, argv, 1);
-  mccdma::shared_case_study();  // warm the bundle before the thread pool
-  print_scrub_table(io, jobs);
-  print_verify_cost();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    const util::ArgParser args("ablate_scrubbing", argc - 1, argv + 1,
+                               {{"--trace-out", true}, {"--metrics-out", true}, {"--jobs", true}},
+                               0);
+    const int jobs = static_cast<int>(args.uint_or("--jobs", 1));
+    mccdma::shared_case_study();  // warm the bundle before the thread pool
+    print_scrub_table(args, jobs);
+    print_verify_cost();
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "ablate_scrubbing: %s\n", e.what());
+    return 1;
+  }
 }

@@ -9,8 +9,6 @@
 // Each Eb/N0 point runs as one ScenarioRunner scenario; --jobs N
 // parallelizes the grid without changing the printed tables.
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -20,6 +18,8 @@
 #include "mccdma/modulation.hpp"
 #include "mccdma/receiver.hpp"
 #include "mccdma/transmitter.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -184,25 +184,17 @@ void print_coding_gain(int jobs) {
   std::puts(" halved information rate already being charged to Eb/N0)\n");
 }
 
-void BM_BerPointQpsk(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(measure_ber("qpsk", 6.0, false, 7, 50));
-}
-BENCHMARK(BM_BerPointQpsk)->Unit(benchmark::kMillisecond);
-
-void BM_BerPointMultipath(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(measure_ber("qam16", 10.0, true, 9, 50));
-}
-BENCHMARK(BM_BerPointMultipath)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int jobs = flow::jobs_from_argv(argc, argv, 1);
-  print_waterfall(jobs);
-  print_coding_gain(jobs);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    const util::ArgParser args("ber_waterfall", argc - 1, argv + 1, {{"--jobs", true}}, 0);
+    const int jobs = static_cast<int>(args.uint_or("--jobs", 1));
+    print_waterfall(jobs);
+    print_coding_gain(jobs);
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "ber_waterfall: %s\n", e.what());
+    return 1;
+  }
 }

@@ -9,14 +9,15 @@
 //   - makespan vs. number of dynamic regions (regions add exploitable
 //     parallelism for conditioned operations),
 //   - reconfigurations inserted and latency exposed (prefetch on/off),
-//   - heuristic runtime vs. graph size (the google-benchmark part).
-
-#include <benchmark/benchmark.h>
+//   - makespan and placements vs. graph size,
+//   - the SynDEx list heuristic against naive mapping baselines.
 
 #include <cstdio>
 
 #include "aaa/adequation.hpp"
 #include "aaa/durations.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -195,36 +196,17 @@ void print_strategy_series() {
   std::puts(" software operators and avoidable transfers)\n");
 }
 
-void BM_Adequation(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const aaa::DurationTable durations = generic_durations();
-  aaa::ArchitectureGraph arch = aaa::make_figure1_architecture(2, 200e6);
-  arch.add_operator(aaa::OperatorNode{"CPU", aaa::OperatorKind::Processor, 1.0, "", ""});
-  arch.connect("CPU", "IL");
-  const aaa::AlgorithmGraph g = random_graph(n, 3);
-  aaa::Adequation adequation(g, arch, durations);
-  adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 1_ms; });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(adequation.run());
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_Adequation)->Arg(20)->Arg(50)->Arg(100)->Arg(200)->Unit(benchmark::kMillisecond)->Complexity();
-
-void BM_RandomGraphConstruction(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(random_graph(static_cast<int>(state.range(0)), 5));
-  }
-}
-BENCHMARK(BM_RandomGraphConstruction)->Arg(100);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_region_series();
-  print_size_series();
-  print_strategy_series();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    util::ArgParser("fig1_modeling_adequation", argc - 1, argv + 1, {}, 0);  // takes no flags
+    print_region_series();
+    print_size_series();
+    print_strategy_series();
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "fig1_modeling_adequation: %s\n", e.what());
+    return 1;
+  }
 }

@@ -11,12 +11,12 @@
 //   - for two bitstream memories (the slow case-study flash and a fast
 //     local SRAM), showing when the memory masks the M/P placement.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "mccdma/case_study.hpp"
 #include "rtr/manager.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -102,43 +102,17 @@ void print_size_sweep() {
   std::puts("\n(the paper's Op_Dyn is the 5-column row: ~4 ms through case a)\n");
 }
 
-void BM_RequestMiss(benchmark::State& state) {
-  const mccdma::CaseStudy cs = mccdma::build_case_study();
-  rtr::BitstreamStore store = mccdma::make_case_study_store();
-  rtr::NonePrefetch policy;
-  rtr::ReconfigManager manager(cs.bundle, rtr::sundance_manager_config(), store, policy);
-  TimeNs now = 0;
-  int flip = 0;
-  for (auto _ : state) {
-    const auto outcome =
-        manager.request("D1", (flip++ % 2) == 0 ? "qam16" : "qpsk", now);
-    now = outcome.ready_at;  // keep simulated time monotone
-    benchmark::DoNotOptimize(outcome);
-  }
-  state.counters["sim_ms_per_load"] =
-      benchmark::Counter(to_ms(now) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_RequestMiss)->Unit(benchmark::kMicrosecond);
-
-void BM_ProtocolBuild(benchmark::State& state) {
-  const mccdma::CaseStudy cs = mccdma::build_case_study();
-  const auto& stream = cs.bundle.variant("D1", "qam16").bitstream;
-  rtr::ProtocolBuilder builder(aaa::Placement::Fpga, 40e6, 1e9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(builder.build(cs.bundle.device, stream));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_ProtocolBuild)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const mccdma::CaseStudy cs = mccdma::build_case_study();
-  print_scenario_table(cs);
-  print_size_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    util::ArgParser("fig2_reconfig_architectures", argc - 1, argv + 1, {}, 0);  // takes no flags
+    const mccdma::CaseStudy cs = mccdma::build_case_study();
+    print_scenario_table(cs);
+    print_size_sweep();
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "fig2_reconfig_architectures: %s\n", e.what());
+    return 1;
+  }
 }

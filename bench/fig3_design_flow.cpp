@@ -6,8 +6,6 @@
 // figure's promise is that the whole chain is automatic, so its cost IS
 // the tool runtime.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <optional>
 
@@ -15,6 +13,8 @@
 #include "aaa/codegen_vhdl.hpp"
 #include "aaa/macrocode.hpp"
 #include "mccdma/case_study.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -111,44 +111,16 @@ void print_artifact_inventory() {
   std::puts("");
 }
 
-void BM_FlowRun(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    synth::ModularDesignFlow flow = make_flow(n);
-    benchmark::DoNotOptimize(flow.run());
-  }
-}
-BENCHMARK(BM_FlowRun)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void BM_AdequationCaseStudy(benchmark::State& state) {
-  const mccdma::CaseStudy cs = mccdma::build_case_study();
-  aaa::Adequation adequation(cs.algorithm, cs.architecture, cs.durations);
-  adequation.apply_constraints(cs.constraints);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(adequation.run());
-  }
-}
-BENCHMARK(BM_AdequationCaseStudy)->Unit(benchmark::kMicrosecond);
-
-void BM_VhdlGeneration(benchmark::State& state) {
-  const mccdma::CaseStudy cs = mccdma::build_case_study();
-  aaa::Adequation adequation(cs.algorithm, cs.architecture, cs.durations);
-  adequation.apply_constraints(cs.constraints);
-  const aaa::Schedule schedule = adequation.run();
-  const aaa::Executive executive = aaa::generate_executive(schedule, cs.algorithm, cs.architecture);
-  const aaa::OperatorNode& f1 = cs.architecture.op(cs.architecture.by_name("F1"));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(aaa::generate_vhdl_entity(executive.program("F1"), f1));
-  }
-}
-BENCHMARK(BM_VhdlGeneration)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_flow_stage_table();
-  print_artifact_inventory();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    util::ArgParser("fig3_design_flow", argc - 1, argv + 1, {}, 0);  // takes no flags
+    print_flow_stage_table();
+    print_artifact_inventory();
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "fig3_design_flow: %s\n", e.what());
+    return 1;
+  }
 }

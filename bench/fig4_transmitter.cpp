@@ -4,15 +4,14 @@
 //   - dynamic region D1 = 8 % of the XC2V2000 (paper: "8% of the FPGA"),
 //   - reconfiguration of Op_Dyn ~= 4 ms (paper: "about 4ms"),
 //   - a 50k-symbol adaptive-modulation run with the SNR-driven QPSK <->
-//     QAM-16 switching, prefetch on vs off,
-// plus google-benchmarks of the per-symbol signal processing itself.
-
-#include <benchmark/benchmark.h>
+//     QAM-16 switching, prefetch on vs off.
 
 #include <cstdio>
 
 #include "mccdma/case_study.hpp"
 #include "mccdma/system.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -90,51 +89,16 @@ void print_adaptive_run() {
   std::printf("\nprefetch hid %.0f%% of the reconfiguration stall\n\n", hidden);
 }
 
-void BM_TxSymbolQpsk(benchmark::State& state) {
-  mccdma::Transmitter tx(case_study().params);
-  tx.select_modulation("qpsk");
-  for (auto _ : state) benchmark::DoNotOptimize(tx.next_symbol());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TxSymbolQpsk);
-
-void BM_TxSymbolQam16(benchmark::State& state) {
-  mccdma::Transmitter tx(case_study().params);
-  tx.select_modulation("qam16");
-  for (auto _ : state) benchmark::DoNotOptimize(tx.next_symbol());
-}
-BENCHMARK(BM_TxSymbolQam16);
-
-void BM_FullLoopbackSymbol(benchmark::State& state) {
-  mccdma::Transmitter tx(case_study().params);
-  mccdma::Receiver rx(case_study().params);
-  mccdma::AwgnChannel channel(Rng(1));
-  mccdma::BerReport report;
-  for (auto _ : state) {
-    const auto sym = tx.next_symbol();
-    rx.measure(channel.apply(sym.samples, 12.0), sym.user_bits, report);
-  }
-  state.counters["ber"] = benchmark::Counter(report.ber());
-}
-BENCHMARK(BM_FullLoopbackSymbol);
-
-void BM_SystemRun1k(benchmark::State& state) {
-  mccdma::SystemConfig config;
-  config.seed = 5;
-  config.ber_sample_every = 0;
-  for (auto _ : state) {
-    mccdma::TransmitterSystem system(case_study(), config);
-    benchmark::DoNotOptimize(system.run(1000));
-  }
-}
-BENCHMARK(BM_SystemRun1k)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_paper_claims();
-  print_adaptive_run();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    util::ArgParser("fig4_transmitter", argc - 1, argv + 1, {}, 0);  // takes no flags
+    print_paper_claims();
+    print_adaptive_run();
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "fig4_transmitter: %s\n", e.what());
+    return 1;
+  }
 }

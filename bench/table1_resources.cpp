@@ -15,8 +15,6 @@
 //       area growing linearly while the dynamic area stays flat, with a
 //       crossover.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "mccdma/case_study.hpp"
@@ -24,6 +22,8 @@
 #include "synth/elaborate.hpp"
 #include "synth/flow.hpp"
 #include "synth/map.hpp"
+#include "util/arg_parser.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -137,33 +137,15 @@ void print_table1() {
   std::puts("");
 }
 
-void BM_ElaborateAndMapMapper(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(usage_of("qam16_mapper"));
-  }
-}
-BENCHMARK(BM_ElaborateAndMapMapper);
-
-void BM_WrapExecutive(benchmark::State& state) {
-  const netlist::Netlist bare = synth::elaborate_operator("qam16_mapper");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(synth::wrap_executive(bare));
-  }
-}
-BENCHMARK(BM_WrapExecutive);
-
-void BM_CaseStudyFlow(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mccdma::build_case_study());
-  }
-}
-BENCHMARK(BM_CaseStudyFlow)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  try {
+    util::ArgParser("table1_resources", argc - 1, argv + 1, {}, 0);  // takes no flags
+    print_table1();
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "table1_resources: %s\n", e.what());
+    return 1;
+  }
 }

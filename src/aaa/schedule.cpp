@@ -199,13 +199,6 @@ ScheduledItem Schedule::item(std::size_t i) const {
   return out;
 }
 
-std::vector<ScheduledItem> Schedule::items() const {
-  std::vector<ScheduledItem> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(item(i));
-  return out;
-}
-
 template <typename Pred>
 void Schedule::erase_rows(Pred&& keep) {
   std::size_t w = 0;

@@ -18,7 +18,7 @@
 //    accessors and call name() when they emit text.
 //
 // The string-faced API survives as thin resolution shims: ScheduledItem
-// is the materialized per-item view (item()/items()/push_item()), kept
+// is the materialized per-item view (item()/push_item()), kept
 // so hand-built schedules in tests and witness reporting keep working —
 // exporter output is byte-identical to the pre-interning representation.
 //
@@ -175,8 +175,6 @@ class Schedule {
   void push_item(const ScheduledItem& item);
   /// Materializes row `i` back into the string-faced view.
   ScheduledItem item(std::size_t i) const;
-  /// Materializes every row (tests / tooling; O(n) strings — not a hot path).
-  std::vector<ScheduledItem> items() const;
 
   /// Targeted mutation for schedule-surgery tests (hazard corpora).
   void set_start(std::size_t i, TimeNs t) { start_[i] = t; }

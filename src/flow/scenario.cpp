@@ -6,7 +6,6 @@
 #include <exception>
 #include <thread>
 
-#include "util/arg_parser.hpp"
 #include "util/error.hpp"
 
 namespace pdr::flow {
@@ -19,17 +18,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 }
 
 }  // namespace
-
-void ObsSinks::write() const {
-  if (!trace_path.empty()) {
-    tracer.write_chrome_json(trace_path);
-    std::printf("wrote trace with %zu events to %s\n", tracer.size(), trace_path.c_str());
-  }
-  if (!metrics_path.empty()) {
-    metrics.write_json(metrics_path);
-    std::printf("wrote %zu metrics to %s\n", metrics.names().size(), metrics_path.c_str());
-  }
-}
 
 std::string SweepResult::combined_report() const {
   std::string out;
@@ -105,20 +93,6 @@ SweepResult ScenarioRunner::run(const std::vector<Scenario>& scenarios) const {
   }
   sweep.wall_ms = elapsed_ms(sweep_start);
   return sweep;
-}
-
-ObsSinks obs_sinks_from_argv(int& argc, char** argv) {
-  const util::ArgParser args = util::ArgParser::extract(
-      "obs", argc, argv, {{"--trace-out", true}, {"--metrics-out", true}});
-  ObsSinks sinks;
-  sinks.trace_path = args.string_or("--trace-out", "");
-  sinks.metrics_path = args.string_or("--metrics-out", "");
-  return sinks;
-}
-
-int jobs_from_argv(int& argc, char** argv, int fallback) {
-  const util::ArgParser args = util::ArgParser::extract("jobs", argc, argv, {{"--jobs", true}});
-  return static_cast<int>(args.uint_or("--jobs", static_cast<std::uint64_t>(fallback)));
 }
 
 }  // namespace pdr::flow

@@ -26,17 +26,10 @@
 
 namespace pdr::flow {
 
-/// Per-scenario observability sinks, handed to the body. Also the shared
-/// --trace-out/--metrics-out plumbing for the bench/CLI binaries (the
-/// successor of the deleted bench/bench_obs.hpp).
+/// Per-scenario observability sinks, handed to the body.
 struct ObsSinks {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  std::string trace_path;    ///< "" = do not write
-  std::string metrics_path;  ///< "" = do not write
-
-  /// Writes whichever outputs have a path, logging one line each.
-  void write() const;
 };
 
 struct Scenario {
@@ -68,8 +61,7 @@ struct SweepResult {
   std::size_t failures() const;
 
   /// Writes the merged trace/metrics to the given paths ("" = skip),
-  /// logging one line each — the post-sweep counterpart of
-  /// ObsSinks::write().
+  /// logging one line each.
   void write_obs(const std::string& trace_path, const std::string& metrics_path) const;
 };
 
@@ -86,12 +78,5 @@ class ScenarioRunner {
  private:
   int jobs_;
 };
-
-/// Parses (and strips from argv) --trace-out/--metrics-out into an
-/// ObsSinks, the pre-benchmark::Initialize idiom the ablations use.
-ObsSinks obs_sinks_from_argv(int& argc, char** argv);
-
-/// Parses (and strips) a --jobs N flag; `fallback` when absent.
-int jobs_from_argv(int& argc, char** argv, int fallback = 1);
 
 }  // namespace pdr::flow

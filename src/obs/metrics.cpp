@@ -210,9 +210,4 @@ void MetricsRegistry::write_json(const std::string& path) const {
   PDR_CHECK(out.good(), "MetricsRegistry::write_json", "write to '" + path + "' failed");
 }
 
-MetricsRegistry& global_metrics() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 }  // namespace pdr::obs

@@ -127,7 +127,4 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-/// Process-wide default registry for call sites without an explicit one.
-MetricsRegistry& global_metrics();
-
 }  // namespace pdr::obs

@@ -144,9 +144,4 @@ void Tracer::write_chrome_json(const std::string& path) const {
   PDR_CHECK(out.good(), "Tracer::write_chrome_json", "write to '" + path + "' failed");
 }
 
-Tracer& global_tracer() {
-  static Tracer tracer;
-  return tracer;
-}
-
 }  // namespace pdr::obs

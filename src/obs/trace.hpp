@@ -89,7 +89,4 @@ class Tracer {
 /// Escapes a string for embedding in a JSON string literal.
 std::string json_escape(const std::string& s);
 
-/// Process-wide default tracer for call sites without an explicit one.
-Tracer& global_tracer();
-
 }  // namespace pdr::obs

@@ -39,29 +39,6 @@ ArgParser::ArgParser(const char* command, int argc, char** argv,
                    positionals_required, positionals_.size()));
 }
 
-ArgParser ArgParser::extract(const char* command, int& argc, char** argv,
-                             std::initializer_list<FlagSpec> specs) {
-  ArgParser parsed(command, std::vector<FlagSpec>(specs));
-  int out = 1;  // argv[0] always survives
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const FlagSpec* spec = arg.rfind("--", 0) == 0 ? parsed.spec_of(arg) : nullptr;
-    if (spec == nullptr) {
-      argv[out++] = argv[i];
-      continue;
-    }
-    if (spec->takes_value) {
-      if (i + 1 >= argc) fail(std::string("flag '") + spec->name + "' needs a value");
-      parsed.values_.emplace_back(spec->name, argv[++i]);
-    } else {
-      parsed.values_.emplace_back(spec->name, "");
-    }
-  }
-  argc = out;
-  argv[argc] = nullptr;
-  return parsed;
-}
-
 std::string ArgParser::string_or(const char* name, const std::string& fallback) const {
   const std::string* v = find(name);
   return v == nullptr ? fallback : *v;

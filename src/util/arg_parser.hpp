@@ -1,18 +1,10 @@
-// Shared command-line argument parser.
+// Shared command-line argument parser for `pdrflow <command>` and the
+// bench binaries.
 //
-// Two modes cover the two kinds of binaries in this repo:
-//
-//  - strict (ArgParser constructor): every `--flag` must be declared in
-//    the command's spec — unknown flags and missing values are errors,
-//    not silently skipped; everything else is a positional. This is what
-//    `pdrflow <command>` uses.
-//  - extracting (ArgParser::extract): recognized flags are consumed and
-//    removed from argv, unknown arguments are left in place. This is what
-//    the bench binaries use, since google-benchmark rejects flags it does
-//    not know and must see the compacted argv afterwards.
-//
-// Both modes share the same strict value parsing: "12abc" is an error for
-// an integer flag, not 12.
+// Parsing is strict: every `--flag` must be declared in the command's
+// spec — unknown flags and missing values are errors, not silently
+// skipped; everything else is a positional. Values parse strictly too:
+// "12abc" is an error for an integer flag, not 12.
 #pragma once
 
 #include <cstdint>
@@ -31,17 +23,10 @@ struct FlagSpec {
 
 class ArgParser {
  public:
-  /// Strict mode: parses all of argv[0..argc); throws pdr::Error on any
-  /// unknown flag, missing flag value, or positional-count mismatch.
+  /// Parses all of argv[0..argc); throws pdr::Error on any unknown flag,
+  /// missing flag value, or positional-count mismatch.
   ArgParser(const char* command, int argc, char** argv, std::initializer_list<FlagSpec> specs,
             std::size_t positionals_required);
-
-  /// Extracting mode: consumes every declared flag from argv (compacting
-  /// argv in place and decrementing argc), leaves everything else —
-  /// including argv[0] — untouched. Throws only when a declared flag is
-  /// present but its value is missing.
-  static ArgParser extract(const char* command, int& argc, char** argv,
-                           std::initializer_list<FlagSpec> specs);
 
   bool has(const char* name) const { return find(name) != nullptr; }
 
@@ -64,9 +49,6 @@ class ArgParser {
   std::vector<std::string> list_or(const char* name, std::vector<std::string> fallback) const;
 
  private:
-  ArgParser(const char* command, std::vector<FlagSpec> specs)
-      : command_(command), specs_(std::move(specs)) {}
-
   const std::string* find(const char* name) const;
   std::string valid_flags() const;
   const FlagSpec* spec_of(const std::string& arg) const;

@@ -171,14 +171,15 @@ TEST(InternerSeeding, ScheduleSymbolsStartWithArchitectureResources) {
 
 // --- exporter byte-identity over a strategy-fuzz corpus ----------------------
 
-/// The pre-SoA renderers, reproduced over the materialized AoS view.
+/// The pre-SoA renderers, reproduced over the materialized per-item view.
 /// Byte-for-byte what Schedule::to_string/to_csv emitted when items were
 /// a std::vector<ScheduledItem>.
 std::string legacy_to_string(const aaa::Schedule& s) {
   std::string out = strprintf("schedule: makespan %.3f us, %d reconfigs (%.3f us exposed)\n",
                               s.makespan / 1000.0, s.reconfig_count,
                               s.reconfig_exposed / 1000.0);
-  for (const aaa::ScheduledItem& item : s.items()) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const aaa::ScheduledItem item = s.item(i);
     out += strprintf("  %9.3f..%9.3f us  %-8s %-10s %s\n", item.start / 1000.0,
                      item.end / 1000.0, aaa::item_kind_name(item.kind), item.resource.c_str(),
                      item.label.c_str());
@@ -188,7 +189,8 @@ std::string legacy_to_string(const aaa::Schedule& s) {
 
 std::string legacy_to_csv(const aaa::Schedule& s) {
   std::string out = "kind,label,resource,start_ns,end_ns,variant,module\n";
-  for (const aaa::ScheduledItem& item : s.items()) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const aaa::ScheduledItem item = s.item(i);
     out += strprintf("%s,%s,%s,%lld,%lld,%s,%s\n", aaa::item_kind_name(item.kind),
                      item.label.c_str(), item.resource.c_str(),
                      static_cast<long long>(item.start), static_cast<long long>(item.end),

@@ -86,12 +86,6 @@ TEST(Tracer, WriteChromeJsonRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(Tracer, GlobalTracerIsSingleton) {
-  Tracer& a = global_tracer();
-  Tracer& b = global_tracer();
-  EXPECT_EQ(&a, &b);
-}
-
 // --- metrics ---------------------------------------------------------------------
 
 TEST(Metrics, CounterAccumulatesAndRejectsNegative) {
@@ -179,8 +173,6 @@ TEST(Metrics, JsonAndTextExposition) {
   EXPECT_NE(text.find("le=\"100\"} 2"), std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\"} 2"), std::string::npos);
 }
-
-TEST(Metrics, GlobalRegistryIsSingleton) { EXPECT_EQ(&global_metrics(), &global_metrics()); }
 
 }  // namespace
 }  // namespace pdr::obs

@@ -293,7 +293,7 @@ TEST(Stats, MatchesDirectComputationOnRandomData) {
 
 // --- arg parser ------------------------------------------------------------
 
-/// Builds a mutable argv from literals (ArgParser::extract compacts it).
+/// Builds a mutable argv from literals.
 struct Argv {
   explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
     for (auto& s : storage) ptrs.push_back(s.data());
@@ -344,25 +344,6 @@ TEST(ArgParser, ListOrSplitsOnCommas) {
   const util::ArgParser args("sweep", a.argc, a.data(), {{"--seeds", true}}, 0);
   EXPECT_EQ(args.list_or("--seeds", {}), (std::vector<std::string>{"1", "2", "3"}));
   EXPECT_EQ(args.list_or("--absent", {"x"}), (std::vector<std::string>{"x"}));
-}
-
-TEST(ArgParser, ExtractConsumesDeclaredFlagsAndCompactsArgv) {
-  Argv a({"bench", "--trace-out", "t.json", "--benchmark_filter=BM_x", "--jobs", "4"});
-  const util::ArgParser args =
-      util::ArgParser::extract("bench", a.argc, a.data(), {{"--trace-out", true}, {"--jobs", true}});
-  EXPECT_EQ(args.string_or("--trace-out", ""), "t.json");
-  EXPECT_EQ(args.uint_or("--jobs", 1), 4u);
-  // argv compacted in place: argv[0] and the unknown flag survive.
-  ASSERT_EQ(a.argc, 2);
-  EXPECT_STREQ(a.data()[0], "bench");
-  EXPECT_STREQ(a.data()[1], "--benchmark_filter=BM_x");
-}
-
-TEST(ArgParser, ExtractLeavesUndeclaredArgvAlone) {
-  Argv a({"bench", "positional", "--other"});
-  const util::ArgParser args = util::ArgParser::extract("bench", a.argc, a.data(), {{"--jobs", true}});
-  EXPECT_FALSE(args.has("--jobs"));
-  EXPECT_EQ(a.argc, 3);
 }
 
 }  // namespace

@@ -38,9 +38,9 @@
 // campaigns all run as cached pipeline stages, so e.g. `sweep` reuses one
 // Modular Design bundle across all scenarios.
 //
-// `--jobs N` is accepted (and stripped) anywhere on the command line; it
-// sizes the sweep's thread pool. Sweep output is byte-identical whatever
-// N is — merging is deterministic and wall-clock goes to stderr only.
+// `explore`, `sweep` and `serve` take `--jobs N`, the size of their
+// worker pool. Their output is byte-identical whatever N is — merging is
+// deterministic and wall-clock goes to stderr only.
 //
 // `build`, `adequation`, `simulate` and `sweep` accept `--trace-out FILE`
 // (Chrome trace-event JSON, open in https://ui.perfetto.dev) and
@@ -111,7 +111,7 @@ int usage() {
       "                [--cache BYTES] [--faults <spec-file>] [--seed S] [--no-recovery]\n"
       "                [--no-degraded]\n"
       "  pdrflow devices\n"
-      "--jobs N (anywhere) sizes the sweep/explore thread pool; output is identical for any N\n"
+      "explore/sweep/serve also accept --jobs N (worker threads); output is identical for any N\n"
       "build/adequation/explore/simulate/sweep also accept --trace-out FILE --metrics-out FILE\n",
       stderr);
   return 2;
@@ -373,7 +373,7 @@ int cmd_adequation(int argc, char** argv) {
 /// print the Pareto front on (makespan, reconfiguration exposure). The
 /// per-point bodies run on the ScenarioRunner pool; stdout is
 /// byte-identical for any --jobs value.
-int cmd_explore(int argc, char** argv, int jobs) {
+int cmd_explore(int argc, char** argv) {
   const ArgParser args("explore", argc, argv,
                        {{"--top", true},
                         {"--reconfig-ms", true},
@@ -382,9 +382,11 @@ int cmd_explore(int argc, char** argv, int jobs) {
                         {"--floorplan", false},
                         {"--floorplan-candidates", true},
                         {"--seed", true},
+                        {"--jobs", true},
                         {"--trace-out", true},
                         {"--metrics-out", true}},
                        1);
+  const int jobs = static_cast<int>(args.uint_or("--jobs", 1));
   flow::PipelineOptions options;
   options.project_text = read_file(args.positional(0));
   flow::Pipeline pipeline(std::move(options));
@@ -570,7 +572,7 @@ int cmd_simulate(int argc, char** argv) {
 /// Default: prefetch {none,schedule,history} × seeds {42,43,44} — nine
 /// transmitter runs. With --faults, one campaign per seed instead.
 /// stdout (the combined report) is byte-identical for any --jobs value.
-int cmd_sweep(int argc, char** argv, int jobs) {
+int cmd_sweep(int argc, char** argv) {
   const ArgParser args("sweep", argc, argv,
                        {{"--symbols", true},
                         {"--seeds", true},
@@ -580,6 +582,7 @@ int cmd_sweep(int argc, char** argv, int jobs) {
                         {"--scrub-ms", true},
                         {"--scrub-mode", true},
                         {"--cache", true},
+                        {"--jobs", true},
                         {"--trace-out", true},
                         {"--metrics-out", true}},
                        0);
@@ -620,7 +623,7 @@ int cmd_sweep(int argc, char** argv, int jobs) {
   // from a hot artifact cache instead of serializing on the first build.
   mccdma::shared_case_study();
 
-  const flow::ScenarioRunner runner(jobs);
+  const flow::ScenarioRunner runner(static_cast<int>(args.uint_or("--jobs", 1)));
   const flow::SweepResult sweep = runner.run(scenarios);
   std::fputs(sweep.combined_report().c_str(), stdout);
   std::fprintf(stderr, "sweep: %zu scenarios, jobs=%d, %.0f ms wall, %zu failed\n",
@@ -632,7 +635,7 @@ int cmd_sweep(int argc, char** argv, int jobs) {
 /// `serve`: drain a recorded request log through the fleet service.
 /// stdout (the service report) is byte-identical for any --jobs value —
 /// the determinism CI pins with a byte diff.
-int cmd_serve(int argc, char** argv, int jobs) {
+int cmd_serve(int argc, char** argv) {
   const ArgParser args("serve", argc, argv,
                        {{"--requests", true},
                         {"--devices", true},
@@ -643,9 +646,11 @@ int cmd_serve(int argc, char** argv, int jobs) {
                         {"--seed", true},
                         {"--no-recovery", false},
                         {"--no-degraded", false},
+                        {"--jobs", true},
                         {"--trace-out", true},
                         {"--metrics-out", true}},
                        0);
+  const int jobs = static_cast<int>(args.uint_or("--jobs", 1));
   const std::string* requests_path = args.value("--requests");
   if (requests_path == nullptr) fail("'serve' requires --requests <log-file>");
 
@@ -704,8 +709,6 @@ int cmd_serve(int argc, char** argv, int jobs) {
 
 int main(int argc, char** argv) {
   try {
-    // Global flag, stripped before command dispatch.
-    const int jobs = flow::jobs_from_argv(argc, argv, 1);
     if (argc < 2) return usage();
     const std::string cmd = argv[1];
     if (cmd == "devices") return cmd_devices(argc - 2, argv + 2);
@@ -714,11 +717,11 @@ int main(int argc, char** argv) {
     if (cmd == "inspect") return cmd_inspect(argc - 2, argv + 2);
     if (cmd == "latency") return cmd_latency(argc - 2, argv + 2);
     if (cmd == "adequation") return cmd_adequation(argc - 2, argv + 2);
-    if (cmd == "explore") return cmd_explore(argc - 2, argv + 2, jobs);
+    if (cmd == "explore") return cmd_explore(argc - 2, argv + 2);
     if (cmd == "floorplan") return cmd_floorplan(argc - 2, argv + 2);
     if (cmd == "simulate") return cmd_simulate(argc - 2, argv + 2);
-    if (cmd == "sweep") return cmd_sweep(argc - 2, argv + 2, jobs);
-    if (cmd == "serve") return cmd_serve(argc - 2, argv + 2, jobs);
+    if (cmd == "sweep") return cmd_sweep(argc - 2, argv + 2);
+    if (cmd == "serve") return cmd_serve(argc - 2, argv + 2);
     std::fprintf(stderr, "pdrflow: unknown command '%s'\n", cmd.c_str());
   } catch (const pdr::Error& e) {
     std::fprintf(stderr, "pdrflow: %s\n", e.what());
