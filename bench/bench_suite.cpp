@@ -245,36 +245,45 @@ std::vector<BenchRecord> run_explore_suite(const SuiteOptions& opts) {
 std::vector<BenchRecord> run_floorplan_suite(const SuiteOptions& opts) {
   const int regions = 2;
   const int cpus = 2;
-  GeneratorConfig cfg;
-  cfg.shape = GraphShape::Layered;
-  cfg.n_ops = opts.smoke ? 100 : 200;
-  cfg.width = 10;
+  // (ops, planner rounds) per record. The full tier repeats the smoke
+  // point, so the regression gate has a shared record to compare.
+  std::vector<std::pair<int, int>> ladder = {{100, 8}};
+  if (!opts.smoke) ladder.emplace_back(200, 64);
 
-  aaa::Project project;
-  project.name = "bench-floorplan";
-  project.algorithm = bench::generate_graph(cfg);
-  project.architecture = bench::bench_architecture(regions, cpus);
-  project.durations = bench::bench_durations();
+  std::vector<BenchRecord> records;
+  for (const auto& [ops, rounds] : ladder) {
+    GeneratorConfig cfg;
+    cfg.shape = GraphShape::Layered;
+    cfg.n_ops = ops;
+    cfg.width = 10;
 
-  plan::PlanOptions plan_opts;
-  plan_opts.max_rounds = opts.smoke ? 8 : 64;
+    aaa::Project project;
+    project.name = "bench-floorplan";
+    project.algorithm = bench::generate_graph(cfg);
+    project.architecture = bench::bench_architecture(regions, cpus);
+    project.durations = bench::bench_durations();
 
-  plan::PlanResult last;
-  BenchRecord rec = bench::measure(
-      strprintf("floorplan/%s/regions%d", cfg.name().c_str(), regions), kWarmupRuns,
-      default_repeats(opts), [&] { last = plan::plan_floorplan(project, plan_opts); });
-  push_generator_config(rec, cfg, regions, cpus);
-  rec.config.emplace_back("max_rounds", std::to_string(plan_opts.max_rounds));
-  rec.extra.emplace_back("schedules_evaluated", static_cast<double>(last.evaluated));
-  if (const auto mean = rec.wall_ms.opt_mean(); mean && *mean > 0)
-    rec.extra.emplace_back("evals_per_sec",
-                           static_cast<double>(last.evaluated) / (*mean / 1e3));
-  rec.extra.emplace_back("makespan_ms", static_cast<double>(last.makespan) / 1e6);
-  rec.extra.emplace_back("lint_errors", static_cast<double>(last.lint.errors()));
-  rec.extra.emplace_back("certified", last.certified ? 1.0 : 0.0);
-  std::printf("  %-34s mean %.2f ms (%d evals)\n", rec.name.c_str(), rec.wall_ms.mean(),
-              last.evaluated);
-  return {std::move(rec)};
+    plan::PlanOptions plan_opts;
+    plan_opts.max_rounds = rounds;
+
+    plan::PlanResult last;
+    BenchRecord rec = bench::measure(
+        strprintf("floorplan/%s/regions%d", cfg.name().c_str(), regions), kWarmupRuns,
+        default_repeats(opts), [&] { last = plan::plan_floorplan(project, plan_opts); });
+    push_generator_config(rec, cfg, regions, cpus);
+    rec.config.emplace_back("max_rounds", std::to_string(plan_opts.max_rounds));
+    rec.extra.emplace_back("schedules_evaluated", static_cast<double>(last.evaluated));
+    if (const auto mean = rec.wall_ms.opt_mean(); mean && *mean > 0)
+      rec.extra.emplace_back("evals_per_sec",
+                             static_cast<double>(last.evaluated) / (*mean / 1e3));
+    rec.extra.emplace_back("makespan_ms", static_cast<double>(last.makespan) / 1e6);
+    rec.extra.emplace_back("lint_errors", static_cast<double>(last.lint.errors()));
+    rec.extra.emplace_back("certified", last.certified ? 1.0 : 0.0);
+    std::printf("  %-34s mean %.2f ms (%d evals)\n", rec.name.c_str(), rec.wall_ms.mean(),
+                last.evaluated);
+    records.push_back(std::move(rec));
+  }
+  return records;
 }
 
 // --- suite: flow (pipeline + fault campaigns) -----------------------------

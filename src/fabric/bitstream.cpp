@@ -1,5 +1,7 @@
 #include "fabric/bitstream.hpp"
 
+#include <functional>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -238,6 +240,37 @@ class NullSink : public BitstreamReader::Sink {
 ParseResult BitstreamReader::validate(const DeviceModel& device, std::span<const std::uint8_t> stream) {
   NullSink sink;
   return BitstreamReader(device, sink).parse(stream);
+}
+
+std::shared_ptr<const ValidatedStream> ValidatedStream::parse(const DeviceModel& device,
+                                                              std::vector<std::uint8_t> bytes) {
+  return std::shared_ptr<const ValidatedStream>(new ValidatedStream(device, std::move(bytes)));
+}
+
+ValidatedStream::ValidatedStream(const DeviceModel& device, std::vector<std::uint8_t> bytes)
+    : device_(device), bytes_(std::move(bytes)) {
+  // Keep the parser's view of every frame write. Each one points into the
+  // stream, except the zero frame an empty FDRI burst leaves for MFWR: that
+  // lives in the parser, so the handle keeps its own copy.
+  struct Recorder : BitstreamReader::Sink {
+    explicit Recorder(ValidatedStream& stream) : stream(stream) {}
+    void write_frame(const FrameAddress& addr, std::span<const std::uint8_t> data) override {
+      const std::less<const std::uint8_t*> before;
+      const std::uint8_t* begin = stream.bytes_.data();
+      if (before(data.data(), begin) || !before(data.data(), begin + stream.bytes_.size())) {
+        if (stream.zero_frame_.empty()) stream.zero_frame_.assign(data.begin(), data.end());
+        data = stream.zero_frame_;
+      }
+      stream.frames_.push_back(Frame{addr, data});
+    }
+    ValidatedStream& stream;
+  };
+  Recorder recorder(*this);
+  result_ = BitstreamReader(device_, recorder).parse(bytes_);
+}
+
+void ValidatedStream::replay(BitstreamReader::Sink& sink) const {
+  for (const Frame& frame : frames_) sink.write_frame(frame.addr, frame.data);
 }
 
 std::vector<PacketAction> decode_packets(const DeviceModel& device,

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -131,6 +132,48 @@ class BitstreamReader {
   DeviceModel device_;
   FrameMap frames_;
   Sink& sink_;
+};
+
+/// A bitstream that passed one full BitstreamReader::parse against one
+/// device: its bytes, that parse's result, and one view per frame write in
+/// write order (an MFWR repeat gets its own view of the repeated frame).
+/// Immutable and shared by handle. The parse is the only way to make one,
+/// so no handle exists for bytes that failed sync, IDCODE, framing or CRC:
+/// whoever holds a handle may write its frames without parsing again.
+class ValidatedStream {
+ public:
+  struct Frame {
+    FrameAddress addr;
+    /// Into bytes(), or into the handle's copy of the zero frame that an
+    /// empty FDRI burst leaves for a following MFWR.
+    std::span<const std::uint8_t> data;
+  };
+
+  /// Parses `bytes` against `device`; throws pdr::Error wherever
+  /// BitstreamReader::parse does.
+  static std::shared_ptr<const ValidatedStream> parse(const DeviceModel& device,
+                                                       std::vector<std::uint8_t> bytes);
+
+  ValidatedStream(const ValidatedStream&) = delete;
+  ValidatedStream& operator=(const ValidatedStream&) = delete;
+
+  std::span<const std::uint8_t> bytes() const { return bytes_; }
+  const DeviceModel& device() const { return device_; }
+  const ParseResult& result() const { return result_; }
+  const std::vector<Frame>& frames() const { return frames_; }
+
+  /// Hands `sink` every frame write in stream order: the calls a parse of
+  /// bytes() would make, without the parse.
+  void replay(BitstreamReader::Sink& sink) const;
+
+ private:
+  ValidatedStream(const DeviceModel& device, std::vector<std::uint8_t> bytes);
+
+  DeviceModel device_;
+  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t> zero_frame_;
+  ParseResult result_;
+  std::vector<Frame> frames_;
 };
 
 /// Decodes the packet list of a bitstream without applying it (debugging /

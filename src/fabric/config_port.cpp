@@ -74,18 +74,32 @@ void ConfigPort::abort_load(std::span<const std::uint8_t> stream, const std::str
 }
 
 LoadReport ConfigPort::load(std::span<const std::uint8_t> stream, const std::string& module_tag) {
+  return transfer(stream, module_tag, nullptr);
+}
+
+LoadReport ConfigPort::load(const ValidatedStream& stream, const std::string& module_tag) {
+  PDR_CHECK(stream.device() == memory_.device(), "ConfigPort",
+            strprintf("stream was validated for device %s, not %s", stream.device().name.c_str(),
+                      memory_.device().name.c_str()));
+  return transfer(stream.bytes(), module_tag, &stream);
+}
+
+LoadReport ConfigPort::transfer(std::span<const std::uint8_t> stream, const std::string& module_tag,
+                                const ValidatedStream* validated) {
   if (fault_hook_) {
     const double fraction = fault_hook_(stream.size(), module_tag);
     if (fraction > 0.0 && fraction < 1.0 && stream.size() / 4 > 1)
       abort_load(stream, module_tag, fraction);
   }
   memory_.set_writer_tag(module_tag);
-  BitstreamReader reader(memory_.device(), memory_);
-  const ParseResult parsed = reader.parse(stream);
-
   LoadReport report;
+  if (validated != nullptr) {
+    validated->replay(memory_);
+    report.frames_written = validated->result().frames_written;
+  } else {
+    report.frames_written = BitstreamReader(memory_.device(), memory_).parse(stream).frames_written;
+  }
   report.stream_bytes = stream.size();
-  report.frames_written = parsed.frames_written;
   report.duration = transfer_time(stream.size());
 
   ++loads_;

@@ -12,6 +12,10 @@
 //  - SelectMAP: the external 8-bit parallel port, driven by a CPU or CPLD
 //    — the paper's case (b).
 //  - JTAG: 1-bit serial, the slow fallback.
+//
+// A raw byte span is parsed and checked (sync, IDCODE, framing, CRC) as
+// it streams. A ValidatedStream handle passed that check once when it was
+// made, so its recorded frame writes stream with no second parse.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +70,12 @@ class ConfigPort {
   /// (exactly like real hardware after an aborted load).
   LoadReport load(std::span<const std::uint8_t> stream, const std::string& module_tag);
 
+  /// Applies a stream already validated for this device: the same fault
+  /// hook, abort and accounting as the raw load, but the frames come from
+  /// the handle's views with no parse and no CRC. Throws pdr::Error if the
+  /// handle was validated for another device.
+  LoadReport load(const ValidatedStream& stream, const std::string& module_tag);
+
   /// Fault hook consulted at the start of every load: return a value in
   /// (0, 1) to cut the transfer after that fraction of the stream's words
   /// (the frames delivered before the cut stay written — real hardware
@@ -81,6 +91,11 @@ class ConfigPort {
   Bytes total_bytes() const { return total_bytes_; }
 
  private:
+  /// The one load routine: fault hook, frame writes (replayed from
+  /// `validated` when given, else parsed from `stream`), accounting.
+  LoadReport transfer(std::span<const std::uint8_t> stream, const std::string& module_tag,
+                      const ValidatedStream* validated);
+
   /// Feeds only `fraction` of the stream, then throws the abort error.
   [[noreturn]] void abort_load(std::span<const std::uint8_t> stream,
                                const std::string& module_tag, double fraction);

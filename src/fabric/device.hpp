@@ -40,6 +40,8 @@ struct DeviceModel {
   int frames_per_bram_int_col = 22;   ///< BRAM interconnect frames
   std::uint32_t idcode = 0;
 
+  friend bool operator==(const DeviceModel&, const DeviceModel&) = default;
+
   int total_slices() const { return clb_rows * clb_cols * slices_per_clb; }
   int total_luts() const { return total_slices() * luts_per_slice; }
   int total_ffs() const { return total_slices() * ffs_per_slice; }

@@ -1,5 +1,6 @@
 #include "rtr/bitstream_store.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
@@ -12,13 +13,17 @@ BitstreamStore::BitstreamStore(double bandwidth_bytes_per_s, TimeNs access_laten
   PDR_CHECK(latency_ >= 0, "BitstreamStore", "latency must be non-negative");
 }
 
+void BitstreamStore::add(const std::string& module,
+                         std::shared_ptr<const fabric::ValidatedStream> image) {
+  PDR_CHECK(!module.empty(), "BitstreamStore::add", "module name must not be empty");
+  PDR_CHECK(image != nullptr, "BitstreamStore::add", "no stream for '" + module + "'");
+  streams_[module] = Image{std::move(image), {}, {}};
+}
+
 void BitstreamStore::add(const std::string& module, std::vector<std::uint8_t> bitstream) {
   PDR_CHECK(!module.empty(), "BitstreamStore::add", "module name must not be empty");
   PDR_CHECK(!bitstream.empty(), "BitstreamStore::add", "empty bitstream for '" + module + "'");
-  Image& img = streams_[module];
-  img.pristine = bitstream;
-  img.bytes = std::move(bitstream);
-  img.version = ++last_version_;
+  streams_[module] = Image{nullptr, std::move(bitstream), {}};
 }
 
 const BitstreamStore::Image& BitstreamStore::image(const std::string& module,
@@ -35,30 +40,31 @@ BitstreamStore::Image& BitstreamStore::image(const std::string& module, const ch
 void BitstreamStore::corrupt(const std::string& module, std::size_t byte_index,
                              std::uint8_t xor_mask) {
   Image& img = image(module, "BitstreamStore::corrupt");
-  PDR_CHECK(byte_index < img.bytes.size(), "BitstreamStore::corrupt",
+  PDR_CHECK(byte_index < img.original().size(), "BitstreamStore::corrupt",
             "byte index out of range for '" + module + "'");
   PDR_CHECK(xor_mask != 0, "BitstreamStore::corrupt", "xor mask must flip at least one bit");
-  img.bytes[byte_index] ^= xor_mask;
-  img.version = ++last_version_;
+  if (img.damaged.empty()) img.damaged.assign(img.original().begin(), img.original().end());
+  img.damaged[byte_index] ^= xor_mask;
   ++corruptions_;
 }
 
 void BitstreamStore::repair(const std::string& module) {
   Image& img = image(module, "BitstreamStore::repair");
-  if (img.bytes == img.pristine) return;  // undamaged — nothing to restore
-  img.bytes = img.pristine;
-  img.version = ++last_version_;
-  ++repairs_;
+  // Damage that cancelled itself out left the pristine bytes: not a repair.
+  if (!img.damaged.empty() && !std::ranges::equal(img.damaged, img.original())) ++repairs_;
+  img.damaged.clear();
 }
 
 bool BitstreamStore::contains(const std::string& module) const { return streams_.count(module) > 0; }
 
 std::span<const std::uint8_t> BitstreamStore::get(const std::string& module) const {
-  return image(module, "BitstreamStore::get").bytes;
+  return image(module, "BitstreamStore::get").current();
 }
 
-std::uint64_t BitstreamStore::version(const std::string& module) const {
-  return image(module, "BitstreamStore::version").version;
+std::shared_ptr<const fabric::ValidatedStream> BitstreamStore::validated(
+    const std::string& module) const {
+  const Image& img = image(module, "BitstreamStore::validated");
+  return img.damaged.empty() ? img.validated : nullptr;
 }
 
 Bytes BitstreamStore::size_of(const std::string& module) const { return get(module).size(); }
@@ -69,7 +75,7 @@ TimeNs BitstreamStore::fetch_time(const std::string& module) const {
 
 Bytes BitstreamStore::total_bytes() const {
   Bytes total = 0;
-  for (const auto& [name, img] : streams_) total += img.bytes.size();
+  for (const auto& [name, img] : streams_) total += img.current().size();
   return total;
 }
 

@@ -3,15 +3,18 @@
 // In the paper's implementation the protocol builder "address[es]
 // external memory and drive[s] ICAP" — the partial bitstreams live in a
 // memory next to the FPGA. This models that memory: bitstream contents by
-// module name, plus the access-time model for streaming one out.
+// module name, plus the access-time model for streaming one out. An image
+// registered as a fabric::ValidatedStream keeps that handle while intact.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "fabric/bitstream.hpp"
 #include "util/units.hpp"
 
 namespace pdr::rtr {
@@ -22,26 +25,30 @@ class BitstreamStore {
   /// `access_latency`: fixed address-setup cost per stream.
   BitstreamStore(double bandwidth_bytes_per_s, TimeNs access_latency);
 
-  /// Registers a module's partial bitstream. Re-registering replaces it.
+  /// Registers a module's validated image. The handle is shared, never
+  /// copied: every manager on this store loads it with no further parse.
+  /// Re-registering replaces the image.
+  void add(const std::string& module, std::shared_ptr<const fabric::ValidatedStream> image);
+
+  /// Registers unchecked bytes. They carry no handle, so every load of
+  /// them gets the builder's full check. Re-registering replaces the image.
   void add(const std::string& module, std::vector<std::uint8_t> bitstream);
 
-  /// Damages one byte of a stored image in place — an external-memory
-  /// fault, with the CRC record as likely a victim as any payload word.
-  /// Every later get()/fetch returns the damaged image until add()
-  /// re-registers a clean copy. `xor_mask` must flip at least one bit.
+  /// Damages one byte of a stored image — an external-memory fault, with
+  /// the CRC record as likely a victim as any payload word. The damage
+  /// goes to a private copy, never through the registered (shared) bytes;
+  /// every later get() returns that copy, with no handle, until repair()
+  /// or add(). `xor_mask` must flip at least one bit.
   void corrupt(const std::string& module, std::size_t byte_index, std::uint8_t xor_mask = 0xFF);
 
-  /// Restores a module's pristine image (the bytes originally add()ed),
+  /// Restores a module's pristine image (the last add()), handle included,
   /// undoing any corrupt() damage — the model of an operator re-flashing
   /// external memory from a golden copy. No-op on an undamaged module.
   void repair(const std::string& module);
 
-  /// Version of a module's current image: a store-wide counter value,
-  /// renewed whenever the bytes change (add(), corrupt(), and a repair()
-  /// that restores bytes), never reused. A reader that checked the image
-  /// at version v may trust bytes still at version v without checking them
-  /// again.
-  std::uint64_t version(const std::string& module) const;
+  /// The handle of a module's current image: null while the image is
+  /// damaged or was added unchecked.
+  std::shared_ptr<const fabric::ValidatedStream> validated(const std::string& module) const;
 
   /// Number of bytes ever damaged through corrupt().
   int corruptions() const { return corruptions_; }
@@ -65,9 +72,18 @@ class BitstreamStore {
   double bandwidth_;
   TimeNs latency_;
   struct Image {
-    std::vector<std::uint8_t> bytes;
-    std::vector<std::uint8_t> pristine;  ///< golden copy of the last add(): what repair() restores
-    std::uint64_t version = 0;
+    std::shared_ptr<const fabric::ValidatedStream> validated;  ///< null when added unchecked
+    std::vector<std::uint8_t> unchecked;  ///< the bytes of an unchecked add()
+    std::vector<std::uint8_t> damaged;    ///< corrupt()'s private copy; empty while intact
+
+    /// The bytes of the last add().
+    std::span<const std::uint8_t> original() const {
+      return validated != nullptr ? validated->bytes() : std::span<const std::uint8_t>(unchecked);
+    }
+    /// What a fetch reads: the damaged copy, if any, else original().
+    std::span<const std::uint8_t> current() const {
+      return damaged.empty() ? original() : std::span<const std::uint8_t>(damaged);
+    }
   };
 
   /// The module's image; throws pdr::Error (from `where`) if unknown.
@@ -75,7 +91,6 @@ class BitstreamStore {
   Image& image(const std::string& module, const char* where);
 
   std::map<std::string, Image> streams_;
-  std::uint64_t last_version_ = 0;
   int corruptions_ = 0;
   int repairs_ = 0;
 };

@@ -101,7 +101,7 @@ ReconfigManager::ReconfigManager(const synth::DesignBundle& bundle, ManagerConfi
     loaded_.emplace(region, "");
     stats_.region_health.emplace(region, RegionHealth::Healthy);
     for (const auto& v : variants)
-      if (!store_.contains(v.name)) store_.add(v.name, v.bitstream);
+      if (!store_.contains(v.name)) store_.add(v.name, v.stream);
   }
 }
 
@@ -167,25 +167,27 @@ ReconfigManager::LoadFailure ReconfigManager::attempt_load(const std::string& re
   const std::span<const std::uint8_t> stored = store_.get(module);
   std::vector<std::uint8_t> corrupted;
   const bool intact = !fetch_fault_hook_ || !fetch_fault_hook_(module, stored, corrupted);
+  // Only the store's own intact image has a handle; a corrupted copy, a
+  // damaged image or unchecked bytes get the full check below.
+  const auto validated = intact ? store_.validated(module) : nullptr;
   const std::span<const std::uint8_t> raw = intact ? stored : std::span<const std::uint8_t>(corrupted);
   // `failure` names the stage in flight, so a throw from it classifies.
   LoadFailure failure = LoadFailure::CrcReject;
   try {
     // The builder's framing/CRC check runs before the stream ever reaches
     // the port: a corrupted image is rejected while the region still
-    // holds its previous (intact) configuration. It walks each stored
-    // image version once; the store's own bytes at a version it accepted
-    // before are counted and priced again, not re-walked.
-    const std::uint64_t version = store_.version(module);
-    std::uint64_t& accepted = validated_[module];
-    if (intact && accepted == version) {
+    // holds its previous (intact) configuration. A handle passed that
+    // check when it was made; it is counted and priced, not walked again,
+    // and the port writes its frames with no parse.
+    if (validated != nullptr) {
       builder_.record(raw);
+      failure = LoadFailure::PortAbort;  // the port dying mid-transfer
+      port_.load(*validated, module);
     } else {
       builder_.build(bundle_.device, raw);
-      if (intact) accepted = version;
+      failure = LoadFailure::PortAbort;
+      port_.load(raw, module);
     }
-    failure = LoadFailure::PortAbort;  // the port dying mid-transfer
-    port_.load(raw, module);
     failure = LoadFailure::ReadbackMismatch;
     if (config_.verify_loads)
       PDR_CHECK(memory_.region_owned_by(bundle_.floorplan.region_frames(region), module),
@@ -520,12 +522,7 @@ void ReconfigManager::prepare_blank_streams() {
 
 std::string ReconfigManager::ensure_blank_stream(const std::string& region) {
   const std::string blank_name = "__blank_" + region;
-  if (!store_.contains(blank_name)) {
-    // Blanking streams are MFWR-compressed: one zero frame + a 4-word
-    // repeat per remaining frame, so eager unloading is cheap.
-    const auto frames = bundle_.floorplan.region_frames(region);
-    store_.add(blank_name, synth::generate_uniform_bitstream(bundle_.device, frames, 0));
-  }
+  if (!store_.contains(blank_name)) store_.add(blank_name, bundle_.blank_streams.at(region));
   return blank_name;
 }
 
@@ -549,49 +546,14 @@ TimeNs ReconfigManager::blank(const std::string& region, TimeNs now) {
   return done;
 }
 
-const std::vector<std::size_t>& ReconfigManager::frame_offsets(
-    const synth::ModuleArtifact& artifact) const {
-  const auto it = frame_offsets_.find(&artifact);
-  if (it != frame_offsets_.end()) return it->second;
-
-  // The zero-copy parser hands each frame over as a view into the stream,
-  // so its byte offset is the view's distance from the stream's start.
-  struct OffsetSink : fabric::BitstreamReader::Sink {
-    OffsetSink(const fabric::DeviceModel& device, const std::uint8_t* base)
-        : map(device), base(base) {}
-    void write_frame(const fabric::FrameAddress& addr,
-                     std::span<const std::uint8_t> data) override {
-      at[map.linear_index(addr)] = static_cast<std::size_t>(data.data() - base);
-    }
-    fabric::FrameMap map;
-    const std::uint8_t* base;
-    std::map<int, std::size_t> at;  ///< linear frame index -> byte offset
-  };
-  OffsetSink sink(bundle_.device, artifact.bitstream.data());
-  fabric::BitstreamReader(bundle_.device, sink).parse(artifact.bitstream);
-
-  std::vector<std::size_t> offsets;
-  offsets.reserve(artifact.placement.frames.size());
-  for (const auto& addr : artifact.placement.frames) {
-    const auto found = sink.at.find(sink.map.linear_index(addr));
-    PDR_CHECK(found != sink.at.end(), "ReconfigManager::verify_resident",
-              "module '" + artifact.name + "' bitstream does not write frame " + addr.to_string());
-    offsets.push_back(found->second);
-  }
-  return frame_offsets_.emplace(&artifact, std::move(offsets)).first->second;
-}
-
 int ReconfigManager::verify_resident(const std::string& region) const {
   const std::string& module = loaded(region);
   PDR_CHECK(!module.empty(), "ReconfigManager::verify_resident",
             "region '" + region + "' has no resident module");
-  const auto& artifact = bundle_.variant(region, module);
-  const std::vector<std::size_t>& offsets = frame_offsets(artifact);
   int corrupted = 0;
-  for (std::size_t k = 0; k < offsets.size(); ++k) {
-    const auto data = memory_.read_frame(artifact.placement.frames[k]);
-    if (std::memcmp(data.data(), artifact.bitstream.data() + offsets[k], data.size()) != 0)
-      ++corrupted;
+  for (const auto& frame : bundle_.variant(region, module).stream->frames()) {
+    const auto data = memory_.read_frame(frame.addr);
+    if (std::memcmp(data.data(), frame.data.data(), data.size()) != 0) ++corrupted;
   }
   return corrupted;
 }

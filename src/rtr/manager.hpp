@@ -205,11 +205,11 @@ class ReconfigManager {
   /// Returns completion time.
   TimeNs blank(const std::string& region, TimeNs now);
 
-  /// Readback verification: compares each of the region's configuration
-  /// frames (memcmp) against that frame's bytes inside the resident
-  /// module's own ModuleArtifact::bitstream — immutable, shared by every
-  /// device, and independent of any store damage; returns the number of
-  /// corrupted frames (0 = clean). Throws if nothing is resident.
+  /// Readback verification: compares each frame the resident module's
+  /// stream writes (memcmp) against that frame's view in its
+  /// ModuleArtifact::stream — immutable, shared by every device, and
+  /// independent of any store damage; returns the number of corrupted
+  /// frames (0 = clean). Throws if nothing is resident.
   int verify_resident(const std::string& region) const;
 
   /// Scrubbing: rewrites the resident module's frames (full fetch+build+
@@ -246,8 +246,9 @@ class ReconfigManager {
   /// Fault hook consulted on every external-memory fetch with the store's
   /// own bytes of `module`. To damage this transfer (transient bus
   /// corruption) it fills `corrupted` with the damaged copy and returns
-  /// true; the load then uses that copy, and it always gets the builder's
-  /// full check. Returning false leaves `corrupted` untouched and the load
+  /// true; the load then uses that copy, which never carries the store's
+  /// handle and always gets the builder's full check and a parsing port
+  /// load. Returning false leaves `corrupted` untouched and the load
   /// streams `stored` itself, with no copy. The hook must not keep
   /// `stored`. Permanent store damage goes through BitstreamStore::corrupt.
   using FetchFaultHook = std::function<bool(const std::string& module,
@@ -301,8 +302,8 @@ class ReconfigManager {
   };
 
   /// The one physical load: fetch (the fault hook may swap in a corrupted
-  /// copy), builder validation (the CRC gate; walked once per stored image
-  /// version), port transfer, readback verification. A failure is rethrown as its
+  /// copy), builder validation (the CRC gate; a store handle passed it
+  /// when it was made), port transfer, readback verification. A failure is rethrown as its
   /// pdr::Error when `throw_on_failure`; otherwise it is counted
   /// (load_failures plus its cause) and returned as a classification.
   LoadFailure attempt_load(const std::string& region, const std::string& module,
@@ -318,12 +319,8 @@ class ReconfigManager {
   /// `module`, each adding a cold load to `extra`. True once one succeeds.
   bool fallback_load(const std::string& region, const std::string& module, TimeNs& extra);
 
-  /// Registers (once) and names the region's MFWR-compressed blank stream.
+  /// Registers (once) and names the region's blank stream (the bundle's).
   std::string ensure_blank_stream(const std::string& region);
-
-  /// Byte offset of each of `artifact`'s frames (placement order) inside
-  /// its bitstream; indexed on first use by parsing that bitstream once.
-  const std::vector<std::size_t>& frame_offsets(const synth::ModuleArtifact& artifact) const;
 
   /// Records a health transition (stats, gauge and trace instant).
   void set_health(const std::string& region, RegionHealth health, TimeNs now,
@@ -363,11 +360,6 @@ class ReconfigManager {
   ManagerStats stats_;
   Rng recovery_rng_;  ///< retry-jitter stream (seeded from recovery.jitter_seed)
   FetchFaultHook fetch_fault_hook_;
-  /// Per module, the store version whose bytes the builder last accepted
-  /// (0 = none): loading those same bytes again skips the builder's walk.
-  std::map<std::string, std::uint64_t> validated_;
-  /// verify_resident's frame index, one entry per module read back.
-  mutable std::map<const synth::ModuleArtifact*, std::vector<std::size_t>> frame_offsets_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 };

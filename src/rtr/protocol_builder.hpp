@@ -6,9 +6,10 @@
 //
 // The builder checks a raw partial bitstream fetched from the store
 // against the target device (sync word, IDCODE, packet framing, CRC); the
-// port then streams those same bytes, so the builder copies nothing. The
-// check needs to run once per distinct image: record() accounts a build of
-// bytes already accepted.
+// port then streams those same bytes, so the builder copies nothing. A
+// fabric::ValidatedStream passed that check when it was made: record()
+// counts and prices its build without walking it, and the port streams
+// its frames with no parse.
 // Where it runs (paper's 'P' label: FPGA or CPU) determines its
 // throughput and therefore how much it contributes to reconfiguration
 // latency.
@@ -46,8 +47,8 @@ class ProtocolBuilder {
 
   /// Counts one build of `raw` (rtr.builder.* metrics) and returns its
   /// build time, without walking the stream. build() ends with it; a
-  /// caller passing bytes that an earlier build() accepted, unchanged
-  /// since, calls it instead, so every build is still counted and priced.
+  /// caller passing the bytes of a fabric::ValidatedStream calls it
+  /// instead, so every build is still counted and priced.
   TimeNs record(std::span<const std::uint8_t> raw) const;
 
   /// Mirrors build counts/bytes and a build-time histogram into `metrics`

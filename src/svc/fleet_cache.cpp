@@ -7,11 +7,10 @@ namespace pdr::svc {
 
 FleetCache::FleetCache(Bytes capacity) : capacity_(capacity) {}
 
-std::shared_ptr<const std::vector<std::uint8_t>> FleetCache::get_or_fetch(
-    const std::string& module, std::uint64_t stamp,
-    const std::function<std::vector<std::uint8_t>()>& fetch) {
-  std::promise<std::shared_ptr<const std::vector<std::uint8_t>>> promise;
-  std::shared_future<std::shared_ptr<const std::vector<std::uint8_t>>> future;
+FleetCache::Image FleetCache::get_or_fetch(const std::string& module, std::uint64_t stamp,
+                                           const std::function<Image()>& fetch) {
+  std::promise<Image> promise;
+  std::shared_future<Image> future;
   bool is_fetcher = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -33,9 +32,9 @@ std::shared_ptr<const std::vector<std::uint8_t>> FleetCache::get_or_fetch(
   }
   if (is_fetcher) {
     try {
-      auto stream = std::make_shared<const std::vector<std::uint8_t>>(fetch());
-      const Bytes bytes = stream->size();
-      promise.set_value(std::move(stream));
+      Image image = fetch();
+      const Bytes bytes = image.bytes;
+      promise.set_value(std::move(image));
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = entries_.find(module);
       if (it != entries_.end()) {  // invalidate() may have raced us out

@@ -5,7 +5,9 @@
 // promise/shared_future per key under one mutex, so N concurrent
 // requests for a missing entry run the builder exactly once. This is
 // that pattern generalized for the fleet service: keyed by module name,
-// size-bounded, with deterministic eviction.
+// size-bounded, with deterministic eviction. An entry holds the store
+// image's fabric::ValidatedStream handle, shared with the store, not a
+// copy of its bytes.
 //
 // Concurrency/determinism split:
 //  - get_or_fetch() is thread-safe and single-flight: device workers call
@@ -27,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric/bitstream.hpp"
 #include "util/units.hpp"
 
 namespace pdr::svc {
@@ -43,20 +46,27 @@ class FleetCache {
     std::size_t resident_modules = 0;
   };
 
+  /// One cached store image: its handle (null when the stored image was
+  /// damaged: damaged bytes have none) and its size, which the capacity
+  /// bound counts.
+  struct Image {
+    std::shared_ptr<const fabric::ValidatedStream> stream;
+    Bytes bytes = 0;
+  };
+
   /// `capacity` bounds resident bytes (0 = unbounded). The bound is
   /// enforced by sweep(), not mid-fetch, so one oversized module still
   /// caches (and is evicted on the next sweep).
   explicit FleetCache(Bytes capacity);
 
-  /// Returns `module`'s stream, running `fetch` only when it is not
+  /// Returns `module`'s image, running `fetch` only when it is not
   /// resident. Single-flight: concurrent callers for one missing module
   /// run `fetch` once and share the result. A fetch that throws does not
   /// poison the key — the exception propagates to every waiter and the
   /// next call retries. `stamp` (the caller's request-log index) feeds
   /// eviction ordering; an entry keeps the max stamp seen.
-  std::shared_ptr<const std::vector<std::uint8_t>> get_or_fetch(
-      const std::string& module, std::uint64_t stamp,
-      const std::function<std::vector<std::uint8_t>()>& fetch);
+  Image get_or_fetch(const std::string& module, std::uint64_t stamp,
+                     const std::function<Image()>& fetch);
 
   /// True when `module` is resident (fetch completed, not evicted).
   bool resident(const std::string& module) const;
@@ -74,7 +84,7 @@ class FleetCache {
 
  private:
   struct Entry {
-    std::shared_future<std::shared_ptr<const std::vector<std::uint8_t>>> future;
+    std::shared_future<Image> future;
     std::uint64_t stamp = 0;
     Bytes bytes = 0;     ///< filled in when the fetch completes
     bool ready = false;  ///< future resolved successfully

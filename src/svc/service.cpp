@@ -461,10 +461,9 @@ void FleetService::execute(Device& dev, const Work& work, TimeNs now) {
                             : Disposition::Completed;
     } else {
       // Fleet tier first: whoever arrives at a missing module fetches it
-      // once for everyone (single-flight); the rest share the copy.
+      // once for everyone (single-flight); the rest share its handle.
       (void)cache_.get_or_fetch(work.module, work.index, [this, &work] {
-        const auto span = store_->get(work.module);
-        return std::vector<std::uint8_t>(span.begin(), span.end());
+        return FleetCache::Image{store_->validated(work.module), store_->size_of(work.module)};
       });
       if (work.planned_hit) dev.manager->preload_staged(work.region, work.module, now);
       const auto out = dev.manager->request(work.region, work.module, now);

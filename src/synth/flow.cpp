@@ -120,7 +120,7 @@ DesignBundle ModularDesignFlow::run() {
   }
 
   // --- Place.
-  DesignBundle bundle{device_, plan, {}, {}, {}, {}};
+  DesignBundle bundle{device_, plan, {}, {}, {}, {}, {}};
   Placer placer(bundle.floorplan);
   for (std::size_t i = 0; i < statics_.size(); ++i) {
     ModuleArtifact art;
@@ -161,9 +161,14 @@ DesignBundle ModularDesignFlow::run() {
   for (auto& [region, variants] : bundle.dynamic_variants) {
     for (auto& v : variants) {
       v.bitstream = generate_partial_bitstream(device_, v.placement.frames, v.netlist_hash);
+      v.stream = fabric::ValidatedStream::parse(device_, v.bitstream);
       report.total_bitstream_bytes += v.bitstream.size();
       ++report.dynamic_variants;
     }
+    // Blanking streams are MFWR-compressed: one zero frame + a 4-word
+    // repeat per remaining frame, so eager unloading is cheap.
+    bundle.blank_streams[region] = fabric::ValidatedStream::parse(
+        device_, generate_uniform_bitstream(device_, bundle.floorplan.region_frames(region), 0));
   }
   bundle.initial_bitstream = generate_full_bitstream(device_, design_hash);
   report.total_bitstream_bytes += bundle.initial_bitstream.size();

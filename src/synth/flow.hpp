@@ -8,6 +8,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,9 @@ struct ModuleArtifact {
   ResourceUsage usage;
   PlacedModule placement;
   std::vector<std::uint8_t> bitstream;  ///< partial bitstream for this module
+  /// The partial bitstream, validated once for the bundle's device and
+  /// shared by every store and manager that loads it (null for statics).
+  std::shared_ptr<const fabric::ValidatedStream> stream;
   std::uint64_t netlist_hash = 0;
   int input_bits = 0;
   int output_bits = 0;
@@ -60,6 +64,8 @@ struct DesignBundle {
   /// region name -> its interchangeable dynamic variants
   std::map<std::string, std::vector<ModuleArtifact>> dynamic_variants;
   std::vector<std::uint8_t> initial_bitstream;  ///< full-device initial load
+  /// region name -> its MFWR-compressed blanking stream, validated once
+  std::map<std::string, std::shared_ptr<const fabric::ValidatedStream>> blank_streams;
   FlowReport report;
 
   /// Artifact of a dynamic variant; throws if unknown.

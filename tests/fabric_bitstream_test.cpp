@@ -8,6 +8,8 @@
 #include "mccdma/case_study.hpp"
 #include "synth/bitgen.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace pdr::fabric {
 namespace {
@@ -431,6 +433,242 @@ TEST(Bitgen, FullBitstreamCoversDevice) {
   const auto stream = synth::generate_full_bitstream(d, 42);
   const auto result = BitstreamReader::validate(d, stream);
   EXPECT_EQ(result.frames_written, d.total_frames());
+}
+
+// --- validated streams ------------------------------------------------------------
+
+/// Sink that keeps a copy of every frame write, in order.
+struct RecordingSink : BitstreamReader::Sink {
+  void write_frame(const FrameAddress& addr, std::span<const std::uint8_t> data) override {
+    writes.emplace_back(addr, std::vector<std::uint8_t>(data.begin(), data.end()));
+  }
+  std::vector<std::pair<FrameAddress, std::vector<std::uint8_t>>> writes;
+};
+
+/// Every frame, owner tag and the write count of two memories agree.
+void expect_same_memory(const ConfigMemory& a, const ConfigMemory& b, const std::string& what) {
+  const FrameMap map(a.device());
+  ASSERT_EQ(a.frames_written(), b.frames_written()) << what;
+  for (int f = 0; f < map.total_frames(); ++f) {
+    const FrameAddress addr = map.from_linear(f);
+    const auto x = a.read_frame(addr);
+    const auto y = b.read_frame(addr);
+    ASSERT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end())) << what << " frame " << f;
+    ASSERT_EQ(a.frame_owner(addr), b.frame_owner(addr)) << what << " frame " << f;
+  }
+}
+
+/// The case-study streams: every partial, each region's blank stream and
+/// the full-device bitstream, by name.
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> case_study_streams() {
+  const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> streams;
+  for (const auto& [region, artifacts] : bundle.dynamic_variants) {
+    for (const auto& v : artifacts) streams.emplace_back(v.name, v.bitstream);
+    const auto blank = bundle.blank_streams.at(region)->bytes();
+    streams.emplace_back("blank_" + region, std::vector<std::uint8_t>(blank.begin(), blank.end()));
+  }
+  streams.emplace_back("full", bundle.initial_bitstream);
+  return streams;
+}
+
+TEST(ValidatedStream, ViewsReplayTheParsersFrameWrites) {
+  const DeviceModel& d = mccdma::shared_case_study().bundle.device;
+  for (const auto& [name, bytes] : case_study_streams()) {
+    RecordingSink parsed;
+    const ParseResult raw = BitstreamReader(d, parsed).parse(bytes);
+    const auto handle = ValidatedStream::parse(d, bytes);
+    RecordingSink replayed;
+    handle->replay(replayed);
+    EXPECT_EQ(replayed.writes, parsed.writes) << name;
+    EXPECT_EQ(handle->result().frames_written, raw.frames_written) << name;
+    EXPECT_EQ(handle->result().touched, raw.touched) << name;
+    EXPECT_TRUE(std::equal(handle->bytes().begin(), handle->bytes().end(), bytes.begin(),
+                           bytes.end()))
+        << name;
+  }
+}
+
+TEST(ValidatedStream, HandleLoadMatchesRawLoad) {
+  // load(handle) and load(span) must leave the same frames, owner tags,
+  // write count, LoadReport and port accounting — also when the fault hook
+  // cuts the transfer, where both throw the same error.
+  const DeviceModel& d = mccdma::shared_case_study().bundle.device;
+  for (const auto& [name, bytes] : case_study_streams()) {
+    const auto handle = ValidatedStream::parse(d, bytes);
+    for (const double fraction : {-1.0, 0.1, 0.5, 0.93}) {
+      const std::string what = name + " abort " + std::to_string(fraction);
+      ConfigMemory raw_mem(d);
+      ConfigMemory handle_mem(d);
+      ConfigPort raw_port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), raw_mem);
+      ConfigPort handle_port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap),
+                             handle_mem);
+      for (ConfigPort* port : {&raw_port, &handle_port})
+        port->set_fault_hook([fraction](Bytes, const std::string&) { return fraction; });
+      const auto attempt = [](const auto& load) -> std::pair<LoadReport, std::string> {
+        try {
+          return {load(), ""};
+        } catch (const Error& e) {
+          return {LoadReport{}, e.what()};
+        }
+      };
+      const auto [raw_report, raw_error] = attempt([&] { return raw_port.load(bytes, name); });
+      const auto [handle_report, handle_error] =
+          attempt([&] { return handle_port.load(*handle, name); });
+      EXPECT_EQ(handle_error, raw_error) << what;
+      EXPECT_EQ(raw_error.empty(), fraction < 0) << what;
+      EXPECT_EQ(handle_report.stream_bytes, raw_report.stream_bytes) << what;
+      EXPECT_EQ(handle_report.frames_written, raw_report.frames_written) << what;
+      EXPECT_EQ(handle_report.duration, raw_report.duration) << what;
+      EXPECT_EQ(handle_port.loads(), raw_port.loads()) << what;
+      EXPECT_EQ(handle_port.aborted_loads(), raw_port.aborted_loads()) << what;
+      EXPECT_EQ(handle_port.total_busy(), raw_port.total_busy()) << what;
+      EXPECT_EQ(handle_port.total_bytes(), raw_port.total_bytes()) << what;
+      expect_same_memory(raw_mem, handle_mem, what);
+    }
+  }
+}
+
+TEST(ValidatedStream, OnlyAFullParseMakesOne) {
+  const DeviceModel d = xc2v2000();
+  auto stream = small_stream(d);
+  stream[stream.size() / 2] ^= 0x10;
+  EXPECT_THROW(ValidatedStream::parse(d, stream), Error);
+  EXPECT_THROW(ValidatedStream::parse(xc2v1000(), small_stream(d)), Error);  // IDCODE
+  const auto handle = ValidatedStream::parse(d, small_stream(d));
+  ASSERT_EQ(handle->frames().size(), 1u);
+  EXPECT_EQ(handle->device(), d);
+}
+
+TEST(ValidatedStream, PortRejectsAHandleOfAnotherDevice) {
+  const DeviceModel d = xc2v2000();
+  const auto handle = ValidatedStream::parse(d, small_stream(d));
+  ConfigMemory mem(xc2v1000());
+  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  EXPECT_THROW(port.load(*handle, "m"), Error);
+  EXPECT_EQ(mem.frames_written(), 0);
+  EXPECT_EQ(port.loads(), 0);
+}
+
+TEST(ValidatedStream, MfwrAfterAnEmptyBurstRepeatsAZeroFrame) {
+  // Packet headers are outside the CRC, so an empty FDRI burst spliced in
+  // before an MFWR still validates; the MFWR then repeats a zero frame
+  // that lives in the parser, not in the stream. The handle keeps its own.
+  const DeviceModel d = xc2v2000();
+  const FrameMap map(d);
+  const auto frames = map.clb_column_frames(4);
+  auto stream = synth::generate_uniform_bitstream(d, {frames[0], frames[1]}, 0x5a);
+  // pad, pad, sync, IDCODE x2, FAR x2, FDRI x2 + one frame: the MFWR's FAR
+  // header comes next.
+  const std::size_t at = (9 + static_cast<std::size_t>(d.frame_words())) * 4;
+  const std::uint8_t empty_burst[] = {0x28, 0x00, 0x40, 0x00, 0x48, 0x00, 0x00, 0x00};
+  stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(at), std::begin(empty_burst),
+                std::end(empty_burst));
+  RecordingSink parsed;
+  BitstreamReader(d, parsed).parse(stream);
+  ASSERT_EQ(parsed.writes.size(), 2u);
+  EXPECT_EQ(parsed.writes[1].second, frame_data(d, 0));
+  const auto handle = ValidatedStream::parse(d, stream);
+  RecordingSink replayed;
+  handle->replay(replayed);
+  EXPECT_EQ(replayed.writes, parsed.writes);
+}
+
+TEST(ValidatedStream, SeededMutantsThrowOrReplayTheRawParse) {
+  // A fixed corpus of mutants of the case-study partials and blank streams
+  // (the full-device stream is left out to keep the run short) — bit
+  // flips, word swaps, truncations and insertions. Each must either fail with a
+  // pdr::Error both ways, or give a handle whose views replay exactly the
+  // raw parse's frame writes. Headers, pad words and repeated words lie
+  // outside the CRC, so some mutants do validate.
+  const DeviceModel& d = mccdma::shared_case_study().bundle.device;
+  const auto corpus = case_study_streams();
+  Rng rng(0xb175);
+  int accepted = 0;
+  int rejected = 0;
+  for (int m = 0; m < 3000; ++m) {
+    const auto& [name, original] = corpus[static_cast<std::size_t>(m) % (corpus.size() - 1)];
+    std::vector<std::uint8_t> bytes = original;
+    const std::size_t words = bytes.size() / 4;
+    const auto any_word = [&] {
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(words) - 1));
+    };
+    // Most damage lands near the packet headers at either end.
+    const auto hot_word = [&] {
+      const std::size_t w = static_cast<std::size_t>(rng.uniform_int(0, 15));
+      return rng.chance(0.5) ? w : words - 1 - w;
+    };
+    std::string kind;
+    switch (m % 4) {
+      case 0: {
+        kind = "flip";
+        const std::size_t w = rng.chance(0.5) ? hot_word() : any_word();
+        bytes[w * 4 + static_cast<std::size_t>(rng.uniform_int(0, 3))] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+        break;
+      }
+      case 1: {
+        kind = "swap";
+        const std::size_t a = hot_word();
+        const std::size_t b = rng.chance(0.5) ? hot_word() : any_word();
+        std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(a * 4),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(a * 4 + 4),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(b * 4));
+        if (a == b) bytes[a * 4] ^= 0x01;
+        break;
+      }
+      case 2: {
+        kind = "truncate";
+        bytes.resize(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1)));
+        break;
+      }
+      default: {
+        kind = "insert";
+        const std::size_t at = rng.chance(0.5) ? hot_word() : any_word();
+        const std::uint32_t pick[] = {kDummyWord, kSyncWord, 0u, 0x28004000u, 0x48000000u,
+                                      static_cast<std::uint32_t>(rng())};
+        const std::uint32_t word = pick[rng.uniform_int(0, 5)];
+        const std::uint8_t be[] = {static_cast<std::uint8_t>(word >> 24),
+                                   static_cast<std::uint8_t>(word >> 16),
+                                   static_cast<std::uint8_t>(word >> 8),
+                                   static_cast<std::uint8_t>(word)};
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at * 4), std::begin(be),
+                     std::end(be));
+        break;
+      }
+    }
+    const std::string what = strprintf("mutant %d (%s of %s)", m, kind.c_str(), name.c_str());
+
+    RecordingSink parsed;
+    std::string raw_error;
+    ParseResult raw;
+    try {
+      raw = BitstreamReader(d, parsed).parse(bytes);
+    } catch (const Error& e) {
+      raw_error = e.what();
+    }
+    std::shared_ptr<const ValidatedStream> handle;
+    std::string handle_error;
+    try {
+      handle = ValidatedStream::parse(d, bytes);
+    } catch (const Error& e) {
+      handle_error = e.what();
+    }
+    ASSERT_EQ(handle_error, raw_error) << what;
+    if (!raw_error.empty()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    RecordingSink replayed;
+    handle->replay(replayed);
+    ASSERT_EQ(replayed.writes, parsed.writes) << what;
+    ASSERT_EQ(handle->result().frames_written, raw.frames_written) << what;
+  }
+  // The corpus exercises both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

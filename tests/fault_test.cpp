@@ -424,6 +424,45 @@ TEST(SelfHealing, StoreDamageAfterACleanLoadIsStillRejected) {
   }
 }
 
+TEST(SelfHealing, StoreDamageNeverReachesTheSharedHandle) {
+  // Managers on two stores share the bundle's qam16 handle. Damage to one
+  // store's image goes to a private copy: the artifact's bytes and the
+  // handle's stay pristine, that store's next load is a CrcReject, the
+  // other store loads cleanly, and repair() brings the handle back.
+  const synth::DesignBundle bundle = test_bundle();
+  const auto& artifact = bundle.variant("D1", "qam16");
+  const std::vector<std::uint8_t> pristine = artifact.bitstream;
+  rtr::BitstreamStore store(100e6, 0);
+  rtr::BitstreamStore other(100e6, 0);
+  rtr::NonePrefetch policy;
+  rtr::ReconfigManager manager(bundle, recovering_config(), store, policy);
+  rtr::ReconfigManager bystander(bundle, recovering_config(), other, policy);
+  manager.set_safe_module("D1", "qpsk");
+  ASSERT_EQ(store.validated("qam16"), artifact.stream);
+  ASSERT_EQ(other.validated("qam16"), artifact.stream);
+
+  store.corrupt("qam16", 100);
+  EXPECT_EQ(artifact.bitstream, pristine);
+  EXPECT_TRUE(std::ranges::equal(artifact.stream->bytes(), pristine));
+  EXPECT_EQ(other.validated("qam16"), artifact.stream);
+
+  manager.request("D1", "qam16", 0);
+  EXPECT_GT(manager.stats().crc_rejects, 0);
+  EXPECT_EQ(manager.stats().port_aborts, 0);
+  EXPECT_EQ(manager.loaded("D1"), "qpsk");  // fell back
+  bystander.request("D1", "qam16", 0);
+  EXPECT_EQ(bystander.stats().load_failures, 0);
+  EXPECT_EQ(bystander.verify_resident("D1"), 0);
+
+  store.repair("qam16");
+  EXPECT_EQ(store.validated("qam16"), artifact.stream);
+  const int rejects = manager.stats().crc_rejects;
+  manager.request("D1", "qam16", manager.port_free_at());
+  EXPECT_EQ(manager.loaded("D1"), "qam16");
+  EXPECT_EQ(manager.stats().crc_rejects, rejects);
+  EXPECT_EQ(manager.verify_resident("D1"), 0);
+}
+
 TEST(SelfHealing, FetchHookCopiesOnlyWhenItCorrupts) {
   // The hook sees the store's own bytes, not a copy. When it declines, the
   // load streams those bytes and ignores whatever `corrupted` holds. When

@@ -45,8 +45,41 @@ TEST(BitstreamStore, ReplaceAndErrors) {
   EXPECT_EQ(store.size_of("m"), 20u);
   EXPECT_THROW(store.get("ghost"), pdr::Error);
   EXPECT_THROW(store.add("", std::vector<std::uint8_t>(1)), pdr::Error);
-  EXPECT_THROW(store.add("e", {}), pdr::Error);
+  EXPECT_THROW(store.add("e", std::vector<std::uint8_t>{}), pdr::Error);
   EXPECT_THROW(BitstreamStore(0.0, 0), pdr::Error);
+}
+
+TEST(BitstreamStore, SharesTheHandleAndDamagesOnlyAPrivateCopy) {
+  const synth::DesignBundle bundle = test_bundle();
+  const auto& artifact = bundle.variant("D1", "qam16");
+  BitstreamStore store(1e6, 0);
+  store.add("qam16", artifact.stream);
+  EXPECT_EQ(store.validated("qam16"), artifact.stream);
+  EXPECT_EQ(store.get("qam16").data(), artifact.stream->bytes().data());  // shared, not copied
+
+  store.corrupt("qam16", 100);
+  EXPECT_EQ(store.validated("qam16"), nullptr);
+  EXPECT_EQ(store.get("qam16")[100], artifact.bitstream[100] ^ 0xFF);
+  EXPECT_TRUE(std::ranges::equal(artifact.stream->bytes(), artifact.bitstream));
+  EXPECT_EQ(store.size_of("qam16"), artifact.bitstream.size());
+
+  store.repair("qam16");
+  EXPECT_EQ(store.validated("qam16"), artifact.stream);
+  EXPECT_EQ(store.get("qam16").data(), artifact.stream->bytes().data());
+  EXPECT_EQ(store.repairs(), 1);
+
+  // Damage that cancels itself out is not a repair; the handle comes back.
+  store.corrupt("qam16", 7, 0x0F);
+  store.corrupt("qam16", 7, 0x0F);
+  EXPECT_EQ(store.validated("qam16"), nullptr);
+  store.repair("qam16");
+  EXPECT_EQ(store.repairs(), 1);
+  EXPECT_EQ(store.validated("qam16"), artifact.stream);
+
+  // Unchecked bytes never carry a handle.
+  store.add("raw", artifact.bitstream);
+  EXPECT_EQ(store.validated("raw"), nullptr);
+  EXPECT_THROW(store.add("none", std::shared_ptr<const fabric::ValidatedStream>()), pdr::Error);
 }
 
 // --- cache -----------------------------------------------------------------------

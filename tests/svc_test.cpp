@@ -88,29 +88,34 @@ TEST(FleetCacheTest, SingleFlightUnderThreads) {
   FleetCache cache(0);
   std::atomic<int> fetches{0};
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> results(kThreads);
+  // Each fetch would make a fresh handle: sharing one proves a single fetch.
+  const synth::DesignBundle bundle = test_bundle();
+  const auto& bytes = bundle.variant("D1", "qam16").bitstream;
+  std::vector<FleetCache::Image> results(kThreads);
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&cache, &fetches, &results, t] {
-      results[t] = cache.get_or_fetch("qam16", static_cast<std::uint64_t>(t), [&fetches] {
+    pool.emplace_back([&, t] {
+      results[t] = cache.get_or_fetch("qam16", static_cast<std::uint64_t>(t), [&] {
         ++fetches;
-        return std::vector<std::uint8_t>{1, 2, 3, 4};
+        return FleetCache::Image{fabric::ValidatedStream::parse(bundle.device, bytes),
+                                 bytes.size()};
       });
     });
   }
   for (auto& t : pool) t.join();
   EXPECT_EQ(fetches.load(), 1);
-  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(results[t], results[0]);
+  ASSERT_NE(results[0].stream, nullptr);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(results[t].stream, results[0].stream);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.fetches, 1u);
   EXPECT_EQ(stats.served, static_cast<std::uint64_t>(kThreads - 1));
   EXPECT_EQ(stats.resident_modules, 1u);
-  EXPECT_EQ(stats.resident_bytes, 4u);
+  EXPECT_EQ(stats.resident_bytes, bytes.size());
 }
 
 TEST(FleetCacheTest, SweepEvictsLowestStampFirst) {
   FleetCache cache(5);  // fits one 4-byte module, not two
-  const auto fetch4 = [] { return std::vector<std::uint8_t>(4, 0xAB); };
+  const auto fetch4 = [] { return FleetCache::Image{nullptr, 4}; };
   (void)cache.get_or_fetch("older", 1, fetch4);
   (void)cache.get_or_fetch("newer", 2, fetch4);
   const auto evicted = cache.sweep();
@@ -123,7 +128,7 @@ TEST(FleetCacheTest, SweepEvictsLowestStampFirst) {
 
 TEST(FleetCacheTest, StampTakesMaxOverCallers) {
   FleetCache cache(5);
-  const auto fetch4 = [] { return std::vector<std::uint8_t>(4, 0xAB); };
+  const auto fetch4 = [] { return FleetCache::Image{nullptr, 4}; };
   (void)cache.get_or_fetch("a", 1, fetch4);
   (void)cache.get_or_fetch("b", 2, fetch4);
   (void)cache.get_or_fetch("a", 9, fetch4);  // refresh a's stamp past b's
@@ -137,7 +142,7 @@ TEST(FleetCacheTest, InvalidateDropsEntryAndNextFetchRetries) {
   int fetches = 0;
   const auto fetch = [&fetches] {
     ++fetches;
-    return std::vector<std::uint8_t>{7};
+    return FleetCache::Image{nullptr, 1};
   };
   (void)cache.get_or_fetch("m", 1, fetch);
   cache.invalidate("m");
@@ -150,11 +155,11 @@ TEST(FleetCacheTest, InvalidateDropsEntryAndNextFetchRetries) {
 TEST(FleetCacheTest, ThrowingFetchDoesNotPoisonTheKey) {
   FleetCache cache(0);
   EXPECT_THROW((void)cache.get_or_fetch(
-                   "m", 1, []() -> std::vector<std::uint8_t> { pdr::raise("test", "boom"); }),
+                   "m", 1, []() -> FleetCache::Image { pdr::raise("test", "boom"); }),
                pdr::Error);
-  const auto got = cache.get_or_fetch("m", 2, [] { return std::vector<std::uint8_t>{5}; });
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->size(), 1u);
+  const auto got = cache.get_or_fetch("m", 2, [] { return FleetCache::Image{nullptr, 5}; });
+  EXPECT_EQ(got.bytes, 5u);
+  EXPECT_TRUE(cache.resident("m"));
 }
 
 // --- request log DSL -------------------------------------------------------------

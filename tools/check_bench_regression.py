@@ -11,10 +11,11 @@ names present on only one side are reported and skipped, since the smoke
 tier sizes a subset of the full-tier ladder. Stdlib only.
 
 Usage:
-  check_bench_regression.py BASELINE.json CANDIDATE.json [--threshold 3.0]
+  check_bench_regression.py BASELINE.json CANDIDATE.json
+                            [BASELINE.json CANDIDATE.json ...] [--threshold 3.0]
 
-Exit status: 0 clean, 1 on any regression or if no record names overlap,
-2 on malformed input.
+Each suite is one BASELINE CANDIDATE pair. Exit status: 0 clean, 1 on any
+regression or if a pair shares no record names, 2 on malformed input.
 """
 
 import argparse
@@ -46,8 +47,9 @@ def load_records(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", help="committed BENCH_*.json (the reference)")
-    parser.add_argument("candidate", help="freshly measured BENCH_*.json")
+    parser.add_argument("files", nargs="+", metavar="BASELINE CANDIDATE",
+                        help="pairs of a committed BENCH_*.json (the reference) and a freshly "
+                             "measured one")
     parser.add_argument("--threshold", type=float, default=3.0,
                         help="fail when candidate mean > threshold * baseline mean "
                              "(default: %(default)s)")
@@ -55,12 +57,19 @@ def main():
     if args.threshold <= 0:
         parser.error("--threshold must be positive")
 
-    baseline = load_records(args.baseline)
-    candidate = load_records(args.candidate)
+    if len(args.files) % 2:
+        parser.error("expected BASELINE CANDIDATE pairs")
+
+    baseline, candidate = {}, {}
+    for base_path, cand_path in zip(args.files[0::2], args.files[1::2]):
+        base, cand = load_records(base_path), load_records(cand_path)
+        if not set(base) & set(cand):
+            print(f"error: no record names shared between {base_path} and {cand_path}",
+                  file=sys.stderr)
+            return 1
+        baseline.update(base)
+        candidate.update(cand)
     shared = sorted(set(baseline) & set(candidate))
-    if not shared:
-        print("error: no record names shared between baseline and candidate", file=sys.stderr)
-        return 1
 
     regressions = 0
     width = max(len(name) for name in shared)
