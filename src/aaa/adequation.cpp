@@ -1,11 +1,11 @@
 #include "aaa/adequation.hpp"
 
 #include <algorithm>
-#include <map>
 #include <queue>
 #include <string_view>
 #include <unordered_map>
 
+#include "aaa/schedule_analysis.hpp"
 #include "graph/ready.hpp"
 
 #include "util/error.hpp"
@@ -26,127 +26,51 @@ const char* mapping_strategy_name(MappingStrategy strategy) {
 
 void validate_schedule(const Schedule& schedule, const AlgorithmGraph& algorithm,
                        const ArchitectureGraph& architecture) {
-  // 1. No overlap per resource. Resources are visited in name order (as
-  //    the old string-keyed map iterated), so which violation fires first
-  //    is unchanged.
-  std::map<std::string_view, std::vector<std::size_t>> per_resource;
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    PDR_CHECK(schedule.end(i) >= schedule.start(i), "validate_schedule",
-              "item '" + schedule.label(i) + "' ends before it starts");
-    per_resource[schedule.resource(i)].push_back(i);
-  }
-  for (auto& [res, list] : per_resource) {
-    std::stable_sort(list.begin(), list.end(),
-                     [&](std::size_t a, std::size_t b) { return schedule.start(a) < schedule.start(b); });
-    for (std::size_t i = 1; i < list.size(); ++i) {
-      PDR_CHECK(schedule.start(list[i]) >= schedule.end(list[i - 1]), "validate_schedule",
-                "items '" + schedule.label(list[i - 1]) + "' and '" + schedule.label(list[i]) +
-                    "' overlap on resource '" + std::string(res) + "'");
-    }
-  }
-
-  // 2. Dependencies respected. Transfers are matched by edge identity —
-  //    two parallel edges between the same producer/consumer pair must
-  //    each have their own transfer chain; a (src,dst) name match alone
-  //    would let them validate against each other's items. The per-edge
-  //    chains are grouped once up front instead of rescanning every
-  //    transfer item per algorithm edge.
+  const std::vector<Finding> findings =
+      ScheduleAnalysis(schedule, algorithm, architecture).structural();
+  if (findings.empty()) return;
+  const Finding& f = findings.front();
   const auto& g = algorithm.digraph();
-  const auto edge_ids = g.edge_ids();
-  const std::size_t edge_cap = edge_ids.empty() ? 0 : edge_ids.back() + 1;
-  constexpr std::size_t kNoItem = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> compute_of(g.node_capacity(), kNoItem);
-  std::vector<std::vector<std::size_t>> chain_of_edge(edge_cap);
-  std::vector<std::size_t> untagged_transfers;  // hand-built items without edge ids
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    if (schedule.kind(i) == ItemKind::Compute) {
-      const graph::NodeId n = schedule.op(i);
-      if (n < compute_of.size()) compute_of[n] = i;
-    } else if (schedule.kind(i) == ItemKind::Transfer) {
-      const graph::EdgeId e = schedule.edge(i);
-      if (e != graph::kNoEdge && e < edge_cap)
-        chain_of_edge[e].push_back(i);
-      else
-        untagged_transfers.push_back(i);
+  const auto text = [&](std::size_t i) { return i == kNoItem ? std::string() : schedule.label(i); };
+  const std::string first = text(f.first);
+  const std::string item = text(f.item);
+  const char* producer = f.edge == graph::kNoEdge ? "" : g[g.edge_from(f.edge)].name.c_str();
+  const char* consumer = f.edge == graph::kNoEdge ? "" : g[g.edge_to(f.edge)].name.c_str();
+  std::string message = "two reconfigurations overlap on the configuration port";
+  switch (f.kind) {
+    case FindingKind::NegativeDuration:
+      message = strprintf("item '%s' ends before it starts", item.c_str());
+      break;
+    case FindingKind::Overlap:
+      message = strprintf("items '%s' and '%s' overlap on resource '%s'", first.c_str(),
+                          item.c_str(), std::string(schedule.resource(f.item)).c_str());
+      break;
+    case FindingKind::Unscheduled: message = "an operation was never scheduled"; break;
+    case FindingKind::Precedence:
+      message = strprintf("operation '%s' starts before its input '%s' finishes", consumer, producer);
+      break;
+    case FindingKind::MissingTransfer:
+      message = strprintf("missing transfer for dependency '%s' -> '%s'", producer, consumer);
+      break;
+    case FindingKind::WrongPayload:
+      message = strprintf("transfer '%s' carries the wrong payload for its edge", item.c_str());
+      break;
+    case FindingKind::TransferWindow:
+      message = strprintf("transfer '%s' not between producer and consumer", item.c_str());
+      break;
+    case FindingKind::WrongModule: {
+      const char* region = architecture.op(f.node).name.c_str();
+      message = f.first == kNoItem
+                    ? strprintf("region '%s' computes two variants with no reconfiguration between",
+                                region)
+                    : strprintf("region '%s' computes variant '%s' while module '%s' is loaded",
+                                region, std::string(schedule.variant(f.item)).c_str(),
+                                std::string(f.module).c_str());
+      break;
     }
+    default: break;  // PortOverlap; the other kinds are not structural
   }
-  std::vector<char> consumed(schedule.size(), 0);
-  for (graph::EdgeId e : edge_ids) {
-    const graph::NodeId p = g.edge_from(e);
-    const graph::NodeId c = g.edge_to(e);
-    const std::size_t ip = p < compute_of.size() ? compute_of[p] : kNoItem;
-    const std::size_t ic = c < compute_of.size() ? compute_of[c] : kNoItem;
-    PDR_CHECK(ip != kNoItem && ic != kNoItem, "validate_schedule",
-              "an operation was never scheduled");
-    PDR_CHECK(schedule.start(ic) >= schedule.end(ip), "validate_schedule",
-              "operation '" + g[c].name + "' starts before its input '" + g[p].name + "' finishes");
-    if (schedule.resource_sym(ip) != schedule.resource_sym(ic) && g.edge(e).bytes > 0) {
-      // Prefer exact edge identity. Hand-built schedules without edge ids
-      // fall back to an unconsumed (src,dst,bytes) match — consumption
-      // keeps a single item from standing in for two distinct edges.
-      std::vector<std::size_t> chain = chain_of_edge[e];
-      if (chain.empty()) {
-        // One chain = at most one item per medium (the earliest unconsumed
-        // match), so parallel edges each claim their own items.
-        std::map<std::string_view, std::size_t> per_medium;
-        for (const std::size_t i : untagged_transfers)
-          if (consumed[i] == 0 && schedule.src(i) == g[p].name && schedule.dst(i) == g[c].name &&
-              schedule.bytes(i) == g.edge(e).bytes) {
-            const auto [slot, inserted] = per_medium.emplace(schedule.resource(i), i);
-            if (!inserted && schedule.start(i) < schedule.start(slot->second)) slot->second = i;
-          }
-        for (const auto& [medium, i] : per_medium) chain.push_back(i);
-      }
-      PDR_CHECK(!chain.empty(), "validate_schedule",
-                "missing transfer for dependency '" + g[p].name + "' -> '" + g[c].name + "'");
-      for (const std::size_t i : chain) {
-        consumed[i] = 1;
-        PDR_CHECK(schedule.bytes(i) == g.edge(e).bytes, "validate_schedule",
-                  "transfer '" + schedule.label(i) + "' carries the wrong payload for its edge");
-        PDR_CHECK(schedule.start(i) >= schedule.end(ip) && schedule.end(i) <= schedule.start(ic),
-                  "validate_schedule",
-                  "transfer '" + schedule.label(i) + "' not between producer and consumer");
-      }
-    }
-  }
-
-  // 3. Regions hold the right module when computing.
-  for (NodeId w : architecture.operators_of_kind(OperatorKind::FpgaRegion)) {
-    const std::string& rname = architecture.op(w).name;
-    const auto it = per_resource.find(std::string_view(rname));
-    if (it == per_resource.end()) continue;
-    util::SymbolId loaded = util::kEmptySymbol;  // unknown until first reconfig
-    bool any_reconfig = false;
-    // variant computes may use before any reconfig
-    util::SymbolId preloaded_variant = util::kEmptySymbol;
-    for (const std::size_t i : it->second) {
-      if (schedule.kind(i) == ItemKind::Reconfig) {
-        loaded = schedule.module_sym(i);
-        any_reconfig = true;
-      } else if (schedule.kind(i) == ItemKind::Compute &&
-                 schedule.variant_sym(i) != util::kEmptySymbol) {
-        if (!any_reconfig) {
-          if (preloaded_variant == util::kEmptySymbol) preloaded_variant = schedule.variant_sym(i);
-          PDR_CHECK(schedule.variant_sym(i) == preloaded_variant, "validate_schedule",
-                    "region '" + rname + "' computes two variants with no reconfiguration between");
-        } else {
-          PDR_CHECK(schedule.variant_sym(i) == loaded, "validate_schedule",
-                    "region '" + rname + "' computes variant '" + std::string(schedule.variant(i)) +
-                        "' while module '" + std::string(schedule.name(loaded)) + "' is loaded");
-        }
-      }
-    }
-  }
-
-  // 4. Reconfigurations serialize on the single configuration port.
-  std::vector<std::size_t> reconfigs;
-  for (std::size_t i = 0; i < schedule.size(); ++i)
-    if (schedule.kind(i) == ItemKind::Reconfig) reconfigs.push_back(i);
-  std::stable_sort(reconfigs.begin(), reconfigs.end(),
-                   [&](std::size_t a, std::size_t b) { return schedule.start(a) < schedule.start(b); });
-  for (std::size_t i = 1; i < reconfigs.size(); ++i)
-    PDR_CHECK(schedule.start(reconfigs[i]) >= schedule.end(reconfigs[i - 1]), "validate_schedule",
-              "two reconfigurations overlap on the configuration port");
+  raise("validate_schedule", message);
 }
 
 Adequation::Adequation(const AlgorithmGraph& algorithm, const ArchitectureGraph& architecture,

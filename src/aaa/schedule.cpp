@@ -349,15 +349,6 @@ void Schedule::recompute_totals() {
   }
 }
 
-std::vector<std::size_t> Schedule::on_resource(std::string_view resource) const {
-  std::vector<std::size_t> out;
-  const util::SymbolId sym = symbols.find(resource);
-  if (sym == util::kNoSymbol) return out;
-  for (std::size_t i = 0; i < resource_.size(); ++i)
-    if (resource_[i] == sym) out.push_back(i);
-  return out;
-}
-
 double Schedule::utilization(std::string_view resource) const {
   if (makespan <= 0) return 0.0;
   const util::SymbolId sym = symbols.find(resource);

@@ -194,11 +194,6 @@ class Schedule {
   void recompute_totals();
 
   // --- queries / rendering -----------------------------------------------
-  /// Indices of the items on one resource, in current row order. Indices
-  /// (not pointers): rows move when columns grow or re-sort, so pointers
-  /// into the SoA storage would dangle.
-  std::vector<std::size_t> on_resource(std::string_view resource) const;
-
   /// Fraction of the makespan `resource` is busy.
   double utilization(std::string_view resource) const;
 

@@ -1,13 +1,12 @@
-// Schedule design rules (PDR040..PDR047): reconfiguration hazards in an
-// adequation result.
-//
-// Beyond the structural invariants (no resource overlap, dependencies
-// respected — the lint twins of aaa::validate_schedule), these rules
-// catch the dynamic-reconfiguration hazards the paper's flow must avoid
-// (§4/§6): an operation computing on a region whose module is unloaded or
-// still reconfiguring, a prefetched reconfiguration ousting a busy
-// region, mutually-exclusive modules resident at the same time, and two
-// loads contending for the single configuration port.
+// Schedule design rules (PDR040..PDR048): lint's view of
+// aaa::ScheduleAnalysis, the analysis aaa::validate_schedule throws from.
+// Beyond the structural invariants (no resource overlap, dependencies and
+// their transfers respected) these rules catch the dynamic-reconfiguration
+// hazards the paper's flow must avoid (§4/§6): an operation computing on a
+// region whose module is unloaded or still reconfiguring, a prefetch
+// ousting a busy region, excluded modules resident together, two loads
+// contending for the configuration port and regions left unscrubbed past
+// their SEU budget.
 #pragma once
 
 #include "aaa/adequation.hpp"
@@ -17,7 +16,8 @@
 namespace pdr::lint {
 
 /// Checks one schedule. `constraints` may be nullptr (project files carry
-/// no constraints file); exclusion-overlap checks are skipped then.
+/// no constraints file); PDR044 and PDR048 are skipped then. Without
+/// constraints, errors() > 0 exactly when validate_schedule throws.
 Report check_schedule(const aaa::Schedule& schedule, const aaa::AlgorithmGraph& algorithm,
                       const aaa::ArchitectureGraph& architecture,
                       const aaa::ConstraintSet* constraints = nullptr);

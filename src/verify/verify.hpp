@@ -1,14 +1,12 @@
 // pdr::verify — interval-based static hazard analysis over schedules.
 //
 // The paper's safety argument is that area-shared dynamic regions can be
-// rewritten mid-application without corrupting the computation. Before
-// this layer the repo only checked that dynamically: simulate a schedule
-// and watch for faults. verify_schedule() proves it statically instead:
-// it rebuilds per-resource timelines from an aaa::Schedule — region
-// frame-spans, exclusive media, the single configuration port, every
-// operator — and sweeps them for the hazard classes related co-scheduling
-// work must exclude (Chen et al., arXiv:1803.03748; Hannachi et al.,
-// arXiv:1803.03331):
+// rewritten mid-application without corrupting the computation.
+// verify_schedule() proves it statically: it is the certifying view of
+// aaa::ScheduleAnalysis (the same timelines, sweeps and residency walk
+// behind aaa::validate_schedule and lint's PDR040-048), reporting the
+// hazard classes related co-scheduling work must exclude (Chen et al.,
+// arXiv:1803.03748; Hannachi et al., arXiv:1803.03331):
 //
 //   PDR100  reconfiguration starts while an operation executes in the region
 //   PDR101  operation starts while its region's frames are being rewritten

@@ -4,6 +4,7 @@
 
 #include "aaa/adequation.hpp"
 #include "aaa/durations.hpp"
+#include "aaa/schedule_analysis.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -243,7 +244,7 @@ TEST(Schedule, UtilizationAndResourceQueries) {
   const ArchitectureGraph arch = small_arch();
   const DurationTable t = simple_durations();
   const Schedule s = Adequation(g, arch, t).run();
-  EXPECT_EQ(s.on_resource("F1").size(), 3u);
+  EXPECT_EQ(ScheduleAnalysis(s, g, arch).timeline(s.symbols.find("F1")).size(), 3u);
   EXPECT_NEAR(s.utilization("F1"), 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(s.utilization("CPU"), 0.0);
   EXPECT_NE(s.to_string().find("makespan"), std::string::npos);

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -390,6 +391,40 @@ TEST(LintSchedule, Pdr040ResourceOverlap) {
   EXPECT_TRUE(check(s, {}).has(Rule::ResourceOverlap));
 }
 
+TEST(LintSchedule, Pdr040AndPdr046PairEveryItemNestedInALongOne) {
+  // B and C both lie inside A but not in each other; each pair with A is
+  // an overlap, and on the port each is a second load in flight.
+  const auto messages = [](const Report& report, Rule rule) {
+    std::vector<std::string> out;
+    for (const auto& d : report.diagnostics())
+      if (d.rule == rule) out.push_back(d.message);
+    return out;
+  };
+  aaa::Schedule s;
+  s.push_item(item(ItemKind::Compute, "A", "CPU", 0, 10));
+  s.push_item(item(ItemKind::Compute, "B", "CPU", 1, 2));
+  s.push_item(item(ItemKind::Compute, "C", "CPU", 3, 4));
+  const auto overlaps = messages(check(s, {}), Rule::ResourceOverlap);
+  ASSERT_EQ(overlaps.size(), 2u);
+  EXPECT_EQ(overlaps[0], "items 'A' [0..10 ns] and 'B' [1..2 ns] overlap on resource 'CPU'");
+  EXPECT_EQ(overlaps[1], "items 'A' [0..10 ns] and 'C' [3..4 ns] overlap on resource 'CPU'");
+
+  aaa::Schedule loads;
+  const std::tuple<const char*, const char*, TimeNs, TimeNs> nested[] = {
+      {"a", "D1", 0, 10}, {"b", "D2", 1, 2}, {"c", "D2", 3, 4}};
+  for (const auto& [module, region, start, end] : nested) {
+    ScheduledItem load = item(ItemKind::Reconfig, std::string("load ") + module, region, start, end);
+    load.module = module;
+    loads.push_item(load);
+  }
+  const Report report = check(loads, {});
+  EXPECT_FALSE(report.has(Rule::ResourceOverlap));
+  const auto port = messages(report, Rule::PortOverlap);
+  ASSERT_EQ(port.size(), 2u);
+  EXPECT_NE(port[0].find("'load a' [0..10 ns] and 'load b' [1..2 ns]"), std::string::npos);
+  EXPECT_NE(port[1].find("'load a' [0..10 ns] and 'load c' [3..4 ns]"), std::string::npos);
+}
+
 TEST(LintSchedule, Pdr041DependencyViolation) {
   aaa::AlgorithmGraph g;
   const auto a = g.add_sensor("a");
@@ -403,6 +438,42 @@ TEST(LintSchedule, Pdr041DependencyViolation) {
   s.push_item(ia);
   s.push_item(ib);
   EXPECT_TRUE(check(s, g).has(Rule::DependencyViolation));
+}
+
+TEST(LintSchedule, Pdr041TransferPayloadAndWindow) {
+  // The transfer serving a -> b carries 32 of the edge's 64 bytes and
+  // ends after b starts: two PDR041 findings, and validate_schedule
+  // throws on the first of them.
+  aaa::AlgorithmGraph g;
+  const auto a = g.add_sensor("a");
+  const auto b = g.add_actuator("b");
+  g.add_dependency(a, b, 64);
+  aaa::Schedule s;
+  ScheduledItem ia = item(ItemKind::Compute, "a", "CPU", 0, 100);
+  ia.op = a;
+  ScheduledItem ib = item(ItemKind::Compute, "b", "D1", 150, 250);
+  ib.op = b;
+  ScheduledItem hop = item(ItemKind::Transfer, "a->b", "BUS", 100, 200);
+  hop.src = "a";
+  hop.dst = "b";
+  hop.bytes = 32;
+  hop.edge = g.digraph().edge_ids().front();
+  for (const ScheduledItem& i : {ia, ib, hop}) s.push_item(i);
+  std::vector<std::string> messages;
+  const Report report = check(s, g);
+  for (const auto& d : report.diagnostics())
+    if (d.rule == Rule::DependencyViolation) messages.push_back(d.message);
+  ASSERT_EQ(messages.size(), 2u);
+  EXPECT_EQ(messages[0],
+            "transfer 'a->b' [100..200 ns] carries 32 bytes, but dependency 'a' -> 'b' carries 64");
+  EXPECT_EQ(messages[1],
+            "transfer 'a->b' [100..200 ns] is not between producer 'a' and consumer 'b'");
+  try {
+    aaa::validate_schedule(s, g, region_arch());
+    ADD_FAILURE() << "validate_schedule accepted a short transfer";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("carries the wrong payload"), std::string::npos);
+  }
 }
 
 TEST(LintSchedule, Pdr042WrongModuleLoaded) {

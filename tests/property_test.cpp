@@ -12,7 +12,9 @@
 #include "aaa/constraints.hpp"
 #include "aaa/durations.hpp"
 #include "fabric/bitstream.hpp"
+#include "lint/schedule_rules.hpp"
 #include "rtr/manager.hpp"
+#include "schedule_corpus.hpp"
 #include "synth/bitgen.hpp"
 #include "synth/flow.hpp"
 #include "util/error.hpp"
@@ -271,6 +273,34 @@ TEST_P(StrategyFuzzTest, LayeredDagsScheduleValidlyUnderEveryStrategy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyFuzzTest, ::testing::Range(0, 10));
+
+// --- validate_schedule and lint agree --------------------------------------------------
+
+// Over the schedule corpus (strategy-fuzz and differential-oracle graphs
+// under every strategy, plus seeded mutants), validate_schedule throws
+// exactly when lint without constraints reports an error: both are views
+// of the same schedule analysis.
+TEST(ScheduleCorpus, ValidateThrowsExactlyWhenLintReportsAnError) {
+  int threw = 0;
+  const std::vector<corpus::Case> cases = corpus::schedule_corpus();
+  for (const corpus::Case& c : cases) {
+    const corpus::Problem& p = *c.problem;
+    std::string error;
+    try {
+      aaa::validate_schedule(c.schedule, p.algorithm, p.architecture);
+    } catch (const Error& e) {
+      error = e.what();
+      ++threw;
+    }
+    const lint::Report report = lint::check_schedule(c.schedule, p.algorithm, p.architecture);
+    EXPECT_EQ(!error.empty(), report.errors() > 0)
+        << c.name << ": validate " << (error.empty() ? "passed" : error) << "\n"
+        << report.to_text();
+  }
+  // Both sides of the equivalence are exercised.
+  EXPECT_GT(threw, 0);
+  EXPECT_LT(threw, static_cast<int>(cases.size()));
+}
 
 // --- manager request-sequence fuzz --------------------------------------------------
 
