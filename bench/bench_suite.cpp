@@ -178,63 +178,75 @@ std::vector<BenchRecord> run_adequation_suite(const SuiteOptions& opts, bool& id
 std::vector<BenchRecord> run_explore_suite(const SuiteOptions& opts) {
   const int regions = 2;
   const int cpus = 2;
-  GeneratorConfig cfg;
-  cfg.shape = GraphShape::Layered;
-  cfg.n_ops = opts.smoke ? 100 : 200;
-  cfg.width = 10;
+  // The smoke point (100 ops, one strategy, D1 preloads) and, in the full
+  // tier, 200 ops over all strategies and both regions' preloads. The full
+  // tier repeats the smoke point, so the regression gate has a shared
+  // record to compare.
+  std::vector<bool> ladder = {false};
+  if (!opts.smoke) ladder.push_back(true);
 
-  aaa::Project project;
-  project.name = "bench-explore";
-  project.algorithm = bench::generate_graph(cfg);
-  project.architecture = bench::bench_architecture(regions, cpus);
-  project.durations = bench::bench_durations();
+  std::vector<BenchRecord> records;
+  for (const bool full : ladder) {
+    GeneratorConfig cfg;
+    cfg.shape = GraphShape::Layered;
+    cfg.n_ops = full ? 200 : 100;
+    cfg.width = 10;
 
-  // First conditioned vertices of the generated graph, in id order — the
-  // selection axis. (ExplorationSpace::from_project would put EVERY
-  // conditioned vertex on the axis and the cross product explodes; the
-  // bench pins the axis width so the point count is a config constant.)
-  std::vector<std::string> conditioned;
-  for (const graph::NodeId n : project.algorithm.digraph().node_ids()) {
-    if (project.algorithm.op(n).conditioned()) conditioned.push_back(project.algorithm.op(n).name);
-    if (conditioned.size() == 2) break;
+    aaa::Project project;
+    project.name = "bench-explore";
+    project.algorithm = bench::generate_graph(cfg);
+    project.architecture = bench::bench_architecture(regions, cpus);
+    project.durations = bench::bench_durations();
+
+    // First conditioned vertices of the generated graph, in id order — the
+    // selection axis. (ExplorationSpace::from_project would put EVERY
+    // conditioned vertex on the axis and the cross product explodes; the
+    // bench pins the axis width so the point count is a config constant.)
+    std::vector<std::string> conditioned;
+    for (const graph::NodeId n : project.algorithm.digraph().node_ids()) {
+      if (project.algorithm.op(n).conditioned())
+        conditioned.push_back(project.algorithm.op(n).name);
+      if (conditioned.size() == 2) break;
+    }
+    PDR_CHECK(conditioned.size() == 2, "bench_suite", "generated graph lacks conditioned vertices");
+
+    aaa::ExplorationSpace space;
+    space.strategies = full ? std::vector<aaa::MappingStrategy>{aaa::MappingStrategy::SynDExList,
+                                                                aaa::MappingStrategy::RoundRobin,
+                                                                aaa::MappingStrategy::FirstFeasible}
+                            : std::vector<aaa::MappingStrategy>{aaa::MappingStrategy::SynDExList};
+    space.prefetch = {true, false};
+    space.preloads = {{"D1", {"", "filt_a", "filt_b"}}};
+    if (full) space.preloads.push_back({"D2", {"", "filt_a", "filt_b"}});
+    space.selections = {{conditioned[0], {"filt_a", "filt_b"}},
+                        {conditioned[1], {"filt_a", "filt_b"}}};
+    const std::size_t points = space.point_count();
+
+    flow::ExplorerOptions explorer_opts;
+    explorer_opts.jobs = 1;  // serial: points/sec per core is the tracked figure
+    const flow::DesignSpaceExplorer explorer(project, space, explorer_opts);
+
+    std::size_t pareto = 0;
+    std::size_t failed = 0;
+    BenchRecord rec = bench::measure(
+        strprintf("explore/%s/points%zu", cfg.name().c_str(), points), kWarmupRuns,
+        default_repeats(opts), [&] {
+          const flow::ExplorationReport report = explorer.run();
+          pareto = report.pareto.size();
+          failed = report.failed_points();
+        });
+    push_generator_config(rec, cfg, regions, cpus);
+    rec.config.emplace_back("points", std::to_string(points));
+    rec.config.emplace_back("jobs", "1");
+    if (const auto mean = rec.wall_ms.opt_mean(); mean && *mean > 0)
+      rec.extra.emplace_back("points_per_sec", static_cast<double>(points) / (*mean / 1e3));
+    rec.extra.emplace_back("pareto_points", static_cast<double>(pareto));
+    rec.extra.emplace_back("failed_points", static_cast<double>(failed));
+    std::printf("  %-34s mean %.2f ms (%zu points)\n", rec.name.c_str(), rec.wall_ms.mean(),
+                points);
+    records.push_back(std::move(rec));
   }
-  PDR_CHECK(conditioned.size() == 2, "bench_suite", "generated graph lacks conditioned vertices");
-
-  aaa::ExplorationSpace space;
-  space.strategies = opts.smoke
-                         ? std::vector<aaa::MappingStrategy>{aaa::MappingStrategy::SynDExList}
-                         : std::vector<aaa::MappingStrategy>{aaa::MappingStrategy::SynDExList,
-                                                             aaa::MappingStrategy::RoundRobin,
-                                                             aaa::MappingStrategy::FirstFeasible};
-  space.prefetch = {true, false};
-  space.preloads = {{"D1", {"", "filt_a", "filt_b"}}};
-  if (!opts.smoke) space.preloads.push_back({"D2", {"", "filt_a", "filt_b"}});
-  space.selections = {{conditioned[0], {"filt_a", "filt_b"}},
-                      {conditioned[1], {"filt_a", "filt_b"}}};
-  const std::size_t points = space.point_count();
-
-  flow::ExplorerOptions explorer_opts;
-  explorer_opts.jobs = 1;  // serial: points/sec per core is the tracked figure
-  const flow::DesignSpaceExplorer explorer(project, space, explorer_opts);
-
-  std::size_t pareto = 0;
-  std::size_t failed = 0;
-  BenchRecord rec = bench::measure(
-      strprintf("explore/%s/points%zu", cfg.name().c_str(), points), kWarmupRuns,
-      default_repeats(opts), [&] {
-        const flow::ExplorationReport report = explorer.run();
-        pareto = report.pareto.size();
-        failed = report.failed_points();
-      });
-  push_generator_config(rec, cfg, regions, cpus);
-  rec.config.emplace_back("points", std::to_string(points));
-  rec.config.emplace_back("jobs", "1");
-  if (const auto mean = rec.wall_ms.opt_mean(); mean && *mean > 0)
-    rec.extra.emplace_back("points_per_sec", static_cast<double>(points) / (*mean / 1e3));
-  rec.extra.emplace_back("pareto_points", static_cast<double>(pareto));
-  rec.extra.emplace_back("failed_points", static_cast<double>(failed));
-  std::printf("  %-34s mean %.2f ms (%zu points)\n", rec.name.c_str(), rec.wall_ms.mean(), points);
-  return {std::move(rec)};
+  return records;
 }
 
 // --- suite: floorplan -----------------------------------------------------

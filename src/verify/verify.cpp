@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "aaa/macrocode.hpp"
-#include "aaa/schedule_analysis.hpp"
 #include "aaa/project_io.hpp"
+#include "aaa/schedule_analysis.hpp"
 #include "lint/lint.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
