@@ -31,19 +31,18 @@ void validate_schedule(const Schedule& schedule, const AlgorithmGraph& algorithm
   if (findings.empty()) return;
   const Finding& f = findings.front();
   const auto& g = algorithm.digraph();
-  const auto text = [&](std::size_t i) { return i == kNoItem ? std::string() : schedule.label(i); };
-  const std::string first = text(f.first);
-  const std::string item = text(f.item);
+  const std::string item = f.item == kNoItem ? "" : schedule.label(f.item);
   const char* producer = f.edge == graph::kNoEdge ? "" : g[g.edge_from(f.edge)].name.c_str();
   const char* consumer = f.edge == graph::kNoEdge ? "" : g[g.edge_to(f.edge)].name.c_str();
-  std::string message = "two reconfigurations overlap on the configuration port";
+  std::string message;
   switch (f.kind) {
     case FindingKind::NegativeDuration:
       message = strprintf("item '%s' ends before it starts", item.c_str());
       break;
     case FindingKind::Overlap:
-      message = strprintf("items '%s' and '%s' overlap on resource '%s'", first.c_str(),
-                          item.c_str(), std::string(schedule.resource(f.item)).c_str());
+      message = strprintf("items '%s' and '%s' overlap on resource '%s'",
+                          schedule.label(f.first).c_str(), item.c_str(),
+                          std::string(schedule.resource(f.item)).c_str());
       break;
     case FindingKind::Unscheduled: message = "an operation was never scheduled"; break;
     case FindingKind::Precedence:
@@ -68,7 +67,10 @@ void validate_schedule(const Schedule& schedule, const AlgorithmGraph& algorithm
                                 std::string(f.module).c_str());
       break;
     }
-    default: break;  // PortOverlap; the other kinds are not structural
+    case FindingKind::PortOverlap:
+      message = "two reconfigurations overlap on the configuration port";
+      break;
+    default: break;  // not structural
   }
   raise("validate_schedule", message);
 }

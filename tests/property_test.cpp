@@ -203,53 +203,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlatformFuzzTest, ::testing::Range(0, 15));
 class StrategyFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StrategyFuzzTest, LayeredDagsScheduleValidlyUnderEveryStrategy) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 211 + 17);
-
   // Random layered DAG: 3-6 layers, 2-5 ops per layer, fan-in 1-3, a
-  // conditioned vertex roughly every fourth op.
-  aaa::AlgorithmGraph g;
-  const int layers = 3 + static_cast<int>(rng.uniform_int(0, 3));
-  std::vector<std::vector<std::string>> names(static_cast<std::size_t>(layers));
-  int made = 0;
-  for (int l = 0; l < layers; ++l) {
-    const int width = 2 + static_cast<int>(rng.uniform_int(0, 3));
-    for (int i = 0; i < width; ++i, ++made) {
-      const std::string name = "n" + std::to_string(made);
-      if (l == 0)
-        g.add_operation({name, "src", {}, aaa::OpClass::Sensor, {}});
-      else if (made % 4 == 3)
-        g.add_conditioned(name, {{"va", "alt_a", {}}, {"vb", "alt_b", {}}});
-      else
-        g.add_compute(name, "work");
-      names[static_cast<std::size_t>(l)].push_back(name);
-      if (l > 0) {
-        const auto& prev = names[static_cast<std::size_t>(l - 1)];
-        const int fan_in = 1 + static_cast<int>(rng.uniform_int(0, 2));
-        for (int e = 0; e < fan_in; ++e)
-          g.add_dependency(
-              prev[static_cast<std::size_t>(
-                  rng.uniform_int(0, static_cast<std::int64_t>(prev.size()) - 1))],
-              name, static_cast<Bytes>(rng.uniform_int(16, 512)));
-      }
-    }
-  }
-
-  aaa::ArchitectureGraph arch;
-  arch.add_operator(aaa::OperatorNode{"CPU", aaa::OperatorKind::Processor, 1.0, "", ""});
-  arch.add_operator(aaa::OperatorNode{"F1", aaa::OperatorKind::FpgaStatic, 1.0, "XC2V2000", ""});
-  arch.add_operator(aaa::OperatorNode{"D1", aaa::OperatorKind::FpgaRegion, 1.0, "XC2V2000", "D1"});
-  arch.add_medium(aaa::MediumNode{"BUS", rng.uniform(50e6, 400e6), 100});
-  for (aaa::NodeId op : arch.operators()) arch.connect(op, arch.by_name("BUS"));
-
-  aaa::DurationTable durations;
-  for (const char* kind : {"src", "work", "alt_a", "alt_b"}) {
-    durations.set(kind, aaa::OperatorKind::Processor,
-                  static_cast<TimeNs>(rng.uniform_int(5'000, 50'000)));
-    durations.set(kind, aaa::OperatorKind::FpgaStatic,
-                  static_cast<TimeNs>(rng.uniform_int(1'000, 10'000)));
-    durations.set(kind, aaa::OperatorKind::FpgaRegion,
-                  static_cast<TimeNs>(rng.uniform_int(1'000, 10'000)));
-  }
+  // conditioned vertex roughly every fourth op (schedule_corpus.hpp).
+  const auto problem = corpus::fuzz_problem(GetParam());
+  const aaa::AlgorithmGraph& g = problem->algorithm;
+  const aaa::ArchitectureGraph& arch = problem->architecture;
+  const aaa::DurationTable& durations = problem->durations;
 
   aaa::Adequation adequation(g, arch, durations);
   adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 500_us; });

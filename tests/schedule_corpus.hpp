@@ -2,10 +2,10 @@
 // shared by the schedule-findings golden and the validate/lint property.
 //
 // Sources, each scheduled under all three mapping strategies:
-//  - the generator configurations of verify_test's differential oracle
-//    (54 seeds over bench::bench_architecture(2, 2));
-//  - property_test's strategy-fuzz layered DAGs (10 seeds, one CPU, one
-//    static FPGA and one dynamic region on a bus).
+//  - the differential oracle's generator configurations (54 seeds over
+//    bench::bench_architecture(2, 2)), which verify_test also replays;
+//  - the strategy-fuzz layered DAGs (10 seeds, one CPU, one static FPGA
+//    and one dynamic region on a bus), which property_test also runs.
 // Mutants of each schedule: one item shifted in time, two items' resources
 // swapped, one item dropped, one load's module changed, one load pulled
 // back onto the previous load's port time, every load dropped. A mutant
@@ -63,7 +63,7 @@ inline aaa::ConstraintSet declare(const std::vector<std::pair<std::string, std::
   return c;
 }
 
-/// verify_test's DifferentialOracle configuration for one seed.
+/// The differential oracle's configuration for one seed.
 inline std::shared_ptr<Problem> oracle_problem(std::uint64_t seed) {
   using namespace pdr::literals;
   const bench::GraphShape shapes[] = {bench::GraphShape::Layered, bench::GraphShape::Random,
@@ -85,7 +85,7 @@ inline std::shared_ptr<Problem> oracle_problem(std::uint64_t seed) {
   return p;
 }
 
-/// property_test's StrategyFuzzTest graph for one seed.
+/// The strategy-fuzz problem for one seed.
 inline std::shared_ptr<Problem> fuzz_problem(int seed) {
   Rng rng(static_cast<std::uint64_t>(seed) * 211 + 17);
   auto p = std::make_shared<Problem>();

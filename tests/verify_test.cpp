@@ -24,6 +24,7 @@
 #include "rtr/bitstream_store.hpp"
 #include "rtr/manager.hpp"
 #include "rtr/prefetch.hpp"
+#include "schedule_corpus.hpp"
 #include "sim/executive_player.hpp"
 #include "synth/flow.hpp"
 #include "util/error.hpp"
@@ -470,33 +471,22 @@ TEST(MutationCorpus, ViolationsFlowThroughLintReport) {
 // --- differential oracle ------------------------------------------------------
 
 TEST(DifferentialOracle, FuzzedCertifiedSchedulesReplayWithZeroHazards) {
-  const aaa::ArchitectureGraph arch = bench::bench_architecture(2, 2);
-  const aaa::DurationTable durations = bench::bench_durations();
-  const bench::GraphShape shapes[] = {bench::GraphShape::Layered, bench::GraphShape::Random,
-                                      bench::GraphShape::Streaming};
   int verified = 0;
   for (std::uint64_t seed = 1; seed <= 54; ++seed) {
-    bench::GeneratorConfig cfg;
-    cfg.shape = shapes[seed % 3];
-    cfg.n_ops = 40 + static_cast<int>(seed % 5) * 10;
-    cfg.width = 6;
-    cfg.fanout = 3;
-    cfg.conditioned_every = 3;
-    cfg.seed = seed;
-    const aaa::AlgorithmGraph g = bench::generate_graph(cfg);
-
-    aaa::Adequation adequation(g, arch, durations);
+    // Generated DAGs over bench_architecture(2, 2), prefetch on even
+    // seeds, D1 preloaded every fourth (schedule_corpus.hpp).
+    const auto problem = corpus::oracle_problem(seed);
+    const aaa::AlgorithmGraph& g = problem->algorithm;
+    const aaa::ArchitectureGraph& arch = problem->architecture;
+    const aaa::AdequationOptions& options = problem->options;
+    aaa::Adequation adequation(g, arch, problem->durations);
     adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 100_us; });
-    aaa::AdequationOptions options;
-    options.prefetch = seed % 2 == 0;
-    if (seed % 4 == 0) options.preloaded["D1"] = "filt_a";
     const aaa::Schedule schedule = adequation.run(options);
 
     verify::VerifyOptions vo;
     vo.preloaded = options.preloaded;
     const Certificate cert = verify::verify_schedule(schedule, g, arch, vo);
-    ASSERT_TRUE(cert.certified())
-        << cfg.name() << " seed " << seed << ": " << cert.first_error();
+    ASSERT_TRUE(cert.certified()) << "seed " << seed << ": " << cert.first_error();
 
     const aaa::Executive executive = aaa::generate_executive(schedule, g, arch);
     sim::ExecutivePlayer player(executive, arch);
@@ -504,8 +494,7 @@ TEST(DifferentialOracle, FuzzedCertifiedSchedulesReplayWithZeroHazards) {
     player.set_initial_residency(options.preloaded);
     const sim::PlayResult result = player.run(2);
     EXPECT_EQ(result.hazard_faults, 0)
-        << cfg.name() << " seed " << seed << ": "
-        << (result.hazards.empty() ? "" : result.hazards.front());
+        << "seed " << seed << ": " << (result.hazards.empty() ? "" : result.hazards.front());
     ++verified;
   }
   EXPECT_EQ(verified, 54);
