@@ -1,6 +1,7 @@
 #include "aaa/schedule_analysis.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "util/strings.hpp"
@@ -49,8 +50,15 @@ ScheduleAnalysis::ScheduleAnalysis(const Schedule& schedule, const AlgorithmGrap
       (s_.edge(i) < edge_cap ? transfers_ : untagged_).push_back(i);
     if (s_.kind(i) == ItemKind::Reconfig) reconfigs_.push_back(i);
   }
-  std::stable_sort(transfers_.begin(), transfers_.end(),
-                   [&](std::size_t a, std::size_t b) { return s_.edge(a) < s_.edge(b); });
+  // Counting sort of the tagged transfers by edge; rows stay in order
+  // within an edge.
+  edge_offset_.assign(edge_cap + 1, 0);
+  for (const std::size_t i : transfers_) ++edge_offset_[s_.edge(i) + 1];
+  std::partial_sum(edge_offset_.begin(), edge_offset_.end(), edge_offset_.begin());
+  std::vector<std::size_t> next(edge_offset_.begin(), edge_offset_.end() - 1);
+  std::vector<std::size_t> by_edge(transfers_.size());
+  for (const std::size_t i : transfers_) by_edge[next[s_.edge(i)]++] = i;
+  transfers_ = std::move(by_edge);
   for (util::SymbolId r = 0; r < timelines_.size(); ++r) {
     if (timelines_[r].empty()) continue;
     resources_.push_back(r);
@@ -76,11 +84,8 @@ std::string ScheduleAnalysis::span(std::size_t item) const {
 }
 
 std::span<const std::size_t> ScheduleAnalysis::tagged_chain(graph::EdgeId e) const {
-  const auto lo = std::partition_point(transfers_.begin(), transfers_.end(),
-                                       [&](std::size_t i) { return s_.edge(i) < e; });
-  const auto hi =
-      std::partition_point(lo, transfers_.end(), [&](std::size_t i) { return s_.edge(i) == e; });
-  return std::span<const std::size_t>(lo, hi);
+  return std::span<const std::size_t>(transfers_)
+      .subspan(edge_offset_[e], edge_offset_[e + 1] - edge_offset_[e]);
 }
 
 void ScheduleAnalysis::overlaps(std::vector<Finding>& out) const {

@@ -127,10 +127,11 @@ class ScheduleAnalysis {
   std::vector<std::vector<std::size_t>> timelines_;  ///< by resource SymbolId
   std::vector<util::SymbolId> resources_;
   std::vector<std::size_t> reconfigs_;
-  std::vector<std::size_t> compute_of_;  ///< by algorithm NodeId
-  std::vector<std::size_t> transfers_;   ///< tagged transfer rows, by edge then row
-  std::vector<std::size_t> untagged_;    ///< transfer rows with no usable edge id
-  std::vector<std::uint8_t> flags_;      ///< by resource SymbolId: 1 operator, 2 region
+  std::vector<std::size_t> compute_of_;   ///< by algorithm NodeId
+  std::vector<std::size_t> transfers_;    ///< tagged transfer rows, by edge then row
+  std::vector<std::size_t> edge_offset_;  ///< by EdgeId: its rows in transfers_
+  std::vector<std::size_t> untagged_;     ///< transfer rows with no usable edge id
+  std::vector<std::uint8_t> flags_;       ///< by resource SymbolId: 1 operator, 2 region
 };
 
 }  // namespace pdr::aaa
