@@ -233,19 +233,14 @@ std::string_view ScheduleAnalysis::preload(const std::map<std::string, std::stri
 std::vector<Residency> ScheduleAnalysis::residencies(
     std::string_view resource, const std::map<std::string, std::string>& preloaded) const {
   std::vector<Residency> out;
-  Residency open{preload(preloaded, resource), 0, 0, kNoItem};
+  if (const std::string_view module = preload(preloaded, resource); !module.empty())
+    out.push_back(Residency{module, 0, 0});
   for (const std::size_t i : timeline(s_.symbols.find(resource))) {
     if (s_.kind(i) != ItemKind::Reconfig) continue;
-    if (!open.module.empty() || open.load != kNoItem) {
-      open.to = s_.start(i);
-      out.push_back(open);
-    }
-    open = Residency{s_.module_name(i), s_.end(i), 0, i};
+    if (!out.empty()) out.back().to = s_.start(i);
+    out.push_back(Residency{s_.module_name(i), s_.end(i), 0});
   }
-  if (!open.module.empty() || open.load != kNoItem) {
-    open.to = std::max(s_.makespan, open.from);
-    out.push_back(open);
-  }
+  if (!out.empty()) out.back().to = std::max(s_.makespan, out.back().from);
   return out;
 }
 

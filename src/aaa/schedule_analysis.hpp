@@ -65,7 +65,6 @@ struct Residency {
   std::string_view module;
   TimeNs from = 0;
   TimeNs to = 0;
-  std::size_t load = kNoItem;  ///< kNoItem for a preload
 };
 
 class ScheduleAnalysis {
