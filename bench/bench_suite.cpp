@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "aaa/adequation.hpp"
+#include "aaa/codegen_m4.hpp"
 #include "aaa/explorer.hpp"
 #include "aaa/project_io.hpp"
 #include "bench/generators.hpp"
@@ -336,6 +337,42 @@ std::vector<BenchRecord> run_flow_suite(const SuiteOptions& opts) {
     rec.config.emplace_back("store", "warm");
     std::printf("  %-34s mean %.2f ms\n", rec.name.c_str(), rec.wall_ms.mean());
     records.push_back(std::move(rec));
+  }
+
+  // Codegen: the executive, one m4 file per program and the CSV export
+  // of a layered schedule, as the back half of `pdrflow build` emits
+  // them. The schedule is built once, outside the timed region.
+  {
+    std::vector<int> sizes = {10'000};
+    if (!opts.smoke) sizes.push_back(120'000);
+    const int regions = 4;
+    const int cpus = 2;
+    const aaa::ArchitectureGraph arch = bench::bench_architecture(regions, cpus);
+    for (const int n : sizes) {
+      GeneratorConfig cfg;
+      cfg.shape = GraphShape::Layered;
+      cfg.n_ops = n;
+      cfg.width = 20;
+      const aaa::AlgorithmGraph g = bench::generate_graph(cfg);
+      const aaa::Schedule schedule =
+          aaa::Adequation(g, arch, bench::bench_durations()).run();
+      std::size_t bytes = 0;
+      BenchRecord rec = bench::measure(
+          strprintf("flow/codegen/layered/%d", n), kWarmupRuns, default_repeats(opts), [&] {
+            const aaa::Executive exec = aaa::generate_executive(schedule, g, arch);
+            bytes = 0;
+            for (const auto& program : exec.programs)
+              bytes += aaa::generate_m4_macrocode(program, arch).size();
+            bytes += schedule.to_csv().size();
+          });
+      push_generator_config(rec, cfg, regions, cpus);
+      if (const auto mean = rec.wall_ms.opt_mean(); mean && *mean > 0)
+        rec.extra.emplace_back("ops_per_sec", n / (*mean / 1e3));
+      rec.extra.emplace_back("schedule_items", static_cast<double>(schedule.size()));
+      rec.extra.emplace_back("bytes_written", static_cast<double>(bytes));
+      std::printf("  %-34s mean %.2f ms\n", rec.name.c_str(), rec.wall_ms.mean());
+      records.push_back(std::move(rec));
+    }
   }
 
   // Fault campaigns: seeded end-to-end runs on the case-study bundle.

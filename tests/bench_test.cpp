@@ -4,7 +4,9 @@
 // emitter reports warm-up separately and never serializes statistics it
 // does not have.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -177,6 +179,22 @@ TEST(BenchReport, MeasureReportsWarmupSeparately) {
   EXPECT_EQ(rec.warmup_runs, 2);
   EXPECT_GE(rec.warmup_ms, 0.0);
   EXPECT_EQ(rec.wall_ms.count(), 3u);  // warm-up never enters the samples
+}
+
+TEST(BenchReport, GitShaComesFromTheSourceTree) {
+  char cwd[4096] = {};
+  ASSERT_NE(::getcwd(cwd, sizeof(cwd)), nullptr);
+  ASSERT_EQ(::chdir(PDR_SOURCE_DIR), 0);
+  const std::string in_tree = bench::git_sha();
+  char tmp_template[] = "/tmp/pdr_git_sha_XXXXXX";
+  const char* tmp = ::mkdtemp(tmp_template);
+  std::string elsewhere = "(no temp dir)";
+  if (tmp != nullptr && ::chdir(tmp) == 0) elsewhere = bench::git_sha();
+  ASSERT_EQ(::chdir(cwd), 0);
+  if (tmp != nullptr) ::rmdir(tmp);
+  if (in_tree == "unknown") GTEST_SKIP() << PDR_SOURCE_DIR << " is not a git checkout";
+  EXPECT_EQ(in_tree.size(), 12u);
+  EXPECT_EQ(elsewhere, in_tree);
 }
 
 TEST(BenchReport, JsonGatesStatisticsOnSampleCount) {
