@@ -2,6 +2,7 @@
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/text_writer.hpp"
 
 namespace pdr::aaa {
 
@@ -18,16 +19,19 @@ std::string generate_c_executive(const MacroProgram& program, const OperatorNode
   out += "#include <stdint.h>\n\n";
   out += "extern void medium_send(const char* medium, const void* buf, uint32_t bytes);\n";
   out += "extern void medium_recv(const char* medium, void* buf, uint32_t bytes);\n";
+  TextWriter w(out);
   for (const auto& instr : program.body)
-    if (instr.op == MacroOp::Compute)
-      out += "extern void op_" + identifier(instr.what) + "(void);\n";
+    if (instr.op == MacroOp::Compute) {
+      w << "extern void op_";
+      w.identifier(instr.what) << "(void);\n";
+    }
   out += "\n";
 
   // Buffers.
   for (const auto& instr : program.body) {
-    if (instr.op == MacroOp::Recv || instr.op == MacroOp::Send)
-      out += strprintf("static uint8_t %s[%llu];\n", identifier(instr.what).c_str(),
-                       static_cast<unsigned long long>(instr.bytes ? instr.bytes : 1));
+    if (instr.op != MacroOp::Recv && instr.op != MacroOp::Send) continue;
+    w << "static uint8_t ";
+    w.identifier(instr.what) << '[' << (instr.bytes ? instr.bytes : 1) << "];\n";
   }
   out += "\n";
 
@@ -51,20 +55,17 @@ std::string generate_c_executive(const MacroProgram& program, const OperatorNode
   for (const auto& instr : program.body) {
     switch (instr.op) {
       case MacroOp::Recv:
-        out += strprintf("    medium_recv(\"%s\", %s, %llu);\n", instr.with.c_str(),
-                         identifier(instr.what).c_str(),
-                         static_cast<unsigned long long>(instr.bytes));
-        break;
       case MacroOp::Send:
-        out += strprintf("    medium_send(\"%s\", %s, %llu);\n", instr.with.c_str(),
-                         identifier(instr.what).c_str(),
-                         static_cast<unsigned long long>(instr.bytes));
+        w << (instr.op == MacroOp::Recv ? "    medium_recv(\"" : "    medium_send(\"")
+          << instr.with << "\", ";
+        w.identifier(instr.what) << ", " << instr.bytes << ");\n";
         break;
       case MacroOp::Compute:
-        out += "    op_" + identifier(instr.what) + "();\n";
+        w << "    op_";
+        w.identifier(instr.what) << "();\n";
         break;
       case MacroOp::Reconfig:
-        out += "    /* request reconfiguration to module " + instr.what + " */\n";
+        w << "    /* request reconfiguration to module " << instr.what << " */\n";
         break;
       case MacroOp::Move:
         break;

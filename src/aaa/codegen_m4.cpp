@@ -2,6 +2,7 @@
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/text_writer.hpp"
 
 namespace pdr::aaa {
 namespace {
@@ -29,28 +30,30 @@ std::string generate_m4_macrocode(const MacroProgram& program,
     out += "processor_(" + id + ", " + vertex_kind(architecture, program.resource) + ")dnl\n";
   }
   out += "main_\n  loop_\n";
+  TextWriter w(out);
   for (const auto& instr : program.body) {
     switch (instr.op) {
       case MacroOp::Recv:
-        out += strprintf("    recv_(%s, %s, %llu)\n", identifier(instr.what).c_str(),
-                         identifier(instr.with).c_str(),
-                         static_cast<unsigned long long>(instr.bytes));
+        w << "    recv_(";
+        w.identifier(instr.what) << ", ";
+        w.identifier(instr.with) << ", " << instr.bytes << ")\n";
         break;
       case MacroOp::Send:
-        out += strprintf("    send_(%s, %s, %llu)\n", identifier(instr.what).c_str(),
-                         identifier(instr.with).c_str(),
-                         static_cast<unsigned long long>(instr.bytes));
+        w << "    send_(";
+        w.identifier(instr.what) << ", ";
+        w.identifier(instr.with) << ", " << instr.bytes << ")\n";
         break;
       case MacroOp::Compute:
-        out += strprintf("    compute_(%s, %lld)\n", identifier(instr.what).c_str(),
-                         static_cast<long long>(instr.duration));
+        w << "    compute_(";
+        w.identifier(instr.what) << ", " << instr.duration << ")\n";
         break;
       case MacroOp::Reconfig:
-        out += strprintf("    reconf_(%s)\n", identifier(instr.what).c_str());
+        w << "    reconf_(";
+        w.identifier(instr.what) << ")\n";
         break;
       case MacroOp::Move:
-        out += strprintf("    move_(%s, %llu)\n", identifier(instr.what).c_str(),
-                         static_cast<unsigned long long>(instr.bytes));
+        w << "    move_(";
+        w.identifier(instr.what) << ", " << instr.bytes << ")\n";
         break;
     }
   }

@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/text_writer.hpp"
 
 namespace pdr::aaa {
 namespace {
@@ -95,27 +96,23 @@ std::string generate_vhdl_entity(const MacroProgram& program, const OperatorNode
   out += "      else\n        case comm_step is\n";
   int step = 0;
   const int total_steps = comm_steps > 0 ? comm_steps : 1;
+  TextWriter w(out);
   for (const auto& instr : program.body) {
-    if (instr.op == MacroOp::Recv) {
-      const std::string buf = identifier(instr.what);
-      out += strprintf("          when %d =>  -- recv %s (%llu B)\n", step, instr.what.c_str(),
-                       static_cast<unsigned long long>(instr.bytes));
-      out += "            if " + buf + "_in.req = '1' then\n";
-      out += strprintf("              comm_step <= %d;\n", (step + 1) % total_steps);
-      out += "            end if;\n";
-      ++step;
+    if (instr.op != MacroOp::Recv && instr.op != MacroOp::Send) continue;
+    const bool recv = instr.op == MacroOp::Recv;
+    w << "          when " << step << " =>  -- " << (recv ? "recv " : "send ") << instr.what
+      << " (" << instr.bytes << " B)\n";
+    const std::string buf = identifier(instr.what);
+    if (recv) {
+      w << "            if " << buf << "_in.req = '1' then\n";
+    } else {
+      w << "            " << buf << "_out.req <= '1';\n"
+        << "            if " << buf << "_out.ack = '1' then\n"
+        << "              " << buf << "_out.req <= '0';\n";
     }
-    if (instr.op == MacroOp::Send) {
-      const std::string buf = identifier(instr.what);
-      out += strprintf("          when %d =>  -- send %s (%llu B)\n", step, instr.what.c_str(),
-                       static_cast<unsigned long long>(instr.bytes));
-      out += "            " + buf + "_out.req <= '1';\n";
-      out += "            if " + buf + "_out.ack = '1' then\n";
-      out += "              " + buf + "_out.req <= '0';\n";
-      out += strprintf("              comm_step <= %d;\n", (step + 1) % total_steps);
-      out += "            end if;\n";
-      ++step;
-    }
+    w << "              comm_step <= " << (step + 1) % total_steps << ";\n"
+      << "            end if;\n";
+    ++step;
   }
   out += "          when others => comm_step <= 0;\n";
   out += "        end case;\n      end if;\n    end if;\n  end process comm_sequencer;\n\n";
@@ -132,13 +129,12 @@ std::string generate_vhdl_entity(const MacroProgram& program, const OperatorNode
   out += "      else\n        case compute_step is\n";
   for (std::size_t i = 0; i < computes.size(); ++i) {
     const std::string op_id = identifier(computes[i]->what);
-    out += strprintf("          when %d =>\n", static_cast<int>(i));
-    out += "            start_" + op_id + " <= '1';\n";
-    out += "            if done_" + op_id + " = '1' then\n";
-    out += "              start_" + op_id + " <= '0';\n";
-    out += strprintf("              compute_step <= %d;\n",
-                     static_cast<int>((i + 1) % (computes.empty() ? 1 : computes.size())));
-    out += "            end if;\n";
+    w << "          when " << i << " =>\n"
+      << "            start_" << op_id << " <= '1';\n"
+      << "            if done_" << op_id << " = '1' then\n"
+      << "              start_" << op_id << " <= '0';\n"
+      << "              compute_step <= " << (i + 1) % computes.size() << ";\n"
+      << "            end if;\n";
   }
   out += "          when others => compute_step <= 0;\n";
   out += "        end case;\n      end if;\n    end if;\n  end process compute_sequencer;\n\n";

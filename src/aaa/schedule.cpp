@@ -7,6 +7,7 @@
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/text_writer.hpp"
 
 namespace pdr::aaa {
 
@@ -51,23 +52,10 @@ std::string_view Schedule::name(util::SymbolId sym) const {
 }
 
 std::string Schedule::label(std::size_t i) const {
-  const util::SymbolId sym = label_[i];
-  if (sym != util::kNoSymbol) return std::string(symbols.name(sym));
-  switch (kind_[i]) {
-    case ItemKind::Transfer: {
-      std::string out(name(src_[i]));
-      out += "->";
-      out += name(dst_[i]);
-      return out;
-    }
-    case ItemKind::Reconfig: {
-      std::string out("load ");
-      out += name(module_[i]);
-      return out;
-    }
-    case ItemKind::Compute: break;
-  }
-  return {};
+  std::string out;
+  TextWriter w(out);
+  append_label(w, i);
+  return out;
 }
 
 std::string_view Schedule::placement_name(graph::NodeId n) const {
@@ -362,24 +350,44 @@ TimeNs Schedule::period_lower_bound() const {
   return bound;
 }
 
+void Schedule::append_label(TextWriter& w, std::size_t i) const {
+  const util::SymbolId sym = label_[i];
+  if (sym != util::kNoSymbol) {
+    w << symbols.name(sym);
+    return;
+  }
+  switch (kind_[i]) {
+    case ItemKind::Transfer: w << name(src_[i]) << "->" << name(dst_[i]); return;
+    case ItemKind::Reconfig: w << "load " << name(module_[i]); return;
+    case ItemKind::Compute: return;
+  }
+}
+
 std::string Schedule::to_string() const {
   std::string out = strprintf("schedule: makespan %.3f us, %d reconfigs (%.3f us exposed)\n",
                               to_us(makespan), reconfig_count, to_us(reconfig_exposed));
+  TextWriter w(out);
   for (std::size_t i = 0; i < size(); ++i) {
-    out += strprintf("  %9.3f..%9.3f us  %-8s %-10s %s\n", to_us(start_[i]), to_us(end_[i]),
-                     item_kind_name(kind_[i]), std::string(resource(i)).c_str(),
-                     label(i).c_str());
+    w << "  ";
+    w.fixed(to_us(start_[i]), 3, 9) << "..";
+    w.fixed(to_us(end_[i]), 3, 9) << " us  ";
+    w.left(item_kind_name(kind_[i]), 8) << ' ';
+    w.left(resource(i), 10) << ' ';
+    append_label(w, i);
+    w << '\n';
   }
   return out;
 }
 
 std::string Schedule::to_csv() const {
   std::string out = "kind,label,resource,start_ns,end_ns,variant,module\n";
-  for (std::size_t i = 0; i < size(); ++i)
-    out += strprintf("%s,%s,%s,%lld,%lld,%s,%s\n", item_kind_name(kind_[i]), label(i).c_str(),
-                     std::string(resource(i)).c_str(), static_cast<long long>(start_[i]),
-                     static_cast<long long>(end_[i]), std::string(variant(i)).c_str(),
-                     std::string(module_name(i)).c_str());
+  TextWriter w(out);
+  for (std::size_t i = 0; i < size(); ++i) {
+    w << item_kind_name(kind_[i]) << ',';
+    append_label(w, i);
+    w << ',' << resource(i) << ',' << start_[i] << ',' << end_[i] << ',' << variant(i) << ','
+      << module_name(i) << '\n';
+  }
   return out;
 }
 

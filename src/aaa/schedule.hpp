@@ -41,6 +41,10 @@
 #include "util/interner.hpp"
 #include "util/units.hpp"
 
+namespace pdr {
+class TextWriter;
+}
+
 namespace pdr::aaa {
 
 enum class ItemKind : std::uint8_t { Compute, Transfer, Reconfig };
@@ -228,6 +232,8 @@ class Schedule {
   std::vector<util::SymbolId> module_;
   std::vector<TimeNs> exposed_stall_;
 
+  /// Appends label(i) without building a string.
+  void append_label(TextWriter& w, std::size_t i) const;
   std::size_t push_row(ItemKind k, util::SymbolId resource_sym, TimeNs tstart, TimeNs tend);
   template <typename Pred>
   void erase_rows(Pred&& keep);

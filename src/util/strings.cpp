@@ -4,6 +4,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "util/text_writer.hpp"
+
 namespace pdr {
 
 std::string_view trim(std::string_view s) {
@@ -82,12 +84,7 @@ std::string human_bytes(std::uint64_t bytes) {
 
 std::string identifier(std::string_view name) {
   std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-    out += ok ? c : '_';
-  }
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out.front()))) out.insert(out.begin(), 'x');
+  append_identifier(out, name);
   return out;
 }
 

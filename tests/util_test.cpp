@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/arg_parser.hpp"
 #include "util/error.hpp"
@@ -9,6 +11,7 @@
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+#include "util/text_writer.hpp"
 #include "util/units.hpp"
 
 namespace pdr {
@@ -177,6 +180,49 @@ TEST(Strings, IdentifierSanitizes) {
   EXPECT_EQ(identifier("a-b c"), "a_b_c");
   EXPECT_EQ(identifier("2fast"), "x2fast");
   EXPECT_EQ(identifier(""), "x");
+}
+
+// TextWriter replaces strprintf in the per-item writers, so each field
+// must print as the printf conversion it replaces, byte for byte.
+TEST(TextWriter, FieldsMatchPrintf) {
+  std::string out;
+  TextWriter w(out);
+  w << "a" << std::string_view("b") << 'c' << 42 << -7LL << 18446744073709551615ULL
+    << static_cast<std::int64_t>(-9223372036854775807LL - 1);
+  EXPECT_EQ(out, strprintf("abc42-7%llu%lld", 18446744073709551615ULL,
+                           -9223372036854775807LL - 1));
+  out.clear();
+  w.left("ab", 5) << '|';
+  w.left("abcdef", 3) << '|';
+  w.left("", 2) << '|';
+  EXPECT_EQ(out, strprintf("%-5s|%-3s|%-2s|", "ab", "abcdef", ""));
+}
+
+TEST(TextWriter, FixedMatchesPrintfRounding) {
+  Rng rng(5);
+  std::vector<double> values = {0.0, -0.0, 0.0005, 0.0015, 0.0025, 1.0005, 2.5, 3.5, -2.5,
+                                1e-7, 123456.7895, 9.9995, 1e15, -1e300, 1.7976931348623157e308};
+  for (int i = 0; i < 4000; ++i) {
+    values.push_back(to_us(static_cast<TimeNs>(rng.uniform_int(0, 4'000'000'000'000LL))));
+    values.push_back(rng.uniform(-1e6, 1e6));
+  }
+  for (const double v : values)
+    for (const int precision : {0, 1, 3, 6})
+      for (const int width : {0, 9}) {
+        std::string out;
+        TextWriter(out).fixed(v, precision, static_cast<std::size_t>(width));
+        ASSERT_EQ(out, strprintf("%*.*f", width, precision, v)) << v;
+      }
+}
+
+TEST(TextWriter, IdentifierMatchesTheSanitizer) {
+  for (const char* name : {"a-b c", "2fast", "", "ok_Name9", "D.1", "-", "\xc3\xa9t\xc3\xa9"}) {
+    std::string out = "pre:";
+    append_identifier(out, name);
+    EXPECT_EQ(out, "pre:" + identifier(name)) << name;
+  }
+  EXPECT_EQ(identifier("\xc3\xa9"), "__");
+  EXPECT_EQ(identifier("9"), "x9");
 }
 
 // --- table ---------------------------------------------------------------------
