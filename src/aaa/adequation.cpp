@@ -26,9 +26,15 @@ const char* mapping_strategy_name(MappingStrategy strategy) {
 
 void validate_schedule(const Schedule& schedule, const AlgorithmGraph& algorithm,
                        const ArchitectureGraph& architecture) {
-  const std::vector<Finding> findings =
-      ScheduleAnalysis(schedule, algorithm, architecture).structural();
+  validate_schedule(ScheduleAnalysis(schedule, algorithm, architecture));
+}
+
+void validate_schedule(const ScheduleAnalysis& analysis) {
+  const std::vector<Finding> findings = analysis.structural();
   if (findings.empty()) return;
+  const Schedule& schedule = analysis.schedule();
+  const AlgorithmGraph& algorithm = analysis.algorithm();
+  const ArchitectureGraph& architecture = analysis.architecture();
   const Finding& f = findings.front();
   const auto& g = algorithm.digraph();
   const std::string item = f.item == kNoItem ? "" : schedule.label(f.item);

@@ -37,6 +37,8 @@
 
 namespace pdr::aaa {
 
+class ScheduleAnalysis;
+
 /// Checks schedule invariants; throws pdr::Error on the first violation:
 ///  - no two items overlap on the same resource,
 ///  - every data dependency's consumer starts after its producer ends
@@ -46,6 +48,8 @@ namespace pdr::aaa {
 ///  - reconfigurations on the same configuration port do not overlap.
 void validate_schedule(const Schedule& schedule, const AlgorithmGraph& algorithm,
                        const ArchitectureGraph& architecture);
+/// The same checks over an analysis already built for the schedule.
+void validate_schedule(const ScheduleAnalysis& analysis);
 
 /// Mapping strategy: the SynDEx-style heuristic, or deliberately naive
 /// baselines used to quantify how much the heuristic buys.

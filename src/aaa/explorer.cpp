@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "aaa/schedule_analysis.hpp"
 #include "util/strings.hpp"
 
 namespace pdr::aaa {
@@ -147,15 +148,16 @@ ExplorationOutcome run_design_point(const Project& project, const DesignPoint& p
       adequation.set_reconfig_cost(reconfig_cost);
     }
     const Schedule schedule = adequation.run(point.to_options());
+    const ScheduleAnalysis analysis(schedule, project.algorithm, project.architecture);
     if (verifier) {
-      std::string rejection = verifier(schedule, point);
+      std::string rejection = verifier(analysis, point);
       if (!rejection.empty()) {
         outcome.rejected = true;
         outcome.error = std::move(rejection);
         return outcome;
       }
     }
-    validate_schedule(schedule, project.algorithm, project.architecture);
+    validate_schedule(analysis);
     outcome.makespan = schedule.makespan;
     outcome.reconfig_exposed = schedule.reconfig_exposed;
     outcome.reconfig_count = schedule.reconfig_count;

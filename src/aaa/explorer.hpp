@@ -102,8 +102,9 @@ struct ExplorationOutcome {
 /// a rejection message to mark the point `rejected`. The production
 /// oracle is pdr::verify's interval analyzer, injected one layer up by
 /// flow::DesignSpaceExplorer — aaa sits below verify in the link order
-/// and cannot name it directly.
-using ScheduleVerifier = std::function<std::string(const Schedule& schedule,
+/// and cannot name it directly. The oracle reads the schedule through the
+/// one analysis run_design_point also validates it with.
+using ScheduleVerifier = std::function<std::string(const ScheduleAnalysis& analysis,
                                                    const DesignPoint& point)>;
 
 /// Schedules one point, runs the verifier (when given) and validates the

@@ -74,6 +74,8 @@ class ScheduleAnalysis {
                    const ArchitectureGraph& architecture);
 
   const Schedule& schedule() const { return s_; }
+  const AlgorithmGraph& algorithm() const { return algorithm_; }
+  const ArchitectureGraph& architecture() const { return architecture_; }
   /// Occupied resources, in name order.
   const std::vector<util::SymbolId>& resources() const { return resources_; }
   /// Items on one resource in (start, end) order; empty when unused.

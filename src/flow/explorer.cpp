@@ -35,13 +35,11 @@ ExplorationReport DesignSpaceExplorer::run() const {
   if (options_.static_pruning) {
     verifier = options_.verifier;
     if (!verifier) {
-      const aaa::Project* project = &project_;
-      verifier = [project](const aaa::Schedule& schedule,
-                           const aaa::DesignPoint& point) -> std::string {
+      verifier = [](const aaa::ScheduleAnalysis& analysis,
+                    const aaa::DesignPoint& point) -> std::string {
         verify::VerifyOptions vo;
         vo.preloaded = point.to_options().preloaded;
-        const verify::Certificate cert =
-            verify::verify_schedule(schedule, project->algorithm, project->architecture, vo);
+        const verify::Certificate cert = verify::verify_schedule(analysis, vo);
         if (cert.certified()) return "";
         return "statically rejected: " + cert.first_error();
       };

@@ -168,7 +168,13 @@ std::string Certificate::summary() const {
 Certificate verify_schedule(const aaa::Schedule& schedule, const aaa::AlgorithmGraph& algorithm,
                             const aaa::ArchitectureGraph& architecture,
                             const VerifyOptions& options) {
-  const aaa::ScheduleAnalysis analysis(schedule, algorithm, architecture);
+  return verify_schedule(aaa::ScheduleAnalysis(schedule, algorithm, architecture), options);
+}
+
+Certificate verify_schedule(const aaa::ScheduleAnalysis& analysis, const VerifyOptions& options) {
+  const aaa::Schedule& schedule = analysis.schedule();
+  const aaa::AlgorithmGraph& algorithm = analysis.algorithm();
+  const aaa::ArchitectureGraph& architecture = analysis.architecture();
   std::vector<aaa::Finding> findings;
   analysis.overlaps(findings);
   analysis.port_overlaps(findings);

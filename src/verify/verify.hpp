@@ -129,6 +129,9 @@ class Certificate {
 Certificate verify_schedule(const aaa::Schedule& schedule, const aaa::AlgorithmGraph& algorithm,
                             const aaa::ArchitectureGraph& architecture,
                             const VerifyOptions& options = {});
+/// The same certificate from an analysis already built for the schedule.
+Certificate verify_schedule(const aaa::ScheduleAnalysis& analysis,
+                            const VerifyOptions& options = {});
 
 /// `pdrflow check --deep`: the plain lint families plus interval
 /// certification of the default-options schedule. Constraints files have

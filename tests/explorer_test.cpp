@@ -217,7 +217,7 @@ TEST(DesignSpaceExplorer, StaticPruningRejectsWhatTheOracleRefuses) {
   options.jobs = 2;
   options.reconfig_cost = 1_ms;
   // An injected verifier standing in for pdr::verify: refuse everything.
-  options.verifier = [](const aaa::Schedule&, const aaa::DesignPoint&) {
+  options.verifier = [](const aaa::ScheduleAnalysis&, const aaa::DesignPoint&) {
     return "synthetic hazard";
   };
   const flow::ExplorationReport report =
