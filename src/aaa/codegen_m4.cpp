@@ -34,12 +34,8 @@ std::string generate_m4_macrocode(const MacroProgram& program,
   for (const auto& instr : program.body) {
     switch (instr.op) {
       case MacroOp::Recv:
-        w << "    recv_(";
-        w.identifier(instr.what) << ", ";
-        w.identifier(instr.with) << ", " << instr.bytes << ")\n";
-        break;
       case MacroOp::Send:
-        w << "    send_(";
+        w << (instr.op == MacroOp::Recv ? "    recv_(" : "    send_(");
         w.identifier(instr.what) << ", ";
         w.identifier(instr.with) << ", " << instr.bytes << ")\n";
         break;

@@ -24,22 +24,16 @@ namespace {
 void append_instr(TextWriter& w, const MacroInstr& instr) {
   switch (instr.op) {
     case MacroOp::Recv:
-      w << "recv    ";
-      w.left(instr.what, 24) << " from ";
+    case MacroOp::Send: {
+      const bool recv = instr.op == MacroOp::Recv;
+      w << (recv ? "recv    " : "send    ");
+      w.left(instr.what, 24) << (recv ? " from " : " to   ");
       w.left(instr.with, 8) << " (" << instr.bytes << " B)";
       return;
-    case MacroOp::Send:
-      w << "send    ";
-      w.left(instr.what, 24) << " to   ";
-      w.left(instr.with, 8) << " (" << instr.bytes << " B)";
-      return;
+    }
     case MacroOp::Compute:
-      w << "compute ";
-      w.left(instr.what, 24) << " (";
-      w.fixed(to_us(instr.duration), 3) << " us)";
-      return;
     case MacroOp::Reconfig:
-      w << "reconf  ";
+      w << (instr.op == MacroOp::Compute ? "compute " : "reconf  ");
       w.left(instr.what, 24) << " (";
       w.fixed(to_us(instr.duration), 3) << " us)";
       return;
@@ -97,18 +91,10 @@ Executive generate_executive(const Schedule& schedule, const AlgorithmGraph& alg
                              const ArchitectureGraph& architecture) {
   Executive exec;
   // Programs in architecture declaration order (operators then media).
-  for (NodeId n : architecture.operators()) {
-    MacroProgram p;
-    p.resource = architecture.op(n).name;
-    p.is_medium = false;
-    exec.programs.push_back(std::move(p));
-  }
-  for (NodeId n : architecture.media()) {
-    MacroProgram p;
-    p.resource = architecture.medium(n).name;
-    p.is_medium = true;
-    exec.programs.push_back(std::move(p));
-  }
+  for (NodeId n : architecture.operators())
+    exec.programs.push_back(MacroProgram{architecture.op(n).name, false, {}});
+  for (NodeId n : architecture.media())
+    exec.programs.push_back(MacroProgram{architecture.medium(n).name, true, {}});
 
   // Program of each schedule symbol naming a resource, resolved by name
   // on first use: kUnresolved until then, kNoProgram for a name that is

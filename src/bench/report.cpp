@@ -81,9 +81,7 @@ BenchRecord measure(std::string name, int warmup_runs, int repeats,
 std::string git_sha() {
   // Ask the source tree the binary was built from, not the current
   // directory: the suite is often run from a scratch output directory.
-  const std::string command =
-      "git -C '" PDR_SOURCE_DIR "' rev-parse --short=12 HEAD 2>/dev/null";
-  FILE* pipe = ::popen(command.c_str(), "r");
+  FILE* pipe = ::popen("git -C '" PDR_SOURCE_DIR "' rev-parse --short=12 HEAD 2>/dev/null", "r");
   if (pipe == nullptr) return "unknown";
   char buf[64] = {};
   std::string out;

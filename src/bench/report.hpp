@@ -59,8 +59,9 @@ struct BenchRecord {
 BenchRecord measure(std::string name, int warmup_runs, int repeats,
                     const std::function<void()>& fn);
 
-/// Current commit, short form, via `git rev-parse`; "unknown" when not in
-/// a git repository (or git is unavailable).
+/// Commit of the source tree the binary was built from, short form, via
+/// `git -C <source dir> rev-parse`, whatever the current directory;
+/// "unknown" when that tree is not a git checkout (or git is unavailable).
 std::string git_sha();
 
 /// Serializes one suite document (schema above). Deterministic field

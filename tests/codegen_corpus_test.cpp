@@ -92,7 +92,8 @@ struct HandBuilt {
     algorithm.add_dependency("a-b", "a_rather_long_operation_name_past_the_column", 32);
     algorithm.add_dependency("c.d", "sink", 16);
 
-    architecture.add_operator(aaa::OperatorNode{"cpu-0", aaa::OperatorKind::Processor, 1.0, "", ""});
+    architecture.add_operator(
+        aaa::OperatorNode{"cpu-0", aaa::OperatorKind::Processor, 1.0, "", ""});
     architecture.add_operator(
         aaa::OperatorNode{"0fpga", aaa::OperatorKind::FpgaStatic, 1.0, "XC2V2000", ""});
     architecture.add_operator(
