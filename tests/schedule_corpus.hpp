@@ -96,7 +96,7 @@ inline std::shared_ptr<Problem> fuzz_problem(int seed) {
   for (int l = 0; l < layers; ++l) {
     const int width = 2 + static_cast<int>(rng.uniform_int(0, 3));
     for (int i = 0; i < width; ++i, ++made) {
-      const std::string name = "n" + std::to_string(made);
+      const std::string name = strprintf("n%d", made);
       if (l == 0)
         g.add_operation({name, "src", {}, aaa::OpClass::Sensor, {}});
       else if (made % 4 == 3)
