@@ -7,6 +7,8 @@
 //   bench_suite --smoke            CI tier: same suites, CI-sized inputs
 //   bench_suite --out-dir <dir>    where BENCH_*.json land (default ".")
 //   bench_suite --repeats <n>      override the per-record repeat count
+//   bench_suite --suite <name>     run and write one suite only (adequation,
+//                                  explore, floorplan, flow or service)
 //
 // Each suite writes BENCH_<suite>.json (schema in src/bench/report.hpp:
 // git sha, per-record config, warm-up reported separately from the
@@ -19,7 +21,9 @@
 // rescanning reference must produce byte-identical schedules (compared
 // via Schedule::to_csv), and the binary exits non-zero when they do not.
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -56,8 +60,11 @@ namespace {
 struct SuiteOptions {
   bool smoke = false;
   std::string out_dir = ".";
-  int repeats = 0;  ///< 0 = default (3)
+  int repeats = 0;    ///< 0 = default (3)
+  std::string suite;  ///< "" = every suite
 };
+
+constexpr const char* kSuites[] = {"adequation", "explore", "floorplan", "flow", "service"};
 
 // Both tiers take one warm-up and three timed repeats per record: the
 // regression gate compares the smoke tier's mean, and a single cold sample
@@ -253,8 +260,9 @@ std::vector<BenchRecord> run_explore_suite(const SuiteOptions& opts) {
 // --- suite: floorplan -----------------------------------------------------
 
 // The automatic floorplanner on a generated project: the tracked figure
-// is schedules-evaluated-per-second of the co-optimization loop (each
-// evaluation is a full adequation run under re-priced reconfig costs).
+// is candidates-evaluated-per-second of the co-optimization loop. Each
+// evaluation prices a candidate; only `schedules_run` of them ran an
+// adequation, one per distinct pricing table (see docs/floorplan.md).
 std::vector<BenchRecord> run_floorplan_suite(const SuiteOptions& opts) {
   const int regions = 2;
   const int cpus = 2;
@@ -286,14 +294,15 @@ std::vector<BenchRecord> run_floorplan_suite(const SuiteOptions& opts) {
     push_generator_config(rec, cfg, regions, cpus);
     rec.config.emplace_back("max_rounds", std::to_string(plan_opts.max_rounds));
     rec.extra.emplace_back("schedules_evaluated", static_cast<double>(last.evaluated));
+    rec.extra.emplace_back("schedules_run", static_cast<double>(last.scheduled));
     if (const auto mean = rec.wall_ms.opt_mean(); mean && *mean > 0)
       rec.extra.emplace_back("evals_per_sec",
                              static_cast<double>(last.evaluated) / (*mean / 1e3));
     rec.extra.emplace_back("makespan_ms", static_cast<double>(last.makespan) / 1e6);
     rec.extra.emplace_back("lint_errors", static_cast<double>(last.lint.errors()));
     rec.extra.emplace_back("certified", last.certified ? 1.0 : 0.0);
-    std::printf("  %-34s mean %.2f ms (%d evals)\n", rec.name.c_str(), rec.wall_ms.mean(),
-                last.evaluated);
+    std::printf("  %-34s mean %.2f ms (%d evals, %d schedules run)\n", rec.name.c_str(),
+                rec.wall_ms.mean(), last.evaluated, last.scheduled);
     records.push_back(std::move(rec));
   }
   return records;
@@ -469,37 +478,40 @@ int main(int argc, char** argv) {
   // progress while the full tier's multi-minute records run.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   try {
-    const util::ArgParser args("bench_suite", argc - 1, argv + 1,
-                               {{"--smoke", false}, {"--out-dir", true}, {"--repeats", true}}, 0);
+    const util::ArgParser args(
+        "bench_suite", argc - 1, argv + 1,
+        {{"--smoke", false}, {"--out-dir", true}, {"--repeats", true}, {"--suite", true}}, 0);
     SuiteOptions opts;
     opts.smoke = args.has("--smoke");
     opts.out_dir = args.string_or("--out-dir", ".");
     opts.repeats = static_cast<int>(args.uint_or("--repeats", 0));
+    opts.suite = args.string_or("--suite", "");
+    if (!opts.suite.empty() &&
+        std::find(std::begin(kSuites), std::end(kSuites), opts.suite) == std::end(kSuites))
+      throw Error("unknown --suite '" + opts.suite +
+                  "' (expected adequation, explore, floorplan, flow or service)");
 
     std::printf("=== bench_suite (%s tier, %d repeats, git %s) ===\n",
                 opts.smoke ? "smoke" : "full", default_repeats(opts), bench::git_sha().c_str());
 
-    std::printf("\n--- adequation ---\n");
+    const auto selected = [&](const char* suite) {
+      if (!opts.suite.empty() && opts.suite != suite) return false;
+      std::printf("\n--- %s ---\n", suite);
+      return true;
+    };
     bool identical_ok = true;
-    write_suite(opts, "adequation", run_adequation_suite(opts, identical_ok));
-
-    std::printf("\n--- explore ---\n");
-    write_suite(opts, "explore", run_explore_suite(opts));
-
-    std::printf("\n--- floorplan ---\n");
-    write_suite(opts, "floorplan", run_floorplan_suite(opts));
-
-    std::printf("\n--- flow ---\n");
-    write_suite(opts, "flow", run_flow_suite(opts));
-
-    std::printf("\n--- service ---\n");
-    write_suite(opts, "service", run_service_suite(opts));
+    const bool checked_engines = selected("adequation");
+    if (checked_engines) write_suite(opts, "adequation", run_adequation_suite(opts, identical_ok));
+    if (selected("explore")) write_suite(opts, "explore", run_explore_suite(opts));
+    if (selected("floorplan")) write_suite(opts, "floorplan", run_floorplan_suite(opts));
+    if (selected("flow")) write_suite(opts, "flow", run_flow_suite(opts));
+    if (selected("service")) write_suite(opts, "service", run_service_suite(opts));
 
     if (!identical_ok) {
       std::fputs("\nFAIL: indexed and rescanning engines disagree on a schedule\n", stderr);
       return 1;
     }
-    std::puts("\nall schedules byte-identical across engines");
+    if (checked_engines) std::puts("\nall schedules byte-identical across engines");
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "bench_suite: %s\n", e.what());

@@ -124,10 +124,12 @@ class Adequation {
 
   /// Runs the heuristic. Throws pdr::Error if some operation has no
   /// feasible operator. Graph-shaped scaffolding (ready tracker snapshot,
-  /// dependency CSR, critical-path priorities) is cached across calls and
-  /// invalidated via the graph/duration-table version counters, so
-  /// repeated runs over an unchanged problem (the explorer, bench
-  /// repeats) pay for it once. The cache makes run() non-reentrant:
+  /// dependency CSR, critical-path priorities) is cached across calls on
+  /// one instance and invalidated via the graph/duration-table version
+  /// counters, so repeated runs over an unchanged problem pay for it once:
+  /// the planner's candidates, bench repeats, and the explorer's points,
+  /// which share one instance per concurrently running point
+  /// (flow::DesignSpaceExplorer). The cache makes run() non-reentrant:
   /// concurrent calls on one Adequation instance are not supported.
   Schedule run(const AdequationOptions& options = {}) const;
 
@@ -143,6 +145,8 @@ class Adequation {
   /// Per-instance scaffolding reused across run() calls; every entry is a
   /// pure restatement of the algorithm graph (plus durations, for the
   /// priorities), so version counters are the only invalidation needed.
+  /// Nothing in it depends on the options or the cost model, so one
+  /// instance serves points that differ in either.
   struct RunCache {
     std::uint64_t algo_version = static_cast<std::uint64_t>(-1);
     std::uint64_t durations_version = static_cast<std::uint64_t>(-1);

@@ -126,12 +126,12 @@ std::string ExplorationSpace::describe() const {
   return out;
 }
 
-ExplorationOutcome run_design_point(const Project& project, const DesignPoint& point,
+ExplorationOutcome run_design_point(Adequation& adequation, const Project& project,
+                                    const DesignPoint& point,
                                     const Adequation::ReconfigCost& reconfig_cost,
                                     const ScheduleVerifier& verifier) {
   ExplorationOutcome outcome;
   try {
-    Adequation adequation(project.algorithm, project.architecture, project.durations);
     if (!point.floorplan.region_load_ns.empty()) {
       // The point's floorplan prices reconfiguration per region; regions it
       // does not place fall back to the base cost model (or the 4 ms paper
@@ -146,6 +146,10 @@ ExplorationOutcome run_design_point(const Project& project, const DesignPoint& p
           });
     } else if (reconfig_cost) {
       adequation.set_reconfig_cost(reconfig_cost);
+    } else {
+      // A reused instance still holds the previous point's model.
+      adequation.set_reconfig_cost(
+          [](const std::string&, const std::string&) { return TimeNs{4'000'000}; });
     }
     const Schedule schedule = adequation.run(point.to_options());
     const ScheduleAnalysis analysis(schedule, project.algorithm, project.architecture);

@@ -178,22 +178,35 @@ class Planner {
       load_ns[p.name] = p.load_ns;
     }
 
-    adequation_.set_reconfig_cost(
-        [load_ns](const std::string& region, const std::string&) -> TimeNs {
-          const auto it = load_ns.find(region);
-          return it != load_ns.end() ? it->second : TimeNs{4'000'000};
-        });
-    try {
-      const aaa::Schedule schedule = adequation_.run(options_.schedule_options);
-      ev.makespan = schedule.makespan;
-      ev.reconfig_exposed = schedule.reconfig_exposed;
-    } catch (const Error&) {
-      return ev;  // no feasible operator under this pricing
-    }
+    const std::optional<aaa::Schedule>& schedule = schedule_for(load_ns);
+    if (!schedule) return ev;  // no feasible operator under this pricing
+    ev.makespan = schedule->makespan;
+    ev.reconfig_exposed = schedule->reconfig_exposed;
     ++evaluated_;
     ev.fabric_regions = plan.regions();
     ev.feasible = true;
     return ev;
+  }
+
+  /// The schedule under one pricing table, run once per distinct table:
+  /// the cost model reads nothing but the table, so candidates that price
+  /// every region alike (a shift, or widths with equal frame payloads)
+  /// share one adequation run. Empty when the adequation threw; failed
+  /// runs are remembered too.
+  const std::optional<aaa::Schedule>& schedule_for(const std::map<std::string, TimeNs>& load_ns) {
+    const auto [it, fresh] = schedules_.try_emplace(load_ns);
+    if (!fresh) return it->second;
+    ++scheduled_;
+    adequation_.set_reconfig_cost(
+        [&table = it->first](const std::string& region, const std::string&) -> TimeNs {
+          const auto found = table.find(region);
+          return found != table.end() ? found->second : TimeNs{4'000'000};
+        });
+    try {
+      it->second = adequation_.run(options_.schedule_options);
+    } catch (const Error&) {
+    }
+    return it->second;
   }
 
   /// Width -> frames -> reconfiguration duration, the same
@@ -207,7 +220,7 @@ class Planner {
     return std::max(fetch, port) + options_.manager_overhead_ns;
   }
 
-  PlanResult finish(const std::vector<Span>& spans, Evaluation ev, int rounds) {
+  PlanResult finish(Evaluation ev, int rounds) {
     PDR_CHECK(ev.feasible, "plan_floorplan",
               strprintf("no feasible floorplan: %zu region(s) plus %d static column(s) do not "
                         "fit the %d-column %s",
@@ -222,25 +235,17 @@ class Planner {
     result.reconfig_exposed = ev.reconfig_exposed;
     result.rounds = rounds;
     result.evaluated = evaluated_;
+    result.scheduled = scheduled_;
     result.lint = lint::check_floorplan(device_, result.fabric_regions);
 
     // pdr::verify certifies the schedule the plan was optimized for.
-    adequation_.set_reconfig_cost(
-        [table = result.region_load_ns()](const std::string& region, const std::string&) {
-          const auto it = table.find(region);
-          return it != table.end() ? it->second : TimeNs{4'000'000};
-        });
-    const aaa::Schedule schedule = adequation_.run(options_.schedule_options);
     const verify::Certificate cert = verify::verify_schedule(
-        schedule, project_.algorithm, project_.architecture,
+        *schedule_for(result.region_load_ns()), project_.algorithm, project_.architecture,
         verify::VerifyOptions{nullptr, options_.schedule_options.preloaded});
     result.certified = cert.certified();
     result.certificate_error = cert.first_error();
-    (void)spans;
     return result;
   }
-
-  int evaluated_ = 0;
 
  private:
   void collect_regions() {
@@ -317,6 +322,9 @@ class Planner {
   fabric::DeviceModel device_;
   std::vector<RegionDemand> demands_;
   int static_cols_ = 0;
+  int evaluated_ = 0;
+  int scheduled_ = 0;
+  std::map<std::map<std::string, TimeNs>, std::optional<aaa::Schedule>> schedules_;
 };
 
 /// The candidate moves of the local search, one region at a time.
@@ -381,9 +389,10 @@ std::string PlanResult::to_string() const {
   return out;
 }
 
-PlanResult plan_floorplan(const aaa::Project& project, const PlanOptions& options) {
-  Planner planner(project, options);
+namespace {
 
+/// The seeded hill climb of plan_floorplan, on a caller-owned planner.
+PlanResult search(Planner& planner, const PlanOptions& options) {
   // Start from the worst-variant widths (plus margin), packed right.
   std::vector<int> widths;
   for (const auto& d : planner.demands())
@@ -424,12 +433,11 @@ PlanResult plan_floorplan(const aaa::Project& project, const PlanOptions& option
     if (!improved && !best.feasible)
       break;  // nothing reachable from an infeasible start; finish() throws
   }
-  return planner.finish(best_spans, std::move(best), rounds);
+  return planner.finish(std::move(best), rounds);
 }
 
-PlanResult plan_fixed(const aaa::Project& project, const std::map<std::string, int>& width_cols,
-                      const PlanOptions& options) {
-  Planner planner(project, options);
+/// plan_fixed on a caller-owned planner.
+PlanResult fixed(Planner& planner, const std::map<std::string, int>& width_cols) {
   std::vector<int> widths;
   for (const auto& d : planner.demands()) {
     const auto it = width_cols.find(d.name);
@@ -437,8 +445,20 @@ PlanResult plan_fixed(const aaa::Project& project, const std::map<std::string, i
               "no width given for region operator '" + d.name + "'");
     widths.push_back(it->second);
   }
-  const std::vector<Span> spans = planner.pack_right(widths);
-  return planner.finish(spans, planner.evaluate(spans), 0);
+  return planner.finish(planner.evaluate(planner.pack_right(widths)), 0);
+}
+
+}  // namespace
+
+PlanResult plan_floorplan(const aaa::Project& project, const PlanOptions& options) {
+  Planner planner(project, options);
+  return search(planner, options);
+}
+
+PlanResult plan_fixed(const aaa::Project& project, const std::map<std::string, int>& width_cols,
+                      const PlanOptions& options) {
+  Planner planner(project, options);
+  return fixed(planner, width_cols);
 }
 
 std::vector<aaa::FloorplanChoice> floorplan_axis(const aaa::Project& project,
@@ -446,7 +466,10 @@ std::vector<aaa::FloorplanChoice> floorplan_axis(const aaa::Project& project,
                                                  std::size_t max_choices) {
   std::vector<aaa::FloorplanChoice> choices;
   if (max_choices == 0) return choices;
-  const PlanResult best = plan_floorplan(project, options);
+  // One planner for the plan and its alternates, so they share its
+  // schedules (the alternates' counts, cumulative, go unused).
+  Planner planner(project, options);
+  const PlanResult best = search(planner, options);
   choices.push_back(aaa::FloorplanChoice{"plan", best.region_load_ns()});
 
   // Alternates: every region uniformly widened by k columns, re-packed and
@@ -457,7 +480,7 @@ std::vector<aaa::FloorplanChoice> floorplan_axis(const aaa::Project& project,
     std::map<std::string, int> widths;
     for (const auto& r : best.regions) widths[r.name] = r.width.value + static_cast<int>(k);
     try {
-      const PlanResult alt = plan_fixed(project, widths, options);
+      const PlanResult alt = fixed(planner, widths);
       choices.push_back(
           aaa::FloorplanChoice{strprintf("plan+%zuc", k), alt.region_load_ns()});
     } catch (const Error&) {

@@ -76,6 +76,9 @@ struct PlanResult {
   TimeNs reconfig_exposed = 0;  ///< exposed reconfiguration time
   int rounds = 0;               ///< search rounds actually run
   int evaluated = 0;            ///< schedules evaluated by the search
+  /// Adequation runs behind `evaluated`: one per distinct pricing table,
+  /// failed runs included. Not part of to_string().
+  int scheduled = 0;
 
   lint::Report lint;             ///< PDR020–025 oracle verdict on the result
   bool certified = false;        ///< pdr::verify accepted the final schedule

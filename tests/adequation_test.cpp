@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "aaa/adequation.hpp"
@@ -612,6 +613,103 @@ TEST_P(RandomAdequationTest, RandomDagSchedulesValidly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAdequationTest, ::testing::Range(0, 10));
+
+// --- Schedule::sort_items against a reference stable sort -------------------
+
+/// One row rendered with every column, so two orders compare in full.
+std::string row_text(const Schedule& s, std::size_t i) {
+  const ScheduledItem it = s.item(i);
+  return strprintf("%s|%s|%s|%lld|%lld|%s|%s|%s|%s|%llu|%u|%u|%lld", item_kind_name(it.kind),
+                   it.label.c_str(), it.resource.c_str(), static_cast<long long>(it.start),
+                   static_cast<long long>(it.end), it.variant.c_str(), it.module.c_str(),
+                   it.src.c_str(), it.dst.c_str(), static_cast<unsigned long long>(it.bytes),
+                   it.edge, it.op, static_cast<long long>(it.exposed_stall));
+}
+
+/// Sorts `s` and checks it against std::stable_sort by (start, resource
+/// name) over the rows as emitted.
+void expect_reference_order(Schedule s) {
+  std::vector<std::size_t> order(s.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (s.start(a) != s.start(b)) return s.start(a) < s.start(b);
+    return s.resource(a) < s.resource(b);
+  });
+  std::vector<std::string> want;
+  for (const std::size_t i : order) want.push_back(row_text(s, i));
+  s.sort_items();
+  ASSERT_EQ(s.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(row_text(s, i), want[i]) << "row " << i;
+}
+
+/// A hand-built schedule over `resources` resources, interned in reverse
+/// name order so symbol ids disagree with name order. Each resource's
+/// starts step by 0..2 from `base` (ties within and across resources)
+/// unless `monotone` is off, when they are drawn at random.
+Schedule hand_built(std::uint64_t seed, int resources, int items, TimeNs base, bool monotone) {
+  Rng rng(seed);
+  Schedule s;
+  std::vector<std::string> names;
+  for (int r = resources; r-- > 0;) names.push_back(strprintf("R%03d", r));
+  for (const std::string& name : names) s.intern(name);
+  std::vector<TimeNs> next(names.size(), base);
+  for (int i = 0; i < items; ++i) {
+    const auto r = static_cast<std::size_t>(rng.uniform_int(0, resources - 1));
+    ScheduledItem item;
+    item.kind = static_cast<ItemKind>(rng.uniform_int(0, 2));
+    item.label = "item" + std::to_string(i);
+    item.resource = names[r];
+    item.start = monotone ? next[r] : base + rng.uniform_int(0, 3 * items);
+    item.end = item.start + rng.uniform_int(0, 5);
+    item.bytes = static_cast<Bytes>(i);
+    next[r] += rng.uniform_int(0, 2);
+    s.push_item(item);
+  }
+  return s;
+}
+
+TEST(ScheduleSort, MergedRunsMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed)
+    expect_reference_order(hand_built(seed, 7, 600, 0, /*monotone=*/true));
+}
+
+TEST(ScheduleSort, TiesAcrossResourcesAtOneInstant) {
+  // Every item starts at t = 5: the order is resource name, then emission.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Schedule s = hand_built(seed, 9, 200, 5, /*monotone=*/true);
+    for (std::size_t i = 0; i < s.size(); ++i) s.set_start(i, 5);
+    expect_reference_order(std::move(s));
+  }
+}
+
+TEST(ScheduleSort, NonMonotoneRunsFallBackToTheSort) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed)
+    expect_reference_order(hand_built(seed, 6, 500, 0, /*monotone=*/false));
+  // One step back in an otherwise monotone run.
+  Schedule s = hand_built(9, 4, 100, 0, /*monotone=*/true);
+  s.set_start(s.size() - 1, -1);
+  expect_reference_order(std::move(s));
+}
+
+TEST(ScheduleSort, NegativeStarts) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expect_reference_order(hand_built(seed, 5, 300, -400, /*monotone=*/true));
+    expect_reference_order(hand_built(seed, 5, 300, -400, /*monotone=*/false));
+  }
+}
+
+TEST(ScheduleSort, MoreThan256Resources) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expect_reference_order(hand_built(seed, 300, 3'000, 0, /*monotone=*/true));
+    expect_reference_order(hand_built(seed, 300, 3'000, 0, /*monotone=*/false));
+  }
+}
+
+TEST(ScheduleSort, StartsBeyondThePackedRange) {
+  const TimeNs base = TimeNs{1} << 40;
+  expect_reference_order(hand_built(4, 5, 300, base, /*monotone=*/true));
+  expect_reference_order(hand_built(4, 5, 300, base, /*monotone=*/false));
+}
 
 }  // namespace
 }  // namespace pdr::aaa

@@ -127,8 +127,9 @@ TEST(RunDesignPoint, FloorplanLoadTableOverridesReconfigCost) {
   fast.floorplan.name = "narrow";
   fast.floorplan.region_load_ns["D1"] = 10'000;  // 10 us per reload
   const auto cost = [](const std::string&, const std::string&) { return 1_ms; };
-  const auto slow_outcome = aaa::run_design_point(project, slow, cost);
-  const auto fast_outcome = aaa::run_design_point(project, fast, cost);
+  aaa::Adequation adequation(project.algorithm, project.architecture, project.durations);
+  const auto slow_outcome = aaa::run_design_point(adequation, project, slow, cost);
+  const auto fast_outcome = aaa::run_design_point(adequation, project, fast, cost);
   ASSERT_TRUE(slow_outcome.ok) << slow_outcome.error;
   ASSERT_TRUE(fast_outcome.ok) << fast_outcome.error;
   // Same schedule shape, different reload pricing: the 40 ms plan can
@@ -140,10 +141,34 @@ TEST(RunDesignPoint, InfeasiblePointReportsErrorInsteadOfThrowing) {
   aaa::Project project = tiny_project();
   aaa::DesignPoint point;
   point.selection["m"] = "no_such_alternative";
+  aaa::Adequation adequation(project.algorithm, project.architecture, project.durations);
   const auto outcome = aaa::run_design_point(
-      project, point, [](const std::string&, const std::string&) { return 1_ms; });
+      adequation, project, point, [](const std::string&, const std::string&) { return 1_ms; });
   EXPECT_FALSE(outcome.ok);
   EXPECT_NE(outcome.error.find("no_such_alternative"), std::string::npos);
+}
+
+TEST(RunDesignPoint, ReusedAdequationMatchesFreshOnes) {
+  // One instance scheduling a sequence of points must leave nothing of a
+  // point's cost model to the next: with no floorplan and no cost
+  // function the 4 ms default applies again.
+  const aaa::Project project = tiny_project();
+  std::vector<aaa::DesignPoint> points(4);
+  points[0].floorplan = {"fast", {{"D1", 10'000}}};  // cheap reloads: m lands on D1
+  points[2].floorplan = {"slow", {{"D1", 40'000'000}}};
+  points[2].strategy = aaa::MappingStrategy::RoundRobin;
+  points[3].selection["m"] = "qpsk";
+  aaa::Adequation reused(project.algorithm, project.architecture, project.durations);
+  for (const aaa::DesignPoint& point : points) {
+    aaa::Adequation fresh(project.algorithm, project.architecture, project.durations);
+    const auto want = aaa::run_design_point(fresh, project, point, {});
+    const auto got = aaa::run_design_point(reused, project, point, {});
+    ASSERT_TRUE(want.ok) << point.name() << ": " << want.error;
+    ASSERT_TRUE(got.ok) << point.name() << ": " << got.error;
+    EXPECT_EQ(got.makespan, want.makespan) << point.name();
+    EXPECT_EQ(got.reconfig_exposed, want.reconfig_exposed) << point.name();
+    EXPECT_EQ(got.reconfig_count, want.reconfig_count) << point.name();
+  }
 }
 
 TEST(ParetoFront, KeepsOnlyUndominatedOutcomes) {

@@ -298,5 +298,14 @@ TEST(PlannerGolden, MatchGolden) {
                 << diff;
 }
 
+TEST(PlannerGolden, CodesignRunsFewerSchedulesThanItEvaluates) {
+  // The co-design project's candidates mostly differ by a shift, which
+  // leaves every region's price alone: those evaluations share one run.
+  const PlanResult result = plan_floorplan(codesign_project(1));
+  EXPECT_EQ(result.evaluated, 34);
+  EXPECT_GT(result.scheduled, 0);
+  EXPECT_LT(result.scheduled, result.evaluated);
+}
+
 }  // namespace
 }  // namespace pdr::plan
