@@ -107,6 +107,10 @@ class Adequation {
   Adequation(const AlgorithmGraph& algorithm, const ArchitectureGraph& architecture,
              const DurationTable& durations);
 
+  /// The graphs this instance schedules.
+  const AlgorithmGraph& algorithm() const { return algorithm_; }
+  const ArchitectureGraph& architecture() const { return architecture_; }
+
   /// Sets the reconfiguration cost model (default: 4 ms flat, the paper's
   /// measured Op_Dyn figure).
   void set_reconfig_cost(ReconfigCost cost);

@@ -126,8 +126,7 @@ std::string ExplorationSpace::describe() const {
   return out;
 }
 
-ExplorationOutcome run_design_point(Adequation& adequation, const Project& project,
-                                    const DesignPoint& point,
+ExplorationOutcome run_design_point(Adequation& adequation, const DesignPoint& point,
                                     const Adequation::ReconfigCost& reconfig_cost,
                                     const ScheduleVerifier& verifier) {
   ExplorationOutcome outcome;
@@ -152,7 +151,7 @@ ExplorationOutcome run_design_point(Adequation& adequation, const Project& proje
           [](const std::string&, const std::string&) { return TimeNs{4'000'000}; });
     }
     const Schedule schedule = adequation.run(point.to_options());
-    const ScheduleAnalysis analysis(schedule, project.algorithm, project.architecture);
+    const ScheduleAnalysis analysis(schedule, adequation.algorithm(), adequation.architecture());
     if (verifier) {
       std::string rejection = verifier(analysis, point);
       if (!rejection.empty()) {

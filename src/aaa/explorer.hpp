@@ -107,15 +107,14 @@ struct ExplorationOutcome {
 using ScheduleVerifier = std::function<std::string(const ScheduleAnalysis& analysis,
                                                    const DesignPoint& point)>;
 
-/// Schedules one point on `adequation`, an instance over `project`'s
-/// graphs, runs the verifier (when given) and validates the result. The
-/// point sets the instance's cost model whole, so one instance can
-/// schedule many points and build its run scaffold once. Never throws:
-/// infeasible points (e.g. a selected variant no operator supports) come
-/// back with ok = false and the error message; uncertified points
-/// additionally carry rejected = true.
-ExplorationOutcome run_design_point(Adequation& adequation, const Project& project,
-                                    const DesignPoint& point,
+/// Schedules one point on `adequation`, runs the verifier (when given)
+/// and validates the result against the instance's own graphs. The point
+/// sets the instance's cost model whole, so one instance can schedule
+/// many points and build its run scaffold once. Never throws: infeasible
+/// points (e.g. a selected variant no operator supports) come back with
+/// ok = false and the error message; uncertified points additionally
+/// carry rejected = true.
+ExplorationOutcome run_design_point(Adequation& adequation, const DesignPoint& point,
                                     const Adequation::ReconfigCost& reconfig_cost,
                                     const ScheduleVerifier& verifier = {});
 

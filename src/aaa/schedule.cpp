@@ -233,69 +233,6 @@ void Schedule::erase_items_if(const std::function<bool(const ScheduledItem&)>& p
   erase_rows([&](std::size_t row) { return !pred(item(row)); });
 }
 
-bool Schedule::merge_resource_runs(const std::vector<util::SymbolId>& rank, std::size_t rank_count,
-                                   std::span<std::uint32_t> runs,
-                                   std::span<std::uint32_t> order) const {
-  const std::size_t n = kind_.size();
-  // Per-rank runs in emit order (a counting sort by rank), rejecting the
-  // first start that steps back within its run.
-  std::vector<std::uint32_t> run_begin(rank_count + 1, 0);
-  std::vector<TimeNs> last_start(rank_count, std::numeric_limits<TimeNs>::min());
-  for (std::size_t i = 0; i < n; ++i) {
-    const util::SymbolId r = rank[resource_[i]];
-    if (start_[i] < last_start[r]) return false;
-    last_start[r] = start_[i];
-    ++run_begin[r + 1];
-  }
-  for (std::size_t r = 0; r < rank_count; ++r) run_begin[r + 1] += run_begin[r];
-  std::vector<std::uint32_t> cursor(run_begin.begin(), run_begin.end() - 1);
-  for (std::size_t i = 0; i < n; ++i)
-    runs[cursor[rank[resource_[i]]]++] = static_cast<std::uint32_t>(i);
-
-  // Binary min-heap of run heads by (start, rank); ranks are distinct, so
-  // no two heads tie. The winning run's next item replaces the top.
-  struct Head {
-    TimeNs start;
-    util::SymbolId rank;
-    bool operator<(const Head& o) const {
-      return start != o.start ? start < o.start : rank < o.rank;
-    }
-  };
-  std::vector<Head> heap;
-  heap.reserve(rank_count);
-  for (std::size_t r = 0; r < rank_count; ++r) {
-    cursor[r] = run_begin[r];
-    if (run_begin[r] != run_begin[r + 1])
-      heap.push_back({start_[runs[run_begin[r]]], static_cast<util::SymbolId>(r)});
-  }
-  const auto sift_down = [&](std::size_t at) {
-    const Head moving = heap[at];
-    for (std::size_t child = 2 * at + 1; child < heap.size(); child = 2 * at + 1) {
-      if (child + 1 < heap.size() && heap[child + 1] < heap[child]) ++child;
-      if (!(heap[child] < moving)) break;
-      heap[at] = heap[child];
-      at = child;
-    }
-    heap[at] = moving;
-  };
-  for (std::size_t at = heap.size() / 2; at-- > 0;) sift_down(at);
-
-  std::size_t out = 0;
-  while (!heap.empty()) {
-    const util::SymbolId r = heap.front().rank;
-    order[out++] = runs[cursor[r]++];
-    if (cursor[r] != run_begin[r + 1]) {
-      heap.front().start = start_[runs[cursor[r]]];
-    } else {
-      heap.front() = heap.back();
-      heap.pop_back();
-      if (heap.empty()) break;
-    }
-    sift_down(0);
-  }
-  return true;
-}
-
 void Schedule::sort_items() {
   // Resource ties break on the *name*, not the symbol id: symbols are
   // assigned in first-intern order, so sorting by id would depend on
@@ -344,21 +281,6 @@ void Schedule::sort_items() {
     apply(module_);
     apply(exposed_stall_);
   };
-
-  // Merge path: the scheduler commits each resource's items in
-  // nondecreasing start order, and within one resource emit order is
-  // index order, so merging the per-resource runs by (start, rank) yields
-  // the (start, rank, index) order in O(n log resources). A run out of
-  // start order (a hand-built or edited schedule) falls back to a sort.
-  {
-    // One scratch buffer: the per-resource runs, then the merged order.
-    std::vector<std::uint32_t> scratch(2 * n);
-    const std::span<std::uint32_t> merged(scratch.data() + n, n);
-    if (merge_resource_runs(rank, rank_count, {scratch.data(), n}, merged)) {
-      apply_order(merged, [](std::uint32_t k) { return static_cast<std::size_t>(k); });
-      return;
-    }
-  }
 
   // Fast path: when (start, rank, index) fit in 35 + 8 + 21 bits — starts
   // under ~34 s, at most 256 resources, at most 2M items — pack the whole

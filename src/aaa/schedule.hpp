@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -233,11 +232,6 @@ class Schedule {
   std::vector<util::SymbolId> module_;
   std::vector<TimeNs> exposed_stall_;
 
-  /// Writes the item indices in (start, resource rank, index) order to
-  /// `order` by merging the per-resource runs, which it gathers into
-  /// `runs` (both of size()); false when some run's starts decrease.
-  bool merge_resource_runs(const std::vector<util::SymbolId>& rank, std::size_t rank_count,
-                           std::span<std::uint32_t> runs, std::span<std::uint32_t> order) const;
   /// Appends label(i) without building a string.
   void append_label(TextWriter& w, std::size_t i) const;
   std::size_t push_row(ItemKind k, util::SymbolId resource_sym, TimeNs tstart, TimeNs tend);

@@ -69,7 +69,7 @@ ExplorationReport DesignSpaceExplorer::run() const {
       adequation = std::make_unique<aaa::Adequation>(project_.algorithm, project_.architecture,
                                                      project_.durations);
     aaa::ExplorationOutcome outcome =
-        aaa::run_design_point(*adequation, project_, point, cost, verifier);
+        aaa::run_design_point(*adequation, point, cost, verifier);
     const std::lock_guard<std::mutex> lock(idle_mutex);
     idle.push_back(std::move(adequation));
     return outcome;

@@ -65,6 +65,12 @@ struct Evaluation {
   int free_cols = 0;
 };
 
+/// The two figures of a schedule the search compares.
+struct Outcome {
+  TimeNs makespan = 0;
+  TimeNs reconfig_exposed = 0;
+};
+
 /// Strict objective order: schedule first, then exposure, then total
 /// configuration payload (fewer frames = faster SEU scrubs and smaller
 /// store), then the spans themselves as the deterministic tie-break.
@@ -178,35 +184,42 @@ class Planner {
       load_ns[p.name] = p.load_ns;
     }
 
-    const std::optional<aaa::Schedule>& schedule = schedule_for(load_ns);
-    if (!schedule) return ev;  // no feasible operator under this pricing
-    ev.makespan = schedule->makespan;
-    ev.reconfig_exposed = schedule->reconfig_exposed;
+    const std::optional<Outcome>& outcome = outcome_for(load_ns);
+    if (!outcome) return ev;  // no feasible operator under this pricing
+    ev.makespan = outcome->makespan;
+    ev.reconfig_exposed = outcome->reconfig_exposed;
     ++evaluated_;
     ev.fabric_regions = plan.regions();
     ev.feasible = true;
     return ev;
   }
 
-  /// The schedule under one pricing table, run once per distinct table:
-  /// the cost model reads nothing but the table, so candidates that price
-  /// every region alike (a shift, or widths with equal frame payloads)
-  /// share one adequation run. Empty when the adequation threw; failed
-  /// runs are remembered too.
-  const std::optional<aaa::Schedule>& schedule_for(const std::map<std::string, TimeNs>& load_ns) {
-    const auto [it, fresh] = schedules_.try_emplace(load_ns);
+  /// What the search reads of the schedule under one pricing table, run
+  /// once per distinct table: the cost model reads nothing but the table,
+  /// so candidates that price every region alike (a shift, or widths with
+  /// equal frame payloads) share one adequation run. Empty when the
+  /// adequation threw; failed runs are remembered too. No schedule is
+  /// kept, so memory stays flat however many tables the search tries.
+  const std::optional<Outcome>& outcome_for(const std::map<std::string, TimeNs>& load_ns) {
+    const auto [it, fresh] = outcomes_.try_emplace(load_ns);
     if (!fresh) return it->second;
-    ++scheduled_;
-    adequation_.set_reconfig_cost(
-        [&table = it->first](const std::string& region, const std::string&) -> TimeNs {
-          const auto found = table.find(region);
-          return found != table.end() ? found->second : TimeNs{4'000'000};
-        });
     try {
-      it->second = adequation_.run(options_.schedule_options);
+      const aaa::Schedule schedule = run(load_ns);
+      it->second = Outcome{schedule.makespan, schedule.reconfig_exposed};
     } catch (const Error&) {
     }
     return it->second;
+  }
+
+  /// One adequation run under a region -> load-time table.
+  aaa::Schedule run(const std::map<std::string, TimeNs>& load_ns) {
+    ++scheduled_;
+    adequation_.set_reconfig_cost(
+        [load_ns](const std::string& region, const std::string&) -> TimeNs {
+          const auto it = load_ns.find(region);
+          return it != load_ns.end() ? it->second : TimeNs{4'000'000};
+        });
+    return adequation_.run(options_.schedule_options);
   }
 
   /// Width -> frames -> reconfiguration duration, the same
@@ -235,15 +248,16 @@ class Planner {
     result.reconfig_exposed = ev.reconfig_exposed;
     result.rounds = rounds;
     result.evaluated = evaluated_;
-    result.scheduled = scheduled_;
     result.lint = lint::check_floorplan(device_, result.fabric_regions);
 
-    // pdr::verify certifies the schedule the plan was optimized for.
+    // pdr::verify certifies the schedule the plan was optimized for,
+    // re-run here because the memo keeps no schedules.
     const verify::Certificate cert = verify::verify_schedule(
-        *schedule_for(result.region_load_ns()), project_.algorithm, project_.architecture,
+        run(result.region_load_ns()), project_.algorithm, project_.architecture,
         verify::VerifyOptions{nullptr, options_.schedule_options.preloaded});
     result.certified = cert.certified();
     result.certificate_error = cert.first_error();
+    result.scheduled = scheduled_;
     return result;
   }
 
@@ -324,7 +338,7 @@ class Planner {
   int static_cols_ = 0;
   int evaluated_ = 0;
   int scheduled_ = 0;
-  std::map<std::map<std::string, TimeNs>, std::optional<aaa::Schedule>> schedules_;
+  std::map<std::map<std::string, TimeNs>, std::optional<Outcome>> outcomes_;
 };
 
 /// The candidate moves of the local search, one region at a time.
@@ -467,7 +481,7 @@ std::vector<aaa::FloorplanChoice> floorplan_axis(const aaa::Project& project,
   std::vector<aaa::FloorplanChoice> choices;
   if (max_choices == 0) return choices;
   // One planner for the plan and its alternates, so they share its
-  // schedules (the alternates' counts, cumulative, go unused).
+  // priced tables (the alternates' counts, cumulative, go unused).
   Planner planner(project, options);
   const PlanResult best = search(planner, options);
   choices.push_back(aaa::FloorplanChoice{"plan", best.region_load_ns()});

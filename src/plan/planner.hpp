@@ -76,8 +76,9 @@ struct PlanResult {
   TimeNs reconfig_exposed = 0;  ///< exposed reconfiguration time
   int rounds = 0;               ///< search rounds actually run
   int evaluated = 0;            ///< schedules evaluated by the search
-  /// Adequation runs behind `evaluated`: one per distinct pricing table,
-  /// failed runs included. Not part of to_string().
+  /// Adequation runs the planner made: one per distinct pricing table,
+  /// failed runs included, plus one to certify each result. Not part of
+  /// to_string().
   int scheduled = 0;
 
   lint::Report lint;             ///< PDR020–025 oracle verdict on the result

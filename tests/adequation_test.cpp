@@ -668,7 +668,7 @@ Schedule hand_built(std::uint64_t seed, int resources, int items, TimeNs base, b
   return s;
 }
 
-TEST(ScheduleSort, MergedRunsMatchReference) {
+TEST(ScheduleSort, MonotoneRunsMatchReference) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed)
     expect_reference_order(hand_built(seed, 7, 600, 0, /*monotone=*/true));
 }
@@ -682,7 +682,7 @@ TEST(ScheduleSort, TiesAcrossResourcesAtOneInstant) {
   }
 }
 
-TEST(ScheduleSort, NonMonotoneRunsFallBackToTheSort) {
+TEST(ScheduleSort, NonMonotoneRunsMatchReference) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed)
     expect_reference_order(hand_built(seed, 6, 500, 0, /*monotone=*/false));
   // One step back in an otherwise monotone run.

@@ -128,8 +128,8 @@ TEST(RunDesignPoint, FloorplanLoadTableOverridesReconfigCost) {
   fast.floorplan.region_load_ns["D1"] = 10'000;  // 10 us per reload
   const auto cost = [](const std::string&, const std::string&) { return 1_ms; };
   aaa::Adequation adequation(project.algorithm, project.architecture, project.durations);
-  const auto slow_outcome = aaa::run_design_point(adequation, project, slow, cost);
-  const auto fast_outcome = aaa::run_design_point(adequation, project, fast, cost);
+  const auto slow_outcome = aaa::run_design_point(adequation, slow, cost);
+  const auto fast_outcome = aaa::run_design_point(adequation, fast, cost);
   ASSERT_TRUE(slow_outcome.ok) << slow_outcome.error;
   ASSERT_TRUE(fast_outcome.ok) << fast_outcome.error;
   // Same schedule shape, different reload pricing: the 40 ms plan can
@@ -143,7 +143,7 @@ TEST(RunDesignPoint, InfeasiblePointReportsErrorInsteadOfThrowing) {
   point.selection["m"] = "no_such_alternative";
   aaa::Adequation adequation(project.algorithm, project.architecture, project.durations);
   const auto outcome = aaa::run_design_point(
-      adequation, project, point, [](const std::string&, const std::string&) { return 1_ms; });
+      adequation, point, [](const std::string&, const std::string&) { return 1_ms; });
   EXPECT_FALSE(outcome.ok);
   EXPECT_NE(outcome.error.find("no_such_alternative"), std::string::npos);
 }
@@ -161,8 +161,8 @@ TEST(RunDesignPoint, ReusedAdequationMatchesFreshOnes) {
   aaa::Adequation reused(project.algorithm, project.architecture, project.durations);
   for (const aaa::DesignPoint& point : points) {
     aaa::Adequation fresh(project.algorithm, project.architecture, project.durations);
-    const auto want = aaa::run_design_point(fresh, project, point, {});
-    const auto got = aaa::run_design_point(reused, project, point, {});
+    const auto want = aaa::run_design_point(fresh, point, {});
+    const auto got = aaa::run_design_point(reused, point, {});
     ASSERT_TRUE(want.ok) << point.name() << ": " << want.error;
     ASSERT_TRUE(got.ok) << point.name() << ": " << got.error;
     EXPECT_EQ(got.makespan, want.makespan) << point.name();
