@@ -261,8 +261,9 @@ std::vector<BenchRecord> run_explore_suite(const SuiteOptions& opts) {
 
 // The automatic floorplanner on a generated project: the tracked figure
 // is candidates-evaluated-per-second of the co-optimization loop. Each
-// evaluation prices a candidate; only `schedules_run` of them ran an
-// adequation, one per distinct pricing table (see docs/floorplan.md).
+// evaluation prices a candidate; `schedules_run` counts the adequation
+// runs behind them, one per distinct pricing table plus the certifying
+// run (see docs/floorplan.md).
 std::vector<BenchRecord> run_floorplan_suite(const SuiteOptions& opts) {
   const int regions = 2;
   const int cpus = 2;
