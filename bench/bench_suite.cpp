@@ -35,6 +35,7 @@
 #include "aaa/project_io.hpp"
 #include "bench/generators.hpp"
 #include "bench/report.hpp"
+#include "bench/rescan_reference.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault_spec.hpp"
 #include "flow/artifact_store.hpp"
@@ -119,12 +120,10 @@ std::vector<BenchRecord> run_adequation_suite(const SuiteOptions& opts, bool& id
     std::printf("  generating %s ...\n", cfg.name().c_str());
     const aaa::AlgorithmGraph g = bench::generate_graph(cfg);
     const aaa::Adequation adequation(g, arch, durations);
-    aaa::AdequationOptions run_opts;
-    run_opts.ready_policy = aaa::ReadyPolicy::IndexedHeap;
     aaa::Schedule last;
     BenchRecord rec =
         bench::measure("adequation/" + cfg.name(), kWarmupRuns, default_repeats(opts),
-                       [&] { last = adequation.run(run_opts); });
+                       [&] { last = adequation.run(); });
     push_generator_config(rec, cfg, regions, cpus);
     rec.config.emplace_back("ready_policy", "indexed_heap");
     if (const auto mean = rec.wall_ms.opt_mean(); mean && *mean > 0)
@@ -136,8 +135,8 @@ std::vector<BenchRecord> run_adequation_suite(const SuiteOptions& opts, bool& id
                 records.back().wall_ms.mean());
   }
 
-  // Equivalence oracle: indexed engine vs the rescanning reference, byte
-  // for byte, at a small and a large size. The large full-tier point
+  // Equivalence oracle: indexed engine vs bench::schedule_rescan_reference,
+  // byte for byte, at a small and a large size. The large full-tier point
   // (100k ops) is the acceptance criterion for the hot-path work.
   const std::vector<int> equiv_sizes =
       opts.smoke ? std::vector<int>{1'000, 5'000} : std::vector<int>{1'000, 100'000};
@@ -149,18 +148,14 @@ std::vector<BenchRecord> run_adequation_suite(const SuiteOptions& opts, bool& id
     std::printf("  equivalence check at %d ops ...\n", n);
     const aaa::AlgorithmGraph g = bench::generate_graph(cfg);
     const aaa::Adequation adequation(g, arch, durations);
-    aaa::AdequationOptions heap_opts;
-    heap_opts.ready_policy = aaa::ReadyPolicy::IndexedHeap;
-    aaa::AdequationOptions rescan_opts;
-    rescan_opts.ready_policy = aaa::ReadyPolicy::RescanReference;
 
     std::string heap_csv;
     std::string rescan_csv;
     BenchRecord heap_rec = bench::measure("adequation/equiv-heap/" + cfg.name(), 0, 1,
-                                          [&] { heap_csv = adequation.run(heap_opts).to_csv(); });
-    BenchRecord rescan_rec =
-        bench::measure("adequation/equiv-rescan/" + cfg.name(), 0, 1,
-                       [&] { rescan_csv = adequation.run(rescan_opts).to_csv(); });
+                                          [&] { heap_csv = adequation.run().to_csv(); });
+    BenchRecord rescan_rec = bench::measure(
+        "adequation/equiv-rescan/" + cfg.name(), 0, 1,
+        [&] { rescan_csv = bench::schedule_rescan_reference(adequation).to_csv(); });
     const bool identical = heap_csv == rescan_csv;
     identical_ok = identical_ok && identical;
 

@@ -103,11 +103,11 @@ void print_region_series() {
     arch.connect("CPU", "IL");
     const aaa::AlgorithmGraph g = random_graph(60, 7);
     aaa::Adequation adequation(g, arch, durations);
-    adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 1_ms; });
 
     // The constraints file pins dynamic modules to regions: module
     // filt_a lives in D1, filt_b in D2 (wrapping when fewer regions).
     aaa::AdequationOptions options;
+    options.reconfig_cost = [](const std::string&, const std::string&) { return 1_ms; };
     int idx = 0;
     for (const auto& name : conditioned_names(g)) {
       const bool use_a = (idx % 2) == 0;
@@ -142,9 +142,9 @@ void print_size_series() {
     arch.add_operator(aaa::OperatorNode{"CPU", aaa::OperatorKind::Processor, 1.0, "", ""});
     arch.connect("CPU", "IL");
     const aaa::AlgorithmGraph g = random_graph(n, 11);
-    aaa::Adequation adequation(g, arch, durations);
-    adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 1_ms; });
-    const aaa::Schedule s = adequation.run();
+    aaa::AdequationOptions options;
+    options.reconfig_cost = [](const std::string&, const std::string&) { return 1_ms; };
+    const aaa::Schedule s = aaa::Adequation(g, arch, durations).run(options);
     int on_cpu = 0;
     int transfers = 0;
     for (const auto sym : s.placement)
@@ -172,8 +172,7 @@ void print_strategy_series() {
     arch.add_operator(aaa::OperatorNode{"CPU", aaa::OperatorKind::Processor, 1.0, "", ""});
     arch.connect("CPU", "IL");
     const aaa::AlgorithmGraph g = random_graph(n, 23);
-    aaa::Adequation adequation(g, arch, durations);
-    adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 1_ms; });
+    const aaa::Adequation adequation(g, arch, durations);
 
     double per_strategy[3] = {0, 0, 0};
     const aaa::MappingStrategy strategies[3] = {aaa::MappingStrategy::SynDExList,
@@ -181,6 +180,7 @@ void print_strategy_series() {
                                                 aaa::MappingStrategy::FirstFeasible};
     for (int s = 0; s < 3; ++s) {
       aaa::AdequationOptions options;
+      options.reconfig_cost = [](const std::string&, const std::string&) { return 1_ms; };
       options.strategy = strategies[s];
       per_strategy[s] = to_us(adequation.run(options).makespan);
     }

@@ -86,8 +86,8 @@ void print_artifact_inventory() {
   const mccdma::CaseStudy cs = mccdma::build_case_study();
   aaa::Adequation adequation(cs.algorithm, cs.architecture, cs.durations);
   adequation.apply_constraints(cs.constraints);
-  adequation.set_reconfig_cost(mccdma::case_study_reconfig_cost(cs.bundle));
   aaa::AdequationOptions options;
+  options.reconfig_cost = mccdma::case_study_reconfig_cost(cs.bundle);
   options.preloaded["D1"] = "qpsk";
   const aaa::Schedule schedule = adequation.run(options);
   const aaa::Executive executive = aaa::generate_executive(schedule, cs.algorithm, cs.architecture);

@@ -88,12 +88,13 @@ int main() {
   aaa::Adequation adequation(algo, arch, durations);
   adequation.apply_constraints(constraints);  // pins coder->D2, modulation->D1
   rtr::BitstreamStore cost_store = mccdma::make_case_study_store();
-  adequation.set_reconfig_cost([&bundle](const std::string& region, const std::string& module) {
+  aaa::AdequationOptions options;
+  options.reconfig_cost = [&bundle](const std::string& region, const std::string& module) {
     return mccdma::kCaseStudyStoreLatency +
            transfer_time_ns(bundle.variant(region, module).bitstream.size(),
                             mccdma::kCaseStudyStoreBandwidth);
-  });
-  const aaa::Schedule schedule = adequation.run();
+  };
+  const aaa::Schedule schedule = adequation.run(options);
   aaa::validate_schedule(schedule, algo, arch);
   std::puts("=== adequation with D1 + D2 (reconfigurations serialize on ICAP) ===");
   std::fputs(schedule.to_string().c_str(), stdout);

@@ -38,7 +38,6 @@ int main() {
   aaa::DurationTable durations = aaa::mccdma_durations();
 
   aaa::Adequation adequation(algo, arch, durations);
-  adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 2_ms; });
   // The filter's alternatives are dynamic modules sharing region D1 (what
   // the constraints file expresses for real designs).
   adequation.pin("filter", "D1");
@@ -46,6 +45,7 @@ int main() {
   // --- 4. Run the adequation and show the result -------------------------
   std::puts("=== schedule (prefetch on, region initially empty) ===");
   aaa::AdequationOptions options;
+  options.reconfig_cost = [](const std::string&, const std::string&) { return 2_ms; };
   options.selection["filter"] = "fir_long";
   const aaa::Schedule schedule = adequation.run(options);
   std::fputs(schedule.to_string().c_str(), stdout);

@@ -17,12 +17,18 @@
 // ("configuration prefetching", §1/§6); without it, reconfiguration starts
 // only when the operation's inputs are ready (on-demand), exposing the
 // full loading latency.
+//
+// An Adequation is one frozen problem: its constructor builds every table
+// that depends only on the graphs and the durations, and run() is const
+// and reentrant, taking all that varies per run (strategy, cost model,
+// selection, preloads) in AdequationOptions. The heuristic's named stages
+// live in aaa/scheduler.hpp, which this header does not include.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,8 +37,6 @@
 #include "aaa/constraints.hpp"
 #include "aaa/durations.hpp"
 #include "aaa/schedule.hpp"
-#include "graph/ready.hpp"
-#include "obs/trace.hpp"
 #include "util/units.hpp"
 
 namespace pdr::aaa {
@@ -61,15 +65,6 @@ enum class MappingStrategy : std::uint8_t {
 
 const char* mapping_strategy_name(MappingStrategy strategy);
 
-/// Ready-operation selection engine. IndexedHeap is the production path:
-/// per-node indegree counters feed a priority heap, so each round pops the
-/// next operation in O(log V) instead of rescanning every pending
-/// operation (O(V) per round, O(V^2 * deg) per schedule). RescanReference
-/// keeps the old loop alive purely as a benchmark/equivalence baseline —
-/// both engines share the same candidate evaluation and commit code and
-/// produce byte-identical schedules.
-enum class ReadyPolicy : std::uint8_t { IndexedHeap, RescanReference };
-
 /// One candidate evaluation the heuristic performed, for tests and
 /// tooling: `predicted_end` is the non-commit estimate; when `committed`
 /// is set this exact candidate was applied, and the resulting compute
@@ -82,38 +77,45 @@ struct CandidateEval {
   bool committed = false;
 };
 
+/// Cost of loading `module` into `region` (e.g. partial bitstream bytes
+/// over the configuration port).
+using ReconfigCost = std::function<TimeNs(const std::string& region, const std::string& module)>;
+
+/// The paper's measured Op_Dyn figure: what one region load costs when no
+/// cost model is given.
+inline constexpr TimeNs kPaperReconfigCost = 4'000'000;  // 4 ms
+
 struct AdequationOptions {
   MappingStrategy strategy = MappingStrategy::SynDExList;
-  ReadyPolicy ready_policy = ReadyPolicy::IndexedHeap;
   /// When non-null, every candidate evaluation is appended here.
   std::vector<CandidateEval>* eval_log = nullptr;
   /// Hoist reconfiguration ahead of data availability (paper's prefetch).
   bool prefetch = true;
+  /// Cost of each region load; empty charges kPaperReconfigCost.
+  ReconfigCost reconfig_cost;
   /// Chosen alternative per conditioned vertex name; missing entries use
   /// the first alternative.
   std::map<std::string, std::string> selection;
   /// Modules assumed pre-loaded per region at t=0 ("" = region empty).
   std::map<std::string, std::string> preloaded;
-  /// Name of the configuration-port pseudo resource.
-  std::string config_port_name = "CFGPORT";
 };
+
+struct Problem;
+class Scheduler;
 
 class Adequation {
  public:
-  /// Cost of loading `module` into `region` (e.g. partial bitstream bytes
-  /// over the configuration port).
-  using ReconfigCost = std::function<TimeNs(const std::string& region, const std::string& module)>;
-
+  /// Snapshots the problem: validates both graphs and builds every table
+  /// that depends only on them and on the durations (aaa/scheduler.hpp).
+  /// Throws pdr::Error on an invalid graph or an operation kind with no
+  /// duration entry. All three must outlive the instance and stay
+  /// unchanged: run() throws once any of them was edited.
   Adequation(const AlgorithmGraph& algorithm, const ArchitectureGraph& architecture,
              const DurationTable& durations);
 
   /// The graphs this instance schedules.
   const AlgorithmGraph& algorithm() const { return algorithm_; }
   const ArchitectureGraph& architecture() const { return architecture_; }
-
-  /// Sets the reconfiguration cost model (default: 4 ms flat, the paper's
-  /// measured Op_Dyn figure).
-  void set_reconfig_cost(ReconfigCost cost);
 
   /// Pins an operation onto a named operator (a SynDEx "absolute
   /// constraint").
@@ -126,47 +128,20 @@ class Adequation {
   /// graph", §4). Throws if alternatives of one vertex span two regions.
   void apply_constraints(const ConstraintSet& constraints);
 
-  /// Runs the heuristic. Throws pdr::Error if some operation has no
-  /// feasible operator. Graph-shaped scaffolding (ready tracker snapshot,
-  /// dependency CSR, critical-path priorities) is cached across calls on
-  /// one instance and invalidated via the graph/duration-table version
-  /// counters, so repeated runs over an unchanged problem pay for it once:
-  /// the planner's candidates, bench repeats, and the explorer's points,
-  /// which share one instance per concurrently running point
-  /// (flow::DesignSpaceExplorer). The cache makes run() non-reentrant:
-  /// concurrent calls on one Adequation instance are not supported.
+  /// Runs the heuristic. Reentrant: runs share the problem tables read
+  /// only, so one instance may run from many threads at once. Throws
+  /// pdr::Error if some operation has no feasible operator, or if a graph
+  /// or the duration table changed since construction.
   Schedule run(const AdequationOptions& options = {}) const;
 
  private:
-  /// One dependency row of the cached in-edge CSR: producer node, payload
-  /// and edge id of a `src -> consumer` data dependency.
-  struct InEdgeRow {
-    graph::NodeId src;
-    Bytes bytes = 0;
-    graph::EdgeId e = graph::kNoEdge;
-  };
-
-  /// Per-instance scaffolding reused across run() calls; every entry is a
-  /// pure restatement of the algorithm graph (plus durations, for the
-  /// priorities), so version counters are the only invalidation needed.
-  /// Nothing in it depends on the options or the cost model, so one
-  /// instance serves points that differ in either.
-  struct RunCache {
-    std::uint64_t algo_version = static_cast<std::uint64_t>(-1);
-    std::uint64_t durations_version = static_cast<std::uint64_t>(-1);
-    std::optional<graph::ReadyTracker> tracker;  ///< pristine snapshot
-    std::vector<std::size_t> in_off;             ///< CSR offsets, node -> rows
-    std::vector<InEdgeRow> in_rows;              ///< CSR rows, edge-id order
-    bool has_remainder = false;
-    std::vector<double> remainder;  ///< critical-path priorities (SynDExList)
-  };
+  friend class Scheduler;
 
   const AlgorithmGraph& algorithm_;
   const ArchitectureGraph& architecture_;
   const DurationTable& durations_;
-  ReconfigCost reconfig_cost_;
-  std::map<std::string, std::string> pins_;
-  mutable RunCache cache_;
+  std::shared_ptr<const Problem> problem_;
+  std::vector<NodeId> pinned_;  ///< operator per algorithm NodeId, kNoNode if unpinned
 };
 
 }  // namespace pdr::aaa

@@ -87,10 +87,9 @@ class AlgorithmGraph {
   const graph::Digraph<Operation, DataDep>& digraph() const { return g_; }
   std::size_t size() const { return g_.node_count(); }
 
-  /// Monotone mutation counter: bumped by every mutator. Callers caching
-  /// graph-shaped derived structures (ready trackers, dependency CSRs,
-  /// critical-path priorities) compare versions to invalidate — the same
-  /// idea as the validate() verdict cache, but usable from outside.
+  /// Monotone mutation counter: bumped by every mutator. Callers holding
+  /// graph-shaped derived structures (aaa::Adequation's problem tables)
+  /// compare versions to refuse a stale snapshot.
   std::uint64_t version() const { return version_; }
 
   /// Checks structural invariants: acyclic, sensors have no inputs,

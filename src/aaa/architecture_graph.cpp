@@ -32,6 +32,7 @@ NodeId ArchitectureGraph::add_operator(OperatorNode op) {
   ArchVertex v;
   v.op = std::move(op);
   validated_.clear();
+  ++version_;
   return g_.add_node(std::move(v));
 }
 
@@ -44,6 +45,7 @@ NodeId ArchitectureGraph::add_medium(MediumNode medium) {
   ArchVertex v;
   v.medium = std::move(medium);
   validated_.clear();
+  ++version_;
   return g_.add_node(std::move(v));
 }
 
@@ -53,6 +55,7 @@ void ArchitectureGraph::connect(NodeId op, NodeId medium) {
   g_.add_edge(op, medium, ArchLink{});
   g_.add_edge(medium, op, ArchLink{});
   validated_.clear();
+  ++version_;
 }
 
 void ArchitectureGraph::connect(const std::string& op, const std::string& medium) {

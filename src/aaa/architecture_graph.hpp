@@ -106,9 +106,13 @@ class ArchitectureGraph {
 
   std::size_t size() const { return g_.node_count(); }
 
+  /// Monotone mutation counter, bumped by every mutator.
+  std::uint64_t version() const { return version_; }
+
  private:
   graph::Digraph<ArchVertex, ArchLink> g_;
   util::ValidatedFlag validated_;  ///< cleared by every mutator
+  std::uint64_t version_ = 0;      ///< bumped by every mutator
 };
 
 /// Builds the paper's Figure-1 model: fixed part F1, dynamic parts D1..Dn,

@@ -51,8 +51,8 @@ class DurationTable {
   std::vector<Entry> entries() const;
 
   /// Monotone mutation counter: bumped by every set()/set_for(), so
-  /// callers can cache duration-derived values (e.g. critical-path
-  /// priorities) and invalidate by comparing versions.
+  /// callers holding duration-derived values (e.g. critical-path
+  /// priorities) can refuse a stale snapshot.
   std::uint64_t version() const { return version_; }
 
  private:

@@ -126,31 +126,24 @@ std::string ExplorationSpace::describe() const {
   return out;
 }
 
-ExplorationOutcome run_design_point(Adequation& adequation, const DesignPoint& point,
-                                    const Adequation::ReconfigCost& reconfig_cost,
+ExplorationOutcome run_design_point(const Adequation& adequation, const DesignPoint& point,
+                                    const ReconfigCost& reconfig_cost,
                                     const ScheduleVerifier& verifier) {
   ExplorationOutcome outcome;
   try {
+    AdequationOptions options = point.to_options();
+    options.reconfig_cost = reconfig_cost;
     if (!point.floorplan.region_load_ns.empty()) {
-      // The point's floorplan prices reconfiguration per region; regions it
-      // does not place fall back to the base cost model (or the 4 ms paper
-      // default when none was given).
-      const std::map<std::string, TimeNs> table = point.floorplan.region_load_ns;
-      const Adequation::ReconfigCost base = reconfig_cost;
-      adequation.set_reconfig_cost(
-          [table, base](const std::string& region, const std::string& module) -> TimeNs {
-            const auto it = table.find(region);
-            if (it != table.end()) return it->second;
-            return base ? base(region, module) : TimeNs{4'000'000};
-          });
-    } else if (reconfig_cost) {
-      adequation.set_reconfig_cost(reconfig_cost);
-    } else {
-      // A reused instance still holds the previous point's model.
-      adequation.set_reconfig_cost(
-          [](const std::string&, const std::string&) { return TimeNs{4'000'000}; });
+      // Regions the floorplan does not place fall back to the base model.
+      const std::map<std::string, TimeNs>& table = point.floorplan.region_load_ns;
+      options.reconfig_cost = [&table, &reconfig_cost](const std::string& region,
+                                                       const std::string& module) {
+        const auto it = table.find(region);
+        if (it != table.end()) return it->second;
+        return reconfig_cost ? reconfig_cost(region, module) : kPaperReconfigCost;
+      };
     }
-    const Schedule schedule = adequation.run(point.to_options());
+    const Schedule schedule = adequation.run(options);
     const ScheduleAnalysis analysis(schedule, adequation.algorithm(), adequation.architecture());
     if (verifier) {
       std::string rejection = verifier(analysis, point);

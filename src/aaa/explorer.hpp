@@ -107,15 +107,15 @@ struct ExplorationOutcome {
 using ScheduleVerifier = std::function<std::string(const ScheduleAnalysis& analysis,
                                                    const DesignPoint& point)>;
 
-/// Schedules one point on `adequation`, runs the verifier (when given)
-/// and validates the result against the instance's own graphs. The point
-/// sets the instance's cost model whole, so one instance can schedule
-/// many points and build its run scaffold once. Never throws: infeasible
+/// Schedules one point on `adequation` under `reconfig_cost` (empty: the
+/// paper's 4 ms), runs the verifier (when given) and validates the result
+/// against the instance's own graphs. A point with a floorplan prices the
+/// regions it places from its load table. Never throws: infeasible
 /// points (e.g. a selected variant no operator supports) come back with
 /// ok = false and the error message; uncertified points additionally
 /// carry rejected = true.
-ExplorationOutcome run_design_point(Adequation& adequation, const DesignPoint& point,
-                                    const Adequation::ReconfigCost& reconfig_cost,
+ExplorationOutcome run_design_point(const Adequation& adequation, const DesignPoint& point,
+                                    const ReconfigCost& reconfig_cost,
                                     const ScheduleVerifier& verifier = {});
 
 /// Indices of the Pareto-optimal outcomes, minimizing

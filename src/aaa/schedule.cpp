@@ -134,25 +134,21 @@ std::size_t Schedule::push_reconfig(util::SymbolId resource_sym, TimeNs tstart, 
   return i;
 }
 
-void Schedule::splice_transfers(const TransferPlan& plan, std::size_t begin, std::size_t end) {
-  PDR_CHECK(begin <= end && end <= plan.size(), "Schedule::splice_transfers",
-            "plan range out of bounds");
-  const std::size_t n = end - begin;
-  const std::size_t base = kind_.size();
+void Schedule::splice_transfers(const TransferPlan& plan) {
+  const std::size_t n = plan.size();
   kind_.insert(kind_.end(), n, ItemKind::Transfer);
-  start_.insert(start_.end(), plan.start.begin() + begin, plan.start.begin() + end);
-  end_.insert(end_.end(), plan.end.begin() + begin, plan.end.begin() + end);
-  resource_.insert(resource_.end(), plan.resource.begin() + begin, plan.resource.begin() + end);
+  start_.insert(start_.end(), plan.start.begin(), plan.start.end());
+  end_.insert(end_.end(), plan.end.begin(), plan.end.end());
+  resource_.insert(resource_.end(), plan.resource.begin(), plan.resource.end());
   op_.insert(op_.end(), n, graph::kNoNode);
   label_.insert(label_.end(), n, util::kNoSymbol);
   variant_.insert(variant_.end(), n, util::kEmptySymbol);
-  src_.insert(src_.end(), plan.src.begin() + begin, plan.src.begin() + end);
-  dst_.insert(dst_.end(), plan.dst.begin() + begin, plan.dst.begin() + end);
-  bytes_.insert(bytes_.end(), plan.bytes.begin() + begin, plan.bytes.begin() + end);
-  edge_.insert(edge_.end(), plan.edge.begin() + begin, plan.edge.begin() + end);
+  src_.insert(src_.end(), plan.src.begin(), plan.src.end());
+  dst_.insert(dst_.end(), plan.dst.begin(), plan.dst.end());
+  bytes_.insert(bytes_.end(), plan.bytes.begin(), plan.bytes.end());
+  edge_.insert(edge_.end(), plan.edge.begin(), plan.edge.end());
   module_.insert(module_.end(), n, util::kEmptySymbol);
   exposed_stall_.insert(exposed_stall_.end(), n, 0);
-  (void)base;
 }
 
 void Schedule::push_item(const ScheduledItem& item) {

@@ -77,13 +77,12 @@ struct ScheduledItem {
   TimeNs exposed_stall = 0; ///< part of this reconfiguration not hidden by prefetch
 };
 
-/// Arena-backed scratch span for candidate transfer plans: the same SoA
-/// columns a Schedule stores transfers in, plus the architecture node of
-/// each medium (the state write commit() performs). evaluate() appends
-/// rows here; commit() splices the winning [begin..end) range into the
-/// schedule column-by-column — no per-field string copies, ever. One
-/// arena serves a whole run: clear() keeps capacity, so candidate
-/// evaluation is allocation-free once warm.
+/// The transfer rows of one placement: the same SoA columns a Schedule
+/// stores transfers in, plus the architecture node of each medium (the
+/// state write commit() performs). commit() records the winner's rows here
+/// and splices them into the schedule column by column — no per-field
+/// string copies, ever. One plan serves a whole run: clear() keeps
+/// capacity, so recording is allocation-free once warm.
 struct TransferPlan {
   std::vector<TimeNs> start;
   std::vector<TimeNs> end;
@@ -171,8 +170,8 @@ class Schedule {
                             graph::EdgeId e);
   std::size_t push_reconfig(util::SymbolId resource_sym, TimeNs tstart, TimeNs tend,
                             util::SymbolId module_sym, TimeNs stall);
-  /// Splices plan rows [begin..end) into the schedule, column by column.
-  void splice_transfers(const TransferPlan& plan, std::size_t begin, std::size_t end);
+  /// Appends every plan row to the schedule, column by column.
+  void splice_transfers(const TransferPlan& plan);
 
   /// String-faced shim: interns the item's names and appends one row.
   /// The label is stored verbatim (see the label storage rule above).

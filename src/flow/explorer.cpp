@@ -1,8 +1,5 @@
 #include "flow/explorer.hpp"
 
-#include <memory>
-#include <mutex>
-
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -25,7 +22,7 @@ ExplorationReport DesignSpaceExplorer::run() const {
   report.points = space_.enumerate();
   report.outcomes.resize(report.points.size());
 
-  aaa::Adequation::ReconfigCost cost = options_.reconfig_cost_fn;
+  aaa::ReconfigCost cost = options_.reconfig_cost_fn;
   if (!cost) {
     const TimeNs flat = options_.reconfig_cost;
     cost = [flat](const std::string&, const std::string&) { return flat; };
@@ -49,31 +46,8 @@ ExplorationReport DesignSpaceExplorer::run() const {
     }
   }
 
-  // Idle Adequations over the project. A point checks one out for its
-  // run, so no more exist than points run at once, and each reuses its
-  // run scaffold (ready-tracker snapshot, dependency CSR, priorities)
-  // across the points it schedules. Results do not depend on which
-  // instance a point gets.
-  std::mutex idle_mutex;
-  std::vector<std::unique_ptr<aaa::Adequation>> idle;
-  const auto schedule_point = [&](const aaa::DesignPoint& point) {
-    std::unique_ptr<aaa::Adequation> adequation;
-    {
-      const std::lock_guard<std::mutex> lock(idle_mutex);
-      if (!idle.empty()) {
-        adequation = std::move(idle.back());
-        idle.pop_back();
-      }
-    }
-    if (!adequation)
-      adequation = std::make_unique<aaa::Adequation>(project_.algorithm, project_.architecture,
-                                                     project_.durations);
-    aaa::ExplorationOutcome outcome =
-        aaa::run_design_point(*adequation, point, cost, verifier);
-    const std::lock_guard<std::mutex> lock(idle_mutex);
-    idle.push_back(std::move(adequation));
-    return outcome;
-  };
+  // One problem, built once: every worker runs its points on it.
+  const aaa::Adequation adequation(project_.algorithm, project_.architecture, project_.durations);
 
   // One scenario per point; each body writes only its own outcome slot.
   std::vector<Scenario> scenarios;
@@ -82,8 +56,8 @@ ExplorationReport DesignSpaceExplorer::run() const {
     const aaa::DesignPoint& point = report.points[i];
     aaa::ExplorationOutcome& slot = report.outcomes[i];
     scenarios.push_back(Scenario{
-        point.name(), [&point, &slot, &schedule_point](ObsSinks& sinks) -> std::string {
-          slot = schedule_point(point);
+        point.name(), [&adequation, &cost, &verifier, &point, &slot](ObsSinks& sinks) -> std::string {
+          slot = aaa::run_design_point(adequation, point, cost, verifier);
           sinks.metrics.counter("explore.points").add(1);
           if (slot.rejected) sinks.metrics.counter("explore.pruned").add(1);
           if (!slot.ok) throw Error(slot.error);

@@ -26,9 +26,9 @@ struct ExplorerOptions {
   /// explicit error, never a silent truncation.
   std::size_t max_points = 4096;
   /// Flat reconfiguration cost…
-  TimeNs reconfig_cost = 4'000'000;  // 4 ms, the paper's measured figure
+  TimeNs reconfig_cost = aaa::kPaperReconfigCost;
   /// …or a callback overriding it (e.g. per-variant cost from a bundle).
-  aaa::Adequation::ReconfigCost reconfig_cost_fn;
+  aaa::ReconfigCost reconfig_cost_fn;
   /// Static hazard certification (pdr::verify's interval analysis) on
   /// every point's schedule before it is accepted: uncertified points are
   /// marked rejected and never simulated or scored. The prune is sound —

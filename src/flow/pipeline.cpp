@@ -127,14 +127,12 @@ std::shared_ptr<const AdequationArtifacts> Pipeline::adequation() {
       store_->get_or_build<AdequationArtifacts>(stage::kAdequation, adequation_key(), [&] {
         aaa::Adequation adequation(proj->algorithm, proj->architecture, proj->durations);
         if (options_.apply_constraints) adequation.apply_constraints(*constraints());
-        if (options_.reconfig_cost_fn) {
-          adequation.set_reconfig_cost(options_.reconfig_cost_fn);
-        } else {
-          const TimeNs cost = options_.reconfig_cost;
-          adequation.set_reconfig_cost(
-              [cost](const std::string&, const std::string&) { return cost; });
-        }
         aaa::AdequationOptions opts;
+        opts.reconfig_cost = options_.reconfig_cost_fn;
+        if (!opts.reconfig_cost) {
+          const TimeNs cost = options_.reconfig_cost;
+          opts.reconfig_cost = [cost](const std::string&, const std::string&) { return cost; };
+        }
         opts.prefetch = options_.prefetch;
         opts.preloaded = options_.preloaded;
         const aaa::Schedule schedule = adequation.run(opts);

@@ -62,12 +62,12 @@ struct PipelineOptions {
   // --- project side (ParseProject -> Adequation -> Codegen) -------------
   std::string project_text;
   /// Constant reconfiguration cost for the adequation…
-  TimeNs reconfig_cost = 4'000'000;  // 4 ms, the paper's measured figure
+  TimeNs reconfig_cost = aaa::kPaperReconfigCost;
   /// …or a callback overriding it (e.g. per-variant cost from the synth
   /// bundle). Callbacks are opaque to the cache: a non-empty
   /// `reconfig_cost_tag` naming the callback's identity is mandatory so
   /// two different cost models never alias one cache key.
-  aaa::Adequation::ReconfigCost reconfig_cost_fn;
+  aaa::ReconfigCost reconfig_cost_fn;
   std::string reconfig_cost_tag;
   bool prefetch = true;
   /// Modules assumed resident per region at t=0.

@@ -1,12 +1,10 @@
 #include "flow/scenario.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <exception>
-#include <thread>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace pdr::flow {
 
@@ -65,24 +63,12 @@ SweepResult ScenarioRunner::run(const std::vector<Scenario>& scenarios) const {
       results[i].report = scenarios[i].body(sinks[i]);
     } catch (const std::exception& e) {
       results[i].error = e.what();
+    } catch (...) {
+      results[i].error = "unknown exception";
     }
     results[i].wall_ms = elapsed_ms(start);
   };
-
-  if (jobs_ <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    const std::size_t workers = std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) run_one(i);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  util::parallel_for(jobs_, n, run_one);
 
   // Deterministic merge: strictly scenario-list order, after the barrier.
   SweepResult sweep;

@@ -127,7 +127,7 @@ rtr::BitstreamStore make_case_study_store() {
   return rtr::BitstreamStore(kCaseStudyStoreBandwidth, kCaseStudyStoreLatency);
 }
 
-aaa::Adequation::ReconfigCost case_study_reconfig_cost(const synth::DesignBundle& bundle) {
+aaa::ReconfigCost case_study_reconfig_cost(const synth::DesignBundle& bundle) {
   // Cold-load latency: the pipeline memory -> builder -> ICAP is
   // bottlenecked by the external memory stream.
   const fabric::PortTiming icap = fabric::ConfigPort::default_timing(fabric::PortKind::Icap);

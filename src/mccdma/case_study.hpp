@@ -80,6 +80,6 @@ rtr::BitstreamStore make_case_study_store();
 
 /// Reconfiguration-cost callback for the adequation: cold-load latency of
 /// each variant through the case-study store and ICAP.
-aaa::Adequation::ReconfigCost case_study_reconfig_cost(const synth::DesignBundle& bundle);
+aaa::ReconfigCost case_study_reconfig_cost(const synth::DesignBundle& bundle);
 
 }  // namespace pdr::mccdma

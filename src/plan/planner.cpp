@@ -214,12 +214,12 @@ class Planner {
   /// One adequation run under a region -> load-time table.
   aaa::Schedule run(const std::map<std::string, TimeNs>& load_ns) {
     ++scheduled_;
-    adequation_.set_reconfig_cost(
-        [load_ns](const std::string& region, const std::string&) -> TimeNs {
-          const auto it = load_ns.find(region);
-          return it != load_ns.end() ? it->second : TimeNs{4'000'000};
-        });
-    return adequation_.run(options_.schedule_options);
+    aaa::AdequationOptions options = options_.schedule_options;
+    options.reconfig_cost = [&load_ns](const std::string& region, const std::string&) {
+      const auto it = load_ns.find(region);
+      return it != load_ns.end() ? it->second : aaa::kPaperReconfigCost;
+    };
+    return adequation_.run(options);
   }
 
   /// Width -> frames -> reconfiguration duration, the same

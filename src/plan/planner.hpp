@@ -86,7 +86,7 @@ struct PlanResult {
   std::string certificate_error; ///< first verifier error when not certified
 
   /// Per-region reconfiguration durations, keyed like
-  /// Adequation::ReconfigCost's region argument.
+  /// aaa::ReconfigCost's region argument.
   std::map<std::string, TimeNs> region_load_ns() const;
 
   /// Constraints-file fragment declaring the planned regions

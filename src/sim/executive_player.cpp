@@ -10,7 +10,6 @@
 
 namespace pdr::sim {
 
-using namespace pdr::literals;
 using aaa::MacroInstr;
 using aaa::MacroOp;
 using aaa::MacroProgram;
@@ -18,7 +17,7 @@ using aaa::MacroProgram;
 ExecutivePlayer::ExecutivePlayer(const aaa::Executive& executive,
                                  const aaa::ArchitectureGraph& architecture)
     : executive_(executive), architecture_(architecture) {
-  reconfig_cost_ = [](const std::string&, const std::string&) { return 4_ms; };
+  reconfig_cost_ = [](const std::string&, const std::string&) { return aaa::kPaperReconfigCost; };
 }
 
 void ExecutivePlayer::set_reconfig_cost(ReconfigCost cost) { reconfig_cost_ = std::move(cost); }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "aaa/adequation.hpp"
 #include "aaa/architecture_graph.hpp"
 #include "aaa/macrocode.hpp"
 #include "obs/metrics.hpp"
@@ -46,7 +47,7 @@ struct PlayResult {
 
 class ExecutivePlayer {
  public:
-  using ReconfigCost = std::function<TimeNs(const std::string& region, const std::string& module)>;
+  using ReconfigCost = aaa::ReconfigCost;
 
   ExecutivePlayer(const aaa::Executive& executive, const aaa::ArchitectureGraph& architecture);
 

@@ -1,13 +1,12 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
-#include <thread>
 
 #include "fault/injector.hpp"
 #include "rtr/prefetch.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace pdr::svc {
@@ -565,27 +564,9 @@ ServiceReport FleetService::run(const RequestLog& log) {
 
     // Parallel drain phase: workers touch only device-owned state plus
     // the thread-safe fleet cache.
-    if (!queues_empty()) {
-      const int workers =
-          std::min(config_.jobs, static_cast<int>(devices_.size()));
-      if (workers <= 1) {
-        for (auto& dev : devices_) drain_device(*dev, now, tick_end);
-      } else {
-        std::atomic<std::size_t> cursor{0};
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) {
-          pool.emplace_back([this, &cursor, now, tick_end] {
-            while (true) {
-              const std::size_t i = cursor.fetch_add(1);
-              if (i >= devices_.size()) return;
-              drain_device(*devices_[i], now, tick_end);
-            }
-          });
-        }
-        for (auto& t : pool) t.join();
-      }
-    }
+    if (!queues_empty())
+      util::parallel_for(config_.jobs, devices_.size(),
+                         [&](std::size_t i) { drain_device(*devices_[i], now, tick_end); });
 
     // Serial collection phase: enforce the cache bound; eviction order is
     // stamp-based, so it never depends on worker timing.

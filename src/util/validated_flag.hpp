@@ -1,9 +1,9 @@
 // Copyable memoization flag for idempotent const validation.
 //
 // Graph classes expose `validate() const` that re-checks structural
-// invariants from scratch. Schedulers call it defensively at the top of
-// every run, so the explorer's sweep over thousands of design points
-// re-validated the same unmutated graph thousands of times. The flag
+// invariants from scratch. Every aaa::Adequation validates its graphs on
+// construction, and one unmutated graph is often handed to many of them
+// (a fresh instance per design pass, bench repeats). The flag
 // caches "already validated": set() after a successful pass, clear() in
 // every mutator. Stored atomically so concurrent validate() calls on a
 // shared const graph (the parallel explorer) are race-free — validation

@@ -6,6 +6,7 @@
 #include "aaa/adequation.hpp"
 #include "aaa/durations.hpp"
 #include "aaa/schedule_analysis.hpp"
+#include "bench/rescan_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -108,8 +109,9 @@ TEST(Adequation, ConditionedVertexOnRegionInsertsReconfig) {
   const DurationTable t = simple_durations();
   Adequation adequation(g, arch, t);
   adequation.pin("m", "D1");
-  adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 1_ms; });
-  const Schedule s = adequation.run();
+  AdequationOptions options;
+  options.reconfig_cost = [](const std::string&, const std::string&) { return 1_ms; };
+  const Schedule s = adequation.run(options);
   validate_schedule(s, g, arch);
   EXPECT_EQ(s.reconfig_count, 1);
   EXPECT_EQ(s.reconfig_total, 1_ms);
@@ -168,11 +170,11 @@ TEST(Adequation, PrefetchHoistsReconfigBeforeDataReady) {
   const DurationTable t = simple_durations();
   Adequation adequation(g, arch, t);
   adequation.pin("m", "D1");
-  adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 1_ms; });
 
   AdequationOptions with;
+  with.reconfig_cost = [](const std::string&, const std::string&) { return 1_ms; };
   with.prefetch = true;
-  AdequationOptions without;
+  AdequationOptions without = with;
   without.prefetch = false;
   const Schedule sp = adequation.run(with);
   const Schedule sn = adequation.run(without);
@@ -534,43 +536,55 @@ TEST(Adequation, EnginesProduceByteIdenticalSchedules) {
   const Adequation adequation(g, arch, t);
   for (const auto strategy :
        {MappingStrategy::SynDExList, MappingStrategy::RoundRobin, MappingStrategy::FirstFeasible}) {
-    AdequationOptions heap;
-    heap.strategy = strategy;
-    heap.ready_policy = ReadyPolicy::IndexedHeap;
-    AdequationOptions rescan = heap;
-    rescan.ready_policy = ReadyPolicy::RescanReference;
-    EXPECT_EQ(adequation.run(heap).to_csv(), adequation.run(rescan).to_csv())
+    AdequationOptions options;
+    options.strategy = strategy;
+    EXPECT_EQ(adequation.run(options).to_csv(),
+              bench::schedule_rescan_reference(adequation, options).to_csv())
         << mapping_strategy_name(strategy);
   }
 }
 
-TEST(Adequation, RunCacheInvalidatesOnGraphAndDurationMutation) {
-  // run() caches graph-shaped scaffolding (ready tracker, dependency
-  // CSR, critical-path priorities) across calls, keyed on the graph and
-  // duration-table version counters. Repeat runs must be byte-identical
-  // to a fresh instance's, and mutations must invalidate.
-  AlgorithmGraph g = chain();
+TEST(Adequation, PinRejectsAMedium) {
+  const AlgorithmGraph g = chain();
   const ArchitectureGraph arch = small_arch();
-  DurationTable t = simple_durations();
-  const Adequation cached(g, arch, t);
-  const std::string first = cached.run().to_csv();
-  EXPECT_EQ(cached.run().to_csv(), first);  // warm repeat, cache served
-  EXPECT_EQ(Adequation(g, arch, t).run().to_csv(), first);
+  const DurationTable t = simple_durations();
+  Adequation adequation(g, arch, t);
+  EXPECT_THROW(adequation.pin("b", "BUS"), pdr::Error);
+  EXPECT_THROW(adequation.pin("b", "NOPE"), pdr::Error);
+  EXPECT_THROW(adequation.pin("nope", "CPU"), pdr::Error);
+  adequation.pin("b", "CPU");
+  EXPECT_EQ(adequation.run().placement_name(g.by_name("b")), "CPU");
+}
 
-  // Graph mutation: the new operation must appear in the next run, and
-  // the cached instance must match a fresh one (a stale tracker or CSR
-  // would miss node 'd' entirely).
+TEST(Adequation, RunRefusesAProblemEditedAfterConstruction) {
+  // An Adequation snapshots its problem at construction. Editing the
+  // graph or the duration table afterwards makes run() throw (its tables
+  // would index a graph that no longer exists); a fresh instance
+  // schedules the edited problem.
+  AlgorithmGraph g = chain();
+  ArchitectureGraph arch = small_arch();
+  DurationTable t = simple_durations();
+  const Adequation before(g, arch, t);
+  const std::string first = before.run().to_csv();
+  EXPECT_EQ(before.run().to_csv(), first);  // repeat runs are identical
+
   g.add_compute("d", "work");
   g.add_dependency("b", "d", 64);
-  const std::string mutated = cached.run().to_csv();
-  EXPECT_NE(mutated, first);
+  EXPECT_THROW(before.run(), pdr::Error);
+  const Adequation after_graph(g, arch, t);
+  const std::string mutated = after_graph.run().to_csv();
   EXPECT_NE(mutated.find(",d,"), std::string::npos);
-  EXPECT_EQ(Adequation(g, arch, t).run().to_csv(), mutated);
 
-  // Duration mutation: critical-path priorities bake in kind means, so a
-  // table edit must refresh them — again fresh-instance identical.
   t.set("work", OperatorKind::FpgaStatic, 9'000'000);
-  EXPECT_EQ(cached.run().to_csv(), Adequation(g, arch, t).run().to_csv());
+  EXPECT_THROW(after_graph.run(), pdr::Error);
+  const Adequation after_table(g, arch, t);
+  EXPECT_EQ(after_table.run().to_csv(), Adequation(g, arch, t).run().to_csv());
+  EXPECT_NE(after_table.run().to_csv(), mutated);
+
+  arch.add_medium(MediumNode{"SPARE", 1e6, 0});
+  arch.connect("CPU", "SPARE");
+  EXPECT_THROW(after_table.run(), pdr::Error);
+  EXPECT_NO_THROW(Adequation(g, arch, t).run());
 }
 
 /// Property: random layered DAGs on the small platform always produce

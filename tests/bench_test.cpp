@@ -14,6 +14,7 @@
 #include "aaa/adequation.hpp"
 #include "bench/generators.hpp"
 #include "bench/report.hpp"
+#include "bench/rescan_reference.hpp"
 #include "flow/scenario.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -155,11 +156,7 @@ TEST(Generators, AdequationEnginesAgreeOnEveryShape) {
     SCOPED_TRACE(cfg.name());
     const aaa::AlgorithmGraph g = bench::generate_graph(cfg);
     const aaa::Adequation adequation(g, arch, durations);
-    aaa::AdequationOptions heap_opts;
-    heap_opts.ready_policy = aaa::ReadyPolicy::IndexedHeap;
-    aaa::AdequationOptions rescan_opts;
-    rescan_opts.ready_policy = aaa::ReadyPolicy::RescanReference;
-    EXPECT_EQ(adequation.run(heap_opts).to_csv(), adequation.run(rescan_opts).to_csv());
+    EXPECT_EQ(adequation.run().to_csv(), bench::schedule_rescan_reference(adequation).to_csv());
   }
 }
 

@@ -36,8 +36,9 @@ struct Fixture {
     Adequation adequation(algo, arch, durations);
     adequation.pin("mod", "D1");
     adequation.pin("src", "DSP");  // force DSP participation + transfers
-    adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 4_ms; });
-    schedule = adequation.run();
+    AdequationOptions options;
+    options.reconfig_cost = [](const std::string&, const std::string&) { return 4_ms; };
+    schedule = adequation.run(options);
     validate_schedule(schedule, algo, arch);
     executive = generate_executive(schedule, algo, arch);
   }

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "aaa/explorer.hpp"
+#include "bench/generators.hpp"
 #include "flow/explorer.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace pdr {
 namespace {
@@ -169,6 +174,49 @@ TEST(RunDesignPoint, ReusedAdequationMatchesFreshOnes) {
     EXPECT_EQ(got.reconfig_exposed, want.reconfig_exposed) << point.name();
     EXPECT_EQ(got.reconfig_count, want.reconfig_count) << point.name();
   }
+}
+
+TEST(Adequation, ConcurrentRunsMatchSerialRuns) {
+  // run() is const and reentrant: eight threads scheduling on one shared
+  // instance, each run with its own cost table, reproduce the serial
+  // schedules byte for byte. Under TSan this also checks that runs share
+  // nothing writable.
+  bench::GeneratorConfig cfg;
+  cfg.n_ops = 300;
+  cfg.width = 8;
+  cfg.conditioned_every = 3;
+  const aaa::AlgorithmGraph g = bench::generate_graph(cfg);
+  const aaa::ArchitectureGraph arch = bench::bench_architecture(2, 2);
+  const aaa::DurationTable durations = bench::bench_durations();
+  const aaa::Adequation adequation(g, arch, durations);
+
+  std::vector<aaa::AdequationOptions> runs;
+  for (const auto strategy : {aaa::MappingStrategy::SynDExList, aaa::MappingStrategy::RoundRobin,
+                              aaa::MappingStrategy::FirstFeasible})
+    for (const bool prefetch : {true, false})
+      for (const char* d1 : {"", "alt_a", "alt_b"}) {
+        aaa::AdequationOptions options;
+        options.strategy = strategy;
+        options.prefetch = prefetch;
+        if (*d1 != '\0') options.preloaded["D1"] = d1;
+        const std::map<std::string, TimeNs> table = {
+            {"D1", static_cast<TimeNs>(runs.size() + 1) * 100'000}, {"D2", 250'000}};
+        options.reconfig_cost = [table](const std::string& region, const std::string&) {
+          return table.at(region);
+        };
+        runs.push_back(std::move(options));
+      }
+  std::vector<std::string> serial;
+  for (const aaa::AdequationOptions& options : runs)
+    serial.push_back(adequation.run(options).to_csv());
+
+  const std::size_t rounds = 8;
+  std::vector<std::string> concurrent(runs.size() * rounds);
+  util::parallel_for(8, concurrent.size(), [&](std::size_t i) {
+    concurrent[i] = adequation.run(runs[i % runs.size()]).to_csv();
+  });
+  for (std::size_t i = 0; i < concurrent.size(); ++i)
+    EXPECT_EQ(concurrent[i], serial[i % runs.size()]) << "run " << i % runs.size();
 }
 
 TEST(ParetoFront, KeepsOnlyUndominatedOutcomes) {

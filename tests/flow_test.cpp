@@ -313,6 +313,18 @@ TEST(ScenarioRunner, ScenarioExceptionIsIsolated) {
   EXPECT_NE(sweep.combined_report().find("ERROR: exploded"), std::string::npos);
 }
 
+TEST(ScenarioRunner, NonStandardExceptionIsReportedNotFatal) {
+  const std::vector<flow::Scenario> scenarios = {
+      {"int", [](flow::ObsSinks&) -> std::string { throw 42; }},
+      {"ok", [](flow::ObsSinks&) { return std::string("fine\n"); }},
+  };
+  for (const int jobs : {1, 2}) {
+    const flow::SweepResult sweep = flow::ScenarioRunner(jobs).run(scenarios);
+    EXPECT_EQ(sweep.results[0].error, "unknown exception") << "jobs " << jobs;
+    EXPECT_TRUE(sweep.results[1].ok()) << "jobs " << jobs;
+  }
+}
+
 // --- presets ----------------------------------------------------------
 
 TEST(Presets, RunFlowFromConstraintsHitsTheSharedCache) {

@@ -72,8 +72,8 @@ TEST(Integration, ExecutivePlaysScheduleFaithfully) {
   const auto& cs = case_study();
   aaa::Adequation adequation(cs.algorithm, cs.architecture, cs.durations);
   adequation.apply_constraints(cs.constraints);
-  adequation.set_reconfig_cost(mccdma::case_study_reconfig_cost(cs.bundle));
   aaa::AdequationOptions options;
+  options.reconfig_cost = mccdma::case_study_reconfig_cost(cs.bundle);
   options.preloaded["D1"] = "qpsk";
   const aaa::Schedule schedule = adequation.run(options);
   aaa::validate_schedule(schedule, cs.algorithm, cs.architecture);
@@ -132,11 +132,11 @@ TEST(Integration, StaticPrefetchAndRuntimePrefetchAgreeOnHiddenLatency) {
   const auto& cs = case_study();
   aaa::Adequation adequation(cs.algorithm, cs.architecture, cs.durations);
   adequation.apply_constraints(cs.constraints);
-  adequation.set_reconfig_cost(mccdma::case_study_reconfig_cost(cs.bundle));
 
   aaa::AdequationOptions with;
+  with.reconfig_cost = mccdma::case_study_reconfig_cost(cs.bundle);
   with.prefetch = true;
-  aaa::AdequationOptions without;
+  aaa::AdequationOptions without = with;
   without.prefetch = false;
   const aaa::Schedule sp = adequation.run(with);
   const aaa::Schedule sn = adequation.run(without);

@@ -9,8 +9,8 @@
 //    architecture graph, so resource ids are dense array indices;
 //  - the SoA renderers (to_string / to_csv / gantt) and the generated
 //    executive are byte-identical to a legacy AoS rendering of the same
-//    schedule, across a strategy-fuzz corpus and both ready-policy
-//    engines.
+//    schedule, across a strategy-fuzz corpus, for the indexed heap and
+//    the rescanning reference alike.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,6 +21,7 @@
 #include "aaa/adequation.hpp"
 #include "aaa/macrocode.hpp"
 #include "bench/generators.hpp"
+#include "bench/rescan_reference.hpp"
 #include "util/interner.hpp"
 #include "util/strings.hpp"
 
@@ -231,11 +232,10 @@ TEST(ExporterByteIdentity, SoARenderersMatchLegacyAcrossStrategyFuzzCorpus) {
         EXPECT_EQ(s.to_string(), legacy_to_string(s)) << context;
         EXPECT_EQ(s.to_csv(), legacy_to_csv(s)) << context;
 
-        // Both ready-policy engines must emit byte-identical schedules,
-        // renderings and generated executives.
-        aaa::AdequationOptions rescan = options;
-        rescan.ready_policy = aaa::ReadyPolicy::RescanReference;
-        const aaa::Schedule r = aaa::Adequation(g, arch, durations).run(rescan);
+        // The indexed heap and the rescanning reference must emit
+        // byte-identical schedules, renderings and generated executives.
+        const aaa::Schedule r =
+            bench::schedule_rescan_reference(aaa::Adequation(g, arch, durations), options);
         EXPECT_EQ(s.to_csv(), r.to_csv()) << context;
         EXPECT_EQ(s.to_string(), r.to_string()) << context;
         EXPECT_EQ(s.gantt(), r.gantt()) << context;

@@ -11,6 +11,7 @@
 #include "aaa/adequation.hpp"
 #include "aaa/constraints.hpp"
 #include "aaa/durations.hpp"
+#include "bench/rescan_reference.hpp"
 #include "fabric/bitstream.hpp"
 #include "lint/schedule_rules.hpp"
 #include "rtr/manager.hpp"
@@ -181,11 +182,10 @@ TEST_P(PlatformFuzzTest, ConditionedGraphsScheduleOnRandomPlatforms) {
     prev = name;
   }
 
-  aaa::Adequation adequation(g, arch, durations);
-  adequation.set_reconfig_cost(
-      [](const std::string&, const std::string&) { return 500_us; });
+  const aaa::Adequation adequation(g, arch, durations);
   for (const bool prefetch : {true, false}) {
     aaa::AdequationOptions options;
+    options.reconfig_cost = [](const std::string&, const std::string&) { return 500_us; };
     options.prefetch = prefetch;
     const aaa::Schedule s = adequation.run(options);
     aaa::validate_schedule(s, g, arch);
@@ -210,12 +210,12 @@ TEST_P(StrategyFuzzTest, LayeredDagsScheduleValidlyUnderEveryStrategy) {
   const aaa::ArchitectureGraph& arch = problem->architecture;
   const aaa::DurationTable& durations = problem->durations;
 
-  aaa::Adequation adequation(g, arch, durations);
-  adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 500_us; });
+  const aaa::Adequation adequation(g, arch, durations);
   for (const auto strategy :
        {aaa::MappingStrategy::SynDExList, aaa::MappingStrategy::RoundRobin,
         aaa::MappingStrategy::FirstFeasible}) {
     aaa::AdequationOptions options;
+    options.reconfig_cost = [](const std::string&, const std::string&) { return 500_us; };
     options.strategy = strategy;
     const aaa::Schedule s = adequation.run(options);
     aaa::validate_schedule(s, g, arch);
@@ -224,9 +224,7 @@ TEST_P(StrategyFuzzTest, LayeredDagsScheduleValidlyUnderEveryStrategy) {
 
     // The indexed ready-queue must agree with the rescanning reference
     // byte for byte, whatever the strategy and graph shape.
-    aaa::AdequationOptions rescan = options;
-    rescan.ready_policy = aaa::ReadyPolicy::RescanReference;
-    EXPECT_EQ(s.to_csv(), adequation.run(rescan).to_csv())
+    EXPECT_EQ(s.to_csv(), bench::schedule_rescan_reference(adequation, options).to_csv())
         << aaa::mapping_strategy_name(strategy);
   }
 }

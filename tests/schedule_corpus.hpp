@@ -221,12 +221,14 @@ inline std::vector<Case> schedule_corpus() {
                                              aaa::MappingStrategy::FirstFeasible};
   const auto run = [&](const std::string& name, const std::shared_ptr<Problem>& problem,
                        TimeNs reconfig_cost, std::uint64_t seed) {
-    aaa::Adequation adequation(problem->algorithm, problem->architecture, problem->durations);
-    adequation.set_reconfig_cost(
-        [reconfig_cost](const std::string&, const std::string&) { return reconfig_cost; });
+    const aaa::Adequation adequation(problem->algorithm, problem->architecture,
+                                     problem->durations);
     for (const auto strategy : strategies) {
       aaa::AdequationOptions options = problem->options;
       options.strategy = strategy;
+      options.reconfig_cost = [reconfig_cost](const std::string&, const std::string&) {
+        return reconfig_cost;
+      };
       add_cases(out, name + "/" + aaa::mapping_strategy_name(strategy), problem,
                 adequation.run(options), seed * 3 + static_cast<std::uint64_t>(strategy));
     }

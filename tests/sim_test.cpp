@@ -285,8 +285,9 @@ TEST(ExecutivePlayer, ReconfigInstructionsCostAndCount) {
   const aaa::DurationTable durations = aaa::mccdma_durations();
   aaa::Adequation adequation(algo, arch, durations);
   adequation.pin("mod", "D1");
-  adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 100_us; });
-  const aaa::Schedule schedule = adequation.run();
+  aaa::AdequationOptions options;
+  options.reconfig_cost = [](const std::string&, const std::string&) { return 100_us; };
+  const aaa::Schedule schedule = adequation.run(options);
   const aaa::Executive executive = aaa::generate_executive(schedule, algo, arch);
 
   ExecutivePlayer player(executive, arch);
@@ -310,8 +311,9 @@ struct ConditionedFixture {
     const aaa::DurationTable durations = aaa::mccdma_durations();
     aaa::Adequation adequation(algo, arch, durations);
     adequation.pin("mod", "D1");
-    adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 100_us; });
-    const aaa::Schedule schedule = adequation.run();
+    aaa::AdequationOptions options;
+    options.reconfig_cost = [](const std::string&, const std::string&) { return 100_us; };
+    const aaa::Schedule schedule = adequation.run(options);
     executive = aaa::generate_executive(schedule, algo, arch);
   }
 };

@@ -69,8 +69,8 @@ TEST(CaseStudy, AdequationPlacesChainOnFpga) {
   const auto& cs = case_study();
   aaa::Adequation adequation(cs.algorithm, cs.architecture, cs.durations);
   adequation.apply_constraints(cs.constraints);
-  adequation.set_reconfig_cost(case_study_reconfig_cost(cs.bundle));
   aaa::AdequationOptions options;
+  options.reconfig_cost = case_study_reconfig_cost(cs.bundle);
   options.preloaded["D1"] = "qpsk";
   const aaa::Schedule schedule = adequation.run(options);
   aaa::validate_schedule(schedule, cs.algorithm, cs.architecture);

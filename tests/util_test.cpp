@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/arg_parser.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -20,6 +24,35 @@ namespace {
 using namespace pdr::literals;
 
 // --- units -----------------------------------------------------------------
+
+TEST(ParallelFor, RethrowsTheLowestIndexAfterRunningEveryIndex) {
+  // Indices 3 and 5 throw; every other index still runs, and the caller
+  // sees index 3's exception, whatever the thread count.
+  for (const int jobs : {1, 4, 8}) {
+    const std::size_t n = 16;
+    const auto ran = std::make_unique<std::atomic<int>[]>(n);
+    try {
+      util::parallel_for(jobs, n, [&](std::size_t i) {
+        ran[i].fetch_add(1);
+        if (i == 3) throw Error("index 3");
+        if (i == 5) throw std::logic_error("index 5");
+      });
+      ADD_FAILURE() << "jobs " << jobs << ": nothing was rethrown";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "index 3") << "jobs " << jobs;
+    }
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ran[i].load(), 1) << "jobs " << jobs << " i " << i;
+  }
+}
+
+TEST(ParallelFor, RunsEveryIndexOnceWithoutThrowing) {
+  for (const int jobs : {0, 1, 3, 8}) {
+    std::vector<int> hits(37, 0);
+    util::parallel_for(jobs, hits.size(), [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(hits, std::vector<int>(37, 1)) << "jobs " << jobs;
+  }
+  util::parallel_for(4, 0, [](std::size_t) { FAIL() << "no index to run"; });
+}
 
 TEST(Units, LiteralsCompose) {
   EXPECT_EQ(1_us, 1000_ns);

@@ -81,11 +81,11 @@ aaa::AlgorithmGraph conditioned_chain() {
 /// region compute, two transfers — every timeline the verifier sweeps.
 aaa::Schedule region_schedule(const aaa::AlgorithmGraph& g, const aaa::ArchitectureGraph& arch,
                               const aaa::DurationTable& t,
-                              const aaa::AdequationOptions& options = {}) {
+                              aaa::AdequationOptions options = {}) {
   aaa::Adequation adequation(g, arch, t);
-  adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 1_us; });
   adequation.pin("a", "CPU");
   adequation.pin("c", "CPU");
+  options.reconfig_cost = [](const std::string&, const std::string&) { return 1_us; };
   return adequation.run(options);
 }
 
@@ -478,10 +478,9 @@ TEST(DifferentialOracle, FuzzedCertifiedSchedulesReplayWithZeroHazards) {
     const auto problem = corpus::oracle_problem(seed);
     const aaa::AlgorithmGraph& g = problem->algorithm;
     const aaa::ArchitectureGraph& arch = problem->architecture;
-    const aaa::AdequationOptions& options = problem->options;
-    aaa::Adequation adequation(g, arch, problem->durations);
-    adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 100_us; });
-    const aaa::Schedule schedule = adequation.run(options);
+    aaa::AdequationOptions options = problem->options;
+    options.reconfig_cost = [](const std::string&, const std::string&) { return 100_us; };
+    const aaa::Schedule schedule = aaa::Adequation(g, arch, problem->durations).run(options);
 
     verify::VerifyOptions vo;
     vo.preloaded = options.preloaded;
@@ -514,9 +513,9 @@ TEST(DifferentialOracle, BothHalvesAgreeOnAMutatedSchedule) {
   const aaa::AlgorithmGraph g = bench::generate_graph(cfg);
   const aaa::ArchitectureGraph arch = bench::bench_architecture(2, 2);
   const aaa::DurationTable durations = bench::bench_durations();
-  aaa::Adequation adequation(g, arch, durations);
-  adequation.set_reconfig_cost([](const std::string&, const std::string&) { return 100_us; });
-  aaa::Schedule schedule = adequation.run();
+  aaa::AdequationOptions options;
+  options.reconfig_cost = [](const std::string&, const std::string&) { return 100_us; };
+  aaa::Schedule schedule = aaa::Adequation(g, arch, durations).run(options);
   ASSERT_GT(schedule.reconfig_count, 0);
 
   schedule.erase_items_if([](const ScheduledItem& i) { return i.kind == ItemKind::Reconfig; });
