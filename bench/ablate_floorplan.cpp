@@ -49,9 +49,9 @@ void print_width_sweep(const util::ArgParser& args, int jobs) {
   std::vector<flow::Scenario> scenarios;
   for (std::size_t i = 0; i < std::size(widths); ++i) {
     scenarios.push_back(
-        {strprintf("width=%d", widths[i]), [&widths, &slots, i](flow::ObsSinks& sinks) {
+        {strprintf("width=%d", widths[i]), [&widths, &slots, i](obs::Sinks sinks) {
            synth::ModularDesignFlow flow(fabric::xc2v2000());
-           flow.set_observability(&sinks.tracer, &sinks.metrics);
+           flow.set_sinks(sinks);
            flow.add_region("D1", {{"mod", "qam16_mapper", {}}}, 0, widths[i]);
            const synth::DesignBundle bundle = flow.run();
            rtr::BitstreamStore store = mccdma::make_case_study_store();
@@ -107,7 +107,7 @@ void print_device_sweep(int jobs) {
   std::vector<SweepRow> slots(std::size(devices));
   std::vector<flow::Scenario> scenarios;
   for (std::size_t i = 0; i < std::size(devices); ++i) {
-    scenarios.push_back({devices[i], [&devices, &slots, i](flow::ObsSinks&) {
+    scenarios.push_back({devices[i], [&devices, &slots, i](obs::Sinks) {
                            synth::ModularDesignFlow flow(fabric::device_by_name(devices[i]));
                            flow.add_region("D1", {{"mod", "qam16_mapper", {}}}, 0, 5);
                            const synth::DesignBundle bundle = flow.run();

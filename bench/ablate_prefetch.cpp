@@ -43,7 +43,7 @@ struct Accum {
   int wasted = 0;
 };
 
-Accum run_policy(aaa::PrefetchChoice policy, Bytes cache, int seeds, flow::ObsSinks& sinks) {
+Accum run_policy(aaa::PrefetchChoice policy, Bytes cache, int seeds, obs::Sinks sinks) {
   Accum acc;
   for (int seed = 0; seed < seeds; ++seed) {
     mccdma::SystemConfig config;
@@ -51,8 +51,7 @@ Accum run_policy(aaa::PrefetchChoice policy, Bytes cache, int seeds, flow::ObsSi
     config.prefetch = policy;
     config.manager.cache_capacity = cache;
     config.ber_sample_every = 0;
-    config.tracer = &sinks.tracer;
-    config.metrics = &sinks.metrics;
+    config.sinks = sinks;
     mccdma::TransmitterSystem system(mccdma::shared_case_study(), config);
     const auto r = system.run(30'000);
     acc.stall_ms.add(to_ms(r.stall_total));
@@ -86,7 +85,7 @@ void print_policy_table(const util::ArgParser& args, int jobs) {
   std::vector<Accum> slots(std::size(rows));
   std::vector<flow::Scenario> scenarios;
   for (std::size_t i = 0; i < std::size(rows); ++i) {
-    scenarios.push_back({rows[i].label, [&rows, &slots, i, seeds](flow::ObsSinks& sinks) {
+    scenarios.push_back({rows[i].label, [&rows, &slots, i, seeds](obs::Sinks sinks) {
                            slots[i] = run_policy(rows[i].policy, rows[i].cache, seeds, sinks);
                            return std::string();
                          }});
@@ -126,15 +125,14 @@ void print_guard_sweep(int jobs) {
   std::vector<flow::Scenario> scenarios;
   for (std::size_t i = 0; i < std::size(guards); ++i) {
     scenarios.push_back(
-        {strprintf("guard=%.1f", guards[i]), [&guards, &slots, i](flow::ObsSinks& sinks) {
+        {strprintf("guard=%.1f", guards[i]), [&guards, &slots, i](obs::Sinks sinks) {
            Accum acc;
            for (int seed = 0; seed < 6; ++seed) {
              mccdma::SystemConfig config;
              config.seed = 2000 + static_cast<std::uint64_t>(seed);
              config.adaptive.guard_db = guards[i];
              config.ber_sample_every = 0;
-             config.tracer = &sinks.tracer;
-             config.metrics = &sinks.metrics;
+             config.sinks = sinks;
              mccdma::TransmitterSystem system(mccdma::shared_case_study(), config);
              const auto r = system.run(30'000);
              acc.stall_ms.add(to_ms(r.stall_total));

@@ -35,7 +35,7 @@ namespace {
 /// One scrub-period campaign: Poisson SEUs on D1, no demand traffic, no
 /// port/fetch faults — isolates the scrubbing trade-off.
 fault::CampaignReport run_scrub_campaign(TimeNs period, double seu_rate_hz, TimeNs horizon,
-                                         std::uint64_t seed, flow::ObsSinks& sinks) {
+                                         std::uint64_t seed, obs::Sinks sinks) {
   fault::FaultSpec spec;
   spec.seed = seed;
   spec.horizon = horizon;
@@ -48,8 +48,7 @@ fault::CampaignReport run_scrub_campaign(TimeNs period, double seu_rate_hz, Time
   config.demand_period = 0;  // no adaptive-modulation traffic
 
   rtr::BitstreamStore store = mccdma::make_case_study_store();
-  return fault::run_campaign(mccdma::shared_case_study().bundle, store, spec, config,
-                             &sinks.tracer, &sinks.metrics);
+  return fault::run_campaign(mccdma::shared_case_study().bundle, store, spec, config, sinks);
 }
 
 void print_scrub_table(const util::ArgParser& args, int jobs) {
@@ -62,7 +61,7 @@ void print_scrub_table(const util::ArgParser& args, int jobs) {
   std::vector<flow::Scenario> scenarios;
   for (std::size_t i = 0; i < std::size(periods); ++i) {
     scenarios.push_back({strprintf("scrub=%.0fms", to_ms(periods[i])),
-                         [&periods, &slots, i, horizon](flow::ObsSinks& sinks) {
+                         [&periods, &slots, i, horizon](obs::Sinks sinks) {
                            slots[i] = run_scrub_campaign(periods[i], 50.0, horizon, 42, sinks);
                            return std::string();
                          }});

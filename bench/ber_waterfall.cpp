@@ -76,7 +76,7 @@ void print_waterfall(int jobs) {
   std::vector<flow::Scenario> scenarios;
   for (std::size_t i = 0; i < std::size(points); ++i) {
     scenarios.push_back(
-        {strprintf("ebn0=%.0f", points[i]), [&points, &slots, i](flow::ObsSinks&) {
+        {strprintf("ebn0=%.0f", points[i]), [&points, &slots, i](obs::Sinks) {
            const int symbols = 400;
            const double ebn0 = points[i];
            slots[i] = Row{strprintf("%.1e", measure_ber("qpsk", ebn0, false, 100, symbols)),
@@ -168,7 +168,7 @@ void print_coding_gain(int jobs) {
   std::vector<flow::Scenario> scenarios;
   for (std::size_t i = 0; i < std::size(points); ++i) {
     scenarios.push_back(
-        {strprintf("coded/ebn0=%.0f", points[i]), [&points, &slots, i](flow::ObsSinks&) {
+        {strprintf("coded/ebn0=%.0f", points[i]), [&points, &slots, i](obs::Sinks) {
            slots[i] = Row{strprintf("%.1e", measure_ber("qpsk", points[i], false, 500, 400)),
                           strprintf("%.1e", measure_coded_ber("qpsk", points[i], 600, 12))};
            return std::string();

@@ -53,7 +53,7 @@ std::string CampaignReport::to_string() const {
 
 CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamStore& store,
                             const FaultSpec& spec, const CampaignConfig& config,
-                            obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
+                            obs::Sinks sinks) {
   PDR_CHECK(!bundle.dynamic_variants.empty(), "run_campaign", "bundle has no dynamic regions");
 
   // Validate every name the spec mentions against the bundle up front, so
@@ -93,7 +93,7 @@ CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamSto
   manager_config.recovery.enabled = config.recovery;
   rtr::NonePrefetch policy;
   rtr::ReconfigManager manager(bundle, manager_config, store, policy);
-  manager.set_observability(tracer, metrics);
+  manager.set_sinks(sinks);
 
   // Safe module per region: the first variant the spec never targets with
   // a permanent store damage or a fetch fault — the image we can trust.
@@ -125,7 +125,7 @@ CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamSto
       });
 
   sim::EventQueue queue;
-  queue.set_observability(tracer, metrics);
+  queue.set_sinks(sinks);
 
   // SEU exposure accounting: upsets pending per region until a full
   // rewrite (demand load or scrub) erases them.

@@ -20,8 +20,7 @@
 #include "fault/fault_spec.hpp"
 #include "fault/injector.hpp"
 #include "fault/scrub_scheduler.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "rtr/bitstream_store.hpp"
 #include "rtr/manager.hpp"
 #include "synth/flow.hpp"
@@ -75,10 +74,10 @@ struct CampaignReport {
 };
 
 /// Runs one campaign to the spec's horizon. Validates that every module
-/// the spec names exists in the bundle. `tracer`/`metrics` may be null.
+/// the spec names exists in the bundle. The manager and event queue
+/// record through `sinks`.
 CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamStore& store,
                             const FaultSpec& spec, const CampaignConfig& config,
-                            obs::Tracer* tracer = nullptr,
-                            obs::MetricsRegistry* metrics = nullptr);
+                            obs::Sinks sinks = {});
 
 }  // namespace pdr::fault

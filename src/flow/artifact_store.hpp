@@ -10,8 +10,9 @@
 //
 // The run/hit counters per stage are the observable caching contract:
 // "re-running a flow with unchanged inputs serves the cached artifact"
-// is asserted by tests (and exported as flow.cache.* metrics) through
-// runs(stage) staying flat while hits(stage) climbs.
+// is asserted by tests through runs(stage) staying flat while
+// hits(stage) climbs. They are process-wide totals; each Pipeline
+// counts its own calls as flow.cache.* metrics.
 #pragma once
 
 #include <future>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "flow/fingerprint.hpp"
-#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace pdr::flow {
@@ -84,10 +84,6 @@ class ArtifactStore {
 
   std::size_t size() const;
   void clear();
-
-  /// Exports per-stage counters as "flow.cache.<stage>.runs" and
-  /// "flow.cache.<stage>.hits" into `metrics`.
-  void export_metrics(obs::MetricsRegistry& metrics) const;
 
  private:
   using StoreKey = std::pair<std::string, std::uint64_t>;

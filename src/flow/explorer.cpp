@@ -56,14 +56,14 @@ ExplorationReport DesignSpaceExplorer::run() const {
     const aaa::DesignPoint& point = report.points[i];
     aaa::ExplorationOutcome& slot = report.outcomes[i];
     scenarios.push_back(Scenario{
-        point.name(), [&adequation, &cost, &verifier, &point, &slot](ObsSinks& sinks) -> std::string {
+        point.name(),
+        [&adequation, &cost, &verifier, &point, &slot](obs::Sinks sinks) -> std::string {
           slot = aaa::run_design_point(adequation, point, cost, verifier);
-          sinks.metrics.counter("explore.points").add(1);
-          if (slot.rejected) sinks.metrics.counter("explore.pruned").add(1);
+          sinks.count("explore.points");
+          if (slot.rejected) sinks.count("explore.pruned");
           if (!slot.ok) throw Error(slot.error);
-          sinks.metrics.gauge("explore.makespan_ns").set(static_cast<double>(slot.makespan));
-          sinks.metrics.gauge("explore.reconfig_exposed_ns")
-              .set(static_cast<double>(slot.reconfig_exposed));
+          sinks.gauge("explore.makespan_ns", static_cast<double>(slot.makespan));
+          sinks.gauge("explore.reconfig_exposed_ns", static_cast<double>(slot.reconfig_exposed));
           return strprintf("makespan %.3f us, %d reconfigs (%.3f us exposed)\n",
                            to_us(slot.makespan), slot.reconfig_count,
                            to_us(slot.reconfig_exposed));

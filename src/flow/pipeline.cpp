@@ -34,11 +34,6 @@ Pipeline::Pipeline(PipelineOptions options, std::shared_ptr<ArtifactStore> store
             "a reconfig_cost_fn needs a reconfig_cost_tag to key the cache");
 }
 
-void Pipeline::set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
-}
-
 Fingerprint Pipeline::constraints_key() const { return fingerprint_of(options_.constraints_text); }
 
 Fingerprint Pipeline::synth_key() const {
@@ -60,30 +55,34 @@ Fingerprint Pipeline::adequation_key() const {
   return fp;
 }
 
-void Pipeline::note_stage(const char* stage, bool ran) {
-  if (tracer_ != nullptr && !ran)
-    tracer_->instant("flow", std::string(stage) + " (cached)", "flow_cache", 0);
-  if (metrics_ != nullptr) store_->export_metrics(*metrics_);
+template <typename T, typename Build>
+std::shared_ptr<const T> Pipeline::cached(const char* stage, const Fingerprint& key,
+                                          Build&& build) {
+  bool ran = false;
+  auto artifact = store_->get_or_build<T>(stage, key, [&] {
+    ran = true;
+    return build();
+  });
+  // Both counters register either way, so the exported names do not
+  // depend on which calls hit.
+  sinks_.count({"flow.cache.", stage, ".runs"}, ran ? 1.0 : 0.0);
+  sinks_.count({"flow.cache.", stage, ".hits"}, ran ? 0.0 : 1.0);
+  if (!ran) sinks_.instant("flow", {stage, " (cached)"}, "flow_cache", 0);
+  return artifact;
 }
 
 std::shared_ptr<const aaa::ConstraintSet> Pipeline::constraints() {
   PDR_CHECK(!options_.constraints_text.empty(), "Pipeline::constraints",
             "no constraints_text input");
-  const std::uint64_t runs_before = store_->runs(stage::kParseConstraints);
-  auto artifact = store_->get_or_build<aaa::ConstraintSet>(
+  return cached<aaa::ConstraintSet>(
       stage::kParseConstraints, constraints_key(),
       [&] { return aaa::parse_constraints(options_.constraints_text, /*validate=*/false); });
-  note_stage(stage::kParseConstraints, store_->runs(stage::kParseConstraints) != runs_before);
-  return artifact;
 }
 
 std::shared_ptr<const lint::Report> Pipeline::lint_report() {
   auto parsed = constraints();
-  const std::uint64_t runs_before = store_->runs(stage::kLint);
-  auto artifact = store_->get_or_build<lint::Report>(
-      stage::kLint, constraints_key(), [&] { return lint::check_constraints(*parsed); });
-  note_stage(stage::kLint, store_->runs(stage::kLint) != runs_before);
-  return artifact;
+  return cached<lint::Report>(stage::kLint, constraints_key(),
+                              [&] { return lint::check_constraints(*parsed); });
 }
 
 std::shared_ptr<const synth::DesignBundle> Pipeline::bundle() {
@@ -93,10 +92,9 @@ std::shared_ptr<const synth::DesignBundle> Pipeline::bundle() {
     if (report->errors() > 0)
       throw Error("constraints failed the design-rule check:\n" + report->to_text());
   }
-  const std::uint64_t runs_before = store_->runs(stage::kSynth);
-  auto artifact = store_->get_or_build<synth::DesignBundle>(stage::kSynth, synth_key(), [&] {
+  return cached<synth::DesignBundle>(stage::kSynth, synth_key(), [&] {
     synth::ModularDesignFlow flow(fabric::device_by_name(parsed->device));
-    flow.set_observability(tracer_, metrics_);
+    flow.set_sinks(sinks_);
     for (const auto& s : options_.statics) flow.add_static(s.name, s.kind, s.params);
     for (const auto& region : parsed->regions) {
       std::vector<synth::ModuleSpec> variants;
@@ -107,58 +105,48 @@ std::shared_ptr<const synth::DesignBundle> Pipeline::bundle() {
     }
     return flow.run();
   });
-  note_stage(stage::kSynth, store_->runs(stage::kSynth) != runs_before);
-  return artifact;
 }
 
 std::shared_ptr<const aaa::Project> Pipeline::project() {
   PDR_CHECK(!options_.project_text.empty(), "Pipeline::project", "no project_text input");
-  const std::uint64_t runs_before = store_->runs(stage::kParseProject);
-  auto artifact = store_->get_or_build<aaa::Project>(
-      stage::kParseProject, project_key(), [&] { return aaa::parse_project(options_.project_text); });
-  note_stage(stage::kParseProject, store_->runs(stage::kParseProject) != runs_before);
-  return artifact;
+  return cached<aaa::Project>(stage::kParseProject, project_key(),
+                              [&] { return aaa::parse_project(options_.project_text); });
 }
 
 std::shared_ptr<const AdequationArtifacts> Pipeline::adequation() {
   auto proj = project();
-  const std::uint64_t runs_before = store_->runs(stage::kAdequation);
-  auto artifact =
-      store_->get_or_build<AdequationArtifacts>(stage::kAdequation, adequation_key(), [&] {
-        aaa::Adequation adequation(proj->algorithm, proj->architecture, proj->durations);
-        if (options_.apply_constraints) adequation.apply_constraints(*constraints());
-        aaa::AdequationOptions opts;
-        opts.reconfig_cost = options_.reconfig_cost_fn;
-        if (!opts.reconfig_cost) {
-          const TimeNs cost = options_.reconfig_cost;
-          opts.reconfig_cost = [cost](const std::string&, const std::string&) { return cost; };
-        }
-        opts.prefetch = options_.prefetch;
-        opts.preloaded = options_.preloaded;
-        const aaa::Schedule schedule = adequation.run(opts);
-        const aaa::Executive executive =
-            aaa::generate_executive(schedule, proj->algorithm, proj->architecture);
-        lint::Report report =
-            lint::check_schedule(schedule, proj->algorithm, proj->architecture);
-        report.merge(lint::check_executive(executive));
-        // Interval certification (PDR1xx): the schedule must be provably
-        // race-free before anything downstream simulates or emits it.
-        verify::VerifyOptions verify_options;
-        verify_options.preloaded = options_.preloaded;
-        std::shared_ptr<const aaa::ConstraintSet> cset;  // keeps the artifact alive
-        if (options_.apply_constraints) {
-          cset = constraints();
-          verify_options.constraints = cset.get();
-        }
-        report.merge(
-            verify::verify_schedule(schedule, proj->algorithm, proj->architecture, verify_options)
-                .to_report());
-        if (options_.lint_gate && report.errors() > 0)
-          throw Error("schedule/executive failed the design-rule check:\n" + report.to_text());
-        return AdequationArtifacts{schedule, executive, std::move(report)};
-      });
-  note_stage(stage::kAdequation, store_->runs(stage::kAdequation) != runs_before);
-  return artifact;
+  return cached<AdequationArtifacts>(stage::kAdequation, adequation_key(), [&] {
+    aaa::Adequation adequation(proj->algorithm, proj->architecture, proj->durations);
+    if (options_.apply_constraints) adequation.apply_constraints(*constraints());
+    aaa::AdequationOptions opts;
+    opts.reconfig_cost = options_.reconfig_cost_fn;
+    if (!opts.reconfig_cost) {
+      const TimeNs cost = options_.reconfig_cost;
+      opts.reconfig_cost = [cost](const std::string&, const std::string&) { return cost; };
+    }
+    opts.prefetch = options_.prefetch;
+    opts.preloaded = options_.preloaded;
+    const aaa::Schedule schedule = adequation.run(opts);
+    const aaa::Executive executive =
+        aaa::generate_executive(schedule, proj->algorithm, proj->architecture);
+    lint::Report report = lint::check_schedule(schedule, proj->algorithm, proj->architecture);
+    report.merge(lint::check_executive(executive));
+    // Interval certification (PDR1xx): the schedule must be provably
+    // race-free before anything downstream simulates or emits it.
+    verify::VerifyOptions verify_options;
+    verify_options.preloaded = options_.preloaded;
+    std::shared_ptr<const aaa::ConstraintSet> cset;  // keeps the artifact alive
+    if (options_.apply_constraints) {
+      cset = constraints();
+      verify_options.constraints = cset.get();
+    }
+    report.merge(
+        verify::verify_schedule(schedule, proj->algorithm, proj->architecture, verify_options)
+            .to_report());
+    if (options_.lint_gate && report.errors() > 0)
+      throw Error("schedule/executive failed the design-rule check:\n" + report.to_text());
+    return AdequationArtifacts{schedule, executive, std::move(report)};
+  });
 }
 
 std::shared_ptr<const CodegenArtifacts> Pipeline::codegen() {
@@ -170,8 +158,7 @@ std::shared_ptr<const CodegenArtifacts> Pipeline::codegen() {
   // floorplan's bus-macro provisioning — fold both into the key.
   Fingerprint key = adequation_key();
   if (with_constraints) key.mix(synth_key());
-  const std::uint64_t runs_before = store_->runs(stage::kCodegen);
-  auto artifact = store_->get_or_build<CodegenArtifacts>(stage::kCodegen, key, [&] {
+  return cached<CodegenArtifacts>(stage::kCodegen, key, [&] {
     const aaa::ConstraintSet fallback;
     const aaa::ConstraintSet& cset = with_constraints ? *constraints() : fallback;
     const synth::DesignBundle* bun = with_constraints ? bundle().get() : nullptr;
@@ -203,8 +190,6 @@ std::shared_ptr<const CodegenArtifacts> Pipeline::codegen() {
         aaa::generate_m4_application(adeq->executive, proj->architecture, proj->name);
     return out;
   });
-  note_stage(stage::kCodegen, store_->runs(stage::kCodegen) != runs_before);
-  return artifact;
 }
 
 std::shared_ptr<const fault::CampaignReport> Pipeline::fault_campaign(
@@ -220,22 +205,18 @@ std::shared_ptr<const fault::CampaignReport> Pipeline::fault_campaign(
       .mix(opts.manager_tag)
       .mix(opts.store_bandwidth)
       .mix(static_cast<std::uint64_t>(opts.store_latency));
-  const std::uint64_t runs_before = store_->runs(stage::kFaultCampaign);
-  auto artifact =
-      store_->get_or_build<fault::CampaignReport>(stage::kFaultCampaign, key, [&] {
-        const fault::FaultSpec spec = fault::parse_fault_spec(spec_text);
-        fault::CampaignConfig config;
-        config.seed = opts.seed;
-        config.recovery = opts.recovery;
-        config.scrub_period = opts.scrub_period;
-        config.scrub_mode = opts.scrub_mode;
-        config.demand_period = opts.demand_period;
-        config.manager = opts.manager;
-        rtr::BitstreamStore store(opts.store_bandwidth, opts.store_latency);
-        return fault::run_campaign(*bun, store, spec, config, tracer_, metrics_);
-      });
-  note_stage(stage::kFaultCampaign, store_->runs(stage::kFaultCampaign) != runs_before);
-  return artifact;
+  return cached<fault::CampaignReport>(stage::kFaultCampaign, key, [&] {
+    const fault::FaultSpec spec = fault::parse_fault_spec(spec_text);
+    fault::CampaignConfig config;
+    config.seed = opts.seed;
+    config.recovery = opts.recovery;
+    config.scrub_period = opts.scrub_period;
+    config.scrub_mode = opts.scrub_mode;
+    config.demand_period = opts.demand_period;
+    config.manager = opts.manager;
+    rtr::BitstreamStore store(opts.store_bandwidth, opts.store_latency);
+    return fault::run_campaign(*bun, store, spec, config, sinks_);
+  });
 }
 
 }  // namespace pdr::flow

@@ -36,8 +36,7 @@
 #include "fault/campaign.hpp"
 #include "flow/artifact_store.hpp"
 #include "lint/lint.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "synth/flow.hpp"
 #include "util/units.hpp"
 
@@ -113,9 +112,11 @@ class Pipeline {
   explicit Pipeline(PipelineOptions options,
                     std::shared_ptr<ArtifactStore> store = default_store());
 
-  /// Sinks receive stage spans/counters for stages that actually run;
-  /// cache hits emit an instant event instead. Either may be nullptr.
-  void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  /// Stages that run record their spans/counters through `sinks`; cache
+  /// hits emit an instant event instead. Every stage call also counts
+  /// into "flow.cache.<stage>.runs" or ".hits": this pipeline's own
+  /// calls, whatever other pipelines share the store.
+  void set_sinks(obs::Sinks sinks) { sinks_ = sinks; }
 
   // --- constraints side -------------------------------------------------
   std::shared_ptr<const aaa::ConstraintSet> constraints();
@@ -145,14 +146,15 @@ class Pipeline {
   Fingerprint project_key() const;
   Fingerprint adequation_key() const;
 
-  /// Emits a cache-hit instant on `tracer_` when `ran` is false, and
-  /// refreshes the flow.cache.* metrics either way.
-  void note_stage(const char* stage, bool ran);
+  /// store_->get_or_build plus the stage's flow.cache.* count and, on a
+  /// hit, its "(cached)" instant. Whether this call ran the builder comes
+  /// from the builder itself, never from the shared store's counters.
+  template <typename T, typename Build>
+  std::shared_ptr<const T> cached(const char* stage, const Fingerprint& key, Build&& build);
 
   PipelineOptions options_;
   std::shared_ptr<ArtifactStore> store_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
 };
 
 /// Fingerprint helper shared with presets: mixes a ModuleSpec list.

@@ -29,12 +29,14 @@ std::string SweepResult::combined_report() const {
 void SweepResult::write_obs(const std::string& trace_path,
                             const std::string& metrics_path) const {
   if (!trace_path.empty()) {
-    trace.write_chrome_json(trace_path);
-    std::printf("wrote trace with %zu events to %s\n", trace.size(), trace_path.c_str());
+    recorder.tracer.write_chrome_json(trace_path);
+    std::printf("wrote trace with %zu events to %s\n", recorder.tracer.size(),
+                trace_path.c_str());
   }
   if (!metrics_path.empty()) {
-    metrics.write_json(metrics_path);
-    std::printf("wrote %zu metrics to %s\n", metrics.names().size(), metrics_path.c_str());
+    recorder.metrics.write_json(metrics_path);
+    std::printf("wrote %zu metrics to %s\n", recorder.metrics.names().size(),
+                metrics_path.c_str());
   }
 }
 
@@ -52,7 +54,7 @@ SweepResult ScenarioRunner::run(const std::vector<Scenario>& scenarios) const {
   const std::size_t n = scenarios.size();
 
   // Per-scenario isolation: each worker touches only index-owned slots.
-  std::vector<ObsSinks> sinks(n);
+  std::vector<obs::Recorder> recorders(n);
   std::vector<ScenarioResult> results(n);
   for (std::size_t i = 0; i < n; ++i) results[i].name = scenarios[i].name;
 
@@ -60,7 +62,7 @@ SweepResult ScenarioRunner::run(const std::vector<Scenario>& scenarios) const {
     PDR_CHECK(scenarios[i].body != nullptr, "ScenarioRunner", "scenario without a body");
     const auto start = std::chrono::steady_clock::now();
     try {
-      results[i].report = scenarios[i].body(sinks[i]);
+      results[i].report = scenarios[i].body(obs::Sinks(recorders[i]));
     } catch (const std::exception& e) {
       results[i].error = e.what();
     } catch (...) {
@@ -73,10 +75,7 @@ SweepResult ScenarioRunner::run(const std::vector<Scenario>& scenarios) const {
   // Deterministic merge: strictly scenario-list order, after the barrier.
   SweepResult sweep;
   sweep.results = std::move(results);
-  for (std::size_t i = 0; i < n; ++i) {
-    sweep.trace.append(sinks[i].tracer, scenarios[i].name + "/");
-    sweep.metrics.merge(sinks[i].metrics);
-  }
+  for (std::size_t i = 0; i < n; ++i) sweep.recorder.merge(recorders[i], scenarios[i].name + "/");
   sweep.wall_ms = elapsed_ms(sweep_start);
   return sweep;
 }

@@ -9,8 +9,8 @@
 //  - every scenario body is a pure function of its inputs (all the
 //    simulations are seed-driven; sim::EventQueue's FIFO tie-break keeps
 //    them so),
-//  - each scenario writes only to its own Tracer/MetricsRegistry and its
-//    own result slot (no shared mutable state between bodies),
+//  - each scenario records only into its own obs::Recorder and writes
+//    only its own result slot (no shared mutable state between bodies),
 //  - merging happens after the barrier, serially, in scenario-list order
 //    (never completion order).
 // Wall-clock timings are recorded per scenario but deliberately kept out
@@ -21,24 +21,18 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 
 namespace pdr::flow {
-
-/// Per-scenario observability sinks, handed to the body.
-struct ObsSinks {
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-};
 
 struct Scenario {
   /// Unique label; prefixes the scenario's tracks in the merged trace.
   std::string name;
-  /// Runs the scenario, recording into `sinks`, and returns the
-  /// deterministic report text (simulated-time numbers only — no
-  /// wall-clock, or serial-vs-parallel byte-identity breaks).
-  std::function<std::string(ObsSinks& sinks)> body;
+  /// Runs the scenario, recording through `sinks` (a handle to the
+  /// scenario's own recorder), and returns the deterministic report text
+  /// (simulated-time numbers only — no wall-clock, or serial-vs-parallel
+  /// byte-identity breaks).
+  std::function<std::string(obs::Sinks sinks)> body;
 };
 
 struct ScenarioResult {
@@ -51,8 +45,7 @@ struct ScenarioResult {
 
 struct SweepResult {
   std::vector<ScenarioResult> results;  ///< scenario-list order
-  obs::Tracer trace;                    ///< tracks prefixed "<name>/"
-  obs::MetricsRegistry metrics;         ///< counters summed, index order
+  obs::Recorder recorder;               ///< list-order merge, tracks "<name>/"
   double wall_ms = 0;                   ///< whole sweep, wall-clock
 
   /// Concatenated per-scenario reports, each under a "=== name ==="

@@ -76,16 +76,13 @@ aaa::AlgorithmGraph make_transmitter_algorithm(const McCdmaParams& params) {
 }
 
 synth::DesignBundle run_flow_from_constraints(const aaa::ConstraintSet& constraints,
-                                              const std::vector<synth::ModuleSpec>& statics,
-                                              obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
+                                              const std::vector<synth::ModuleSpec>& statics) {
   constraints.validate();  // keep the legacy contract: invalid sets throw here
   flow::PipelineOptions options;
   options.constraints_text = aaa::write_constraints(constraints);
   options.statics = statics;
   options.lint_gate = false;  // validate() above is the gate; lint stays advisory
-  flow::Pipeline pipeline(std::move(options));
-  pipeline.set_observability(tracer, metrics);
-  return *pipeline.bundle();
+  return *flow::Pipeline(std::move(options)).bundle();
 }
 
 std::vector<synth::ModuleSpec> case_study_statics() {

@@ -55,17 +55,13 @@ std::vector<synth::ModuleSpec> case_study_statics();
 
 /// Runs the Modular Design flow for a ConstraintSet: dynamic modules from
 /// the constraints, plus the given static modules.
-/// `tracer`/`metrics` (optional) receive the flow's stage spans and
-/// counters.
 ///
 /// A thin preset over flow::Pipeline's Synth stage: the constraints are
 /// serialized to their canonical text and looked up in the process-wide
 /// artifact store, so calling this twice with equivalent inputs runs the
 /// Modular Design flow once and serves the cached bundle the second time.
 synth::DesignBundle run_flow_from_constraints(const aaa::ConstraintSet& constraints,
-                                              const std::vector<synth::ModuleSpec>& statics,
-                                              obs::Tracer* tracer = nullptr,
-                                              obs::MetricsRegistry* metrics = nullptr);
+                                              const std::vector<synth::ModuleSpec>& statics);
 
 /// Assembles the whole case study.
 CaseStudy build_case_study();

@@ -84,9 +84,8 @@ std::string format_system_report(const SystemReport& report, const SystemConfig&
 
 flow::Scenario transmitter_scenario(std::string name, SystemConfig config, std::size_t symbols) {
   return flow::Scenario{
-      std::move(name), [config, symbols](flow::ObsSinks& sinks) mutable {
-        config.tracer = &sinks.tracer;
-        config.metrics = &sinks.metrics;
+      std::move(name), [config, symbols](obs::Sinks sinks) mutable {
+        config.sinks = sinks;
         TransmitterSystem system(shared_case_study(), config);
         const SystemReport report = system.run(symbols);
         return format_system_report(report, config);
@@ -97,10 +96,10 @@ flow::Scenario campaign_scenario(std::string name, std::string spec_text,
                                  flow::FaultCampaignOptions options) {
   return flow::Scenario{
       std::move(name),
-      [spec_text = std::move(spec_text), options](flow::ObsSinks& sinks) {
+      [spec_text = std::move(spec_text), options](obs::Sinks sinks) {
         flow::Pipeline pipeline =
             constraints_pipeline(case_study_constraints_text(), case_study_statics());
-        pipeline.set_observability(&sinks.tracer, &sinks.metrics);
+        pipeline.set_sinks(sinks);
         return pipeline.fault_campaign(spec_text, options)->to_string();
       }};
 }

@@ -37,14 +37,15 @@ SystemConfig sweep_system_config(aaa::PrefetchChoice prefetch, std::uint64_t see
 /// (config, report): simulated-time numbers only, no wall-clock.
 std::string format_system_report(const SystemReport& report, const SystemConfig& config);
 
-/// One seeded transmitter run as a sweep scenario. The body wires the
-/// scenario's private sinks into the config, runs `symbols` OFDM symbols
+/// One seeded transmitter run as a sweep scenario. The body hands the
+/// scenario's own sinks to the config, runs `symbols` OFDM symbols
 /// against shared_case_study() and returns format_system_report().
 flow::Scenario transmitter_scenario(std::string name, SystemConfig config, std::size_t symbols);
 
 /// One seeded fault-injection campaign as a sweep scenario, run through
-/// the case-study pipeline's FaultCampaign stage (so a repeated
-/// (spec, options) pair is a cache hit). Returns the campaign report text.
+/// the FaultCampaign stage of constraints_pipeline(case-study constraints
+/// text, case-study statics), so a repeated (spec, options) pair is a
+/// cache hit. Returns the campaign report text.
 flow::Scenario campaign_scenario(std::string name, std::string spec_text,
                                  flow::FaultCampaignOptions options);
 

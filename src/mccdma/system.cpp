@@ -28,7 +28,7 @@ TransmitterSystem::TransmitterSystem(const CaseStudy& case_study, SystemConfig c
       estimator_(case_study.params),
       snr_(config.snr, Rng(config.seed)),
       controller_(config.adaptive) {
-  manager_->set_observability(config_.tracer, config_.metrics);
+  manager_->set_sinks(config_.sinks);
   if (config_.multipath) {
     Rng taps_rng(config_.seed ^ 0xfade);
     fading_ = std::make_unique<MultipathChannel>(
@@ -127,16 +127,15 @@ SystemReport TransmitterSystem::run(std::size_t n_symbols) {
   report.symbols = n_symbols;
   report.elapsed = now;
   report.manager = manager_->stats();
-  if (config_.tracer != nullptr) timeline_.export_to(*config_.tracer, "system_");
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("system.symbols").add(static_cast<double>(n_symbols));
-    config_.metrics->counter("system.switches").add(report.switches);
-    config_.metrics->counter("system.pilots_sent").add(static_cast<double>(report.pilots_sent));
-    config_.metrics->counter("system.stall_ns").add(static_cast<double>(report.stall_total));
-    config_.metrics->counter("system.payload_bits").add(static_cast<double>(report.payload_bits));
-    config_.metrics->gauge("system.throughput_bps").set(report.throughput_bps());
-    config_.metrics->gauge("system.stall_fraction").set(report.stall_fraction());
-  }
+  const obs::Sinks& sinks = config_.sinks;
+  sinks.trace([&](obs::Tracer& t) { timeline_.export_to(t, "system_"); });
+  sinks.count("system.symbols", static_cast<double>(n_symbols));
+  sinks.count("system.switches", report.switches);
+  sinks.count("system.pilots_sent", static_cast<double>(report.pilots_sent));
+  sinks.count("system.stall_ns", static_cast<double>(report.stall_total));
+  sinks.count("system.payload_bits", static_cast<double>(report.payload_bits));
+  sinks.gauge("system.throughput_bps", report.throughput_bps());
+  sinks.gauge("system.stall_fraction", report.stall_fraction());
   report.mean_snr_db =
       snr_sum / static_cast<double>((n_symbols + config_.decision_interval - 1) /
                                     config_.decision_interval);

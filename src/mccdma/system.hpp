@@ -20,8 +20,7 @@
 #include "mccdma/estimator.hpp"
 #include "mccdma/receiver.hpp"
 #include "mccdma/transmitter.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "rtr/manager.hpp"
 #include "sim/timeline.hpp"
 
@@ -50,11 +49,10 @@ struct SystemConfig {
   /// symbols and re-estimate the equalizer from it (0 = genie channel
   /// knowledge). Pilots consume air time but carry no payload.
   std::size_t pilot_every = 0;
-  /// Optional observability sinks. The manager's port/staging spans and
-  /// "rtr.*" metrics flow here; run() also replays the system timeline and
-  /// records "system.*" counters. Either may be nullptr.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Observability handle (detached by default). The manager's
+  /// port/staging spans and "rtr.*" metrics flow here; run() also replays
+  /// the system timeline and records "system.*" counters.
+  obs::Sinks sinks;
 };
 
 struct SystemReport {

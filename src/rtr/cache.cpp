@@ -10,12 +10,12 @@ bool BitstreamCache::lookup(const std::string& module) {
   const auto it = sizes_.find(module);
   if (it == sizes_.end()) {
     ++misses_;
-    if (metrics_ != nullptr) metrics_->counter("rtr.cache.misses").add();
+    sinks_.count("rtr.cache.misses");
     return false;
   }
   lru_.splice(lru_.begin(), lru_, it->second.first);
   ++hits_;
-  if (metrics_ != nullptr) metrics_->counter("rtr.cache.hits").add();
+  sinks_.count("rtr.cache.hits");
   return true;
 }
 
@@ -39,10 +39,9 @@ void BitstreamCache::insert(const std::string& module, Bytes bytes) {
     used_ -= sizes_.at(victim).second;
     sizes_.erase(victim);
     ++evictions_;
-    if (metrics_ != nullptr) metrics_->counter("rtr.cache.evictions").add();
+    sinks_.count("rtr.cache.evictions");
   }
-  if (metrics_ != nullptr)
-    metrics_->gauge("rtr.cache.used_bytes").set(static_cast<double>(used_));
+  sinks_.gauge("rtr.cache.used_bytes", static_cast<double>(used_));
 }
 
 void BitstreamCache::invalidate(const std::string& module) {
@@ -51,8 +50,7 @@ void BitstreamCache::invalidate(const std::string& module) {
   used_ -= it->second.second;
   lru_.erase(it->second.first);
   sizes_.erase(it);
-  if (metrics_ != nullptr)
-    metrics_->gauge("rtr.cache.used_bytes").set(static_cast<double>(used_));
+  sinks_.gauge("rtr.cache.used_bytes", static_cast<double>(used_));
 }
 
 }  // namespace pdr::rtr

@@ -12,7 +12,7 @@
 #include <map>
 #include <string>
 
-#include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 #include "util/units.hpp"
 
 namespace pdr::rtr {
@@ -34,8 +34,8 @@ class BitstreamCache {
   void invalidate(const std::string& module);
 
   /// Mirrors hit/miss/eviction counters and the occupancy gauge into
-  /// `metrics` under "rtr.cache." (nullptr = off).
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// `sinks` under "rtr.cache.".
+  void set_sinks(obs::Sinks sinks) { sinks_ = sinks; }
 
   Bytes capacity() const { return capacity_; }
   Bytes used() const { return used_; }
@@ -58,7 +58,7 @@ class BitstreamCache {
   int hits_ = 0;
   int misses_ = 0;
   int evictions_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
 };
 
 }  // namespace pdr::rtr

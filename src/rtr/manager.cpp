@@ -105,27 +105,21 @@ ReconfigManager::ReconfigManager(const synth::DesignBundle& bundle, ManagerConfi
   }
 }
 
-void ReconfigManager::set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
-  cache_.set_metrics(metrics);
-  builder_.set_metrics(metrics);
-  policy_.set_metrics(metrics);
-}
-
-void ReconfigManager::bump(const char* name, double delta) {
-  if (metrics_ != nullptr) metrics_->counter(std::string("rtr.manager.") + name).add(delta);
+void ReconfigManager::set_sinks(obs::Sinks sinks) {
+  sinks_ = sinks;
+  cache_.set_sinks(sinks);
+  builder_.set_sinks(sinks);
+  policy_.set_sinks(sinks);
 }
 
 void ReconfigManager::note_port_load(const std::string& region, const std::string& module,
                                      const char* category, TimeNs latency, TimeNs end) {
-  if (tracer_ != nullptr)
-    tracer_->span(kPortTrack, "load " + module + " -> " + region, category, end - latency, end,
-                  {{"module", module}, {"region", region}});
-  if (metrics_ != nullptr)
-    metrics_->histogram("rtr.manager.load_latency_ns", obs::latency_buckets_ns(),
-                        "end-to-end latency of port loads")
-        .observe(static_cast<double>(latency));
+  sinks_.trace([&](obs::Tracer& t) {
+    t.span(kPortTrack, "load " + module + " -> " + region, category, end - latency, end,
+           {{"module", module}, {"region", region}});
+  });
+  sinks_.observe("rtr.manager.load_latency_ns", static_cast<double>(latency),
+                 "end-to-end latency of port loads");
 }
 
 const std::string& ReconfigManager::loaded(const std::string& region) const {
@@ -199,23 +193,23 @@ ReconfigManager::LoadFailure ReconfigManager::attempt_load(const std::string& re
     switch (failure) {
       case LoadFailure::CrcReject:
         ++stats_.crc_rejects;
-        bump("crc_rejects");
+        sinks_.count("rtr.manager.crc_rejects");
         break;
       case LoadFailure::PortAbort:
         ++stats_.port_aborts;
-        bump("port_aborts");
+        sinks_.count("rtr.manager.port_aborts");
         break;
       default:
         ++stats_.readback_failures;
-        bump("readback_failures");
+        sinks_.count("rtr.manager.readback_failures");
         break;
     }
     ++stats_.load_failures;
-    bump("load_failures");
+    sinks_.count("rtr.manager.load_failures");
     return failure;
   }
   stats_.bytes_loaded += raw.size();
-  bump("bytes_loaded", static_cast<double>(raw.size()));
+  sinks_.count("rtr.manager.bytes_loaded", static_cast<double>(raw.size()));
   return LoadFailure::None;
 }
 
@@ -236,13 +230,12 @@ void ReconfigManager::set_health(const std::string& region, RegionHealth health,
                                             region_health_name(health)];
   current = health;
   ++stats_.health_transitions;
-  bump("health_transitions");
-  if (metrics_ != nullptr)
-    metrics_->gauge("rtr.manager.health." + region)
-        .set(static_cast<double>(static_cast<int>(health)));
-  if (tracer_ != nullptr)
-    tracer_->instant(kHealthTrack, region + " -> " + region_health_name(health), "health", now,
-                     {{"region", region}, {"why", why}});
+  sinks_.count("rtr.manager.health_transitions");
+  sinks_.gauge({"rtr.manager.health.", region}, static_cast<double>(static_cast<int>(health)));
+  sinks_.trace([&](obs::Tracer& t) {
+    t.instant(kHealthTrack, region + " -> " + region_health_name(health), "health", now,
+              {{"region", region}, {"why", why}});
+  });
   PDR_DEBUG("rtr") << "health " << region << " -> " << region_health_name(health) << " (" << why
                    << ")";
 }
@@ -325,7 +318,7 @@ ReconfigManager::LoadResult ReconfigManager::perform_load(const std::string& reg
     backoff_spent += wait;
     // Requeue the whole fetch+build+load pipeline after the backoff.
     ++stats_.retries;
-    bump("retries");
+    sinks_.count("rtr.manager.retries");
     result.extra += wait + cold_load_latency(module);
     backoff = static_cast<TimeNs>(static_cast<double>(backoff) * config_.recovery.backoff_factor);
   }
@@ -341,12 +334,12 @@ ReconfigManager::LoadResult ReconfigManager::perform_load(const std::string& reg
   // designated safe personality. Both are port loads themselves and get
   // one bounded round each.
   ++stats_.fallbacks;
-  bump("fallbacks");
+  sinks_.count("rtr.manager.fallbacks");
   result.fell_back = true;
   const bool blanked = fallback_load(region, ensure_blank_stream(region), result.extra);
   if (blanked) {
     ++stats_.blanks;
-    bump("blanks");
+    sinks_.count("rtr.manager.blanks");
   }
   const auto safe = config_.safe_modules.find(region);
   const bool safe_loaded = blanked && safe != config_.safe_modules.end() &&
@@ -376,11 +369,11 @@ RequestOutcome ReconfigManager::request(const std::string& region, const std::st
     out.ready_at = now;
     ++stats_.already_loaded;
     out.stall = 0;
-    bump("requests");
-    bump("already_loaded");
-    if (tracer_ != nullptr)
-      tracer_->instant(kPortTrack, "resident " + module, "resident", now,
-                       {{"region", region}});
+    sinks_.count("rtr.manager.requests");
+    sinks_.count("rtr.manager.already_loaded");
+    sinks_.trace([&](obs::Tracer& t) {
+      t.instant(kPortTrack, "resident " + module, "resident", now, {{"region", region}});
+    });
     return out;
   }
 
@@ -412,7 +405,7 @@ RequestOutcome ReconfigManager::request(const std::string& region, const std::st
       latency_paid = cold_load_latency(module);
       ++stats_.misses;
       ++stats_.prefetches_wasted;  // the staging never paid off
-      bump("prefetches_wasted");
+      sinks_.count("rtr.manager.prefetches_wasted");
     }
     staged_.erase(staged);
   } else {
@@ -441,12 +434,10 @@ RequestOutcome ReconfigManager::request(const std::string& region, const std::st
 
   out.stall = std::max<TimeNs>(0, out.ready_at - now);
   stats_.total_stall += out.stall;
-  bump("requests");
-  bump(request_kind_name(out.kind));
-  if (metrics_ != nullptr)
-    metrics_->histogram("rtr.manager.stall_ns", obs::latency_buckets_ns(),
-                        "demand stall exposed to the application")
-        .observe(static_cast<double>(out.stall));
+  sinks_.count("rtr.manager.requests");
+  sinks_.count({"rtr.manager.", request_kind_name(out.kind)});
+  sinks_.observe("rtr.manager.stall_ns", static_cast<double>(out.stall),
+                 "demand stall exposed to the application");
   note_port_load(region, module, "load", latency_paid, out.ready_at);
   PDR_DEBUG("rtr") << request_kind_name(out.kind) << " " << module << " -> " << region
                    << " ready at " << to_us(out.ready_at) << " us";
@@ -466,10 +457,11 @@ std::optional<TimeNs> ReconfigManager::announce(const std::string& region,
     // Replacing a never-demanded staged stream: the earlier prefetch was
     // wasted.
     ++stats_.prefetches_wasted;
-    bump("prefetches_wasted");
-    if (tracer_ != nullptr)
-      tracer_->instant(kStagingTrack, "replace " + staged->second.module, "prefetch_wasted", now,
-                       {{"region", region}});
+    sinks_.count("rtr.manager.prefetches_wasted");
+    sinks_.trace([&](obs::Tracer& t) {
+      t.instant(kStagingTrack, "replace " + staged->second.module, "prefetch_wasted", now,
+                {{"region", region}});
+    });
   }
 
   const TimeNs start = std::max(now, staging_free_);
@@ -480,10 +472,11 @@ std::optional<TimeNs> ReconfigManager::announce(const std::string& region,
   staged_[region] = Staged{module, ready};
   if (cache_.capacity() > 0) cache_.insert(module, store_.size_of(module));
   ++stats_.prefetches_issued;
-  bump("prefetches_issued");
-  if (tracer_ != nullptr)
-    tracer_->span(kStagingTrack, "stage " + module + " for " + region, "staging", start, ready,
-                  {{"module", module}, {"region", region}});
+  sinks_.count("rtr.manager.prefetches_issued");
+  sinks_.trace([&](obs::Tracer& t) {
+    t.span(kStagingTrack, "stage " + module + " for " + region, "staging", start, ready,
+           {{"module", module}, {"region", region}});
+  });
   PDR_DEBUG("rtr") << "staging " << module << " for " << region << ", ready at " << to_us(ready)
                    << " us";
   return ready;
@@ -498,9 +491,10 @@ void ReconfigManager::preload_staged(const std::string& region, const std::strin
   // as an instantly-ready entry without touching the staging engine or the
   // prefetch counters, so the next demand pays the port transfer only.
   staged_[region] = Staged{module, now};
-  if (tracer_ != nullptr)
-    tracer_->instant(kStagingTrack, "fleet-cache stage " + module, "staging", now,
-                     {{"module", module}, {"region", region}});
+  sinks_.trace([&](obs::Tracer& t) {
+    t.instant(kStagingTrack, "fleet-cache stage " + module, "staging", now,
+              {{"module", module}, {"region", region}});
+  });
 }
 
 void ReconfigManager::auto_prefetch(const std::string& region, TimeNs now) {
@@ -541,7 +535,7 @@ TimeNs ReconfigManager::blank(const std::string& region, TimeNs now) {
   loaded_[region] = "";
   staged_.erase(region);
   ++stats_.blanks;
-  bump("blanks");
+  sinks_.count("rtr.manager.blanks");
   note_port_load(region, blank_name, "blank", latency, done);
   return done;
 }
@@ -570,10 +564,10 @@ TimeNs ReconfigManager::scrub(const std::string& region, TimeNs now) {
   port_free_ = done;
   loaded_[region] = lr.resident;
   ++stats_.scrubs;
-  bump("scrubs");
+  sinks_.count("rtr.manager.scrubs");
   if (!lr.failed && corrupted_before > 0) {
     stats_.scrub_repairs += corrupted_before;
-    bump("scrub_repairs", corrupted_before);
+    sinks_.count("rtr.manager.scrub_repairs", corrupted_before);
   }
   note_port_load(region, module, "scrub", latency, done);
   return done;

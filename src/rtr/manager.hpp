@@ -41,8 +41,7 @@
 #include "aaa/constraints.hpp"
 #include "fabric/config_memory.hpp"
 #include "fabric/config_port.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "rtr/bitstream_store.hpp"
 #include "rtr/cache.hpp"
 #include "rtr/prefetch.hpp"
@@ -269,11 +268,11 @@ class ReconfigManager {
   /// Time for staging a module (fetch + build, off the critical path).
   TimeNs staging_time(const std::string& module) const;
 
-  /// Attaches an observability sink: spans for every port load and
-  /// staging go to `tracer` (tracks "cfg_port" / "staging"), counters and
-  /// stall/latency histograms to `metrics` (under "rtr."). Either may be
-  /// nullptr; both propagate to the cache, builder and prefetch policy.
-  void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  /// Records through `sinks`: spans for every port load and staging
+  /// (tracks "cfg_port" / "staging"), counters and stall/latency
+  /// histograms (under "rtr."). The handle propagates to the cache,
+  /// builder and prefetch policy.
+  void set_sinks(obs::Sinks sinks);
 
   const ManagerStats& stats() const { return stats_; }
   const fabric::ConfigMemory& memory() const { return memory_; }
@@ -326,9 +325,6 @@ class ReconfigManager {
   void set_health(const std::string& region, RegionHealth health, TimeNs now,
                   const std::string& why);
 
-  /// Increments metrics counter "rtr.manager.<name>" if a sink is set.
-  void bump(const char* name, double delta = 1.0);
-
   /// Records one port occupancy [end - latency, end] as a tracer span and
   /// a load-latency histogram sample. `category` is "load" for demand
   /// loads (so trace durations reconcile with stats().total_load_time),
@@ -360,8 +356,7 @@ class ReconfigManager {
   ManagerStats stats_;
   Rng recovery_rng_;  ///< retry-jitter stream (seeded from recovery.jitter_seed)
   FetchFaultHook fetch_fault_hook_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
 };
 
 }  // namespace pdr::rtr

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "aaa/constraints.hpp"
-#include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 
 namespace pdr::rtr {
 
@@ -38,18 +38,16 @@ class PrefetchPolicy {
 
   virtual const char* name() const = 0;
 
-  /// Mirrors observation/prediction counts into `metrics` under
-  /// "rtr.prefetch." (nullptr = off).
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// Mirrors observation/prediction counts into `sinks` under
+  /// "rtr.prefetch.".
+  void set_sinks(obs::Sinks sinks) { sinks_ = sinks; }
 
  protected:
-  /// Increments "rtr.prefetch.<event>" when a metrics sink is attached.
-  void count_event(const char* event) const {
-    if (metrics_ != nullptr) metrics_->counter(std::string("rtr.prefetch.") + event).add();
-  }
+  /// Increments "rtr.prefetch.<event>".
+  void count_event(const char* event) const { sinks_.count({"rtr.prefetch.", event}); }
 
  private:
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
 };
 
 /// Baseline: never prefetch.

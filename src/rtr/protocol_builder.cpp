@@ -28,14 +28,10 @@ BuildResult ProtocolBuilder::build(const fabric::DeviceModel& device,
 
 TimeNs ProtocolBuilder::record(std::span<const std::uint8_t> raw) const {
   const TimeNs build_time = transfer_time_ns(raw.size(), throughput_bytes_per_s());
-  if (metrics_ != nullptr) {
-    metrics_->counter("rtr.builder.builds").add();
-    metrics_->counter("rtr.builder.bytes").add(static_cast<double>(raw.size()));
-    metrics_
-        ->histogram("rtr.builder.build_time_ns", obs::latency_buckets_ns(),
-                    "protocol builder framing time per stream")
-        .observe(static_cast<double>(build_time));
-  }
+  sinks_.count("rtr.builder.builds");
+  sinks_.count("rtr.builder.bytes", static_cast<double>(raw.size()));
+  sinks_.observe("rtr.builder.build_time_ns", static_cast<double>(build_time),
+                 "protocol builder framing time per stream");
   return build_time;
 }
 

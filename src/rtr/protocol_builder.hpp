@@ -20,7 +20,7 @@
 
 #include "aaa/constraints.hpp"
 #include "fabric/bitstream.hpp"
-#include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 #include "util/units.hpp"
 
 namespace pdr::rtr {
@@ -51,15 +51,15 @@ class ProtocolBuilder {
   /// instead, so every build is still counted and priced.
   TimeNs record(std::span<const std::uint8_t> raw) const;
 
-  /// Mirrors build counts/bytes and a build-time histogram into `metrics`
-  /// under "rtr.builder." (nullptr = off).
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// Mirrors build counts/bytes and a build-time histogram into `sinks`
+  /// under "rtr.builder.".
+  void set_sinks(obs::Sinks sinks) { sinks_ = sinks; }
 
  private:
   aaa::Placement placement_;
   double cpu_bytes_per_s_;
   double fpga_bytes_per_s_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
 };
 
 }  // namespace pdr::rtr

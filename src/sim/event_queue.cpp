@@ -20,11 +20,11 @@ std::size_t EventQueue::run(TimeNs until) {
     Event ev = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     now_ = ev.at;
-    if (tracer_ != nullptr)
-      tracer_->instant("events", ev.label.empty() ? "event" : ev.label, "sim_event", now_);
+    sinks_.instant("events", ev.label.empty() ? std::string_view("event") : ev.label, "sim_event",
+                   now_);
     ev.action(now_);
     ++executed;
-    if (metrics_ != nullptr) metrics_->counter("sim.events_executed").add();
+    sinks_.count("sim.events_executed");
   }
   return executed;
 }

@@ -26,8 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "util/units.hpp"
 
 namespace pdr::sim {
@@ -40,7 +39,7 @@ class EventQueue {
   void schedule(TimeNs at, Action action);
 
   /// Schedules a named `action` at `at`; the label shows up as an instant
-  /// event on the tracer's "events" track when one is attached.
+  /// event on the "events" trace track.
   void schedule(TimeNs at, std::string label, Action action);
 
   /// Schedules `action` `delay` after now().
@@ -51,13 +50,9 @@ class EventQueue {
     schedule(now_ + delay, std::move(label), std::move(action));
   }
 
-  /// Attaches an observability sink: every executed event emits an
-  /// instant trace event (simulated time) and bumps
-  /// "sim.events_executed". Either pointer may be nullptr.
-  void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-    tracer_ = tracer;
-    metrics_ = metrics;
-  }
+  /// Records through `sinks`: every executed event emits an instant
+  /// trace event (simulated time) and bumps "sim.events_executed".
+  void set_sinks(obs::Sinks sinks) { sinks_ = sinks; }
 
   /// Runs events until the queue drains or `until` is passed; returns the
   /// number of events executed.
@@ -83,8 +78,7 @@ class EventQueue {
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   TimeNs now_ = 0;
   std::uint64_t seq_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
 };
 
 }  // namespace pdr::sim

@@ -237,17 +237,14 @@ PlayResult ExecutivePlayer::run(int iterations) {
   } else {
     result.iteration_period = result.makespan;
   }
-  if (tracer_ != nullptr) result.timeline.export_to(*tracer_, "exec_");
-  if (metrics_ != nullptr) {
-    metrics_->counter("sim.player.runs").add();
-    metrics_->counter("sim.player.reconfigs").add(result.reconfigs);
-    metrics_->counter("sim.player.reconfigs_skipped").add(result.reconfigs_skipped);
-    metrics_->counter("sim.player.reconfigs_failed").add(result.reconfigs_failed);
-    metrics_->counter("sim.player.hazard_faults").add(result.hazard_faults);
-    metrics_->gauge("sim.player.makespan_ns").set(static_cast<double>(result.makespan));
-    metrics_->gauge("sim.player.iteration_period_ns")
-        .set(static_cast<double>(result.iteration_period));
-  }
+  sinks_.trace([&](obs::Tracer& t) { result.timeline.export_to(t, "exec_"); });
+  sinks_.count("sim.player.runs");
+  sinks_.count("sim.player.reconfigs", result.reconfigs);
+  sinks_.count("sim.player.reconfigs_skipped", result.reconfigs_skipped);
+  sinks_.count("sim.player.reconfigs_failed", result.reconfigs_failed);
+  sinks_.count("sim.player.hazard_faults", result.hazard_faults);
+  sinks_.gauge("sim.player.makespan_ns", static_cast<double>(result.makespan));
+  sinks_.gauge("sim.player.iteration_period_ns", static_cast<double>(result.iteration_period));
   return result;
 }
 

@@ -21,8 +21,7 @@
 #include "aaa/adequation.hpp"
 #include "aaa/architecture_graph.hpp"
 #include "aaa/macrocode.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "sim/timeline.hpp"
 #include "util/units.hpp"
 
@@ -79,13 +78,10 @@ class ExecutivePlayer {
   /// a self-healing executive. Off (the default) the error propagates.
   void set_survive_reconfig_failures(bool survive);
 
-  /// Attaches an observability sink: every executed instruction's span is
-  /// exported to `tracer` (categories "exec_compute" / "exec_transfer" /
-  /// "exec_reconfig") and run totals land in `metrics` under "sim.player.".
-  void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-    tracer_ = tracer;
-    metrics_ = metrics;
-  }
+  /// Records through `sinks`: every executed instruction's span is
+  /// traced (categories "exec_compute" / "exec_transfer" /
+  /// "exec_reconfig") and run totals are counted under "sim.player.".
+  void set_sinks(obs::Sinks sinks) { sinks_ = sinks; }
 
   /// Runs `iterations` loop passes of every program. Throws pdr::Error
   /// with the blocked instruction set if the executive deadlocks.
@@ -98,8 +94,7 @@ class ExecutivePlayer {
   VariantSelector selector_;
   std::map<std::string, std::string> initial_residency_;
   bool survive_reconfig_failures_ = false;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
 };
 
 }  // namespace pdr::sim

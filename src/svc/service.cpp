@@ -166,8 +166,7 @@ struct FleetService::Device {
   std::optional<fault::FaultInjector> injector;
   std::vector<Work> queue;
   int served = 0;
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
+  obs::Recorder recorder;
   struct SeuCursor {
     std::vector<fault::SeuEvent> timeline;
     std::size_t next = 0;
@@ -209,10 +208,9 @@ void FleetService::arm_faults(const fault::FaultSpec& spec) {
   spec_ = spec;
 }
 
-void FleetService::set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  PDR_CHECK(!ran_, "FleetService::set_observability", "service already ran");
-  tracer_ = tracer;
-  metrics_ = metrics;
+void FleetService::set_sinks(obs::Sinks sinks) {
+  PDR_CHECK(!ran_, "FleetService::set_sinks", "service already ran");
+  sinks_ = sinks;
 }
 
 const std::string& FleetService::safe_module_of(const std::string& region) const {
@@ -254,9 +252,7 @@ void FleetService::build_fleet(int devices) {
     // not back off in lockstep.
     mc.recovery.jitter_seed += static_cast<std::uint64_t>(d);
     dev->manager = std::make_unique<rtr::ReconfigManager>(bundle_, mc, *store_, dev->policy);
-    if (tracer_ != nullptr || metrics_ != nullptr)
-      dev->manager->set_observability(tracer_ != nullptr ? &dev->tracer : nullptr,
-                                      metrics_ != nullptr ? &dev->metrics : nullptr);
+    if (sinks_.attached()) dev->manager->set_sinks(obs::Sinks(dev->recorder));
     for (const auto& [region, safe] : safe_of_) {
       dev->manager->set_safe_module(region, safe);
       // Initial bring-up before any fault hook arms: the full-device
@@ -604,30 +600,23 @@ ServiceReport FleetService::run(const RequestLog& log) {
 
   // Deterministic observability merge, in device order (the
   // flow::ScenarioRunner discipline).
-  if (tracer_ != nullptr)
-    for (const auto& dev : devices_)
-      tracer_->append(dev->tracer, strprintf("dev%d/", dev->index));
-  if (metrics_ != nullptr) {
-    for (const auto& dev : devices_) metrics_->merge(dev->metrics);
-    const auto bump = [this](const char* name, double value) {
-      metrics_->counter(std::string("svc.") + name).add(value);
-    };
-    bump("admitted", report_.admitted);
-    bump("completed", report_.completed);
-    bump("degraded", report_.degraded);
-    bump("failed", report_.failed);
-    bump("timed_out", report_.timed_out);
-    bump("rejected_queue_full", report_.rejected_queue_full);
-    bump("rejected_breaker_open", report_.rejected_breaker_open);
-    bump("shed", report_.shed);
-    bump("rerouted", report_.rerouted);
-    bump("cache.fetches", static_cast<double>(report_.cache.fetches));
-    bump("cache.served", static_cast<double>(report_.cache.served));
-    bump("cache.evictions", static_cast<double>(report_.cache.evictions));
-    bump("seus_injected", report_.seus_injected);
-    bump("store_damages", report_.store_damages);
-    bump("store_repairs", report_.store_repairs);
-  }
+  if (sinks_.attached())
+    for (const auto& dev : devices_) sinks_.merge(dev->recorder, strprintf("dev%d/", dev->index));
+  sinks_.count("svc.admitted", report_.admitted);
+  sinks_.count("svc.completed", report_.completed);
+  sinks_.count("svc.degraded", report_.degraded);
+  sinks_.count("svc.failed", report_.failed);
+  sinks_.count("svc.timed_out", report_.timed_out);
+  sinks_.count("svc.rejected_queue_full", report_.rejected_queue_full);
+  sinks_.count("svc.rejected_breaker_open", report_.rejected_breaker_open);
+  sinks_.count("svc.shed", report_.shed);
+  sinks_.count("svc.rerouted", report_.rerouted);
+  sinks_.count("svc.cache.fetches", static_cast<double>(report_.cache.fetches));
+  sinks_.count("svc.cache.served", static_cast<double>(report_.cache.served));
+  sinks_.count("svc.cache.evictions", static_cast<double>(report_.cache.evictions));
+  sinks_.count("svc.seus_injected", report_.seus_injected);
+  sinks_.count("svc.store_damages", report_.store_damages);
+  sinks_.count("svc.store_repairs", report_.store_repairs);
   return report_;
 }
 

@@ -43,8 +43,7 @@
 
 #include "fault/fault_spec.hpp"
 #include "fault/injector.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "rtr/manager.hpp"
 #include "svc/breaker.hpp"
 #include "svc/fleet_cache.hpp"
@@ -158,10 +157,10 @@ class FleetService {
   /// damage/repair windows. Validates spec names against the bundle.
   void arm_faults(const fault::FaultSpec& spec);
 
-  /// Observability sinks for run(): per-device traces merge under
-  /// "dev<i>/" prefixes, counters export under "svc.". Either may be
-  /// null.
-  void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  /// Observability handle for run(): each device records into its own
+  /// recorder, merged in device order under "dev<i>/" track prefixes;
+  /// counters export under "svc.".
+  void set_sinks(obs::Sinks sinks);
 
   /// Drains the log (devices sized by log.devices) and returns the
   /// report. One run per service instance.
@@ -202,8 +201,7 @@ class FleetService {
   };
   std::vector<StoreEvent> store_events_;
   std::size_t store_cursor_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
   bool ran_ = false;
 };
 

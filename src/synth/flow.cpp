@@ -177,31 +177,27 @@ DesignBundle ModularDesignFlow::run() {
   report.modules = static_cast<int>(statics_.size()) + report.dynamic_variants;
   bundle.report = report;
 
-  if (tracer_ != nullptr) {
-    // Wall-clock stage spans, laid end to end from t = 0 (floorplanning is
-    // folded into the place stage, matching FlowReport's buckets).
-    auto us_to_ns = [](double us) { return static_cast<TimeNs>(us * 1e3); };
-    TimeNs t = 0;
-    const struct {
-      const char* name;
-      double us;
-    } stages[] = {{"elaborate", report.elaborate_us},
-                  {"map", report.map_us},
-                  {"place", report.place_us},
-                  {"bitgen", report.bitgen_us}};
-    for (const auto& stage : stages) {
-      tracer_->span("flow", stage.name, "flow_stage", t, t + us_to_ns(stage.us));
-      t += us_to_ns(stage.us);
-    }
+  // Wall-clock stage spans, laid end to end from t = 0 (floorplanning is
+  // folded into the place stage, matching FlowReport's buckets).
+  auto us_to_ns = [](double us) { return static_cast<TimeNs>(us * 1e3); };
+  TimeNs t = 0;
+  const struct {
+    const char* name;
+    double us;
+  } stages[] = {{"elaborate", report.elaborate_us},
+                {"map", report.map_us},
+                {"place", report.place_us},
+                {"bitgen", report.bitgen_us}};
+  for (const auto& stage : stages) {
+    sinks_.span("flow", stage.name, "flow_stage", t, t + us_to_ns(stage.us));
+    t += us_to_ns(stage.us);
   }
-  if (metrics_ != nullptr) {
-    metrics_->counter("flow.runs").add();
-    metrics_->counter("flow.modules").add(report.modules);
-    metrics_->counter("flow.dynamic_variants").add(report.dynamic_variants);
-    metrics_->counter("flow.bitstream_bytes").add(static_cast<double>(report.total_bitstream_bytes));
-    metrics_->gauge("flow.last_run_us")
-        .set(report.elaborate_us + report.map_us + report.place_us + report.bitgen_us);
-  }
+  sinks_.count("flow.runs");
+  sinks_.count("flow.modules", report.modules);
+  sinks_.count("flow.dynamic_variants", report.dynamic_variants);
+  sinks_.count("flow.bitstream_bytes", static_cast<double>(report.total_bitstream_bytes));
+  sinks_.gauge("flow.last_run_us",
+               report.elaborate_us + report.map_us + report.place_us + report.bitgen_us);
   PDR_INFO("flow") << "built " << report.modules << " modules, "
                    << human_bytes(report.total_bitstream_bytes) << " of bitstreams";
   return bundle;

@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "fabric/floorplan.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "synth/bitgen.hpp"
 #include "synth/elaborate.hpp"
 #include "synth/place.hpp"
@@ -92,21 +91,17 @@ class ModularDesignFlow {
   ModularDesignFlow& add_region(const std::string& region_name, std::vector<ModuleSpec> variants,
                                 int margin_cols = 0, int fixed_width_cols = -1);
 
-  /// Attaches an observability sink: run() emits one wall-clock span per
-  /// flow stage (track "flow", category "flow_stage") and counters/gauges
-  /// under "flow.". Either pointer may be nullptr.
-  void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-    tracer_ = tracer;
-    metrics_ = metrics;
-  }
+  /// Records through `sinks`: run() emits one wall-clock span per flow
+  /// stage (track "flow", category "flow_stage") and counters/gauges
+  /// under "flow.".
+  void set_sinks(obs::Sinks sinks) { sinks_ = sinks; }
 
   /// Runs elaborate -> map -> floorplan -> place -> bitgen. Throws
   /// pdr::Error if any module does not fit.
   DesignBundle run();
 
  private:
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_;
   fabric::DeviceModel device_;
   std::vector<ModuleSpec> statics_;
   struct RegionPlan {

@@ -51,7 +51,7 @@ TEST(Generators, SameConfigSameGraphAcrossRunsAndJobs) {
     // bytes the serial run produced, whatever --jobs is.
     std::vector<flow::Scenario> scenarios;
     for (int i = 0; i < 6; ++i) {
-      scenarios.push_back({"gen" + std::to_string(i), [cfg](flow::ObsSinks&) {
+      scenarios.push_back({"gen" + std::to_string(i), [cfg](obs::Sinks) {
                              return strprintf(
                                  "%016llx", static_cast<unsigned long long>(
                                                 bench::graph_fingerprint(bench::generate_graph(cfg))));

@@ -281,7 +281,7 @@ TEST(DesignSpaceExplorer, ParallelRunIsByteIdenticalToSerial) {
   EXPECT_EQ(a.to_string(), b.to_string());
   EXPECT_EQ(a.sweep.combined_report(), b.sweep.combined_report());
   EXPECT_EQ(a.pareto, b.pareto);
-  EXPECT_EQ(a.sweep.metrics.to_json(), b.sweep.metrics.to_json());
+  EXPECT_EQ(a.sweep.recorder.metrics.to_json(), b.sweep.recorder.metrics.to_json());
 }
 
 TEST(DesignSpaceExplorer, StaticPruningRejectsWhatTheOracleRefuses) {

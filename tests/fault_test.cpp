@@ -9,7 +9,7 @@
 #include "fault/fault_spec.hpp"
 #include "fault/injector.hpp"
 #include "fault/scrub_scheduler.hpp"
-#include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 #include "rtr/manager.hpp"
 #include "sim/event_queue.hpp"
 #include "synth/bitgen.hpp"
@@ -362,8 +362,8 @@ TEST(SelfHealing, RecoveryDisabledStillThrows) {
     rtr::BitstreamStore store(100e6, 0);
     rtr::NonePrefetch policy;
     rtr::ReconfigManager manager(bundle, recovering_config(), store, policy);
-    obs::MetricsRegistry metrics;
-    manager.set_observability(nullptr, &metrics);
+    obs::Recorder recorder;
+    manager.set_sinks(obs::Sinks(recorder));
     const auto stored = store.get("qam16");
     const std::vector<std::uint8_t> before(stored.begin(), stored.end());
     int corrupted = 0;
@@ -380,7 +380,7 @@ TEST(SelfHealing, RecoveryDisabledStillThrows) {
     EXPECT_EQ(corrupted, 1);
     EXPECT_EQ(manager.loaded("D1"), "qam16");
     EXPECT_EQ(manager.stats().crc_rejects, 1);
-    EXPECT_EQ(metrics.counter("rtr.builder.builds").value(), 1.0);  // the retry only
+    EXPECT_EQ(recorder.metrics.counter("rtr.builder.builds").value(), 1.0);  // the retry only
     const auto after = store.get("qam16");
     EXPECT_TRUE(std::equal(after.begin(), after.end(), before.begin(), before.end()));
   }

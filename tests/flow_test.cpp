@@ -15,6 +15,7 @@
 #include "flow/scenario.hpp"
 #include "mccdma/case_study.hpp"
 #include "mccdma/flow_presets.hpp"
+#include "obs/sinks.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -113,17 +114,6 @@ TEST(ArtifactStore, SingleFlightUnderConcurrency) {
   for (int r : results) EXPECT_EQ(r, 5);
 }
 
-TEST(ArtifactStore, ExportsRunAndHitMetrics) {
-  flow::ArtifactStore store;
-  const auto key = flow::fingerprint_of("k");
-  store.get_or_build<int>("synth", key, [] { return 1; });
-  store.get_or_build<int>("synth", key, [] { return 1; });
-  obs::MetricsRegistry metrics;
-  store.export_metrics(metrics);
-  EXPECT_EQ(metrics.counter("flow.cache.synth.runs").value(), 1.0);
-  EXPECT_EQ(metrics.counter("flow.cache.synth.hits").value(), 1.0);
-}
-
 // --- pipeline caching -------------------------------------------------
 
 flow::PipelineOptions case_study_options() {
@@ -152,6 +142,60 @@ TEST(Pipeline, RepeatedStageWithUnchangedInputsIsServedFromCache) {
 
   // Same pipeline asked again: still one run.
   first.bundle();
+  EXPECT_EQ(store->runs(flow::stage::kSynth), 1u);
+}
+
+TEST(Pipeline, CountsItsOwnStageCallsIntoItsSinks) {
+  // flow.cache.* counts this pipeline's calls only: a build another
+  // pipeline ran on the same store is a hit here, not a run.
+  auto store = std::make_shared<flow::ArtifactStore>();
+  flow::Pipeline(case_study_options(), store).bundle();
+
+  obs::Recorder recorder;
+  flow::Pipeline observed(case_study_options(), store);
+  observed.set_sinks(obs::Sinks(recorder));
+  observed.bundle();
+  observed.bundle();
+  obs::MetricsRegistry& m = recorder.metrics;
+  EXPECT_EQ(m.counter("flow.cache.synth.runs").value(), 0.0);
+  EXPECT_EQ(m.counter("flow.cache.synth.hits").value(), 2.0);
+  EXPECT_EQ(m.counter("flow.cache.lint.hits").value(), 2.0);
+  EXPECT_EQ(m.counter("flow.cache.parse_constraints.hits").value(), 4.0);
+  EXPECT_EQ(store->hits(flow::stage::kSynth), 2u);
+  // Every hit is one "(cached)" instant; no stage ran, so no stage span.
+  EXPECT_EQ(recorder.tracer.count("flow_cache"), 8u);
+  EXPECT_EQ(recorder.tracer.count("flow_stage"), 0u);
+
+  // A stage this pipeline builds counts as its run.
+  observed.adequation();
+  EXPECT_EQ(m.counter("flow.cache.parse_project.runs").value(), 1.0);
+  EXPECT_EQ(m.counter("flow.cache.adequation.runs").value(), 1.0);
+  EXPECT_EQ(m.counter("flow.cache.adequation.hits").value(), 0.0);
+}
+
+TEST(Pipeline, ConcurrentCallersCountOneRunBetweenThem) {
+  // Several pipelines ask for the same missing bundle at once: exactly
+  // one of them counts the run, whatever the interleaving.
+  auto store = std::make_shared<flow::ArtifactStore>();
+  constexpr int kThreads = 4;
+  std::vector<obs::Recorder> recorders(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      flow::Pipeline pipeline(case_study_options(), store);
+      pipeline.set_sinks(obs::Sinks(recorders[static_cast<std::size_t>(t)]));
+      pipeline.bundle();
+    });
+  }
+  for (auto& t : threads) t.join();
+  double runs = 0;
+  double hits = 0;
+  for (obs::Recorder& r : recorders) {
+    runs += r.metrics.counter("flow.cache.synth.runs").value();
+    hits += r.metrics.counter("flow.cache.synth.hits").value();
+  }
+  EXPECT_EQ(runs, 1.0);
+  EXPECT_EQ(hits, kThreads - 1.0);
   EXPECT_EQ(store->runs(flow::stage::kSynth), 1u);
 }
 
@@ -263,22 +307,22 @@ TEST(ScenarioRunner, SerialAndParallelSweepsAreByteIdentical) {
   ASSERT_EQ(serial.results.size(), 3u);
   EXPECT_EQ(serial.failures(), 0u);
   EXPECT_EQ(serial.combined_report(), parallel.combined_report());
-  EXPECT_EQ(serial.metrics.to_json(), parallel.metrics.to_json());
-  EXPECT_EQ(serial.trace.to_chrome_json(), parallel.trace.to_chrome_json());
+  EXPECT_EQ(serial.recorder.metrics.to_json(), parallel.recorder.metrics.to_json());
+  EXPECT_EQ(serial.recorder.tracer.to_chrome_json(), parallel.recorder.tracer.to_chrome_json());
 }
 
 TEST(ScenarioRunner, MergesTracksUnderScenarioNamePrefixes) {
   std::vector<flow::Scenario> scenarios;
   for (int i = 0; i < 3; ++i) {
-    scenarios.push_back({"scn" + std::to_string(i), [i](flow::ObsSinks& sinks) {
-                           sinks.tracer.instant("track", "evt", "cat", i);
+    scenarios.push_back({"scn" + std::to_string(i), [i](obs::Sinks sinks) {
+                           sinks.instant("track", "evt", "cat", i);
                            return "r" + std::to_string(i) + "\n";
                          }});
   }
   const flow::SweepResult sweep = flow::ScenarioRunner(2).run(scenarios);
-  ASSERT_EQ(sweep.trace.size(), 3u);
-  EXPECT_EQ(sweep.trace.events()[0].track, "scn0/track");
-  EXPECT_EQ(sweep.trace.events()[2].track, "scn2/track");
+  ASSERT_EQ(sweep.recorder.tracer.size(), 3u);
+  EXPECT_EQ(sweep.recorder.tracer.events()[0].track, "scn0/track");
+  EXPECT_EQ(sweep.recorder.tracer.events()[2].track, "scn2/track");
   EXPECT_EQ(sweep.combined_report(), "=== scn0 ===\nr0\n=== scn1 ===\nr1\n=== scn2 ===\nr2\n");
 }
 
@@ -288,23 +332,23 @@ TEST(ScenarioRunner, MergedMetricsAreExactUnderEightJobs) {
   // job runs this test to prove data-race freedom, not just totals.)
   std::vector<flow::Scenario> scenarios;
   for (int i = 0; i < 32; ++i) {
-    scenarios.push_back({strprintf("s%d", i), [i](flow::ObsSinks& sinks) {
-                           for (int k = 0; k <= i; ++k) sinks.metrics.counter("sweep.work").add();
-                           sinks.metrics.histogram("sweep.h", {1.0, 10.0}).observe(i);
+    scenarios.push_back({strprintf("s%d", i), [i](obs::Sinks sinks) {
+                           for (int k = 0; k <= i; ++k) sinks.count("sweep.work");
+                           sinks.observe("sweep.h", i);
                            return std::string();
                          }});
   }
   flow::SweepResult sweep = flow::ScenarioRunner(8).run(scenarios);
   EXPECT_EQ(sweep.failures(), 0u);
   // sum over i of (i+1) = 32*33/2
-  EXPECT_EQ(sweep.metrics.counter("sweep.work").value(), 528.0);
-  EXPECT_EQ(sweep.metrics.histogram("sweep.h", {1.0, 10.0}).count(), 32u);
+  EXPECT_EQ(sweep.recorder.metrics.counter("sweep.work").value(), 528.0);
+  EXPECT_EQ(sweep.recorder.metrics.histogram("sweep.h", obs::latency_buckets_ns()).count(), 32u);
 }
 
 TEST(ScenarioRunner, ScenarioExceptionIsIsolated) {
   std::vector<flow::Scenario> scenarios = {
-      {"ok", [](flow::ObsSinks&) { return std::string("fine\n"); }},
-      {"boom", [](flow::ObsSinks&) -> std::string { throw Error("exploded"); }},
+      {"ok", [](obs::Sinks) { return std::string("fine\n"); }},
+      {"boom", [](obs::Sinks) -> std::string { throw Error("exploded"); }},
   };
   const flow::SweepResult sweep = flow::ScenarioRunner(2).run(scenarios);
   EXPECT_EQ(sweep.failures(), 1u);
@@ -315,8 +359,8 @@ TEST(ScenarioRunner, ScenarioExceptionIsIsolated) {
 
 TEST(ScenarioRunner, NonStandardExceptionIsReportedNotFatal) {
   const std::vector<flow::Scenario> scenarios = {
-      {"int", [](flow::ObsSinks&) -> std::string { throw 42; }},
-      {"ok", [](flow::ObsSinks&) { return std::string("fine\n"); }},
+      {"int", [](obs::Sinks) -> std::string { throw 42; }},
+      {"ok", [](obs::Sinks) { return std::string("fine\n"); }},
   };
   for (const int jobs : {1, 2}) {
     const flow::SweepResult sweep = flow::ScenarioRunner(jobs).run(scenarios);

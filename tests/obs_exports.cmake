@@ -71,6 +71,7 @@ run_leg(serve JOBS 1 4 8
         ARGS serve --requests ${examples}/fleet.requests --faults ${examples}/fleet.faults)
 run_leg(sweep JOBS 1 4 8 ARGS sweep --symbols 512)
 run_leg(simulate_faults MASK ARGS simulate --symbols 512 --faults ${examples}/radio.faults)
+run_leg(sweep_faults MASK JOBS 1 4 8 ARGS sweep --faults ${examples}/radio.faults)
 
 file(STRINGS ${MANIFEST} lines)
 set(expected "")

@@ -1,12 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+
+// Counts heap allocations, so a test can show a detached handle makes none.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() in a replacement operator delete even though the
+// matching operator new above allocates with malloc().
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace pdr::obs {
 namespace {
@@ -172,6 +198,103 @@ TEST(Metrics, JsonAndTextExposition) {
   // Cumulative buckets: le="100" holds both observations.
   EXPECT_NE(text.find("le=\"100\"} 2"), std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\"} 2"), std::string::npos);
+}
+
+// --- sinks handle and recorder ------------------------------------------------
+
+TEST(Sinks, DetachedHandleRecordsAndAllocatesNothing) {
+  const Sinks sinks;
+  EXPECT_FALSE(sinks.attached());
+  const std::string region = "a region name too long for small-string storage";
+  Recorder other;
+  other.tracer.instant("track", "event", "cat", 0);
+  other.metrics.counter("c").add();
+  bool called = false;
+
+  const long before = g_allocations.load();
+  sinks.count({"rtr.manager.", region});
+  sinks.count("rtr.cache.hits", 2.0);
+  sinks.gauge({"rtr.manager.health.", region}, 1.0);
+  sinks.observe("rtr.manager.stall_ns", 5.0, "demand stall");
+  sinks.span("cfg_port", {"load ", region}, "load", 100, 50);  // end < start is never checked
+  sinks.instant("events", region, "sim_event", 0);
+  sinks.trace([&](Tracer&) { called = true; });
+  sinks.merge(other, "dev0/");
+  const long allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(allocations, 0);
+  EXPECT_FALSE(called);
+}
+
+TEST(Sinks, AttachedHandleMatchesDirectCalls) {
+  Recorder via;
+  Recorder direct;
+  const Sinks sinks(via);
+  EXPECT_TRUE(sinks.attached());
+  const std::string region = "D1";
+
+  sinks.count({"rtr.manager.", "requests"});
+  sinks.count("rtr.manager.requests", 2.0);
+  sinks.gauge({"rtr.manager.health.", region}, 1.0);
+  sinks.observe("rtr.manager.stall_ns", 1500.0, "demand stall");
+  sinks.span("cfg_port", {"load ", "qpsk -> ", region}, "load", 10, 40);
+  sinks.instant("events", "tick", "sim_event", 7);
+  sinks.trace([&](Tracer& t) {
+    t.instant("health", region + " -> degraded", "health", 9, {{"why", "crc"}});
+  });
+
+  direct.metrics.counter("rtr.manager.requests").add();
+  direct.metrics.counter("rtr.manager.requests").add(2.0);
+  direct.metrics.gauge("rtr.manager.health.D1").set(1.0);
+  direct.metrics.histogram("rtr.manager.stall_ns", latency_buckets_ns(), "demand stall")
+      .observe(1500.0);
+  direct.tracer.span("cfg_port", "load qpsk -> D1", "load", 10, 40);
+  direct.tracer.instant("events", "tick", "sim_event", 7);
+  direct.tracer.instant("health", "D1 -> degraded", "health", 9, {{"why", "crc"}});
+
+  EXPECT_EQ(via.tracer.to_chrome_json(), direct.tracer.to_chrome_json());
+  EXPECT_EQ(via.metrics.to_json(), direct.metrics.to_json());
+  EXPECT_EQ(via.metrics.to_text(), direct.metrics.to_text());
+
+  // A copy of the handle records into the same recorder.
+  const Sinks copy = sinks;
+  copy.count("rtr.manager.requests");
+  EXPECT_DOUBLE_EQ(via.metrics.counter("rtr.manager.requests").value(), 4.0);
+  // Spans keep the tracer's own check.
+  EXPECT_THROW(sinks.span("cfg_port", "bad", "load", 100, 50), pdr::Error);
+}
+
+TEST(Recorder, MergeInListOrderMatchesAppendThenMerge) {
+  std::vector<Recorder> parts(3);
+  for (int i = 0; i < 3; ++i) {
+    Recorder& r = parts[static_cast<std::size_t>(i)];
+    r.tracer.span("cfg_port", "load", "load", i, i + 10);
+    r.tracer.instant("health", "h", "health", i);
+    r.metrics.counter("rtr.manager.requests").add(i + 1.0);
+    r.metrics.gauge("sim.player.makespan_ns").set(100.0 * i);
+    r.metrics.histogram("lat", {10.0, 100.0}).observe(5.0 * i);
+  }
+
+  Recorder merged;
+  Recorder via_handle;
+  const Sinks handle(via_handle);
+  Tracer trace;
+  MetricsRegistry metrics;
+  for (int i = 0; i < 3; ++i) {
+    const std::string prefix = "scn" + std::to_string(i) + "/";
+    merged.merge(parts[static_cast<std::size_t>(i)], prefix);
+    handle.merge(parts[static_cast<std::size_t>(i)], prefix);
+    trace.append(parts[static_cast<std::size_t>(i)].tracer, prefix);
+  }
+  for (const Recorder& r : parts) metrics.merge(r.metrics);
+
+  EXPECT_EQ(merged.tracer.to_chrome_json(), trace.to_chrome_json());
+  EXPECT_EQ(merged.metrics.to_json(), metrics.to_json());
+  EXPECT_EQ(via_handle.tracer.to_chrome_json(), trace.to_chrome_json());
+  EXPECT_EQ(via_handle.metrics.to_json(), metrics.to_json());
+  EXPECT_EQ(merged.tracer.events()[2].track, "scn1/cfg_port");
+  EXPECT_DOUBLE_EQ(merged.metrics.counter("rtr.manager.requests").value(), 6.0);
+  EXPECT_DOUBLE_EQ(merged.metrics.gauge("sim.player.makespan_ns").value(), 200.0);
 }
 
 }  // namespace

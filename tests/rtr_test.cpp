@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "rtr/arbiter.hpp"
 #include "rtr/bitstream_store.hpp"
 #include "rtr/cache.hpp"
@@ -555,9 +554,10 @@ TEST(Manager, TraceReconcilesWithStats) {
   // exactly to ManagerStats::total_load_time; blanks and scrubs are
   // port-occupying but live under their own categories.
   ManagerFixture f;
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  f.manager->set_observability(&tracer, &metrics);
+  obs::Recorder recorder;
+  const obs::Tracer& tracer = recorder.tracer;
+  obs::MetricsRegistry& metrics = recorder.metrics;
+  f.manager->set_sinks(obs::Sinks(recorder));
 
   f.manager->request("D1", "qpsk", 0);                                  // miss
   f.manager->announce("D1", "qam16", f.manager->port_free_at());        // staging span

@@ -231,9 +231,10 @@ TEST(ExecutivePlayer, TimelineRecordsAllKinds) {
 
 TEST(EventQueue, LabeledEventsTraced) {
   EventQueue q;
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  q.set_observability(&tracer, &metrics);
+  obs::Recorder recorder;
+  const obs::Tracer& tracer = recorder.tracer;
+  obs::MetricsRegistry& metrics = recorder.metrics;
+  q.set_sinks(obs::Sinks(recorder));
   int fired = 0;
   q.schedule(10, "tick", [&](TimeNs) { ++fired; });
   q.schedule_in(20, "tock", [&](TimeNs) { ++fired; });
@@ -264,9 +265,10 @@ TEST(Timeline, ExportToTracerKeepsKindsAndTimes) {
 TEST(ExecutivePlayer, ObservabilityExportsRunSummary) {
   const PlayerFixture f;
   ExecutivePlayer player(f.executive, f.arch);
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  player.set_observability(&tracer, &metrics);
+  obs::Recorder recorder;
+  const obs::Tracer& tracer = recorder.tracer;
+  obs::MetricsRegistry& metrics = recorder.metrics;
+  player.set_sinks(obs::Sinks(recorder));
   const PlayResult r = player.run(2);
   // Every timeline span got replayed into the tracer under exec_*.
   EXPECT_EQ(tracer.size(), r.timeline.spans().size());

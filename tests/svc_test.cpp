@@ -635,20 +635,19 @@ TEST(FleetServiceTest, ObservabilityMergesUnderDevicePrefixes) {
   const auto bundle = test_bundle();
   ServiceConfig config;
   config.jobs = 2;
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
+  obs::Recorder recorder;
   FleetService service(bundle, config);
-  service.set_observability(&tracer, &metrics);
+  service.set_sinks(obs::Sinks(recorder));
   const RequestLog log = parse_request_log(
       "fleet devices 2\n"
       "request at_us 0 device 0 region D1 module qam16 class demand\n"
       "request at_us 0 device 1 region D1 module qam16 class demand\n");
   const ServiceReport report = service.run(log);
   EXPECT_EQ(report.completed, 2);
-  const std::string trace = tracer.to_chrome_json();
+  const std::string trace = recorder.tracer.to_chrome_json();
   EXPECT_NE(trace.find("dev0/"), std::string::npos);
   EXPECT_NE(trace.find("dev1/"), std::string::npos);
-  const std::string exported = metrics.to_json();
+  const std::string exported = recorder.metrics.to_json();
   EXPECT_NE(exported.find("svc.completed"), std::string::npos);
   EXPECT_NE(exported.find("svc.cache.fetches"), std::string::npos);
 }

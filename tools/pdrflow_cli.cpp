@@ -70,8 +70,7 @@
 #include "mccdma/case_study.hpp"
 #include "mccdma/flow_presets.hpp"
 #include "mccdma/system.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sinks.hpp"
 #include "plan/planner.hpp"
 #include "rtr/manager.hpp"
 #include "svc/request_log.hpp"
@@ -135,17 +134,16 @@ void write_file(const std::filesystem::path& path, std::span<const std::uint8_t>
   std::printf("  wrote %-40s (%s)\n", path.c_str(), human_bytes(data.size()).c_str());
 }
 
-/// Writes the tracer/metrics to the paths given by --trace-out /
-/// --metrics-out, if present.
-void write_observability(const ArgParser& args, const obs::Tracer& tracer,
-                         const obs::MetricsRegistry& metrics) {
+/// Writes the recorder's trace/metrics to the paths given by
+/// --trace-out / --metrics-out, if present.
+void write_observability(const ArgParser& args, const obs::Recorder& recorder) {
   if (const std::string* path = args.value("--trace-out")) {
-    tracer.write_chrome_json(*path);
-    std::printf("  wrote trace with %zu events to %s\n", tracer.size(), path->c_str());
+    recorder.tracer.write_chrome_json(*path);
+    std::printf("  wrote trace with %zu events to %s\n", recorder.tracer.size(), path->c_str());
   }
   if (const std::string* path = args.value("--metrics-out")) {
-    metrics.write_json(*path);
-    std::printf("  wrote %zu metrics to %s\n", metrics.names().size(), path->c_str());
+    recorder.metrics.write_json(*path);
+    std::printf("  wrote %zu metrics to %s\n", recorder.metrics.names().size(), path->c_str());
   }
 }
 
@@ -230,10 +228,9 @@ int cmd_check(int argc, char** argv) {
 int cmd_build(int argc, char** argv) {
   const ArgParser args("build", argc, argv,
                        {{"--out", true}, {"--trace-out", true}, {"--metrics-out", true}}, 1);
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
+  obs::Recorder recorder;
   flow::Pipeline pipeline = mccdma::constraints_pipeline(read_file(args.positional(0)));
-  pipeline.set_observability(&tracer, &metrics);
+  pipeline.set_sinks(obs::Sinks(recorder));
 
   // Cheap constraint rules run first so a broken file reports every
   // violation (not just the first) before the flow spends time on it.
@@ -261,7 +258,7 @@ int cmd_build(int argc, char** argv) {
   }
   t.print();
   write_file(out_dir / "initial_full.bit", bundle->initial_bitstream);
-  write_observability(args, tracer, metrics);
+  write_observability(args, recorder);
   return 0;
 }
 
@@ -358,14 +355,14 @@ int cmd_adequation(int argc, char** argv) {
   std::puts("\nsynchronized executive:");
   std::fputs(adeq->executive.to_string().c_str(), stdout);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  aaa::export_schedule(adeq->schedule, tracer);
-  metrics.counter("adequation.reconfigs").add(adeq->schedule.reconfig_count);
-  metrics.gauge("adequation.makespan_ns").set(static_cast<double>(adeq->schedule.makespan));
-  metrics.gauge("adequation.reconfig_exposed_ns")
+  obs::Recorder recorder;
+  aaa::export_schedule(adeq->schedule, recorder.tracer);
+  recorder.metrics.counter("adequation.reconfigs").add(adeq->schedule.reconfig_count);
+  recorder.metrics.gauge("adequation.makespan_ns")
+      .set(static_cast<double>(adeq->schedule.makespan));
+  recorder.metrics.gauge("adequation.reconfig_exposed_ns")
       .set(static_cast<double>(adeq->schedule.reconfig_exposed));
-  write_observability(args, tracer, metrics);
+  write_observability(args, recorder);
   return 0;
 }
 
@@ -419,7 +416,7 @@ int cmd_explore(int argc, char** argv) {
   std::fprintf(stderr, "explore: %zu points, jobs=%d, %.0f ms wall, %zu pruned, %zu failed\n",
                report.points.size(), jobs, report.sweep.wall_ms, report.pruned_points(),
                report.failed_points());
-  write_observability(args, report.sweep.trace, report.sweep.metrics);
+  write_observability(args, report.sweep.recorder);
   // Infeasible points are expected (the space is exhaustive); an empty
   // front means nothing scheduled at all — that is the failure.
   return report.pareto.empty() ? 1 : 0;
@@ -509,15 +506,14 @@ flow::FaultCampaignOptions fault_options_from(const ArgParser& args) {
 int simulate_faults(const ArgParser& args) {
   const flow::FaultCampaignOptions opts = fault_options_from(args);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
+  obs::Recorder recorder;
   flow::Pipeline pipeline = mccdma::constraints_pipeline(mccdma::case_study_constraints_text(),
                                                          mccdma::case_study_statics());
-  pipeline.set_observability(&tracer, &metrics);
+  pipeline.set_sinks(obs::Sinks(recorder));
   const std::shared_ptr<const fault::CampaignReport> report =
       pipeline.fault_campaign(read_file(*args.value("--faults")), opts);
   std::fputs(report->to_string().c_str(), stdout);
-  write_observability(args, tracer, metrics);
+  write_observability(args, recorder);
   // With recovery on, any region left unhealthy is a failed campaign.
   return opts.recovery && !report->all_healthy() ? 1 : 0;
 }
@@ -555,16 +551,14 @@ int cmd_simulate(int argc, char** argv) {
   if (const std::string* prefetch = args.value("--prefetch"))
     config.prefetch = parse_prefetch_flag(*prefetch);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  config.tracer = &tracer;
-  config.metrics = &metrics;
+  obs::Recorder recorder;
+  config.sinks = obs::Sinks(recorder);
 
   mccdma::TransmitterSystem system(mccdma::shared_case_study(), config);
   const mccdma::SystemReport report = system.run(n_symbols);
   std::fputs(mccdma::format_system_report(report, config).c_str(), stdout);
 
-  write_observability(args, tracer, metrics);
+  write_observability(args, recorder);
   return 0;
 }
 
@@ -619,16 +613,22 @@ int cmd_sweep(int argc, char** argv) {
     }
   }
 
-  // Warm the shared bundle once, on this thread, so the workers start
-  // from a hot artifact cache instead of serializing on the first build.
-  mccdma::shared_case_study();
+  // Build the bundle the workers read once, on this thread, so they start
+  // from a hot artifact cache instead of serializing on the first build,
+  // and every scenario records the same cache hits at any --jobs.
+  if (args.has("--faults"))
+    mccdma::constraints_pipeline(mccdma::case_study_constraints_text(),
+                                 mccdma::case_study_statics())
+        .bundle();
+  else
+    mccdma::shared_case_study();
 
   const flow::ScenarioRunner runner(static_cast<int>(args.uint_or("--jobs", 1)));
   const flow::SweepResult sweep = runner.run(scenarios);
   std::fputs(sweep.combined_report().c_str(), stdout);
   std::fprintf(stderr, "sweep: %zu scenarios, jobs=%d, %.0f ms wall, %zu failed\n",
                sweep.results.size(), runner.jobs(), sweep.wall_ms, sweep.failures());
-  write_observability(args, sweep.trace, sweep.metrics);
+  write_observability(args, sweep.recorder);
   return sweep.failures() == 0 ? 0 : 1;
 }
 
@@ -689,17 +689,16 @@ int cmd_serve(int argc, char** argv) {
     if (report_blocks(svc::check_request_log(log, *bundle, lint_manager), "request log")) return 1;
   }
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
+  obs::Recorder recorder;
   svc::FleetService service(*bundle, config);
-  service.set_observability(&tracer, &metrics);
+  service.set_sinks(obs::Sinks(recorder));
   if (const std::string* spec_path = args.value("--faults"))
     service.arm_faults(fault::parse_fault_spec(read_file(*spec_path)));
   const svc::ServiceReport report = service.run(log);
   std::fputs(report.to_string().c_str(), stdout);
   std::fprintf(stderr, "serve: %zu requests on %d device(s), jobs=%d\n", report.records.size(),
                report.devices, jobs);
-  write_observability(args, tracer, metrics);
+  write_observability(args, recorder);
   // A clean drain exits 0. Under an armed fault campaign, failures are
   // the point of the exercise, not a broken run.
   return (args.has("--faults") || report.failed == 0) ? 0 : 1;
