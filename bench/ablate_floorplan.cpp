@@ -80,7 +80,7 @@ void print_width_sweep(const util::ArgParser& args, int jobs) {
   t.print();
   std::puts("\n(reconfiguration time scales linearly with region width: partial");
   std::puts(" bitstreams are full-height column sets)\n");
-  sweep.write_obs(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
+  sweep.recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
 }
 
 void print_bus_macro_sweep() {

@@ -114,7 +114,7 @@ void print_policy_table(const util::ArgParser& args, int jobs) {
   std::puts(" the Markov predictor stages instantly after each switch, so with only");
   std::puts(" two modules it converts every later switch into a staged load; the");
   std::puts(" cache removes the external fetch for modules seen before)\n");
-  sweep.write_obs(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
+  sweep.recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
 }
 
 void print_guard_sweep(int jobs) {

@@ -83,7 +83,7 @@ void print_scrub_table(const util::ArgParser& args, int jobs) {
   t.print();
   std::puts("\n(faster scrubbing shortens the corruption window but eats the very");
   std::puts(" port the adaptive modulation needs for its reconfigurations)\n");
-  sweep.write_obs(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
+  sweep.recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
 }
 
 void print_verify_cost() {

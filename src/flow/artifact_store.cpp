@@ -14,14 +14,6 @@ std::uint64_t ArtifactStore::hits(const std::string& stage) const {
   return it == stats_.end() ? 0 : it->second.hits;
 }
 
-std::vector<std::string> ArtifactStore::stages() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(stats_.size());
-  for (const auto& [stage, stats] : stats_) out.push_back(stage);
-  return out;
-}
-
 std::size_t ArtifactStore::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();

@@ -1,12 +1,14 @@
 // ArtifactStore: the typed, content-addressed cache between pipeline
-// stages.
+// stages, and the project's one single-flight cache.
 //
 // Each entry is keyed by (stage name, input fingerprint) and holds one
 // immutable artifact behind a shared_ptr<const T>. get_or_build() is
-// single-flight and thread-safe: when N scenario workers ask for the same
-// missing artifact concurrently, exactly one runs the builder while the
-// rest block on its future — so the per-stage run counter counts real
-// recomputations, never duplicated work.
+// thread-safe: when N scenario workers ask for the same missing artifact
+// concurrently, exactly one runs the builder while the rest block on its
+// future — so the per-stage run counter counts real recomputations,
+// never duplicated work. (The fleet service's bitstream cache needs no
+// such machinery: svc::FleetCache is a ledger its coordinator updates
+// between parallel phases.)
 //
 // The run/hit counters per stage are the observable caching contract:
 // "re-running a flow with unchanged inputs serves the cached artifact"
@@ -22,7 +24,6 @@
 #include <string>
 #include <typeindex>
 #include <utility>
-#include <vector>
 
 #include "flow/fingerprint.hpp"
 #include "util/error.hpp"
@@ -78,9 +79,6 @@ class ArtifactStore {
   std::uint64_t runs(const std::string& stage) const;
   /// Cache-served requests for `stage` so far.
   std::uint64_t hits(const std::string& stage) const;
-
-  /// Stage names with any activity, sorted.
-  std::vector<std::string> stages() const;
 
   std::size_t size() const;
   void clear();

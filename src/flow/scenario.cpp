@@ -1,7 +1,6 @@
 #include "flow/scenario.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -24,20 +23,6 @@ std::string SweepResult::combined_report() const {
     out += r.ok() ? r.report : "ERROR: " + r.error + "\n";
   }
   return out;
-}
-
-void SweepResult::write_obs(const std::string& trace_path,
-                            const std::string& metrics_path) const {
-  if (!trace_path.empty()) {
-    recorder.tracer.write_chrome_json(trace_path);
-    std::printf("wrote trace with %zu events to %s\n", recorder.tracer.size(),
-                trace_path.c_str());
-  }
-  if (!metrics_path.empty()) {
-    recorder.metrics.write_json(metrics_path);
-    std::printf("wrote %zu metrics to %s\n", recorder.metrics.names().size(),
-                metrics_path.c_str());
-  }
 }
 
 std::size_t SweepResult::failures() const {

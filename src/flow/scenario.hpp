@@ -52,10 +52,6 @@ struct SweepResult {
   /// header — the sweep's canonical byte-comparable output.
   std::string combined_report() const;
   std::size_t failures() const;
-
-  /// Writes the merged trace/metrics to the given paths ("" = skip),
-  /// logging one line each.
-  void write_obs(const std::string& trace_path, const std::string& metrics_path) const;
 };
 
 class ScenarioRunner {

@@ -81,16 +81,31 @@ std::vector<double> exponential_buckets(double start, double factor, int count) 
   return bounds;
 }
 
-std::vector<double> latency_buckets_ns() {
+const std::vector<double>& latency_buckets_ns() {
   // 1 us doubling up to ~17 s: covers port transfers through cold loads.
-  return exponential_buckets(1e3, 2.0, 25);
+  static const std::vector<double> bounds = exponential_buckets(1e3, 2.0, 25);
+  return bounds;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name, const std::string& help) {
-  PDR_CHECK(!name.empty(), "MetricsRegistry::counter", "empty metric name");
-  Entry& e = entries_[name];
-  PDR_CHECK(!e.gauge && !e.histogram, "MetricsRegistry::counter",
-            "'" + name + "' is already registered as another kind");
+namespace {
+
+std::string other_kind(std::string_view name) {
+  return strprintf("'%.*s' is already registered as another kind", static_cast<int>(name.size()),
+                   name.data());
+}
+
+}  // namespace
+
+MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name, const char* where) {
+  PDR_CHECK(!name.empty(), where, "empty metric name");
+  auto it = entries_.find(name);
+  if (it == entries_.end()) it = entries_.emplace(std::string(name), Entry{}).first;
+  return it->second;
+}
+
+Counter& MetricsRegistry::counter(std::string_view name, std::string_view help) {
+  Entry& e = entry(name, "MetricsRegistry::counter");
+  PDR_CHECK(!e.gauge && !e.histogram, "MetricsRegistry::counter", other_kind(name));
   if (!e.counter) {
     e.counter = std::make_unique<Counter>();
     e.help = help;
@@ -98,11 +113,9 @@ Counter& MetricsRegistry::counter(const std::string& name, const std::string& he
   return *e.counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help) {
-  PDR_CHECK(!name.empty(), "MetricsRegistry::gauge", "empty metric name");
-  Entry& e = entries_[name];
-  PDR_CHECK(!e.counter && !e.histogram, "MetricsRegistry::gauge",
-            "'" + name + "' is already registered as another kind");
+Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
+  Entry& e = entry(name, "MetricsRegistry::gauge");
+  PDR_CHECK(!e.counter && !e.histogram, "MetricsRegistry::gauge", other_kind(name));
   if (!e.gauge) {
     e.gauge = std::make_unique<Gauge>();
     e.help = help;
@@ -110,14 +123,12 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help) 
   return *e.gauge;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<double> bounds,
-                                      const std::string& help) {
-  PDR_CHECK(!name.empty(), "MetricsRegistry::histogram", "empty metric name");
-  Entry& e = entries_[name];
-  PDR_CHECK(!e.counter && !e.gauge, "MetricsRegistry::histogram",
-            "'" + name + "' is already registered as another kind");
+Histogram& MetricsRegistry::histogram(std::string_view name, const std::vector<double>& bounds,
+                                      std::string_view help) {
+  Entry& e = entry(name, "MetricsRegistry::histogram");
+  PDR_CHECK(!e.counter && !e.gauge, "MetricsRegistry::histogram", other_kind(name));
   if (!e.histogram) {
-    e.histogram = std::make_unique<Histogram>(std::move(bounds));
+    e.histogram = std::make_unique<Histogram>(bounds);
     e.help = help;
   }
   return *e.histogram;

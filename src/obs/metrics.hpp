@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pdr::obs {
@@ -79,21 +80,23 @@ class Histogram {
 /// `count` buckets at start, start*factor, start*factor^2, ...
 std::vector<double> exponential_buckets(double start, double factor, int count);
 
-/// Default bucket edges for nanosecond latencies: 1 us .. ~17 s.
-std::vector<double> latency_buckets_ns();
+/// Default bucket edges for nanosecond latencies: 1 us .. ~17 s. One
+/// table for the process, built on first use.
+const std::vector<double>& latency_buckets_ns();
 
 class MetricsRegistry {
  public:
   /// Returns the instrument registered under `name`, creating it on first
   /// use. Throws pdr::Error if `name` is already registered as a
-  /// different instrument kind.
-  Counter& counter(const std::string& name, const std::string& help = "");
-  Gauge& gauge(const std::string& name, const std::string& help = "");
+  /// different instrument kind. Finding a registered name allocates
+  /// nothing.
+  Counter& counter(std::string_view name, std::string_view help = {});
+  Gauge& gauge(std::string_view name, std::string_view help = {});
   /// `bounds` are only consulted on first registration.
-  Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                       const std::string& help = "");
+  Histogram& histogram(std::string_view name, const std::vector<double>& bounds,
+                       std::string_view help = {});
 
-  bool contains(const std::string& name) const { return entries_.count(name) > 0; }
+  bool contains(std::string_view name) const { return entries_.find(name) != entries_.end(); }
   std::size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }
 
@@ -124,7 +127,10 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
-  std::map<std::string, Entry> entries_;
+  /// The entry for `name`, default-constructed on first use.
+  Entry& entry(std::string_view name, const char* where);
+
+  std::map<std::string, Entry, std::less<>> entries_;
 };
 
 }  // namespace pdr::obs

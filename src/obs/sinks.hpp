@@ -6,8 +6,10 @@
 // anything first. A default-constructed handle is detached: its calls
 // return before they join a name, build a string or allocate. Names come
 // in up to three pieces (literals, std::string_view, std::string), joined
-// only when recorded; an event whose label or arguments must be computed
-// goes through trace(fn), which calls `fn` only when attached.
+// only when recorded; a one-piece metric name is looked up as it is, so
+// counting or observing an already-registered one allocates nothing. An
+// event whose label or arguments must be computed goes through trace(fn),
+// which calls `fn` only when attached.
 #pragma once
 
 #include <string>
@@ -33,6 +35,11 @@ struct Recorder {
     tracer.append(other.tracer, track_prefix);
     metrics.merge(other.metrics);
   }
+
+  /// Writes the trace (Chrome JSON) to `trace_path` and the metrics
+  /// (JSON) to `metrics_path`, logging one indented line each to stdout;
+  /// an empty path skips that file.
+  void write(const std::string& trace_path, const std::string& metrics_path) const;
 };
 
 /// A metric or event name in up to three pieces.
@@ -44,9 +51,17 @@ class Name {
   Name(std::string_view a, std::string_view b, std::string_view c = {}) : a_(a), b_(b), c_(c) {}
 
   std::string str() const { return std::string(a_).append(b_).append(c_); }
+  /// The name as one view: a single piece as it is, several joined into
+  /// this Name's own buffer.
+  std::string_view view() {
+    if (b_.empty() && c_.empty()) return a_;
+    joined_ = str();
+    return joined_;
+  }
 
  private:
   std::string_view a_, b_, c_;
+  std::string joined_;
 };
 
 /// Copyable handle to one Recorder; default-constructed, it records nothing.
@@ -58,15 +73,15 @@ class Sinks {
   bool attached() const { return recorder_ != nullptr; }
 
   void count(Name name, double delta = 1.0) const {
-    if (recorder_ != nullptr) recorder_->metrics.counter(name.str()).add(delta);
+    if (recorder_ != nullptr) recorder_->metrics.counter(name.view()).add(delta);
   }
   void gauge(Name name, double value) const {
-    if (recorder_ != nullptr) recorder_->metrics.gauge(name.str()).set(value);
+    if (recorder_ != nullptr) recorder_->metrics.gauge(name.view()).set(value);
   }
   /// Histogram with latency_buckets_ns() edges; `help` is kept on first use.
   void observe(Name name, double x, const char* help = "") const {
     if (recorder_ != nullptr)
-      recorder_->metrics.histogram(name.str(), latency_buckets_ns(), help).observe(x);
+      recorder_->metrics.histogram(name.view(), latency_buckets_ns(), help).observe(x);
   }
   void span(std::string_view track, Name name, std::string_view category, TimeNs start,
             TimeNs end) const {

@@ -1,35 +1,25 @@
-// Shared fleet bitstream cache: the single-flight tier between N devices
-// and the external bitstream store.
+// Fleet bitstream cache ledger: which module images the fleet holds
+// between its devices and the external bitstream store.
 //
-// flow::ArtifactStore proved the pattern for pipeline artifacts — a
-// promise/shared_future per key under one mutex, so N concurrent
-// requests for a missing entry run the builder exactly once. This is
-// that pattern generalized for the fleet service: keyed by module name,
-// size-bounded, with deterministic eviction. An entry holds the store
-// image's fabric::ValidatedStream handle, shared with the store, not a
-// copy of its bytes.
+// The ledger is bookkeeping, not a store of bytes: a device's manager
+// loads from rtr::BitstreamStore's shared handles either way, and the
+// fleet tier only decides whether a read counts as a store round-trip
+// (fetch) or as served from the fleet (served). Only the FleetService
+// coordinator calls it, in serial phases: workers append their reads to
+// a per-device list during the parallel drain, and the coordinator
+// replays every list into touch() before sweep(). Nothing here locks.
 //
-// Concurrency/determinism split:
-//  - get_or_fetch() is thread-safe and single-flight: device workers call
-//    it concurrently during the parallel drain phase; exactly one runs
-//    `fetch` per missing module, the rest share the result.
-//  - sweep() and invalidate() are serial-phase operations (the service
-//    coordinator calls them between parallel phases). Eviction order is
-//    by ascending stamp — the caller supplies the request-log index as
-//    the stamp and entry stamps take the max over callers, so which
-//    worker touched an entry first never changes what sweep() evicts.
+// Replay order never matters: a tick's touches of a missing module
+// insert it once whichever comes first, and an entry's stamp (the
+// request-log index) is the max over its touches, so the lowest-stamp
+// eviction order of sweep() is the same at any worker count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "fabric/bitstream.hpp"
 #include "util/units.hpp"
 
 namespace pdr::svc {
@@ -37,61 +27,43 @@ namespace pdr::svc {
 class FleetCache {
  public:
   struct Stats {
-    std::uint64_t fetches = 0;    ///< fetch invocations (one per missing module)
-    std::uint64_t served = 0;     ///< requests satisfied without running fetch
-    std::uint64_t coalesced = 0;  ///< of `served`: waited on an in-flight fetch
+    std::uint64_t fetches = 0;    ///< touches that found the module absent
+    std::uint64_t served = 0;     ///< touches that found it resident
+    std::uint64_t coalesced = 0;  ///< of `served`: in the tick that fetched it
     std::uint64_t evictions = 0;
     std::uint64_t invalidations = 0;
     Bytes resident_bytes = 0;
     std::size_t resident_modules = 0;
   };
 
-  /// One cached store image: its handle (null when the stored image was
-  /// damaged: damaged bytes have none) and its size, which the capacity
-  /// bound counts.
-  struct Image {
-    std::shared_ptr<const fabric::ValidatedStream> stream;
-    Bytes bytes = 0;
-  };
-
   /// `capacity` bounds resident bytes (0 = unbounded). The bound is
-  /// enforced by sweep(), not mid-fetch, so one oversized module still
-  /// caches (and is evicted on the next sweep).
+  /// enforced by sweep(), not by touch(), so one oversized module still
+  /// enters (and is evicted on the next sweep).
   explicit FleetCache(Bytes capacity);
 
-  /// Returns `module`'s image, running `fetch` only when it is not
-  /// resident. Single-flight: concurrent callers for one missing module
-  /// run `fetch` once and share the result. A fetch that throws does not
-  /// poison the key — the exception propagates to every waiter and the
-  /// next call retries. `stamp` (the caller's request-log index) feeds
-  /// eviction ordering; an entry keeps the max stamp seen.
-  Image get_or_fetch(const std::string& module, std::uint64_t stamp,
-                     const std::function<Image()>& fetch);
+  /// Records that request `stamp` read `module` during tick `tick`. An
+  /// absent module is inserted as one fetch of `bytes`; a resident one is
+  /// served and keeps the larger stamp.
+  void touch(const std::string& module, std::uint64_t stamp, int tick, Bytes bytes);
 
-  /// True when `module` is resident (fetch completed, not evicted).
-  bool resident(const std::string& module) const;
-
-  /// Serial phase: drops `module` (e.g. after permanent store damage the
-  /// cached copy is stale). No-op when absent.
+  /// Drops `module` (e.g. after permanent store damage the cached copy is
+  /// stale). No-op when absent.
   void invalidate(const std::string& module);
 
-  /// Serial phase: evicts lowest-stamp entries until resident bytes fit
-  /// the capacity. Returns the evicted names in eviction order.
+  /// Evicts lowest-stamp entries until resident bytes fit the capacity.
+  /// Returns the evicted names in eviction order.
   std::vector<std::string> sweep();
 
-  Bytes capacity() const { return capacity_; }
-  Stats stats() const;
+  const Stats& stats() const { return stats_; }
 
  private:
   struct Entry {
-    std::shared_future<Image> future;
     std::uint64_t stamp = 0;
-    Bytes bytes = 0;     ///< filled in when the fetch completes
-    bool ready = false;  ///< future resolved successfully
+    Bytes bytes = 0;
+    int fetched_tick = 0;
   };
 
   Bytes capacity_;
-  mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;
   Stats stats_;
 };

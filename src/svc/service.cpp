@@ -73,10 +73,8 @@ std::string ServiceReport::to_string() const {
   row("rerouted", rerouted);
   row("planned_cold_fetches", cache_planned_fetches);
   row("planned_cache_hits", cache_planned_hits);
-  // The fetch / served / eviction counts are deterministic (single-flight
-  // insertions, serial-phase removals); the served split between "was
-  // ready" and "coalesced onto an in-flight fetch" is wall-clock timing
-  // and deliberately not reported here.
+  // `coalesced` stays out of this text, which the serve goldens pin;
+  // perfbench reads it from the stats.
   out += strprintf(
       "fleet cache: fetches %llu, served %llu, evictions %llu, invalidations %llu, "
       "resident %zu module(s) / %llu bytes\n",
@@ -165,6 +163,8 @@ struct FleetService::Device {
   CircuitBreaker breaker;
   std::optional<fault::FaultInjector> injector;
   std::vector<Work> queue;
+  /// (module, request index) read from the fleet tier this tick.
+  std::vector<std::pair<std::string, std::size_t>> fleet_reads;
   int served = 0;
   obs::Recorder recorder;
   struct SeuCursor {
@@ -455,11 +455,9 @@ void FleetService::execute(Device& dev, const Work& work, TimeNs now) {
                             ? Disposition::TimedOut
                             : Disposition::Completed;
     } else {
-      // Fleet tier first: whoever arrives at a missing module fetches it
-      // once for everyone (single-flight); the rest share its handle.
-      (void)cache_.get_or_fetch(work.module, work.index, [this, &work] {
-        return FleetCache::Image{store_->validated(work.module), store_->size_of(work.module)};
-      });
+      // Fleet tier first: note the read; the coordinator replays it into
+      // the cache ledger after the drain.
+      dev.fleet_reads.emplace_back(work.module, work.index);
       if (work.planned_hit) dev.manager->preload_staged(work.region, work.module, now);
       const auto out = dev.manager->request(work.region, work.module, now);
       rec.kind = out.kind;
@@ -522,6 +520,20 @@ ServiceReport FleetService::run(const RequestLog& log) {
   PDR_CHECK(!ran_, "FleetService::run", "service instances run once");
   ran_ = true;
   PDR_CHECK(log.devices >= 1, "FleetService::run", "log declares no devices");
+  // The PDR120/PDR121 checks: an unknown name must not reach the drain.
+  for (std::size_t i = 0; i < log.requests.size(); ++i) {
+    const ServiceRequest& req = log.requests[i];
+    const auto region = bundle_.dynamic_variants.find(req.region);
+    PDR_CHECK(region != bundle_.dynamic_variants.end(), "FleetService::run",
+              strprintf("request %zu (at %.1f us) names unknown region '%s'", i + 1,
+                        to_us(req.at), req.region.c_str()));
+    PDR_CHECK(std::any_of(region->second.begin(), region->second.end(),
+                          [&req](const auto& v) { return v.name == req.module; }),
+              "FleetService::run",
+              strprintf("request %zu (at %.1f us) demands module '%s' but region '%s' has no "
+                        "such variant",
+                        i + 1, to_us(req.at), req.module.c_str(), req.region.c_str()));
+  }
   build_fleet(log.devices);
 
   const std::size_t n = log.requests.size();
@@ -558,14 +570,20 @@ ServiceReport FleetService::run(const RequestLog& log) {
     while (next_arrival < n && log.requests[next_arrival].at <= now)
       admit(log.requests[next_arrival], next_arrival), ++next_arrival;
 
-    // Parallel drain phase: workers touch only device-owned state plus
-    // the thread-safe fleet cache.
+    // Parallel drain phase: workers touch only device-owned state, their
+    // requests' record slots and the read-only store.
     if (!queues_empty())
       util::parallel_for(config_.jobs, devices_.size(),
                          [&](std::size_t i) { drain_device(*devices_[i], now, tick_end); });
 
-    // Serial collection phase: enforce the cache bound; eviction order is
-    // stamp-based, so it never depends on worker timing.
+    // Serial collection phase: replay the tick's fleet-tier reads into the
+    // ledger, then enforce its bound. Neither the replay nor the
+    // stamp-based eviction order depends on worker timing.
+    for (auto& dev : devices_) {
+      for (const auto& [module, index] : dev->fleet_reads)
+        cache_.touch(module, index, tick_index, store_->size_of(module));
+      dev->fleet_reads.clear();
+    }
     for (const auto& name : cache_.sweep()) planned_resident_.erase(name);
     ++tick_index;
   }

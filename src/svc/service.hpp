@@ -17,16 +17,17 @@
 //  - a per-device circuit breaker fed by the manager's health/fallback
 //    signals: Open reroutes any-device traffic to healthy shards and
 //    serves pinned requests degraded via the safe module;
-//  - a shared single-flight fleet bitstream cache (svc::FleetCache): N
-//    devices demanding one module fetch it from external memory once.
+//  - a fleet bitstream cache ledger (svc::FleetCache): N devices
+//    demanding one module fetch it from external memory once.
 //
 // Determinism contract: run() is byte-identical for any `jobs` value.
 // The drain alternates serial coordinator phases (fault events, breaker
-// ticks, admission, routing, cache planning, eviction sweeps) with
-// parallel per-device phases in which worker threads touch only
-// device-owned state plus the thread-safe fleet cache; per-device
-// observability sinks merge in device order after the drain — the same
-// discipline flow::ScenarioRunner pins for sweeps.
+// ticks, admission, routing, cache planning, cache-ledger replay,
+// eviction sweeps) with parallel per-device phases in which worker
+// threads touch only device-owned state, their requests' record slots
+// and the read-only store; per-device observability sinks merge in
+// device order after the drain — the same discipline
+// flow::ScenarioRunner pins for sweeps.
 //
 // Virtual time advances in fixed ticks: each tick admits every arrival
 // up to `now`, then each device drains its queue (priority order) until
@@ -163,7 +164,9 @@ class FleetService {
   void set_sinks(obs::Sinks sinks);
 
   /// Drains the log (devices sized by log.devices) and returns the
-  /// report. One run per service instance.
+  /// report. One run per service instance. Throws pdr::Error naming the
+  /// request when one names a region the bundle lacks or a module that
+  /// is not a variant of its region.
   ServiceReport run(const RequestLog& log);
 
  private:

@@ -226,6 +226,27 @@ TEST(Sinks, DetachedHandleRecordsAndAllocatesNothing) {
   EXPECT_FALSE(called);
 }
 
+TEST(Sinks, AttachedHandleOnRegisteredNameAllocatesNothing) {
+  Recorder recorder;
+  const Sinks sinks(recorder);
+  // Longer than small-string storage, so joining it would allocate.
+  const char* const counter = "rtr.manager.requests.total";
+  const char* const histogram = "rtr.manager.stall_ns.demand";
+  sinks.count(counter);
+  sinks.observe(histogram, 5.0, "demand stall");
+
+  const long before = g_allocations.load();
+  for (int i = 0; i < 1000; ++i) {
+    sinks.count(counter);
+    sinks.observe(histogram, 5.0, "demand stall");
+  }
+  const long allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(allocations, 0);
+  EXPECT_DOUBLE_EQ(recorder.metrics.counter(counter).value(), 1001.0);
+  EXPECT_EQ(recorder.metrics.histogram(histogram, latency_buckets_ns()).count(), 1001u);
+}
+
 TEST(Sinks, AttachedHandleMatchesDirectCalls) {
   Recorder via;
   Recorder direct;

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fault/fault_spec.hpp"
@@ -84,54 +82,26 @@ TEST(Breaker, FailedProbeReopens) {
 
 // --- fleet cache -----------------------------------------------------------------
 
-TEST(FleetCacheTest, SingleFlightUnderThreads) {
-  FleetCache cache(0);
-  std::atomic<int> fetches{0};
-  constexpr int kThreads = 8;
-  // Each fetch would make a fresh handle: sharing one proves a single fetch.
-  const synth::DesignBundle bundle = test_bundle();
-  const auto& bytes = bundle.variant("D1", "qam16").bitstream;
-  std::vector<FleetCache::Image> results(kThreads);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      results[t] = cache.get_or_fetch("qam16", static_cast<std::uint64_t>(t), [&] {
-        ++fetches;
-        return FleetCache::Image{fabric::ValidatedStream::parse(bundle.device, bytes),
-                                 bytes.size()};
-      });
-    });
-  }
-  for (auto& t : pool) t.join();
-  EXPECT_EQ(fetches.load(), 1);
-  ASSERT_NE(results[0].stream, nullptr);
-  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(results[t].stream, results[0].stream);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.fetches, 1u);
-  EXPECT_EQ(stats.served, static_cast<std::uint64_t>(kThreads - 1));
-  EXPECT_EQ(stats.resident_modules, 1u);
-  EXPECT_EQ(stats.resident_bytes, bytes.size());
-}
-
 TEST(FleetCacheTest, SweepEvictsLowestStampFirst) {
   FleetCache cache(5);  // fits one 4-byte module, not two
-  const auto fetch4 = [] { return FleetCache::Image{nullptr, 4}; };
-  (void)cache.get_or_fetch("older", 1, fetch4);
-  (void)cache.get_or_fetch("newer", 2, fetch4);
+  cache.touch("older", 1, 0, 4);
+  cache.touch("newer", 2, 0, 4);
   const auto evicted = cache.sweep();
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], "older");
-  EXPECT_FALSE(cache.resident("older"));
-  EXPECT_TRUE(cache.resident("newer"));
   EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().resident_modules, 1u);
+  EXPECT_EQ(cache.stats().resident_bytes, 4u);
+  cache.touch("newer", 3, 1, 4);  // still resident: served
+  EXPECT_EQ(cache.stats().fetches, 2u);
+  EXPECT_EQ(cache.stats().served, 1u);
 }
 
 TEST(FleetCacheTest, StampTakesMaxOverCallers) {
   FleetCache cache(5);
-  const auto fetch4 = [] { return FleetCache::Image{nullptr, 4}; };
-  (void)cache.get_or_fetch("a", 1, fetch4);
-  (void)cache.get_or_fetch("b", 2, fetch4);
-  (void)cache.get_or_fetch("a", 9, fetch4);  // refresh a's stamp past b's
+  cache.touch("a", 9, 0, 4);
+  cache.touch("b", 2, 0, 4);
+  cache.touch("a", 1, 0, 4);  // a lower stamp never lowers a's
   const auto evicted = cache.sweep();
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], "b");
@@ -139,27 +109,28 @@ TEST(FleetCacheTest, StampTakesMaxOverCallers) {
 
 TEST(FleetCacheTest, InvalidateDropsEntryAndNextFetchRetries) {
   FleetCache cache(0);
-  int fetches = 0;
-  const auto fetch = [&fetches] {
-    ++fetches;
-    return FleetCache::Image{nullptr, 1};
-  };
-  (void)cache.get_or_fetch("m", 1, fetch);
+  cache.touch("m", 1, 0, 3);
   cache.invalidate("m");
-  EXPECT_FALSE(cache.resident("m"));
-  (void)cache.get_or_fetch("m", 2, fetch);
-  EXPECT_EQ(fetches, 2);
+  cache.invalidate("absent");  // no-op
   EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().resident_modules, 0u);
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+  cache.touch("m", 2, 1, 3);
+  EXPECT_EQ(cache.stats().fetches, 2u);
+  EXPECT_EQ(cache.stats().served, 0u);
+  EXPECT_EQ(cache.stats().resident_bytes, 3u);
 }
 
-TEST(FleetCacheTest, ThrowingFetchDoesNotPoisonTheKey) {
+TEST(FleetCacheTest, CoalescedCountsServedTouchesInTheFetchTick) {
   FleetCache cache(0);
-  EXPECT_THROW((void)cache.get_or_fetch(
-                   "m", 1, []() -> FleetCache::Image { pdr::raise("test", "boom"); }),
-               pdr::Error);
-  const auto got = cache.get_or_fetch("m", 2, [] { return FleetCache::Image{nullptr, 5}; });
-  EXPECT_EQ(got.bytes, 5u);
-  EXPECT_TRUE(cache.resident("m"));
+  cache.touch("m", 1, 4, 1);  // fetched in tick 4
+  cache.touch("m", 2, 4, 1);  // same tick: coalesced onto the fetch
+  cache.touch("m", 3, 4, 1);
+  cache.touch("m", 4, 5, 1);  // a later tick: served from residency
+  const auto& stats = cache.stats();
+  EXPECT_EQ(stats.fetches, 1u);
+  EXPECT_EQ(stats.served, 3u);
+  EXPECT_EQ(stats.coalesced, 2u);
 }
 
 // --- request log DSL -------------------------------------------------------------
@@ -663,6 +634,35 @@ TEST(FleetServiceTest, RunsOnceAndValidatesSpecNames) {
       "request at_us 0 device 0 region D1 module qpsk class demand\n");
   (void)service.run(log);
   EXPECT_THROW((void)service.run(log), pdr::Error);
+}
+
+// The PDR120/PDR121 checks run before the first tick: a log naming an
+// unknown region or module throws, naming the request, instead of
+// reaching the drain.
+TEST(FleetServiceTest, RunRejectsUnknownRegionsAndModules) {
+  const auto bundle = test_bundle();
+  const auto run_error = [&](const std::string& text) -> std::string {
+    ServiceConfig config;
+    config.jobs = 4;
+    FleetService service(bundle, config);
+    try {
+      (void)service.run(parse_request_log(text));
+    } catch (const pdr::Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string region = run_error(
+      "fleet devices 2\n"
+      "request at_us 0 device 0 region D1 module qpsk class demand\n"
+      "request at_us 5 device any region D9 module qpsk class demand\n");
+  EXPECT_NE(region.find("request 2"), std::string::npos) << region;
+  EXPECT_NE(region.find("'D9'"), std::string::npos) << region;
+  const std::string module = run_error(
+      "fleet devices 2\n"
+      "request at_us 0 device 1 region D1 module bogus class demand\n");
+  EXPECT_NE(module.find("request 1"), std::string::npos) << module;
+  EXPECT_NE(module.find("'bogus'"), std::string::npos) << module;
 }
 
 // --- PDR12x lint family ----------------------------------------------------------

@@ -134,19 +134,6 @@ void write_file(const std::filesystem::path& path, std::span<const std::uint8_t>
   std::printf("  wrote %-40s (%s)\n", path.c_str(), human_bytes(data.size()).c_str());
 }
 
-/// Writes the recorder's trace/metrics to the paths given by
-/// --trace-out / --metrics-out, if present.
-void write_observability(const ArgParser& args, const obs::Recorder& recorder) {
-  if (const std::string* path = args.value("--trace-out")) {
-    recorder.tracer.write_chrome_json(*path);
-    std::printf("  wrote trace with %zu events to %s\n", recorder.tracer.size(), path->c_str());
-  }
-  if (const std::string* path = args.value("--metrics-out")) {
-    recorder.metrics.write_json(*path);
-    std::printf("  wrote %zu metrics to %s\n", recorder.metrics.names().size(), path->c_str());
-  }
-}
-
 /// Prints a lint report (if non-empty) and returns true when it should
 /// abort the command (any error).
 bool report_blocks(const lint::Report& report, const char* what) {
@@ -258,7 +245,7 @@ int cmd_build(int argc, char** argv) {
   }
   t.print();
   write_file(out_dir / "initial_full.bit", bundle->initial_bitstream);
-  write_observability(args, recorder);
+  recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
   return 0;
 }
 
@@ -362,7 +349,7 @@ int cmd_adequation(int argc, char** argv) {
       .set(static_cast<double>(adeq->schedule.makespan));
   recorder.metrics.gauge("adequation.reconfig_exposed_ns")
       .set(static_cast<double>(adeq->schedule.reconfig_exposed));
-  write_observability(args, recorder);
+  recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
   return 0;
 }
 
@@ -416,7 +403,8 @@ int cmd_explore(int argc, char** argv) {
   std::fprintf(stderr, "explore: %zu points, jobs=%d, %.0f ms wall, %zu pruned, %zu failed\n",
                report.points.size(), jobs, report.sweep.wall_ms, report.pruned_points(),
                report.failed_points());
-  write_observability(args, report.sweep.recorder);
+  report.sweep.recorder.write(args.string_or("--trace-out", ""),
+                              args.string_or("--metrics-out", ""));
   // Infeasible points are expected (the space is exhaustive); an empty
   // front means nothing scheduled at all — that is the failure.
   return report.pareto.empty() ? 1 : 0;
@@ -513,7 +501,7 @@ int simulate_faults(const ArgParser& args) {
   const std::shared_ptr<const fault::CampaignReport> report =
       pipeline.fault_campaign(read_file(*args.value("--faults")), opts);
   std::fputs(report->to_string().c_str(), stdout);
-  write_observability(args, recorder);
+  recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
   // With recovery on, any region left unhealthy is a failed campaign.
   return opts.recovery && !report->all_healthy() ? 1 : 0;
 }
@@ -558,7 +546,7 @@ int cmd_simulate(int argc, char** argv) {
   const mccdma::SystemReport report = system.run(n_symbols);
   std::fputs(mccdma::format_system_report(report, config).c_str(), stdout);
 
-  write_observability(args, recorder);
+  recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
   return 0;
 }
 
@@ -628,7 +616,7 @@ int cmd_sweep(int argc, char** argv) {
   std::fputs(sweep.combined_report().c_str(), stdout);
   std::fprintf(stderr, "sweep: %zu scenarios, jobs=%d, %.0f ms wall, %zu failed\n",
                sweep.results.size(), runner.jobs(), sweep.wall_ms, sweep.failures());
-  write_observability(args, sweep.recorder);
+  sweep.recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
   return sweep.failures() == 0 ? 0 : 1;
 }
 
@@ -698,7 +686,7 @@ int cmd_serve(int argc, char** argv) {
   std::fputs(report.to_string().c_str(), stdout);
   std::fprintf(stderr, "serve: %zu requests on %d device(s), jobs=%d\n", report.records.size(),
                report.devices, jobs);
-  write_observability(args, recorder);
+  recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
   // A clean drain exits 0. Under an armed fault campaign, failures are
   // the point of the exercise, not a broken run.
   return (args.has("--faults") || report.failed == 0) ? 0 : 1;
