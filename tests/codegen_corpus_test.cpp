@@ -8,6 +8,9 @@
 //   <case> executive h=<hash> n=<bytes>       Executive::to_string()
 //   <case> m4 <resource> h=<hash> n=<bytes>   generate_m4_macrocode, per program
 //   <case> m4app h=<hash> n=<bytes>           generate_m4_application
+//   <case> c <resource> h=<hash> n=<bytes>    generate_c_executive, per processor
+//   <case> vhdl <resource> h=<hash> n=<bytes> generate_vhdl_entity, per FPGA operator
+//   <case> vhdltop h=<hash> n=<bytes>         generate_vhdl_top
 //   <case> csv h=<hash> n=<bytes>             Schedule::to_csv()
 //   <case> text h=<hash> n=<bytes>            Schedule::to_string()
 //   <case> executive threw <message>
@@ -32,7 +35,9 @@
 #include <string>
 #include <vector>
 
+#include "aaa/codegen_c.hpp"
 #include "aaa/codegen_m4.hpp"
+#include "aaa/codegen_vhdl.hpp"
 #include "aaa/macrocode.hpp"
 #include "schedule_corpus.hpp"
 #include "util/error.hpp"
@@ -66,6 +71,26 @@ std::string outputs(const std::string& name, const aaa::Schedule& s,
       out += hash_line(name + " m4 " + program.resource,
                        aaa::generate_m4_macrocode(program, architecture));
     out += hash_line(name + " m4app", aaa::generate_m4_application(exec, architecture, "app-1.x"));
+    // The C and VHDL translations as the pipeline drives them, under the
+    // default constraint set.
+    const aaa::ConstraintSet constraints;
+    for (aaa::NodeId n : architecture.operators()) {
+      const aaa::OperatorNode& op = architecture.op(n);
+      const aaa::MacroProgram& program = exec.program(op.name);
+      if (op.kind == aaa::OperatorKind::Processor) {
+        out += hash_line(name + " c " + op.name,
+                         aaa::generate_c_executive(program, op, constraints));
+      } else {
+        aaa::VhdlOptions vhdl;
+        vhdl.embed_reconfig_manager = op.kind == aaa::OperatorKind::FpgaStatic &&
+                                      constraints.manager == aaa::Placement::Fpga;
+        if (op.kind == aaa::OperatorKind::FpgaRegion) vhdl.bus_macro_count = 2;
+        out += hash_line(name + " vhdl " + op.name,
+                         aaa::generate_vhdl_entity(program, op, vhdl));
+      }
+    }
+    out += hash_line(name + " vhdltop",
+                     aaa::generate_vhdl_top(exec, architecture, constraints));
   } catch (const Error& e) {
     out += name + " executive threw " + e.what() + "\n";
   }
