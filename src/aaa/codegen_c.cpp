@@ -23,7 +23,7 @@ std::string generate_c_executive(const MacroProgram& program, const OperatorNode
   for (const auto& instr : program.body)
     if (instr.op == MacroOp::Compute) {
       w << "extern void op_";
-      w.identifier(instr.what) << "(void);\n";
+      w.identifier(program.name(instr.what)) << "(void);\n";
     }
   out += "\n";
 
@@ -31,7 +31,7 @@ std::string generate_c_executive(const MacroProgram& program, const OperatorNode
   for (const auto& instr : program.body) {
     if (instr.op != MacroOp::Recv && instr.op != MacroOp::Send) continue;
     w << "static uint8_t ";
-    w.identifier(instr.what) << '[' << (instr.bytes ? instr.bytes : 1) << "];\n";
+    w.identifier(program.name(instr.what)) << '[' << (instr.bytes ? instr.bytes : 1) << "];\n";
   }
   out += "\n";
 
@@ -57,15 +57,15 @@ std::string generate_c_executive(const MacroProgram& program, const OperatorNode
       case MacroOp::Recv:
       case MacroOp::Send:
         w << (instr.op == MacroOp::Recv ? "    medium_recv(\"" : "    medium_send(\"")
-          << instr.with << "\", ";
-        w.identifier(instr.what) << ", " << instr.bytes << ");\n";
+          << program.name(instr.with) << "\", ";
+        w.identifier(program.name(instr.what)) << ", " << instr.bytes << ");\n";
         break;
       case MacroOp::Compute:
         w << "    op_";
-        w.identifier(instr.what) << "();\n";
+        w.identifier(program.name(instr.what)) << "();\n";
         break;
       case MacroOp::Reconfig:
-        w << "    /* request reconfiguration to module " << instr.what << " */\n";
+        w << "    /* request reconfiguration to module " << program.name(instr.what) << " */\n";
         break;
       case MacroOp::Move:
         break;

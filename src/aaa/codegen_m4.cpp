@@ -31,25 +31,26 @@ std::string generate_m4_macrocode(const MacroProgram& program,
   }
   out += "main_\n  loop_\n";
   TextWriter w(out);
+  const util::Interner& names = *program.names;
   for (const auto& instr : program.body) {
     switch (instr.op) {
       case MacroOp::Recv:
       case MacroOp::Send:
         w << (instr.op == MacroOp::Recv ? "    recv_(" : "    send_(");
-        w.identifier(instr.what) << ", ";
-        w.identifier(instr.with) << ", " << instr.bytes << ")\n";
+        w.identifier(names.name(instr.what)) << ", ";
+        w.identifier(names.name(instr.with)) << ", " << instr.bytes << ")\n";
         break;
       case MacroOp::Compute:
         w << "    compute_(";
-        w.identifier(instr.what) << ", " << instr.duration << ")\n";
+        w.identifier(names.name(instr.what)) << ", " << instr.duration << ")\n";
         break;
       case MacroOp::Reconfig:
         w << "    reconf_(";
-        w.identifier(instr.what) << ")\n";
+        w.identifier(names.name(instr.what)) << ")\n";
         break;
       case MacroOp::Move:
         w << "    move_(";
-        w.identifier(instr.what) << ", " << instr.bytes << ")\n";
+        w.identifier(names.name(instr.what)) << ", " << instr.bytes << ")\n";
         break;
     }
   }

@@ -37,15 +37,15 @@ std::string generate_vhdl_entity(const MacroProgram& program, const OperatorNode
   const std::string entity = identifier(op.name);
   const bool dynamic = op.kind == OperatorKind::FpgaRegion;
 
-  // Collect the buffers this operator exchanges.
-  std::set<std::string> recv_bufs;
-  std::set<std::string> send_bufs;
+  // Collect the buffers this operator exchanges, in name order.
+  std::set<std::string_view> recv_bufs;
+  std::set<std::string_view> send_bufs;
   std::vector<const MacroInstr*> computes;
   std::vector<const MacroInstr*> reconfigs;
   for (const auto& instr : program.body) {
     switch (instr.op) {
-      case MacroOp::Recv: recv_bufs.insert(instr.what); break;
-      case MacroOp::Send: send_bufs.insert(instr.what); break;
+      case MacroOp::Recv: recv_bufs.insert(program.name(instr.what)); break;
+      case MacroOp::Send: send_bufs.insert(program.name(instr.what)); break;
       case MacroOp::Compute: computes.push_back(&instr); break;
       case MacroOp::Reconfig: reconfigs.push_back(&instr); break;
       case MacroOp::Move: break;
@@ -76,9 +76,10 @@ std::string generate_vhdl_entity(const MacroProgram& program, const OperatorNode
   out += strprintf("  signal compute_step : natural range 0 to %d := 0;\n",
                    computes.empty() ? 1 : static_cast<int>(computes.size()));
   out += "  signal buf_phase    : std_logic := '0';  -- ping/pong buffer phase\n";
-  for (const auto* c : computes)
-    out += "  signal start_" + identifier(c->what) + ", done_" + identifier(c->what) +
-           " : std_logic;\n";
+  for (const auto* c : computes) {
+    const std::string op_id = identifier(program.name(c->what));
+    out += "  signal start_" + op_id + ", done_" + op_id + " : std_logic;\n";
+  }
   if (options.embed_reconfig_manager) {
     out += "  component config_manager is port (clk, rst : in std_logic); end component;\n";
     out += "  component protocol_builder is port (clk, rst : in std_logic); end component;\n";
@@ -100,9 +101,9 @@ std::string generate_vhdl_entity(const MacroProgram& program, const OperatorNode
   for (const auto& instr : program.body) {
     if (instr.op != MacroOp::Recv && instr.op != MacroOp::Send) continue;
     const bool recv = instr.op == MacroOp::Recv;
-    w << "          when " << step << " =>  -- " << (recv ? "recv " : "send ") << instr.what
-      << " (" << instr.bytes << " B)\n";
-    const std::string buf = identifier(instr.what);
+    w << "          when " << step << " =>  -- " << (recv ? "recv " : "send ")
+      << program.name(instr.what) << " (" << instr.bytes << " B)\n";
+    const std::string buf = identifier(program.name(instr.what));
     if (recv) {
       w << "            if " << buf << "_in.req = '1' then\n";
     } else {
@@ -128,7 +129,7 @@ std::string generate_vhdl_entity(const MacroProgram& program, const OperatorNode
   }
   out += "      else\n        case compute_step is\n";
   for (std::size_t i = 0; i < computes.size(); ++i) {
-    const std::string op_id = identifier(computes[i]->what);
+    const std::string op_id = identifier(program.name(computes[i]->what));
     w << "          when " << i << " =>\n"
       << "            start_" << op_id << " <= '1';\n"
       << "            if done_" << op_id << " = '1' then\n"
@@ -145,14 +146,16 @@ std::string generate_vhdl_entity(const MacroProgram& program, const OperatorNode
   out += "  operator_behaviour : process(" + options.clock_name + ")\n  begin\n";
   out += "    if rising_edge(" + options.clock_name + ") then\n";
   for (const auto* c : computes) {
-    const std::string op_id = identifier(c->what);
+    const std::string op_id = identifier(program.name(c->what));
     out += "      -- datapath " + op_id + ": started by start_" + op_id + ", reports done_" +
            op_id + "\n";
     out += "      done_" + op_id + " <= start_" + op_id + ";  -- single-cycle placeholder latency\n";
   }
-  for (const auto* r : reconfigs)
-    out += "      -- raise configuration request for module " + r->what +
-           " towards the configuration manager\n";
+  for (const auto* r : reconfigs) {
+    out += "      -- raise configuration request for module ";
+    out += program.name(r->what);
+    out += " towards the configuration manager\n";
+  }
   out += "    end if;\n  end process operator_behaviour;\n\n";
 
   // Process 4: buffer read/write phase activation (ping-pong).

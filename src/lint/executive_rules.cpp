@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace pdr::lint {
@@ -24,8 +25,21 @@ struct Endpoint {
   TimeNs at = 0;
 };
 
-/// Channel key: (medium name, buffer name).
-using ChannelKey = std::pair<std::string, std::string>;
+/// Channel key: the medium's name and the buffer's symbol.
+struct ChannelKey {
+  std::string_view medium;
+  util::SymbolId buffer;
+};
+
+/// Orders channels by (medium, buffer) text, so reports list them in name
+/// order. Equal ids are equal text, so only distinct buffers are read.
+struct ByName {
+  const util::Interner* names;
+  bool operator()(const ChannelKey& a, const ChannelKey& b) const {
+    if (a.medium != b.medium) return a.medium < b.medium;
+    return a.buffer != b.buffer && names->name(a.buffer) < names->name(b.buffer);
+  }
+};
 
 struct Channel {
   std::vector<Endpoint> sends;
@@ -33,40 +47,50 @@ struct Channel {
   std::vector<Endpoint> moves;
 };
 
-std::string channel_name(const ChannelKey& key) {
-  return "buffer " + key.second + " on " + key.first;
+using Channels = std::map<ChannelKey, Channel, ByName>;
+
+std::string channel_name(const Executive& executive, const ChannelKey& key) {
+  std::string out = "buffer ";
+  out += executive.name(key.buffer);
+  out += " on ";
+  out += key.medium;
+  return out;
 }
 
 /// PDR060/061/062: pairing of sends, recvs and moves per channel.
-void check_pairing(Report& report, const Executive& executive,
-                   const std::map<ChannelKey, Channel>& channels) {
+void check_pairing(Report& report, const Executive& executive, const Channels& channels) {
   for (const auto& [key, ch] : channels) {
+    // Balanced and not a lone move: none of the three rules fires.
+    if (ch.sends.size() == ch.recvs.size() && (ch.moves.empty() || !ch.sends.empty())) continue;
+    const std::string where = channel_name(executive, key);
+    const std::string buffer(executive.name(key.buffer));
+    const std::string medium(key.medium);
     if (!ch.sends.empty() && ch.recvs.empty())
-      report.add(Rule::SendWithoutRecv, Severity::Error, channel_name(key),
+      report.add(Rule::SendWithoutRecv, Severity::Error, where,
                  "'" + executive.programs[ch.sends.front().program].resource + "' sends buffer '" +
-                     key.second + "' over '" + key.first + "' but no program receives it",
+                     buffer + "' over '" + medium + "' but no program receives it",
                  "a blocking send with no receiver stalls the executive forever");
     else if (ch.sends.size() > ch.recvs.size())
-      report.add(Rule::SendWithoutRecv, Severity::Error, channel_name(key),
+      report.add(Rule::SendWithoutRecv, Severity::Error, where,
                  strprintf("buffer '%s' is sent %zu time(s) over '%s' but received only %zu",
-                           key.second.c_str(), ch.sends.size(), key.first.c_str(),
+                           buffer.c_str(), ch.sends.size(), medium.c_str(),
                            ch.recvs.size()),
                  "every send must pair with exactly one recv on the same medium");
     if (!ch.recvs.empty() && ch.sends.empty())
-      report.add(Rule::RecvWithoutSend, Severity::Error, channel_name(key),
+      report.add(Rule::RecvWithoutSend, Severity::Error, where,
                  "'" + executive.programs[ch.recvs.front().program].resource +
-                     "' waits for buffer '" + key.second + "' on '" + key.first +
+                     "' waits for buffer '" + buffer + "' on '" + medium +
                      "' but no program sends it",
                  "a blocking receive with no sender deadlocks its program");
     else if (ch.recvs.size() > ch.sends.size())
-      report.add(Rule::RecvWithoutSend, Severity::Error, channel_name(key),
+      report.add(Rule::RecvWithoutSend, Severity::Error, where,
                  strprintf("buffer '%s' is received %zu time(s) over '%s' but sent only %zu",
-                           key.second.c_str(), ch.recvs.size(), key.first.c_str(),
+                           buffer.c_str(), ch.recvs.size(), medium.c_str(),
                            ch.sends.size()),
                  "every recv must pair with exactly one send on the same medium");
     if (!ch.moves.empty() && ch.sends.empty() && ch.recvs.empty())
-      report.add(Rule::OrphanMove, Severity::Warning, channel_name(key),
-                 "medium '" + key.first + "' carries buffer '" + key.second +
+      report.add(Rule::OrphanMove, Severity::Warning, where,
+                 "medium '" + medium + "' carries buffer '" + buffer +
                      "' that no operator sends or receives",
                  "remove the move or add the missing endpoints");
   }
@@ -74,9 +98,10 @@ void check_pairing(Report& report, const Executive& executive,
 
 /// PDR064/065: single-buffer semantics per channel — a value must be
 /// written before it is read and read before it is overwritten.
-void check_buffer_order(Report& report, const std::map<ChannelKey, Channel>& channels) {
+void check_buffer_order(Report& report, const Executive& executive, const Channels& channels) {
   for (const auto& [key, ch] : channels) {
     if (ch.sends.empty() || ch.recvs.empty()) continue;  // pairing rules fired already
+    const auto buffer = [&] { return std::string(executive.name(key.buffer)); };
     // Merge sends (+1) and recvs (-1) in schedule-time order; a send at
     // the same instant as a recv is ordered first (the recv observes the
     // transfer's completion).
@@ -98,19 +123,19 @@ void check_buffer_order(Report& report, const std::map<ChannelKey, Channel>& cha
     for (const Ev& ev : events) {
       if (ev.kind == 0) {
         if (outstanding > 0 && !reported_overwrite) {
-          report.add(Rule::BufferOverwrite, Severity::Error, channel_name(key),
+          report.add(Rule::BufferOverwrite, Severity::Error, channel_name(executive, key),
                      strprintf("buffer '%s' is sent again at %lld ns before the previous value "
                                "is received",
-                               key.second.c_str(), static_cast<long long>(ev.at)),
+                               buffer().c_str(), static_cast<long long>(ev.at)),
                      "single-buffer channels must alternate send and recv");
           reported_overwrite = true;
         }
         ++outstanding;
       } else {
         if (outstanding == 0 && !reported_read) {
-          report.add(Rule::RecvBeforeSend, Severity::Error, channel_name(key),
+          report.add(Rule::RecvBeforeSend, Severity::Error, channel_name(executive, key),
                      strprintf("buffer '%s' is read at %lld ns before any send writes it",
-                               key.second.c_str(), static_cast<long long>(ev.at)),
+                               buffer().c_str(), static_cast<long long>(ev.at)),
                      "reorder the programs so the producer sends first");
           reported_read = true;
         } else if (outstanding > 0) {
@@ -125,8 +150,7 @@ void check_buffer_order(Report& report, const std::map<ChannelKey, Channel>& cha
 /// with intra-program sequential edges and a cross edge from each send to
 /// its paired recv (k-th send pairs with k-th recv per channel). A
 /// time-consistent executive is acyclic: every edge advances time.
-void check_deadlock(Report& report, const Executive& executive,
-                    const std::map<ChannelKey, Channel>& channels) {
+void check_deadlock(Report& report, const Executive& executive, const Channels& channels) {
   // Global instruction numbering.
   std::vector<std::size_t> program_base(executive.programs.size(), 0);
   std::size_t total = 0;
@@ -154,7 +178,9 @@ void check_deadlock(Report& report, const Executive& executive,
       if (node >= program_base[p]) {
         const MacroProgram& prog = executive.programs[p];
         const MacroInstr& mi = prog.body[node - program_base[p]];
-        return prog.resource + ": " + std::string(macro_op_name(mi.op)) + " " + mi.what;
+        std::string out = prog.resource + ": " + macro_op_name(mi.op) + " ";
+        out += prog.name(mi.what);
+        return out;
       }
     return std::string("?");
   };
@@ -196,15 +222,17 @@ void check_deadlock(Report& report, const Executive& executive,
 Report check_executive(const Executive& executive) {
   Report report;
 
-  std::map<ChannelKey, Channel> channels;
+  Channels channels(ByName{executive.names.get()});
   for (std::size_t p = 0; p < executive.programs.size(); ++p) {
     const MacroProgram& prog = executive.programs[p];
+    PDR_CHECK(prog.names == executive.names, "check_executive",
+              "program '" + prog.resource + "' does not share the executive's name table");
     for (std::size_t i = 0; i < prog.body.size(); ++i) {
       const MacroInstr& mi = prog.body[i];
       const Endpoint ep{p, i, mi.at};
       switch (mi.op) {
-        case MacroOp::Send: channels[{mi.with, mi.what}].sends.push_back(ep); break;
-        case MacroOp::Recv: channels[{mi.with, mi.what}].recvs.push_back(ep); break;
+        case MacroOp::Send: channels[{prog.name(mi.with), mi.what}].sends.push_back(ep); break;
+        case MacroOp::Recv: channels[{prog.name(mi.with), mi.what}].recvs.push_back(ep); break;
         case MacroOp::Move:
           if (prog.is_medium) channels[{prog.resource, mi.what}].moves.push_back(ep);
           break;
@@ -214,7 +242,7 @@ Report check_executive(const Executive& executive) {
   }
 
   check_pairing(report, executive, channels);
-  check_buffer_order(report, channels);
+  check_buffer_order(report, executive, channels);
   check_deadlock(report, executive, channels);
   return report;
 }

@@ -34,9 +34,9 @@ namespace {
 
 /// Variant carried by a Compute instruction's name — macro-code renders
 /// conditioned computations as "op(variant)". "" when unconditioned.
-std::string compute_variant(const std::string& what) {
+std::string_view compute_variant(std::string_view what) {
   const auto open = what.rfind('(');
-  if (open == std::string::npos || what.empty() || what.back() != ')') return "";
+  if (open == std::string_view::npos || what.empty() || what.back() != ')') return {};
   return what.substr(open + 1, what.size() - open - 2);
 }
 
@@ -56,15 +56,19 @@ PlayResult ExecutivePlayer::run(int iterations) {
     TimeNs time = 0;          ///< local completion time of last instruction
     bool done = false;
   };
-  // Buffer and resource names are interned once; the token channels and
-  // residency table below are dense vectors indexed by SymbolId, so the
-  // per-instruction hot path never builds a key string.
+  // Instructions name their buffers by symbol of the executive's one
+  // table, so a buffer's token channels are found by id. Resources and
+  // modules (which a selector may name outside that table) are interned
+  // here; the residency table is indexed by these symbols.
+  const util::Interner& names = *executive_.names;
   util::Interner syms;
 
   std::vector<ProgState> progs;
   std::vector<bool> is_region(executive_.programs.size(), false);
   std::vector<util::SymbolId> prog_resource(executive_.programs.size(), util::kNoSymbol);
   for (const auto& p : executive_.programs) {
+    PDR_CHECK(p.names == executive_.names, "ExecutivePlayer",
+              "program '" + p.resource + "' does not share the executive's name table");
     ProgState st;
     st.prog = &p;
     st.done = p.body.empty();
@@ -75,14 +79,22 @@ PlayResult ExecutivePlayer::run(int iterations) {
     progs.push_back(st);
   }
 
-  // Token channels per buffer symbol: snd = producer -> medium,
-  // dlv = medium -> consumer. Values are availability times.
+  // Token channels per buffer: snd = producer -> medium, dlv = medium ->
+  // consumer. Values are availability times. A buffer's channels are
+  // numbered on first use.
+  constexpr std::uint32_t kNoChannel = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> channel_of(names.size(), kNoChannel);
   std::vector<std::deque<TimeNs>> snd_channels;
   std::vector<std::deque<TimeNs>> dlv_channels;
-  const auto channel = [](std::vector<std::deque<TimeNs>>& channels,
-                          util::SymbolId buffer) -> std::deque<TimeNs>& {
-    if (channels.size() <= buffer) channels.resize(buffer + 1);
-    return channels[buffer];
+  const auto channel = [&](std::vector<std::deque<TimeNs>>& channels,
+                           util::SymbolId buffer) -> std::deque<TimeNs>& {
+    std::uint32_t& slot = channel_of[buffer];
+    if (slot == kNoChannel) {
+      slot = static_cast<std::uint32_t>(snd_channels.size());
+      snd_channels.emplace_back();
+      dlv_channels.emplace_back();
+    }
+    return channels[slot];
   };
   TimeNs port_free = 0;
   // Resident module per region symbol (kNoSymbol = never configured).
@@ -106,15 +118,16 @@ PlayResult ExecutivePlayer::run(int iterations) {
     for (auto& st : progs) {
       while (!st.done) {
         const MacroInstr& instr = st.prog->body[st.pc];
+        const std::string_view what = names.name(instr.what);
         bool advanced = false;
         switch (instr.op) {
           case MacroOp::Send: {
-            channel(snd_channels, syms.intern(instr.what)).push_back(st.time);
+            channel(snd_channels, instr.what).push_back(st.time);
             advanced = true;
             break;
           }
           case MacroOp::Move: {
-            auto& q = channel(snd_channels, syms.intern(instr.what));
+            auto& q = channel(snd_channels, instr.what);
             if (!q.empty()) {
               const TimeNs token = q.front();
               q.pop_front();
@@ -124,15 +137,16 @@ PlayResult ExecutivePlayer::run(int iterations) {
               if (m.has_value() && !architecture_.is_operator(*m))
                 duration = architecture_.medium(*m).transfer_time(instr.bytes);
               const TimeNs end = start + duration;
-              result.timeline.add(st.prog->resource, instr.what, SpanKind::Transfer, start, end);
-              channel(dlv_channels, syms.intern(instr.what)).push_back(end);
+              result.timeline.add(st.prog->resource, std::string(what), SpanKind::Transfer,
+                                  start, end);
+              channel(dlv_channels, instr.what).push_back(end);
               st.time = end;
               advanced = true;
             }
             break;
           }
           case MacroOp::Recv: {
-            auto& q = channel(dlv_channels, syms.intern(instr.what));
+            auto& q = channel(dlv_channels, instr.what);
             if (!q.empty()) {
               const TimeNs token = q.front();
               q.pop_front();
@@ -147,7 +161,7 @@ PlayResult ExecutivePlayer::run(int iterations) {
             // region must find its variant physically resident.
             const std::size_t prog_index = static_cast<std::size_t>(&st - progs.data());
             if (is_region[prog_index]) {
-              const std::string variant = compute_variant(instr.what);
+              const std::string variant(compute_variant(what));
               if (!variant.empty()) {
                 const util::SymbolId resident = loaded_in(prog_resource[prog_index]);
                 if (resident == util::kNoSymbol || syms.name(resident) != variant) {
@@ -156,7 +170,7 @@ PlayResult ExecutivePlayer::run(int iterations) {
                   ++result.hazard_faults;
                   result.hazards.push_back(strprintf(
                       "iteration %d: '%s' at %lld ns in region '%s' needs variant '%s' but %s",
-                      st.iteration, instr.what.c_str(), static_cast<long long>(st.time),
+                      st.iteration, std::string(what).c_str(), static_cast<long long>(st.time),
                       st.prog->resource.c_str(), variant.c_str(),
                       resident_name.empty()
                           ? "the region was never configured"
@@ -164,14 +178,15 @@ PlayResult ExecutivePlayer::run(int iterations) {
                 }
               }
             }
-            result.timeline.add(st.prog->resource, instr.what, SpanKind::Compute, st.time, end);
+            result.timeline.add(st.prog->resource, std::string(what), SpanKind::Compute, st.time,
+                                end);
             st.time = end;
             advanced = true;
             break;
           }
           case MacroOp::Reconfig: {
-            std::string module = instr.what;
-            if (selector_) module = selector_(st.iteration, st.prog->resource, instr.what);
+            std::string module(what);
+            if (selector_) module = selector_(st.iteration, st.prog->resource, module);
             const util::SymbolId resource_sym =
                 prog_resource[static_cast<std::size_t>(&st - progs.data())];
             // With runtime selection, regions are sticky: reloading the
@@ -226,7 +241,7 @@ PlayResult ExecutivePlayer::run(int iterations) {
       raise("ExecutivePlayer",
             strprintf("deadlock: program '%s' blocked at iteration %d on '%s %s'",
                       st.prog->resource.c_str(), st.iteration, macro_op_name(instr.op),
-                      instr.what.c_str()));
+                      std::string(names.name(instr.what)).c_str()));
     }
     result.makespan = std::max(result.makespan, st.time);
   }

@@ -62,6 +62,16 @@ class Interner {
   /// same text was also interned).
   SymbolId append(std::string_view s);
 
+  /// Appends every symbol of `other` after its reserved empty one, as
+  /// append() would: into a fresh interner, each keeps its id. A bulk copy
+  /// of the names without the cost of indexing them.
+  void append_all(const Interner& other);
+
+  /// For each symbol, the first id holding its text: appended symbols may
+  /// repeat a text. first_ids()[id] == id unless the text occurred before;
+  /// empty when every text is distinct.
+  std::vector<SymbolId> first_ids() const;
+
   /// Id of `s` if already interned, kNoSymbol otherwise. Never mutates.
   SymbolId find(std::string_view s) const;
 

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "aaa/adequation.hpp"
 #include "aaa/codegen_c.hpp"
 #include "aaa/codegen_m4.hpp"
 #include "aaa/codegen_vhdl.hpp"
 #include "aaa/durations.hpp"
 #include "aaa/macrocode.hpp"
+#include "lint/executive_rules.hpp"
+#include "sim/executive_player.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
+#include "verify/verify.hpp"
 
 namespace pdr::aaa {
 namespace {
@@ -98,6 +104,163 @@ TEST(Macrocode, ToStringListsInstructions) {
   EXPECT_NE(s.find("operator F1"), std::string::npos);
   EXPECT_NE(s.find("loop:"), std::string::npos);
   EXPECT_NE(s.find("compute"), std::string::npos);
+}
+
+// --- transfer endpoints and buffer names -------------------------------------
+
+/// a -> b over BUS: a hand-built schedule whose transfer row carries no
+/// edge unless one is set.
+struct HandBuilt {
+  AlgorithmGraph algo;
+  ArchitectureGraph arch;
+  Schedule schedule;
+
+  HandBuilt() {
+    algo.add_operation({"a", "src", {}, OpClass::Sensor, {}});
+    algo.add_operation({"b", "sink", {}, OpClass::Actuator, {}});
+    algo.add_dependency("a", "b", 64);
+    arch.add_operator(OperatorNode{"CPU", OperatorKind::Processor, 1.0, "", ""});
+    arch.add_operator(OperatorNode{"F1", OperatorKind::FpgaStatic, 1.0, "XC2V2000", ""});
+    arch.add_medium(MediumNode{"BUS", 100e6, 0});
+    arch.connect("CPU", "BUS");
+    arch.connect("F1", "BUS");
+
+    schedule.placement.assign(algo.size(), util::kNoSymbol);
+    schedule.placement[algo.by_name("a")] = schedule.intern("CPU");
+    schedule.placement[algo.by_name("b")] = schedule.intern("F1");
+    push(ItemKind::Compute, "a", "CPU", 0, 10);
+    push(ItemKind::Transfer, "a->b", "BUS", 10, 20);
+    push(ItemKind::Compute, "b", "F1", 20, 30);
+  }
+
+  void push(ItemKind kind, const std::string& label, const std::string& where, TimeNs start,
+            TimeNs end) {
+    ScheduledItem item;
+    item.kind = kind;
+    item.label = label;
+    item.resource = where;
+    item.start = start;
+    item.end = end;
+    if (kind == ItemKind::Transfer) {
+      item.src = "a";
+      item.dst = "b";
+      item.bytes = 64;
+    }
+    schedule.push_item(item);
+  }
+
+  std::size_t transfer() const {
+    for (std::size_t i = 0; i < schedule.size(); ++i)
+      if (schedule.kind(i) == ItemKind::Transfer) return i;
+    return schedule.size();
+  }
+};
+
+TEST(Macrocode, TransferWithoutEdgeResolvesEndpointsByName) {
+  const HandBuilt h;
+  ASSERT_EQ(h.schedule.edge(h.transfer()), graph::kNoEdge);
+  const Executive e = generate_executive(h.schedule, h.algo, h.arch);
+  const MacroProgram& cpu = e.program("CPU");
+  const MacroProgram& f1 = e.program("F1");
+  ASSERT_EQ(cpu.body.size(), 2u);
+  ASSERT_EQ(f1.body.size(), 2u);
+  EXPECT_EQ(cpu.body[1].op, MacroOp::Send);
+  EXPECT_EQ(f1.body[0].op, MacroOp::Recv);
+  EXPECT_EQ(e.name(cpu.body[1].what), "a_to_b");
+  EXPECT_EQ(e.name(cpu.body[1].with), "BUS");
+  EXPECT_EQ(cpu.body[1].what, f1.body[0].what);
+  EXPECT_EQ(e.name(e.program("BUS").body.at(0).what), "a_to_b");
+}
+
+TEST(Macrocode, TransferWithEdgeTakesEndpointsFromTheEdge) {
+  // The row names no operation of the graph; its edge still places both
+  // ends, so no name is looked up.
+  HandBuilt h;
+  const std::size_t t = h.transfer();
+  h.schedule.set_edge(t, h.algo.digraph().out_edges(h.algo.by_name("a")).at(0));
+  ScheduledItem renamed = h.schedule.item(t);
+  renamed.src = "no-such-op";
+  h.schedule.erase_item(t);
+  h.schedule.push_item(renamed);
+  const Executive e = generate_executive(h.schedule, h.algo, h.arch);
+  EXPECT_EQ(e.program("CPU").body.back().op, MacroOp::Send);
+  EXPECT_EQ(e.program("F1").body.front().op, MacroOp::Recv);
+  EXPECT_EQ(e.name(e.program("F1").body.front().what), "no-such-op_to_b");
+}
+
+TEST(Macrocode, UnplacedEndpointThrows) {
+  for (const bool with_edge : {false, true}) {
+    HandBuilt h;
+    if (with_edge)
+      h.schedule.set_edge(h.transfer(), h.algo.digraph().out_edges(h.algo.by_name("a")).at(0));
+    h.schedule.placement[h.algo.by_name("b")] = util::kNoSymbol;
+    try {
+      generate_executive(h.schedule, h.algo, h.arch);
+      ADD_FAILURE() << "an unplaced consumer must throw (edge " << with_edge << ")";
+    } catch (const pdr::Error& err) {
+      EXPECT_NE(std::string(err.what()).find("operation 'b' was not placed"), std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+TEST(Macrocode, RouteHopsAndParallelEdgesShareOneBuffer) {
+  // src on the DSP feeds mod in region D1 over two parallel edges; each
+  // edge routes DSP -SHB-> F1 -LIO-> D1, so four transfer rows name one
+  // buffer. Every send, move and receive of it must carry one id.
+  AlgorithmGraph algo;
+  algo.add_operation({"src", "bit_source", {}, OpClass::Sensor, {}});
+  algo.add_conditioned("mod", {{"qpsk", "qpsk_mapper", {}}, {"qam16", "qam16_mapper", {}}});
+  algo.add_dependency("src", "mod", 16);
+  algo.add_dependency("src", "mod", 32);
+  const ArchitectureGraph arch = make_sundance_architecture();
+  Adequation adequation(algo, arch, mccdma_durations());
+  adequation.pin("src", "DSP");
+  adequation.pin("mod", "D1");
+  AdequationOptions options;
+  options.reconfig_cost = [](const std::string&, const std::string&) { return 1_ms; };
+  const Schedule schedule = adequation.run(options);
+  std::set<graph::EdgeId> edges;
+  std::size_t transfers = 0;
+  for (std::size_t i = 0; i < schedule.size(); ++i)
+    if (schedule.kind(i) == ItemKind::Transfer) {
+      edges.insert(schedule.edge(i));
+      ++transfers;
+    }
+  ASSERT_EQ(edges.size(), 2u);
+  ASSERT_EQ(transfers, 4u);
+
+  const Executive e = generate_executive(schedule, algo, arch);
+  std::set<util::SymbolId> buffers;
+  std::size_t sends = 0;
+  std::size_t moves = 0;
+  std::size_t recvs = 0;
+  for (const MacroProgram& p : e.programs)
+    for (const MacroInstr& mi : p.body) {
+      if (mi.op == MacroOp::Compute || mi.op == MacroOp::Reconfig) continue;
+      buffers.insert(mi.what);
+      sends += mi.op == MacroOp::Send;
+      moves += mi.op == MacroOp::Move;
+      recvs += mi.op == MacroOp::Recv;
+    }
+  ASSERT_EQ(buffers.size(), 1u);
+  EXPECT_EQ(e.name(*buffers.begin()), "src_to_mod");
+  EXPECT_EQ(sends, 4u);
+  EXPECT_EQ(moves, 4u);
+  EXPECT_EQ(recvs, 4u);
+
+  // Lint's channel map pairs the sends and receives of the one buffer on
+  // each medium, the static verifier certifies the schedule and the
+  // player replays the executive without a hazard or a deadlock.
+  const lint::Report report = lint::check_executive(e);
+  EXPECT_FALSE(report.has(lint::Rule::SendWithoutRecv)) << report.to_text();
+  EXPECT_FALSE(report.has(lint::Rule::RecvWithoutSend)) << report.to_text();
+  EXPECT_TRUE(verify::verify_schedule(schedule, algo, arch).certified());
+  sim::ExecutivePlayer player(e, arch);
+  player.set_reconfig_cost([](const std::string&, const std::string&) { return 1_ms; });
+  const sim::PlayResult result = player.run(3);
+  EXPECT_EQ(result.hazard_faults, 0);
+  EXPECT_EQ(result.iterations, 3);
 }
 
 // --- VHDL -----------------------------------------------------------------------

@@ -70,6 +70,48 @@ TEST(Interner, InternCopiesTheCallersBuffer) {
   EXPECT_EQ(interner.find("ephemeral-name"), id);
 }
 
+TEST(Interner, AppendAllKeepsEveryIdUnindexed) {
+  Interner source;
+  source.intern("CPU");
+  source.append("op1");
+  source.intern("BUS");
+  Interner copy;
+  copy.append_all(source);
+  ASSERT_EQ(copy.size(), source.size());
+  for (SymbolId id = 0; id < source.size(); ++id) EXPECT_EQ(copy.name(id), source.name(id));
+  EXPECT_EQ(copy.find("CPU"), kNoSymbol);  // appended, so not in the index
+}
+
+TEST(Interner, FirstIdsMapRepeatedTextsToTheirFirstId) {
+  Interner interner;
+  EXPECT_TRUE(interner.first_ids().empty());
+  const SymbolId a = interner.append("a_to_b");
+  const SymbolId b = interner.append("b");
+  EXPECT_TRUE(interner.first_ids().empty());  // every text distinct
+  const SymbolId a2 = interner.append("a_to_b");
+  const SymbolId empty2 = interner.append("");
+  const SymbolId a3 = interner.append("a_to_b");
+  const std::vector<SymbolId> first = interner.first_ids();
+  ASSERT_EQ(first.size(), interner.size());
+  EXPECT_EQ(first[a], a);
+  EXPECT_EQ(first[b], b);
+  EXPECT_EQ(first[a2], a);
+  EXPECT_EQ(first[a3], a);
+  EXPECT_EQ(first[empty2], kEmptySymbol);
+  // Many distinct texts, so every bucket of the check holds several.
+  Interner many;
+  std::vector<SymbolId> twice;
+  for (int i = 0; i < 5000; ++i) many.append("op" + std::to_string(i));
+  for (int i = 0; i < 5000; i += 7) twice.push_back(many.append("op" + std::to_string(i)));
+  const std::vector<SymbolId> first_many = many.first_ids();
+  ASSERT_EQ(first_many.size(), many.size());
+  for (SymbolId id = 0; id < many.size(); ++id) {
+    const SymbolId want = id <= 5000 ? id : static_cast<SymbolId>(1 + 7 * (id - 5001));
+    EXPECT_EQ(first_many[id], want) << many.name(id);
+  }
+  EXPECT_EQ(twice.size(), many.size() - 5001);
+}
+
 // --- property: stability across rehash ---------------------------------------
 
 TEST(InternerProperty, IdsAndViewsStableAcrossRehash) {

@@ -18,6 +18,7 @@
 #include "aaa/adequation.hpp"
 #include "aaa/constraints.hpp"
 #include "aaa/macrocode.hpp"
+#include "executive_builder.hpp"
 #include "fabric/device.hpp"
 #include "lint/lint.hpp"
 #include "synth/flow.hpp"
@@ -592,31 +593,23 @@ TEST(LintSchedule, CleanScheduleHasNoDiagnostics) {
 
 // ------------------------------------------------------------- executive
 
-aaa::MacroInstr instr(aaa::MacroOp op, const std::string& what, const std::string& with,
-                      TimeNs at) {
-  aaa::MacroInstr mi;
-  mi.op = op;
-  mi.what = what;
-  mi.with = with;
-  mi.at = at;
-  return mi;
-}
+using aaa::MacroOp;
 
 TEST(LintExecutive, Pdr060SendWithoutRecv) {
-  aaa::Executive e;
-  e.programs.push_back({"CPU", false, {instr(aaa::MacroOp::Send, "buf", "BUS", 0)}});
+  const aaa::Executive e =
+      ExecutiveBuilder().program("CPU").instr(MacroOp::Send, "buf", "BUS", 0).build();
   EXPECT_TRUE(check_executive(e).has(Rule::SendWithoutRecv));
 }
 
 TEST(LintExecutive, Pdr061RecvWithoutSend) {
-  aaa::Executive e;
-  e.programs.push_back({"F1", false, {instr(aaa::MacroOp::Recv, "buf", "BUS", 0)}});
+  const aaa::Executive e =
+      ExecutiveBuilder().program("F1").instr(MacroOp::Recv, "buf", "BUS", 0).build();
   EXPECT_TRUE(check_executive(e).has(Rule::RecvWithoutSend));
 }
 
 TEST(LintExecutive, Pdr062OrphanMove) {
-  aaa::Executive e;
-  e.programs.push_back({"BUS", true, {instr(aaa::MacroOp::Move, "ghost", "CPU", 0)}});
+  const aaa::Executive e =
+      ExecutiveBuilder().program("BUS", true).instr(MacroOp::Move, "ghost", "CPU", 0).build();
   const Report report = check_executive(e);
   EXPECT_TRUE(report.has(Rule::OrphanMove));
   EXPECT_EQ(report.errors(), 0u) << report.to_text();  // a warning, not an error
@@ -624,42 +617,46 @@ TEST(LintExecutive, Pdr062OrphanMove) {
 
 TEST(LintExecutive, Pdr063SyncCycle) {
   // A waits for x before sending y; B waits for y before sending x.
-  aaa::Executive e;
-  e.programs.push_back({"A",
-                        false,
-                        {instr(aaa::MacroOp::Recv, "x", "BUS", 0),
-                         instr(aaa::MacroOp::Send, "y", "BUS", 0)}});
-  e.programs.push_back({"B",
-                        false,
-                        {instr(aaa::MacroOp::Recv, "y", "BUS", 0),
-                         instr(aaa::MacroOp::Send, "x", "BUS", 0)}});
+  const aaa::Executive e = ExecutiveBuilder()
+                               .program("A")
+                               .instr(MacroOp::Recv, "x", "BUS", 0)
+                               .instr(MacroOp::Send, "y", "BUS", 0)
+                               .program("B")
+                               .instr(MacroOp::Recv, "y", "BUS", 0)
+                               .instr(MacroOp::Send, "x", "BUS", 0)
+                               .build();
   EXPECT_TRUE(check_executive(e).has(Rule::SyncCycle));
 }
 
 TEST(LintExecutive, Pdr064RecvBeforeSend) {
-  aaa::Executive e;
-  e.programs.push_back({"A", false, {instr(aaa::MacroOp::Recv, "x", "BUS", 0)}});
-  e.programs.push_back({"B", false, {instr(aaa::MacroOp::Send, "x", "BUS", 10)}});
+  const aaa::Executive e = ExecutiveBuilder()
+                               .program("A")
+                               .instr(MacroOp::Recv, "x", "BUS", 0)
+                               .program("B")
+                               .instr(MacroOp::Send, "x", "BUS", 10)
+                               .build();
   EXPECT_TRUE(check_executive(e).has(Rule::RecvBeforeSend));
 }
 
 TEST(LintExecutive, Pdr065BufferOverwrite) {
-  aaa::Executive e;
-  e.programs.push_back({"A",
-                        false,
-                        {instr(aaa::MacroOp::Send, "x", "BUS", 0),
-                         instr(aaa::MacroOp::Send, "x", "BUS", 5)}});
-  e.programs.push_back({"B",
-                        false,
-                        {instr(aaa::MacroOp::Recv, "x", "BUS", 10),
-                         instr(aaa::MacroOp::Recv, "x", "BUS", 20)}});
+  const aaa::Executive e = ExecutiveBuilder()
+                               .program("A")
+                               .instr(MacroOp::Send, "x", "BUS", 0)
+                               .instr(MacroOp::Send, "x", "BUS", 5)
+                               .program("B")
+                               .instr(MacroOp::Recv, "x", "BUS", 10)
+                               .instr(MacroOp::Recv, "x", "BUS", 20)
+                               .build();
   EXPECT_TRUE(check_executive(e).has(Rule::BufferOverwrite));
 }
 
 TEST(LintExecutive, CleanHandshakeHasNoDiagnostics) {
-  aaa::Executive e;
-  e.programs.push_back({"A", false, {instr(aaa::MacroOp::Send, "x", "BUS", 0)}});
-  e.programs.push_back({"B", false, {instr(aaa::MacroOp::Recv, "x", "BUS", 10)}});
+  const aaa::Executive e = ExecutiveBuilder()
+                               .program("A")
+                               .instr(MacroOp::Send, "x", "BUS", 0)
+                               .program("B")
+                               .instr(MacroOp::Recv, "x", "BUS", 10)
+                               .build();
   const Report report = check_executive(e);
   EXPECT_TRUE(report.empty()) << report.to_text();
 }

@@ -3,6 +3,7 @@
 #include "aaa/adequation.hpp"
 #include "aaa/durations.hpp"
 #include "aaa/macrocode.hpp"
+#include "executive_builder.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/executive_player.hpp"
 #include "sim/timeline.hpp"
@@ -404,14 +405,8 @@ TEST(ExecutivePlayer, PeriodRespectsScheduleLowerBound) {
 TEST(ExecutivePlayer, DeadlockDetected) {
   // A hand-built executive where the operator waits for a buffer nobody
   // sends.
-  aaa::Executive executive;
-  aaa::MacroProgram p;
-  p.resource = "F1";
-  aaa::MacroInstr recv;
-  recv.op = aaa::MacroOp::Recv;
-  recv.what = "ghost_buffer";
-  p.body.push_back(recv);
-  executive.programs.push_back(p);
+  const aaa::Executive executive =
+      ExecutiveBuilder().program("F1").instr(aaa::MacroOp::Recv, "ghost_buffer").build();
 
   const aaa::ArchitectureGraph arch = aaa::make_sundance_architecture();
   ExecutivePlayer player(executive, arch);
