@@ -399,8 +399,6 @@ void FleetService::admit(const ServiceRequest& req, std::size_t index) {
   };
 
   if (req.device != kAnyDevice) {
-    PDR_CHECK(req.device >= 0 && req.device < n, "FleetService::admit",
-              strprintf("request pins device %d but the fleet has %d", req.device, n));
     auto& breaker = devices_[req.device]->breaker;
     if (breaker.would_allow()) {
       breaker.allow_request();
@@ -520,9 +518,15 @@ ServiceReport FleetService::run(const RequestLog& log) {
   PDR_CHECK(!ran_, "FleetService::run", "service instances run once");
   ran_ = true;
   PDR_CHECK(log.devices >= 1, "FleetService::run", "log declares no devices");
-  // The PDR120/PDR121 checks: an unknown name must not reach the drain.
+  // The PDR120/PDR121/PDR124 checks: an unknown name or a pinned device
+  // outside the fleet must not reach the drain.
   for (std::size_t i = 0; i < log.requests.size(); ++i) {
     const ServiceRequest& req = log.requests[i];
+    PDR_CHECK(req.device == kAnyDevice || (req.device >= 0 && req.device < log.devices),
+              "FleetService::run",
+              strprintf("request %zu (at %.1f us) pins device %d but the log declares "
+                        "`fleet devices %d`",
+                        i + 1, to_us(req.at), req.device, log.devices));
     const auto region = bundle_.dynamic_variants.find(req.region);
     PDR_CHECK(region != bundle_.dynamic_variants.end(), "FleetService::run",
               strprintf("request %zu (at %.1f us) names unknown region '%s'", i + 1,

@@ -665,6 +665,25 @@ TEST(FleetServiceTest, RunRejectsUnknownRegionsAndModules) {
   EXPECT_NE(module.find("'bogus'"), std::string::npos) << module;
 }
 
+// The PDR124 check runs there too: a request pinning a device outside the
+// fleet throws, naming the request, before any earlier request drains.
+TEST(FleetServiceTest, RunRejectsPinnedDevicesOutsideTheFleet) {
+  const auto bundle = test_bundle();
+  FleetService service(bundle, ServiceConfig{});
+  try {
+    (void)service.run(parse_request_log(
+        "fleet devices 2\n"
+        "request at_us 0 device 0 region D1 module qpsk class demand\n"
+        "request at_us 5000 device 5 region D1 module qam16 class demand\n"));
+    FAIL() << "a pinned device outside the fleet must throw";
+  } catch (const pdr::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("request 2 (at 5000.0 us)"), std::string::npos) << what;
+    EXPECT_NE(what.find("pins device 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("FleetService::run"), std::string::npos) << what;
+  }
+}
+
 // --- PDR12x lint family ----------------------------------------------------------
 
 class ServiceRulesTest : public ::testing::Test {
