@@ -214,7 +214,8 @@ TEST(Macrocode, RouteHopsAndParallelEdgesShareOneBuffer) {
   algo.add_dependency("src", "mod", 16);
   algo.add_dependency("src", "mod", 32);
   const ArchitectureGraph arch = make_sundance_architecture();
-  Adequation adequation(algo, arch, mccdma_durations());
+  const DurationTable durations = mccdma_durations();
+  Adequation adequation(algo, arch, durations);
   adequation.pin("src", "DSP");
   adequation.pin("mod", "D1");
   AdequationOptions options;
