@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -385,27 +386,37 @@ std::uint32_t bytewise_crc(std::span<const std::uint8_t> data) {
   return crc.value();
 }
 
-TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthOffsetAndSplit) {
-  std::vector<std::uint8_t> buf(64 + 7);
+TEST(Crc32, UpdateMatchesBytewiseAtEveryLengthOffsetAndSplit) {
+  // Lengths up to 300 reach every path of update(): slice-by-8 alone
+  // (< 64 bytes), the 16-byte fold with and without its 64-byte loop,
+  // and the slice-by-8 tail after it; offsets 0-15 cover every alignment.
+  constexpr std::size_t kMaxLen = 300;
+  constexpr std::size_t kOffsets = 16;
+  std::vector<std::uint8_t> buf(kMaxLen + kOffsets);
   Rng rng(23);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 64; ++len) {
+  // Split points around the 16- and 64-byte boundaries, from either end.
+  const std::size_t near[] = {0, 1, 7, 8, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 127, 128, 129};
+  for (std::size_t offset = 0; offset < kOffsets; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
       const auto data = std::span<const std::uint8_t>(buf).subspan(offset, len);
       const std::uint32_t expect = bytewise_crc(data);
       ASSERT_EQ(crc32(data), expect) << "offset " << offset << ", length " << len;
-      for (std::size_t split = 0; split <= len; ++split) {
-        Crc32 two;
-        two.update(data.first(split));
-        two.update(data.subspan(split));
-        ASSERT_EQ(two.value(), expect)
-            << "offset " << offset << ", length " << len << ", split " << split;
+      for (const std::size_t k : near) {
+        for (const std::size_t split : {k, len - std::min(k, len)}) {
+          if (split > len) continue;
+          Crc32 two;
+          two.update(data.first(split));
+          two.update(data.subspan(split));
+          ASSERT_EQ(two.value(), expect)
+              << "offset " << offset << ", length " << len << ", split " << split;
+        }
       }
     }
   }
 }
 
-TEST(Crc32, SliceBy8MatchesBytewiseOnCaseStudyBitstreams) {
+TEST(Crc32, UpdateMatchesBytewiseOnCaseStudyBitstreams) {
   const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
   std::vector<const std::vector<std::uint8_t>*> streams{&bundle.initial_bitstream};
   for (const auto& [region, variants] : bundle.dynamic_variants)
