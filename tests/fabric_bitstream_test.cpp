@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "fabric/bitstream.hpp"
 #include "fabric/config_memory.hpp"
@@ -196,6 +197,52 @@ TEST(ConfigMemory, FlipBitBoundsChecked) {
   mem.flip_bit(a, 10, 3);  // a second flip restores the bit
   EXPECT_EQ(mem.read_frame(a)[10], before);
   EXPECT_EQ(mem.upsets(), 2);
+}
+
+int set_bits(std::span<const std::uint8_t> frame) {
+  int n = 0;
+  for (const std::uint8_t b : frame) n += std::popcount(b);
+  return n;
+}
+
+TEST(ConfigMemory, AdjacentFramesKeepTheirOwnBytesAndUnwrittenFramesReadZero) {
+  const DeviceModel d = xc2v2000();
+  const FrameMap map(d);
+  const FrameAddress a{BlockType::Clb, 5, 3};
+  const FrameAddress b = map.next(a);
+  const FrameAddress unwritten = map.next(b);
+  std::vector<std::uint8_t> pattern_a(static_cast<std::size_t>(d.frame_bytes()));
+  std::vector<std::uint8_t> pattern_b(pattern_a.size());
+  for (std::size_t i = 0; i < pattern_a.size(); ++i) {
+    pattern_a[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    pattern_b[i] = static_cast<std::uint8_t>(0xff - i * 3);
+  }
+  // Each round's memory may reuse the storage of the one before it, which
+  // ends with every frame written to 0xff: a never-written frame must
+  // still read, and flip, as zeros.
+  for (int round = 0; round < 3; ++round) {
+    ConfigMemory mem(d);
+    EXPECT_EQ(set_bits(mem.read_frame(a)), 0) << "round " << round;
+    mem.write_frame(a, pattern_a);
+    mem.write_frame(b, pattern_b);
+    const auto read_a = mem.read_frame(a);
+    EXPECT_TRUE(std::equal(read_a.begin(), read_a.end(), pattern_a.begin(), pattern_a.end()));
+    const auto read_b = mem.read_frame(b);
+    EXPECT_TRUE(std::equal(read_b.begin(), read_b.end(), pattern_b.begin(), pattern_b.end()));
+    EXPECT_EQ(mem.read_frame(unwritten).size(), pattern_a.size());
+    EXPECT_EQ(set_bits(mem.read_frame(unwritten)), 0) << "round " << round;
+
+    mem.flip_bit(unwritten, 17, 5);
+    const auto flipped = mem.read_frame(unwritten);
+    EXPECT_EQ(set_bits(flipped), 1) << "round " << round;
+    EXPECT_EQ(flipped[17], 1u << 5);
+    EXPECT_EQ(mem.frame_owner(unwritten), "");  // an upset is not a write
+    EXPECT_EQ(mem.frames_written(), 2);
+    EXPECT_EQ(mem.upsets(), 1);
+
+    const auto ones = frame_data(d, 0xff);
+    for (int i = 0; i < map.total_frames(); ++i) mem.write_frame(map.from_linear(i), ones);
+  }
 }
 
 // --- config port -----------------------------------------------------------------
