@@ -6,7 +6,7 @@ namespace pdr::fabric {
 
 std::vector<std::uint8_t> snapshot_region(const ConfigMemory& memory, const Floorplan& plan,
                                           const std::string& region_name) {
-  const auto frames = plan.region_frames(region_name);
+  const auto& frames = plan.region_frames(region_name);
   PDR_CHECK(!frames.empty(), "snapshot_region", "region has no frames");
   const DeviceModel& device = memory.device();
   const FrameMap map(device);
@@ -36,7 +36,7 @@ std::vector<std::uint8_t> snapshot_region(const ConfigMemory& memory, const Floo
 
 int restore_region(ConfigMemory& memory, const Floorplan& plan, const std::string& region_name,
                    std::span<const std::uint8_t> snapshot, const std::string& tag) {
-  const auto frames = plan.region_frames(region_name);
+  const auto& frames = plan.region_frames(region_name);
   memory.set_writer_tag(tag);
   BitstreamReader reader(memory.device(), memory);
   const ParseResult parsed = reader.parse(snapshot);

@@ -70,6 +70,7 @@ const Region& Floorplan::add_region(const std::string& name, int col_lo, int col
     }
   }
 
+  region_frames_.push_back(frames_.frames_for_clb_range(col_lo, col_hi));
   regions_.push_back(std::move(r));
   return regions_.back();
 }
@@ -103,9 +104,8 @@ std::vector<int> Floorplan::free_columns() const {
   return out;
 }
 
-std::vector<FrameAddress> Floorplan::region_frames(const std::string& name) const {
-  const Region& r = region(name);
-  return frames_.frames_for_clb_range(r.col_lo, r.col_hi);
+const std::vector<FrameAddress>& Floorplan::region_frames(const std::string& name) const {
+  return region_frames_[static_cast<std::size_t>(&region(name) - regions_.data())];
 }
 
 Bytes Floorplan::region_payload_bytes(const std::string& name) const {

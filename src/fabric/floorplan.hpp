@@ -83,6 +83,8 @@ class Floorplan {
   /// Adds a region; validates the placement rules above. For
   /// reconfigurable regions, plans bus macros for `in_signals` /
   /// `out_signals` crossing each of its boundaries with the static area.
+  /// Also builds the region's frame list (see region_frames). The
+  /// returned reference is valid until the next add_region.
   const Region& add_region(const std::string& name, int col_lo, int col_hi, bool reconfigurable,
                            int in_signals = 0, int out_signals = 0);
 
@@ -95,8 +97,11 @@ class Floorplan {
   /// CLB columns not covered by any region (available static area).
   std::vector<int> free_columns() const;
 
-  /// All configuration frames of a region (CLB + interleaved BRAM cols).
-  std::vector<FrameAddress> region_frames(const std::string& name) const;
+  /// All configuration frames of a region (CLB + interleaved BRAM cols),
+  /// as FrameMap::frames_for_clb_range lists them. Built once by
+  /// add_region, so a const Floorplan can be read from many threads; the
+  /// reference is valid as long as this Floorplan (a copy has its own).
+  const std::vector<FrameAddress>& region_frames(const std::string& name) const;
 
   /// Frame-data payload bytes of a partial bitstream covering the region.
   Bytes region_payload_bytes(const std::string& name) const;
@@ -118,6 +123,7 @@ class Floorplan {
   DeviceModel device_;
   FrameMap frames_;
   std::vector<Region> regions_;
+  std::vector<std::vector<FrameAddress>> region_frames_;  ///< parallel to regions_
 };
 
 }  // namespace pdr::fabric

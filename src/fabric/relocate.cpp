@@ -12,8 +12,8 @@ bool regions_congruent(const Floorplan& plan, const std::string& from, const std
   if (a.width_cols() != b.width_cols()) return false;
   // Frame layout must match: same block-type sequence relative to the
   // region origin (BRAM columns interleave at device-dependent spots).
-  const auto fa = plan.region_frames(from);
-  const auto fb = plan.region_frames(to);
+  const auto& fa = plan.region_frames(from);
+  const auto& fb = plan.region_frames(to);
   if (fa.size() != fb.size()) return false;
   for (std::size_t i = 0; i < fa.size(); ++i) {
     if (fa[i].block != fb[i].block || fa[i].minor != fb[i].minor) return false;
@@ -34,8 +34,8 @@ std::vector<std::uint8_t> relocate_bitstream(const Floorplan& plan,
   const DeviceModel& device = plan.device();
 
   // Build the frame-address translation from the congruent frame lists.
-  const auto fa = plan.region_frames(from);
-  const auto fb = plan.region_frames(to);
+  const auto& fa = plan.region_frames(from);
+  const auto& fb = plan.region_frames(to);
   std::map<std::uint32_t, FrameAddress> translate;
   for (std::size_t i = 0; i < fa.size(); ++i) translate[fa[i].encode()] = fb[i];
 

@@ -82,11 +82,9 @@ CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamSto
 
   std::vector<std::string> regions;
   std::map<std::string, std::vector<std::string>> variants_of;
-  std::map<std::string, std::vector<fabric::FrameAddress>> frames_of;
   for (const auto& [region, variants] : bundle.dynamic_variants) {
     regions.push_back(region);
     variants_of[region] = bundle.variant_names(region);
-    frames_of[region] = bundle.floorplan.region_frames(region);
   }
 
   rtr::ManagerConfig manager_config = config.manager;
@@ -144,15 +142,14 @@ CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamSto
 
   const int frame_bytes = bundle.device.frame_bytes();
   for (const auto& region : regions) {
-    const auto timeline = injector.seu_timeline(region, frames_of.at(region).size(), frame_bytes);
+    const auto& frames = bundle.floorplan.region_frames(region);
+    const auto timeline = injector.seu_timeline(region, frames.size(), frame_bytes);
     report.seus_injected += static_cast<int>(timeline.size());
     for (const auto& ev : timeline) {
-      queue.schedule(ev.at, "seu " + region,
-                     [&manager, &pending, &frames_of, region, ev](TimeNs now) {
-                       const auto& frames = frames_of.at(region);
-                       manager.memory().flip_bit(frames[ev.frame_offset], ev.byte_index, ev.bit);
-                       pending[region].push_back(now);
-                     });
+      queue.schedule(ev.at, "seu " + region, [&manager, &pending, &frames, region, ev](TimeNs now) {
+        manager.memory().flip_bit(frames[ev.frame_offset], ev.byte_index, ev.bit);
+        pending[region].push_back(now);
+      });
     }
   }
 

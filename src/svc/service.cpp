@@ -221,7 +221,6 @@ const std::string& FleetService::safe_module_of(const std::string& region) const
 
 void FleetService::build_fleet(int devices) {
   for (const auto& [region, variants] : bundle_.dynamic_variants) {
-    frames_of_[region] = bundle_.floorplan.region_frames(region);
     // Safe module: the first variant the armed spec never targets with a
     // permanent store damage or a fetch fault (campaign idiom).
     const auto names = bundle_.variant_names(region);
@@ -272,9 +271,10 @@ void FleetService::build_fleet(int devices) {
                 std::vector<std::uint8_t>& corrupted) {
             return inj->maybe_corrupt_fetch(module, stored, corrupted);
           });
-      for (const auto& [region, frames] : frames_of_) {
+      for (const auto& [region, variants] : bundle_.dynamic_variants) {
         Device::SeuCursor cursor;
-        cursor.timeline = inj->seu_timeline(region, frames.size(), frame_bytes);
+        cursor.timeline =
+            inj->seu_timeline(region, bundle_.floorplan.region_frames(region).size(), frame_bytes);
         dev->seus[region] = std::move(cursor);
       }
     }
@@ -316,7 +316,7 @@ void FleetService::apply_fault_events(TimeNs now) {
   }
   for (auto& dev : devices_) {
     for (auto& [region, cursor] : dev->seus) {
-      const auto& frames = frames_of_.at(region);
+      const auto& frames = bundle_.floorplan.region_frames(region);
       while (cursor.next < cursor.timeline.size() && cursor.timeline[cursor.next].at <= now) {
         const fault::SeuEvent& ev = cursor.timeline[cursor.next++];
         dev->manager->memory().flip_bit(frames[ev.frame_offset], ev.byte_index, ev.bit);
@@ -614,7 +614,7 @@ ServiceReport FleetService::run(const RequestLog& log) {
     summary.breaker_transitions = dev->breaker.transitions();
     summary.stats = dev->manager->stats();
     summary.health = summary.stats.region_health;
-    for (const auto& [region, frames] : frames_of_)
+    for (const auto& [region, variants] : bundle_.dynamic_variants)
       summary.resident[region] = dev->manager->loaded(region);
     report_.device_summaries.push_back(std::move(summary));
   }

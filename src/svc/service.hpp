@@ -186,7 +186,6 @@ class FleetService {
   std::optional<fault::FaultSpec> spec_;
   std::unique_ptr<rtr::BitstreamStore> store_;
   FleetCache cache_;
-  std::map<std::string, std::vector<fabric::FrameAddress>> frames_of_;
   /// Seed source for store-damage byte positions (serial phase only).
   std::optional<fault::FaultInjector> store_injector_;
   std::vector<std::unique_ptr<Device>> devices_;

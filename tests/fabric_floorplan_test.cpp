@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "fabric/bus_macro.hpp"
 #include "fabric/config_memory.hpp"
 #include "fabric/config_port.hpp"
@@ -148,6 +150,26 @@ TEST(Floorplan, RegionFramesAndFraction) {
   EXPECT_NEAR(plan.region_fraction("D1"), 0.079, 0.01);
   EXPECT_EQ(plan.region_payload_bytes("D1"),
             frames.size() * static_cast<Bytes>(plan.device().frame_bytes()));
+}
+
+TEST(Floorplan, RegionFramesMatchTheFrameMapAlsoInACopy) {
+  auto plan = std::make_optional<Floorplan>(xc2v2000());
+  plan->add_region("S", 0, 9, false);
+  plan->add_region("bram", 36, 39, true, 8, 8);  // BRAM column 37 inside
+  plan->add_region("plain", 43, 46, true, 8, 8);
+  const auto expect = [](const Floorplan& p, const Region& r) {
+    EXPECT_EQ(p.region_frames(r.name), p.frame_map().frames_for_clb_range(r.col_lo, r.col_hi))
+        << r.name;
+  };
+  for (const Region& r : plan->regions()) expect(*plan, r);
+  EXPECT_GT(plan->region_frames("bram").size(), 4u * 22u);  // the BRAM frames are in it
+
+  const Floorplan copy = *plan;
+  Floorplan assigned(xc2v2000());
+  assigned = copy;
+  plan.reset();
+  for (const Region& r : copy.regions()) expect(copy, r);
+  for (const Region& r : assigned.regions()) expect(assigned, r);
 }
 
 TEST(Floorplan, RegionSlices) {
