@@ -380,10 +380,14 @@ std::vector<BenchRecord> run_flow_suite(const SuiteOptions& opts) {
     }
   }
 
-  // Fault campaigns: seeded end-to-end runs on the case-study bundle.
-  {
-    const int horizon_ms = opts.smoke ? 20 : 100;
-    const int campaigns_per_repeat = opts.smoke ? 2 : 4;
+  // Fault campaigns: seeded end-to-end runs on the case-study bundle, as
+  // (horizon ms, campaigns per repeat). The full tier repeats the smoke
+  // point, so the regression gate has a shared record to compare.
+  std::vector<std::pair<int, int>> campaign_ladder = {{20, 2}};
+  if (!opts.smoke) campaign_ladder.emplace_back(100, 4);
+  for (const auto& point : campaign_ladder) {
+    const int horizon_ms = point.first;
+    const int campaigns_per_repeat = point.second;
     const std::string spec_text = strprintf(
         "seed 7\n"
         "horizon_ms %d\n"
