@@ -60,7 +60,9 @@ double high_band_fraction(std::span<const double> block) {
 
 int main() {
   const aaa::ConstraintSet constraints = aaa::parse_constraints(kConstraints);
-  // Parse + lint + Modular Design through the flow pipeline preset.
+  // Parse + lint + Modular Design through the flow pipeline preset;
+  // bundle()'s lint gate refuses a set with design-rule errors before
+  // `constraints` is used.
   flow::Pipeline pipeline =
       mccdma::constraints_pipeline(kConstraints, {{"spectrum_monitor", "ifft", {{"n", 256}}},
                                                   {"iface", "interface_in_out", {}},

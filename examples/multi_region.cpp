@@ -51,7 +51,9 @@ relation rate34 then rate12
 int main() {
   const aaa::ConstraintSet constraints = aaa::parse_constraints(kConstraints);
   // The Synth stage through the flow pipeline: parsed + linted + built
-  // once, then served from the process-wide artifact cache.
+  // once, then served from the process-wide artifact cache. bundle()'s
+  // lint gate refuses a set with design-rule errors before `constraints`
+  // is used.
   flow::Pipeline pipeline =
       mccdma::constraints_pipeline(kConstraints, {{"ifft", "ifft", {{"n", 64}}},
                                                   {"iface", "interface_in_out", {}},

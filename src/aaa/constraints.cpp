@@ -1,7 +1,6 @@
 #include "aaa/constraints.hpp"
 
 #include "fabric/floorplan.hpp"
-#include "lint/constraint_rules.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -50,26 +49,6 @@ std::vector<const ModuleConstraint*> ConstraintSet::modules_of(const std::string
   return out;
 }
 
-void ConstraintSet::validate() const {
-  // One rule engine for validate() and `pdrflow check`: collect every
-  // error-severity violation, then throw once listing them all.
-  std::string violations;
-  std::size_t count = 0;
-  lint::visit_constraint_violations(
-      *this, [&violations, &count](lint::Rule rule, lint::Severity severity,
-                                   const std::string& /*where*/, const std::string& message,
-                                   const std::string& /*hint*/) {
-        if (severity != lint::Severity::Error) return;
-        if (count > 0) violations += "\n  ";
-        violations += std::string(lint::rule_id(rule)) + ": " + message;
-        ++count;
-      });
-  if (count == 1) raise("ConstraintSet", violations);
-  if (count > 1)
-    raise("ConstraintSet",
-          std::to_string(count) + " constraint violations:\n  " + violations);
-}
-
 namespace {
 
 /// Token-stream parser: comments stripped per line, braces split into
@@ -79,7 +58,7 @@ class Parser {
  public:
   explicit Parser(const std::string& text) { tokenize(text); }
 
-  ConstraintSet parse(bool validate) {
+  ConstraintSet parse() {
     while (!at_end()) {
       const std::string head = next("directive");
       if (head == "device") {
@@ -107,7 +86,6 @@ class Parser {
         fail("unknown directive '" + head + "'");
       }
     }
-    if (validate) set_.validate();
     return std::move(set_);
   }
 
@@ -266,9 +244,7 @@ class Parser {
 
 }  // namespace
 
-ConstraintSet parse_constraints(const std::string& text, bool validate) {
-  return Parser(text).parse(validate);
-}
+ConstraintSet parse_constraints(const std::string& text) { return Parser(text).parse(); }
 
 std::string write_constraints(const ConstraintSet& set) {
   std::string out;

@@ -96,20 +96,12 @@ struct ConstraintSet {
   const ModuleConstraint* find_module(const std::string& name) const;
   /// Modules declared for one region.
   std::vector<const ModuleConstraint*> modules_of(const std::string& region) const;
-
-  /// Checks referential integrity (modules name declared regions,
-  /// exclusions/relations name declared modules, names unique, at least
-  /// one module per region, known device). Runs the lint constraint-rule
-  /// engine (lint/constraint_rules.hpp — one implementation shared with
-  /// `pdrflow check`) and throws a single pdr::Error listing EVERY
-  /// error-severity violation; warnings are ignored here.
-  void validate() const;
 };
 
-/// Parses the DSL; error messages carry "line N:" positions. With
-/// `validate` false the set is returned unchecked — used by the linter,
-/// which wants every rule violation as a diagnostic rather than a throw.
-ConstraintSet parse_constraints(const std::string& text, bool validate = true);
+/// Parses the DSL; syntax errors throw with a "line N:" position. The set
+/// comes back unchecked: lint::check_constraints reports its design-rule
+/// violations and lint::validate_constraints refuses a set that has any.
+ConstraintSet parse_constraints(const std::string& text);
 
 /// Writes a ConstraintSet back to DSL text (parse(write(x)) == x).
 std::string write_constraints(const ConstraintSet& set);

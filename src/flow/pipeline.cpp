@@ -76,7 +76,7 @@ std::shared_ptr<const aaa::ConstraintSet> Pipeline::constraints() {
             "no constraints_text input");
   return cached<aaa::ConstraintSet>(
       stage::kParseConstraints, constraints_key(),
-      [&] { return aaa::parse_constraints(options_.constraints_text, /*validate=*/false); });
+      [&] { return aaa::parse_constraints(options_.constraints_text); });
 }
 
 std::shared_ptr<const lint::Report> Pipeline::lint_report() {

@@ -31,7 +31,7 @@ InputKind sniff_input(const std::string& text) {
 Report check_constraints_text(const std::string& text) {
   aaa::ConstraintSet set;
   try {
-    set = aaa::parse_constraints(text, /*validate=*/false);
+    set = aaa::parse_constraints(text);
   } catch (const Error& e) {
     Report report;
     report.add(Rule::ParseError, Severity::Error, "constraints file",

@@ -16,10 +16,6 @@
 //   PDR120..PDR139   fleet service request logs (pdr::svc; rules
 //                    implemented in src/svc/service_rules.cpp so lint
 //                    stays dependency-free)
-//
-// This header is dependency-free on purpose: pdr::aaa reuses the
-// constraint-rule engine (one implementation for ConstraintSet::validate
-// and `pdrflow check`) without linking the lint library.
 #pragma once
 
 #include <cstdint>

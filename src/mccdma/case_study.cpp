@@ -2,6 +2,7 @@
 
 #include "fabric/config_port.hpp"
 #include "flow/pipeline.hpp"
+#include "lint/constraint_rules.hpp"
 #include "util/error.hpp"
 
 namespace pdr::mccdma {
@@ -77,11 +78,11 @@ aaa::AlgorithmGraph make_transmitter_algorithm(const McCdmaParams& params) {
 
 synth::DesignBundle run_flow_from_constraints(const aaa::ConstraintSet& constraints,
                                               const std::vector<synth::ModuleSpec>& statics) {
-  constraints.validate();  // keep the legacy contract: invalid sets throw here
+  lint::validate_constraints(constraints);  // an invalid set throws here, listing every error
   flow::PipelineOptions options;
   options.constraints_text = aaa::write_constraints(constraints);
   options.statics = statics;
-  options.lint_gate = false;  // validate() above is the gate; lint stays advisory
+  options.lint_gate = false;  // validate_constraints above is the gate
   return *flow::Pipeline(std::move(options)).bundle();
 }
 
@@ -109,6 +110,7 @@ std::vector<synth::ModuleSpec> case_study_statics() {
 CaseStudy build_case_study() {
   const McCdmaParams params{};
   aaa::ConstraintSet constraints = aaa::parse_constraints(case_study_constraints_text());
+  // run_flow_from_constraints validates the set: the rules run once.
   synth::DesignBundle bundle = run_flow_from_constraints(constraints, case_study_statics());
   return CaseStudy{std::move(constraints), make_transmitter_algorithm(params),
                    aaa::make_sundance_architecture(), aaa::mccdma_durations(), std::move(bundle),

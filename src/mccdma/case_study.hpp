@@ -54,7 +54,8 @@ aaa::AlgorithmGraph make_transmitter_algorithm(const McCdmaParams& params);
 std::vector<synth::ModuleSpec> case_study_statics();
 
 /// Runs the Modular Design flow for a ConstraintSet: dynamic modules from
-/// the constraints, plus the given static modules.
+/// the constraints, plus the given static modules. A set with design-rule
+/// errors throws (lint::validate_constraints) before the flow runs.
 ///
 /// A thin preset over flow::Pipeline's Synth stage: the constraints are
 /// serialized to their canonical text and looked up in the process-wide

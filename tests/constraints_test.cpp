@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "aaa/constraints.hpp"
+#include "lint/constraint_rules.hpp"
 #include "util/error.hpp"
 
 namespace pdr::aaa {
@@ -115,20 +116,20 @@ TEST(Constraints, SliceColumnWidthsParseAndRoundTrip) {
 }
 
 TEST(Constraints, SliceColumnWidthBelowMinimumRejected) {
-  // 3sc parses but fails validate() with PDR021: below the 4-slice-column
+  // 3sc parses but fails validation with PDR021: below the 4-slice-column
   // Modular Design floor (and not even a whole number of CLB columns).
   const char* text =
       "device XC2V2000\n"
       "region D1 { width 3sc }\n"
       "dynamic qpsk { region D1 kind qpsk_mapper }\n";
   try {
-    (void)parse_constraints(text);
+    lint::validate_constraints(parse_constraints(text));
     FAIL() << "width 3sc must fail validation";
   } catch (const pdr::Error& e) {
     EXPECT_NE(std::string(e.what()).find("PDR021"), std::string::npos) << e.what();
   }
-  // Parse-only (validate=false) keeps the authored value for linting.
-  const ConstraintSet raw = parse_constraints(text, /*validate=*/false);
+  // Parsing alone keeps the authored value for linting.
+  const ConstraintSet raw = parse_constraints(text);
   EXPECT_EQ(raw.regions[0].width_slice_cols, 3);
 }
 
@@ -182,21 +183,24 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BadCase>& info) { return info.param.label; });
 
 TEST(Constraints, ValidationCatchesDanglingReferences) {
+  const auto validate = [](const char* text) {
+    lint::validate_constraints(parse_constraints(text));
+  };
   // Module in unknown region.
-  EXPECT_THROW(parse_constraints("dynamic m {\n region ghost\n kind fir\n}\n"), pdr::Error);
+  EXPECT_THROW(validate("dynamic m {\n region ghost\n kind fir\n}\n"), pdr::Error);
   // Region without modules.
-  EXPECT_THROW(parse_constraints("region D1 { width 2 }\n"), pdr::Error);
+  EXPECT_THROW(validate("region D1 { width 2 }\n"), pdr::Error);
   // Exclusion of unknown module.
-  EXPECT_THROW(parse_constraints("region D1 { width 2 }\ndynamic m { region D1\n kind fir }\n"
-                                 "exclude m ghost\n"),
+  EXPECT_THROW(validate("region D1 { width 2 }\ndynamic m { region D1\n kind fir }\n"
+                        "exclude m ghost\n"),
                pdr::Error);
   // Self exclusion.
-  EXPECT_THROW(parse_constraints("region D1 { width 2 }\ndynamic m { region D1\n kind fir }\n"
-                                 "exclude m m\n"),
+  EXPECT_THROW(validate("region D1 { width 2 }\ndynamic m { region D1\n kind fir }\n"
+                        "exclude m m\n"),
                pdr::Error);
   // Duplicate module.
-  EXPECT_THROW(parse_constraints("region D1 { width 2 }\ndynamic m { region D1\n kind fir }\n"
-                                 "dynamic m { region D1\n kind fir }\n"),
+  EXPECT_THROW(validate("region D1 { width 2 }\ndynamic m { region D1\n kind fir }\n"
+                        "dynamic m { region D1\n kind fir }\n"),
                pdr::Error);
 }
 

@@ -8,7 +8,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/fixed.hpp"
-#include "dsp/gray.hpp"
 #include "dsp/prbs.hpp"
 #include "dsp/walsh.hpp"
 #include "mccdma/case_study.hpp"
@@ -264,19 +263,6 @@ TEST(FixedFft, ConversionRoundTrip) {
   const auto back = from_q15(to_q15(x));
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(std::abs(back[i] - x[i]), 0.0, 1e-4);
-}
-
-// --- gray ---------------------------------------------------------------------
-
-TEST(Gray, RoundTrip) {
-  for (std::uint32_t i = 0; i < 4096; ++i) EXPECT_EQ(gray_decode(gray_encode(i)), i);
-}
-
-TEST(Gray, AdjacentCodesDifferInOneBit) {
-  for (std::uint32_t i = 0; i + 1 < 1024; ++i) {
-    const auto diff = gray_encode(i) ^ gray_encode(i + 1);
-    EXPECT_EQ(__builtin_popcount(diff), 1);
-  }
 }
 
 // --- walsh --------------------------------------------------------------------

@@ -3,12 +3,7 @@
 #include <optional>
 
 #include "fabric/bus_macro.hpp"
-#include "fabric/config_memory.hpp"
-#include "fabric/config_port.hpp"
-#include "fabric/context.hpp"
 #include "fabric/floorplan.hpp"
-#include "fabric/relocate.hpp"
-#include "synth/bitgen.hpp"
 #include "util/error.hpp"
 
 namespace pdr::fabric {
@@ -182,156 +177,6 @@ TEST(Floorplan, UnknownRegionThrows) {
   Floorplan plan(xc2v2000());
   EXPECT_THROW(plan.region("nope"), pdr::Error);
   EXPECT_EQ(plan.find_region("nope"), nullptr);
-}
-
-// --- bitstream relocation -------------------------------------------------------
-
-struct RelocFixture {
-  Floorplan plan{xc2v2000()};
-  RelocFixture() {
-    // Two congruent 3-column regions at the right edge (no BRAM columns).
-    plan.add_region("A", 39, 41, true, 8, 8);
-    plan.add_region("B", 42, 44, true, 8, 8);
-    plan.add_region("narrow", 45, 47, true, 8, 8);
-  }
-};
-
-TEST(Relocate, CongruenceChecks) {
-  RelocFixture f;
-  EXPECT_TRUE(regions_congruent(f.plan, "A", "B"));
-  EXPECT_TRUE(regions_congruent(f.plan, "B", "A"));
-  Floorplan mixed(xc2v2000());
-  mixed.add_region("wide", 40, 44, true, 8, 8);
-  mixed.add_region("slim", 45, 47, true, 8, 8);
-  EXPECT_FALSE(regions_congruent(mixed, "wide", "slim"));
-}
-
-TEST(Relocate, BramMisalignmentBreaksCongruence) {
-  // A region straddling a BRAM column (position 37) is not congruent with
-  // one that has none.
-  Floorplan plan(xc2v2000());
-  plan.add_region("bram", 36, 39, true, 8, 8);   // BRAM col 37 inside
-  plan.add_region("plain", 43, 46, true, 8, 8);  // none
-  EXPECT_FALSE(regions_congruent(plan, "bram", "plain"));
-}
-
-TEST(Relocate, RelocatedStreamLoadsIntoTargetRegion) {
-  RelocFixture f;
-  const auto frames_a = f.plan.region_frames("A");
-  const auto frames_b = f.plan.region_frames("B");
-  const auto stream = synth::generate_partial_bitstream(f.plan.device(), frames_a, 777);
-
-  const auto moved = relocate_bitstream(f.plan, stream, "A", "B");
-  EXPECT_EQ(moved.size(), stream.size());  // same frames, same framing
-  EXPECT_NE(moved, stream);                // but different addresses + CRC
-
-  ConfigMemory mem(f.plan.device());
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
-  const auto report = port.load(moved, "moved_module");
-  EXPECT_EQ(report.frames_written, static_cast<int>(frames_b.size()));
-  EXPECT_TRUE(mem.region_owned_by(frames_b, "moved_module"));
-  // Region A untouched.
-  EXPECT_FALSE(mem.region_owned_by(frames_a, "moved_module"));
-  // Payload preserved frame-for-frame.
-  const FrameMap map(f.plan.device());
-  const auto d0 = mem.read_frame(frames_b[0]);
-  for (int b = 0; b < 8; ++b)
-    EXPECT_EQ(d0[static_cast<std::size_t>(b)],
-              synth::frame_payload_byte(777, map.linear_index(frames_a[0]), b));
-}
-
-TEST(Relocate, RoundTripRestoresOriginal) {
-  RelocFixture f;
-  const auto stream =
-      synth::generate_partial_bitstream(f.plan.device(), f.plan.region_frames("A"), 42);
-  const auto there = relocate_bitstream(f.plan, stream, "A", "B");
-  const auto back = relocate_bitstream(f.plan, there, "B", "A");
-  EXPECT_EQ(back, stream);
-}
-
-TEST(Relocate, IncompatibleRegionsRejected) {
-  Floorplan plan(xc2v2000());
-  plan.add_region("wide", 40, 44, true, 8, 8);
-  plan.add_region("slim", 45, 47, true, 8, 8);
-  const auto stream =
-      synth::generate_partial_bitstream(plan.device(), plan.region_frames("wide"), 1);
-  EXPECT_THROW(relocate_bitstream(plan, stream, "wide", "slim"), pdr::Error);
-}
-
-TEST(Relocate, StreamOutsideSourceRegionRejected) {
-  RelocFixture f;
-  // Stream actually targets 'narrow' but is declared as region A.
-  const auto stream =
-      synth::generate_partial_bitstream(f.plan.device(), f.plan.region_frames("narrow"), 1);
-  EXPECT_THROW(relocate_bitstream(f.plan, stream, "A", "B"), pdr::Error);
-}
-
-// --- context save / restore (task state migration) -------------------------------
-
-TEST(Context, SnapshotRestoresExactState) {
-  RelocFixture f;
-  ConfigMemory mem(f.plan.device());
-  const auto frames = f.plan.region_frames("A");
-  // Configure the region with a module.
-  const auto stream = synth::generate_partial_bitstream(f.plan.device(), frames, 99);
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
-  port.load(stream, "task");
-
-  // Mutate one frame (runtime state change: e.g. an SRL shifted).
-  mem.flip_bit(frames[5], 12, 3);
-  const auto snapshot = snapshot_region(mem, f.plan, "A");
-
-  // Clobber the region, then restore the snapshot.
-  port.load(synth::generate_partial_bitstream(f.plan.device(), frames, 1234), "other");
-  EXPECT_NE(mem.read_frame(frames[5])[12],
-            static_cast<std::uint8_t>(synth::frame_payload_byte(99, 0, 12) ^ 0));
-  const int restored = restore_region(mem, f.plan, "A", snapshot, "task");
-  EXPECT_EQ(restored, static_cast<int>(frames.size()));
-
-  // The mutated state survived the round trip exactly.
-  const fabric::FrameMap map(f.plan.device());
-  for (std::size_t k = 0; k < frames.size(); ++k) {
-    const auto data = mem.read_frame(frames[k]);
-    for (int b = 0; b < f.plan.device().frame_bytes(); b += 37) {
-      std::uint8_t expect = synth::frame_payload_byte(99, map.linear_index(frames[k]), b);
-      if (k == 5 && b == 12) expect ^= (1u << 3);
-      EXPECT_EQ(data[static_cast<std::size_t>(b)], expect) << "frame " << k << " byte " << b;
-    }
-  }
-  EXPECT_EQ(mem.frame_owner(frames[0]), "task");
-}
-
-TEST(Context, SnapshotMigratesToCongruentRegion) {
-  // Save in region A, relocate the snapshot, resume in region B — task
-  // migration with live state.
-  RelocFixture f;
-  ConfigMemory mem(f.plan.device());
-  const auto frames_a = f.plan.region_frames("A");
-  const auto frames_b = f.plan.region_frames("B");
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
-  port.load(synth::generate_partial_bitstream(f.plan.device(), frames_a, 55), "task");
-  mem.flip_bit(frames_a[2], 7, 1);  // live state
-
-  const auto snapshot = snapshot_region(mem, f.plan, "A");
-  const auto moved = relocate_bitstream(f.plan, snapshot, "A", "B");
-  restore_region(mem, f.plan, "B", moved, "task");
-
-  // Region B now holds the state, including the live mutation.
-  const fabric::FrameMap map(f.plan.device());
-  const auto data = mem.read_frame(frames_b[2]);
-  const std::uint8_t expect =
-      synth::frame_payload_byte(55, map.linear_index(frames_a[2]), 7) ^ (1u << 1);
-  EXPECT_EQ(data[7], expect);
-}
-
-TEST(Context, RestoreRejectsWrongRegion) {
-  RelocFixture f;
-  ConfigMemory mem(f.plan.device());
-  const auto frames = f.plan.region_frames("A");
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
-  port.load(synth::generate_partial_bitstream(f.plan.device(), frames, 3), "task");
-  const auto snapshot = snapshot_region(mem, f.plan, "A");
-  EXPECT_THROW(restore_region(mem, f.plan, "narrow", snapshot, "task"), pdr::Error);
 }
 
 TEST(Floorplan, RenderShowsRegions) {

@@ -7,13 +7,12 @@
 #include "aaa/codegen_vhdl.hpp"
 #include "aaa/macrocode.hpp"
 #include "aaa/project_io.hpp"
-#include "fabric/context.hpp"
-#include "fabric/relocate.hpp"
+#include "fabric/config_memory.hpp"
+#include "fabric/config_port.hpp"
 #include "flow/pipeline.hpp"
 #include "mccdma/case_study.hpp"
 #include "mccdma/flow_presets.hpp"
 #include "mccdma/system.hpp"
-#include "rtr/arbiter.hpp"
 #include "rtr/manager.hpp"
 #include "sim/executive_player.hpp"
 #include "util/units.hpp"
@@ -123,6 +122,18 @@ TEST(Integration, ManagerLoadsMatchFloorplanFrames) {
   // Loading the other variant flips every frame's owner; no residue.
   manager.request("D1", "qpsk", 10_ms);
   EXPECT_TRUE(manager.memory().region_owned_by(frames, "qpsk"));
+
+  // Switching qpsk -> qam16 leaves every resident frame as the store holds it.
+  manager.request("D1", "qam16", 20_ms);
+  EXPECT_EQ(manager.loaded("D1"), "qam16");
+  EXPECT_EQ(manager.verify_resident("D1"), 0);
+
+  // The case-study partial loads through a bare port into the same frames.
+  fabric::ConfigMemory mem(cs.bundle.device);
+  fabric::ConfigPort port(fabric::PortKind::Icap,
+                          fabric::ConfigPort::default_timing(fabric::PortKind::Icap), mem);
+  port.load(cs.bundle.variant("D1", "qpsk").bitstream, "qpsk");
+  EXPECT_TRUE(mem.region_owned_by(frames, "qpsk"));
 }
 
 TEST(Integration, StaticPrefetchAndRuntimePrefetchAgreeOnHiddenLatency) {
@@ -163,48 +174,6 @@ TEST(Integration, CaseStudyRoundTripsThroughProjectFile) {
   EXPECT_EQ(sa.makespan, sb.makespan);
   EXPECT_EQ(sa.size(), sb.size());
   EXPECT_EQ(sa.to_csv(), sb.to_csv());
-}
-
-TEST(Integration, ArbiterDrivesManagerAcrossCaseStudySwitches) {
-  const auto& cs = case_study();
-  rtr::BitstreamStore store = mccdma::make_case_study_store();
-  rtr::NonePrefetch policy;
-  rtr::ReconfigManager manager(cs.bundle, rtr::sundance_manager_config(), store, policy);
-  rtr::RequestArbiter arbiter(manager);
-
-  arbiter.submit("D1", "qpsk", 0, /*priority=*/1);
-  arbiter.submit("D1", "qam16", 100, /*priority=*/0);
-  arbiter.submit("D1", "qam16", 200, /*priority=*/0);  // coalesced
-  const auto drained = arbiter.drain(1_ms);
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(manager.loaded("D1"), "qam16");
-  EXPECT_EQ(arbiter.coalesced(), 1);
-  EXPECT_EQ(manager.verify_resident("D1"), 0);
-}
-
-TEST(Integration, VariantBitstreamSurvivesRelocationAndSnapshot) {
-  // Relocate the case-study QPSK module into a second congruent region,
-  // then snapshot/restore it — the full task-migration path.
-  const auto& cs = case_study();
-  fabric::Floorplan plan(cs.bundle.device);
-  const auto& d1 = cs.bundle.floorplan.region("D1");
-  plan.add_region("D1", d1.col_lo, d1.col_hi, true, 8, 8);
-  plan.add_region("D2", d1.col_lo - d1.width_cols(), d1.col_lo - 1, true, 8, 8);
-  ASSERT_TRUE(fabric::regions_congruent(plan, "D1", "D2"));
-
-  const auto& stream = cs.bundle.variant("D1", "qpsk").bitstream;
-  const auto moved = fabric::relocate_bitstream(plan, stream, "D1", "D2");
-
-  fabric::ConfigMemory mem(cs.bundle.device);
-  fabric::ConfigPort port(fabric::PortKind::Icap,
-                          fabric::ConfigPort::default_timing(fabric::PortKind::Icap), mem);
-  port.load(moved, "qpsk@D2");
-  EXPECT_TRUE(mem.region_owned_by(plan.region_frames("D2"), "qpsk@D2"));
-
-  const auto snapshot = fabric::snapshot_region(mem, plan, "D2");
-  const auto back = fabric::relocate_bitstream(plan, snapshot, "D2", "D1");
-  fabric::restore_region(mem, plan, "D1", back, "qpsk@D1");
-  EXPECT_TRUE(mem.region_owned_by(plan.region_frames("D1"), "qpsk@D1"));
 }
 
 TEST(Integration, WholeSystemSmokeAtScale) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/convcode.hpp"
@@ -92,6 +93,30 @@ TEST(Modulation, BitsPerSymbol) {
   EXPECT_EQ(make_qpsk()->bits_per_symbol(), 2);
   EXPECT_EQ(make_qam16()->bits_per_symbol(), 4);
   EXPECT_EQ(make_qam64()->bits_per_symbol(), 6);
+}
+
+TEST(Modulation, NeighbouringAxisLevelsDifferInOneBit) {
+  // Gray mapping: along each axis, adjacent amplitudes carry bit patterns
+  // one bit apart, so the likeliest symbol error costs one bit.
+  for (const char* name : {"qpsk", "qam16", "qam64"}) {
+    const auto mod = make_modulator(name);
+    const int bits_axis = mod->bits_per_symbol() / 2;
+    std::vector<std::pair<double, int>> levels;  // (in-phase amplitude, pattern)
+    for (int pattern = 0; pattern < (1 << bits_axis); ++pattern) {
+      std::vector<std::uint8_t> bits(static_cast<std::size_t>(2 * bits_axis), 0);
+      for (int b = 0; b < bits_axis; ++b)  // MSB first on the in-phase axis
+        bits[static_cast<std::size_t>(b)] =
+            static_cast<std::uint8_t>((pattern >> (bits_axis - 1 - b)) & 1);
+      levels.emplace_back(mod->map(bits).at(0).real(), pattern);
+    }
+    std::sort(levels.begin(), levels.end());
+    for (std::size_t i = 0; i + 1 < levels.size(); ++i) {
+      EXPECT_LT(levels[i].first, levels[i + 1].first) << name;
+      EXPECT_EQ(__builtin_popcount(static_cast<unsigned>(levels[i].second ^ levels[i + 1].second)),
+                1)
+          << name << " levels " << i << " and " << i + 1;
+    }
+  }
 }
 
 TEST(Modulation, UnknownNameThrows) { EXPECT_THROW(make_modulator("qam256"), pdr::Error); }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/sinks.hpp"
-#include "rtr/arbiter.hpp"
 #include "rtr/bitstream_store.hpp"
 #include "rtr/cache.hpp"
 #include "rtr/manager.hpp"
@@ -642,156 +641,6 @@ TEST(Manager, ScrubWithoutResidentThrows) {
   ManagerFixture f;
   EXPECT_THROW(f.manager->scrub("D1", 0), pdr::Error);
   EXPECT_THROW(f.manager->verify_resident("D1"), pdr::Error);
-}
-
-// --- request arbiter --------------------------------------------------------------
-
-synth::DesignBundle two_region_bundle() {
-  synth::ModularDesignFlow flow(fabric::xc2v2000());
-  flow.add_region("D1", {{"qpsk", "qpsk_mapper", {}}, {"qam16", "qam16_mapper", {}}});
-  flow.add_region("D2", {{"fir_a", "custom", {{"luts", 100}, {"ffs", 50}}},
-                         {"fir_b", "custom", {{"luts", 150}, {"ffs", 60}}}});
-  return flow.run();
-}
-
-TEST(Arbiter, DrainsByPriorityThenFifo) {
-  const synth::DesignBundle bundle = two_region_bundle();
-  BitstreamStore store(50e6, 1000);
-  NonePrefetch policy;
-  ReconfigManager manager(bundle, ManagerConfig{}, store, policy);
-  RequestArbiter arbiter(manager);
-
-  arbiter.submit("D2", "fir_a", 0, /*priority=*/0);
-  arbiter.submit("D1", "qpsk", 10, /*priority=*/5);
-  EXPECT_EQ(arbiter.pending(), 2u);
-  const auto drained = arbiter.drain(100);
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].request.region, "D1");  // higher priority first
-  EXPECT_EQ(drained[1].request.region, "D2");
-  // Requests serialize on the port: the second starts after the first.
-  EXPECT_GE(drained[1].outcome.ready_at, drained[0].outcome.ready_at);
-  EXPECT_EQ(arbiter.pending(), 0u);
-}
-
-TEST(Arbiter, CoalescesDuplicates) {
-  const synth::DesignBundle bundle = two_region_bundle();
-  BitstreamStore store(50e6, 1000);
-  NonePrefetch policy;
-  ReconfigManager manager(bundle, ManagerConfig{}, store, policy);
-  RequestArbiter arbiter(manager);
-
-  arbiter.submit("D1", "qpsk", 0, 0);
-  arbiter.submit("D1", "qpsk", 5, 9);  // same target, higher priority
-  EXPECT_EQ(arbiter.pending(), 1u);
-  EXPECT_EQ(arbiter.coalesced(), 1);
-  arbiter.submit("D1", "qam16", 6, 0);  // different module: kept
-  EXPECT_EQ(arbiter.pending(), 2u);
-  const auto drained = arbiter.drain(10);
-  // The coalesced request carries the raised priority -> drains first.
-  EXPECT_EQ(drained[0].request.module, "qpsk");
-  EXPECT_EQ(drained[0].request.priority, 9);
-}
-
-TEST(Arbiter, QueueWaitAccounted) {
-  const synth::DesignBundle bundle = two_region_bundle();
-  BitstreamStore store(50e6, 1000);
-  NonePrefetch policy;
-  ReconfigManager manager(bundle, ManagerConfig{}, store, policy);
-  RequestArbiter arbiter(manager);
-
-  arbiter.submit("D1", "qpsk", 0, 0);
-  arbiter.submit("D2", "fir_a", 0, 0);
-  const auto drained = arbiter.drain(1000);
-  EXPECT_EQ(drained[0].queue_wait, 1000);
-  // The second waited for the first's reconfiguration too.
-  EXPECT_EQ(drained[1].queue_wait, drained[0].outcome.ready_at);
-  EXPECT_EQ(arbiter.total_queue_wait(), drained[0].queue_wait + drained[1].queue_wait);
-}
-
-// Four variants per region: enough distinct targets that duplicate
-// coalescing never collapses a fairness backlog mid-test.
-synth::DesignBundle four_variant_bundle() {
-  synth::ModularDesignFlow flow(fabric::xc2v2000());
-  flow.add_region("D1", {{"a0", "custom", {{"luts", 100}, {"ffs", 50}}},
-                         {"a1", "custom", {{"luts", 110}, {"ffs", 50}}},
-                         {"a2", "custom", {{"luts", 120}, {"ffs", 50}}},
-                         {"a3", "custom", {{"luts", 130}, {"ffs", 50}}}});
-  flow.add_region("D2", {{"b0", "custom", {{"luts", 100}, {"ffs", 50}}},
-                         {"b1", "custom", {{"luts", 110}, {"ffs", 50}}},
-                         {"b2", "custom", {{"luts", 120}, {"ffs", 50}}},
-                         {"b3", "custom", {{"luts", 130}, {"ffs", 50}}}});
-  return flow.run();
-}
-
-TEST(Arbiter, SingleClientPassesThroughInSubmissionOrder) {
-  // One client's equal-priority stream must drain exactly as submitted,
-  // with the same outcomes a direct manager session would produce.
-  const synth::DesignBundle bundle = four_variant_bundle();
-  BitstreamStore store(50e6, 1000);
-  NonePrefetch policy;
-  ReconfigManager manager(bundle, ManagerConfig{}, store, policy);
-  RequestArbiter arbiter(manager);
-  const std::vector<std::string> sequence = {"a0", "a1", "a2", "a3"};
-  for (std::size_t i = 0; i < sequence.size(); ++i)
-    arbiter.submit("D1", sequence[i], static_cast<TimeNs>(i), 0);
-  const auto drained = arbiter.drain(0);
-  ASSERT_EQ(drained.size(), sequence.size());
-
-  BitstreamStore direct_store(50e6, 1000);
-  NonePrefetch direct_policy;
-  ReconfigManager direct(bundle, ManagerConfig{}, direct_store, direct_policy);
-  TimeNs now = 0;
-  for (std::size_t i = 0; i < sequence.size(); ++i) {
-    EXPECT_EQ(drained[i].request.module, sequence[i]) << i;
-    const auto expected = direct.request("D1", sequence[i], now);
-    EXPECT_EQ(drained[i].outcome.kind, expected.kind) << i;
-    EXPECT_EQ(drained[i].outcome.ready_at, expected.ready_at) << i;
-    now = expected.ready_at;
-  }
-}
-
-TEST(Arbiter, TwoClientsAtEqualPriorityStayWithinOneRequestOfEachOther) {
-  // Fairness: two clients (one per region) interleaving equal-priority
-  // submissions must drain with bounded skew — at no prefix of the drain
-  // order is either client more than one request ahead.
-  const synth::DesignBundle bundle = four_variant_bundle();
-  BitstreamStore store(50e6, 1000);
-  NonePrefetch policy;
-  ReconfigManager manager(bundle, ManagerConfig{}, store, policy);
-  RequestArbiter arbiter(manager);
-  const std::vector<std::string> d1 = {"a0", "a1", "a2", "a3"};
-  const std::vector<std::string> d2 = {"b0", "b1", "b2", "b3"};
-  for (std::size_t i = 0; i < d1.size(); ++i) {
-    arbiter.submit("D1", d1[i], static_cast<TimeNs>(2 * i), 0);
-    arbiter.submit("D2", d2[i], static_cast<TimeNs>(2 * i + 1), 0);
-  }
-  const auto drained = arbiter.drain(0);
-  ASSERT_EQ(drained.size(), d1.size() + d2.size());
-  int skew = 0;
-  for (const auto& item : drained) {
-    skew += item.request.region == "D1" ? 1 : -1;
-    EXPECT_GE(skew, 0);  // FIFO: D1 submitted first each round
-    EXPECT_LE(skew, 1);  // ...but never pulls a full round ahead
-  }
-  EXPECT_EQ(skew, 0);
-  // Priority still dominates fairness: a late high-priority request from
-  // one client overtakes the other client's whole backlog.
-  arbiter.submit("D1", "a0", 100, 0);
-  arbiter.submit("D2", "b0", 101, 0);
-  arbiter.submit("D2", "b1", 102, 7);
-  const auto urgent = arbiter.drain(manager.port_free_at());
-  ASSERT_EQ(urgent.size(), 3u);
-  EXPECT_EQ(urgent[0].request.module, "b1");
-}
-
-TEST(Arbiter, RejectsUnnamedTargets) {
-  const synth::DesignBundle bundle = two_region_bundle();
-  BitstreamStore store(50e6, 1000);
-  NonePrefetch policy;
-  ReconfigManager manager(bundle, ManagerConfig{}, store, policy);
-  RequestArbiter arbiter(manager);
-  EXPECT_THROW(arbiter.submit("", "m", 0), pdr::Error);
-  EXPECT_THROW(arbiter.submit("D1", "", 0), pdr::Error);
 }
 
 TEST(Manager, ScrubSerializesOnPort) {
