@@ -1,6 +1,6 @@
 #include "fabric/bitstream.hpp"
 
-#include <functional>
+#include <optional>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -105,83 +105,85 @@ void BitstreamWriter::end() {
   put_word(static_cast<std::uint32_t>(ConfigCmd::Desync));
 }
 
-BitstreamReader::BitstreamReader(const DeviceModel& device, Sink& sink)
-    : device_(device), frames_(device), sink_(sink) {}
+namespace {
 
-ParseResult BitstreamReader::parse(std::span<const std::uint8_t> stream) {
-  PDR_CHECK(stream.size() % 4 == 0, "BitstreamReader", "stream is not word aligned");
+/// The parser: checks `stream` whole against `device` and returns its
+/// frame writes in order, each a view into `stream` or, for an MFWR after
+/// an empty FDRI burst, into `zero_frame`.
+std::vector<ValidatedStream::Frame> read_frames(const DeviceModel& device,
+                                                std::span<const std::uint8_t> stream,
+                                                std::vector<std::uint8_t>& zero_frame) {
+  PDR_CHECK(stream.size() % 4 == 0, "ValidatedStream", "stream is not word aligned");
   const std::size_t total_words = stream.size() / 4;
 
   // Hunt for the sync word over leading dummy padding.
   std::size_t w = 0;
   while (w < total_words && word_at(stream, w) != kSyncWord) {
-    PDR_CHECK(word_at(stream, w) == kDummyWord, "BitstreamReader",
+    PDR_CHECK(word_at(stream, w) == kDummyWord, "ValidatedStream",
               "garbage before sync word at word " + std::to_string(w));
     ++w;
   }
-  PDR_CHECK(w < total_words, "BitstreamReader", "no sync word found");
+  PDR_CHECK(w < total_words, "ValidatedStream", "no sync word found");
   ++w;  // consume sync
 
-  ParseResult result;
+  const FrameMap map(device);
+  std::vector<ValidatedStream::Frame> frames;
   dsp::Crc32 crc;
   std::optional<FrameAddress> far;
   bool idcode_checked = false;
   bool crc_checked = false;
-  const auto frame_words = static_cast<std::size_t>(device_.frame_words());
-  const auto frame_bytes = static_cast<std::size_t>(device_.frame_bytes());
+  const auto frame_words = static_cast<std::size_t>(device.frame_words());
+  const auto frame_bytes = static_cast<std::size_t>(device.frame_bytes());
   std::span<const std::uint8_t> last_frame;  ///< most recent FDRI frame, for MFWR
-  std::vector<std::uint8_t> zero_frame;      ///< what an empty FDRI burst leaves for MFWR
 
   while (w < total_words) {
     const std::uint32_t header = word_at(stream, w++);
-    PDR_CHECK((header >> 29) == 0b001u, "BitstreamReader",
+    PDR_CHECK((header >> 29) == 0b001u, "ValidatedStream",
               "expected type-1 packet header at word " + std::to_string(w - 1));
-    PDR_CHECK(((header >> 27) & 0x3u) == 0b01u, "BitstreamReader", "only write packets are supported");
+    PDR_CHECK(((header >> 27) & 0x3u) == 0b01u, "ValidatedStream", "only write packets are supported");
     const auto reg = static_cast<ConfigReg>((header >> 13) & 0x3fffu);
     std::size_t count = header & kType1CountMask;
     if (reg == ConfigReg::Fdri) {
-      PDR_CHECK(count == 0, "BitstreamReader", "FDRI type-1 header must carry count 0");
-      PDR_CHECK(w < total_words, "BitstreamReader", "truncated FDRI type-2 header");
+      PDR_CHECK(count == 0, "ValidatedStream", "FDRI type-1 header must carry count 0");
+      PDR_CHECK(w < total_words, "ValidatedStream", "truncated FDRI type-2 header");
       const std::uint32_t t2 = word_at(stream, w++);
-      PDR_CHECK((t2 >> 29) == 0b010u, "BitstreamReader", "expected type-2 header after FDRI");
+      PDR_CHECK((t2 >> 29) == 0b010u, "ValidatedStream", "expected type-2 header after FDRI");
       count = t2 & kType2CountMask;
     }
-    PDR_CHECK(w + count <= total_words, "BitstreamReader", "packet payload runs past end of stream");
+    PDR_CHECK(w + count <= total_words, "ValidatedStream", "packet payload runs past end of stream");
 
     switch (reg) {
       case ConfigReg::Idcode: {
-        PDR_CHECK(count == 1, "BitstreamReader", "IDCODE packet must have 1 word");
+        PDR_CHECK(count == 1, "ValidatedStream", "IDCODE packet must have 1 word");
         const std::uint32_t id = word_at(stream, w++);
-        PDR_CHECK(id == device_.idcode, "BitstreamReader",
+        PDR_CHECK(id == device.idcode, "ValidatedStream",
                   strprintf("IDCODE mismatch: stream 0x%08x, device %s has 0x%08x", id,
-                            device_.name.c_str(), device_.idcode));
+                            device.name.c_str(), device.idcode));
         idcode_checked = true;
         break;
       }
       case ConfigReg::Far: {
-        PDR_CHECK(count == 1, "BitstreamReader", "FAR packet must have 1 word");
+        PDR_CHECK(count == 1, "ValidatedStream", "FAR packet must have 1 word");
         crc.update(stream.subspan(w * 4, 4));
         far = FrameAddress::decode(word_at(stream, w++));
-        PDR_CHECK(frames_.valid(*far), "BitstreamReader",
-                  "FAR " + far->to_string() + " not on device " + device_.name);
+        PDR_CHECK(map.valid(*far), "ValidatedStream",
+                  "FAR " + far->to_string() + " not on device " + device.name);
         break;
       }
       case ConfigReg::Fdri: {
-        PDR_CHECK(idcode_checked, "BitstreamReader", "FDRI before IDCODE check");
-        PDR_CHECK(far.has_value(), "BitstreamReader", "FDRI with no FAR set");
-        PDR_CHECK(count % frame_words == 0, "BitstreamReader",
+        PDR_CHECK(idcode_checked, "ValidatedStream", "FDRI before IDCODE check");
+        PDR_CHECK(far.has_value(), "ValidatedStream", "FDRI with no FAR set");
+        PDR_CHECK(count % frame_words == 0, "ValidatedStream",
                   "FDRI word count is not a whole number of frames");
         const std::size_t n_frames = count / frame_words;
         // The burst's bytes are the frames' bytes in order: CRC it as one
-        // span and hand the sink views into the stream, no copy.
+        // span and view each frame in the stream, no copy.
         const auto burst = stream.subspan(w * 4, count * 4);
         w += count;
         crc.update(burst);
         for (std::size_t f = 0; f < n_frames; ++f) {
-          sink_.write_frame(*far, burst.subspan(f * frame_bytes, frame_bytes));
-          result.touched.push_back(*far);
-          ++result.frames_written;
-          if (f + 1 < n_frames) far = frames_.next(*far);
+          frames.push_back({*far, burst.subspan(f * frame_bytes, frame_bytes), w * 4});
+          if (f + 1 < n_frames) far = map.next(*far);
         }
         if (n_frames > 0) {
           last_frame = burst.last(frame_bytes);
@@ -192,117 +194,90 @@ ParseResult BitstreamReader::parse(std::span<const std::uint8_t> stream) {
         break;
       }
       case ConfigReg::Mfwr: {
-        PDR_CHECK(count == 2, "BitstreamReader", "MFWR packet must have 2 words");
-        PDR_CHECK(!last_frame.empty(), "BitstreamReader", "MFWR with no preceding FDRI frame");
-        PDR_CHECK(far.has_value(), "BitstreamReader", "MFWR with no FAR set");
+        PDR_CHECK(count == 2, "ValidatedStream", "MFWR packet must have 2 words");
+        PDR_CHECK(!last_frame.empty(), "ValidatedStream", "MFWR with no preceding FDRI frame");
+        PDR_CHECK(far.has_value(), "ValidatedStream", "MFWR with no FAR set");
         crc.update(stream.subspan(w * 4, 8));
         w += 2;
-        sink_.write_frame(*far, last_frame);
-        result.touched.push_back(*far);
-        ++result.frames_written;
+        frames.push_back({*far, last_frame, w * 4});
         break;
       }
       case ConfigReg::Crc: {
-        PDR_CHECK(count == 1, "BitstreamReader", "CRC packet must have 1 word");
+        PDR_CHECK(count == 1, "ValidatedStream", "CRC packet must have 1 word");
         const std::uint32_t expect = word_at(stream, w++);
-        PDR_CHECK(expect == crc.value(), "BitstreamReader",
+        PDR_CHECK(expect == crc.value(), "ValidatedStream",
                   strprintf("CRC mismatch: stream 0x%08x, computed 0x%08x", expect, crc.value()));
         crc_checked = true;
         break;
       }
       case ConfigReg::Cmd: {
-        PDR_CHECK(count == 1, "BitstreamReader", "CMD packet must have 1 word");
+        PDR_CHECK(count == 1, "ValidatedStream", "CMD packet must have 1 word");
         const auto cmd = static_cast<ConfigCmd>(word_at(stream, w++));
         if (cmd == ConfigCmd::Desync) {
-          PDR_CHECK(crc_checked, "BitstreamReader", "DESYNC before CRC check");
-          PDR_CHECK(w == total_words, "BitstreamReader", "trailing bytes after DESYNC");
-          return result;
+          PDR_CHECK(crc_checked, "ValidatedStream", "DESYNC before CRC check");
+          PDR_CHECK(w == total_words, "ValidatedStream", "trailing bytes after DESYNC");
+          return frames;
         }
         break;
       }
       default:
-        raise("BitstreamReader", "write to unsupported register");
+        raise("ValidatedStream", "write to unsupported register");
     }
   }
-  raise("BitstreamReader", "stream ended without DESYNC");
+  raise("ValidatedStream", "stream ended without DESYNC");
 }
-
-namespace {
-
-/// Discards frame data; used for validation-only parses.
-class NullSink : public BitstreamReader::Sink {
- public:
-  void write_frame(const FrameAddress&, std::span<const std::uint8_t>) override {}
-};
 
 }  // namespace
 
-ParseResult BitstreamReader::validate(const DeviceModel& device, std::span<const std::uint8_t> stream) {
-  NullSink sink;
-  return BitstreamReader(device, sink).parse(stream);
-}
-
 std::shared_ptr<const ValidatedStream> ValidatedStream::parse(const DeviceModel& device,
-                                                              std::vector<std::uint8_t> bytes) {
-  return std::shared_ptr<const ValidatedStream>(new ValidatedStream(device, std::move(bytes)));
+                                                              std::span<const std::uint8_t> bytes) {
+  std::vector<std::uint8_t> zero_frame;
+  std::vector<Frame> frames = read_frames(device, bytes, zero_frame);
+  return std::shared_ptr<const ValidatedStream>(
+      new ValidatedStream(device, bytes, std::move(frames), std::move(zero_frame)));
 }
 
-ValidatedStream::ValidatedStream(const DeviceModel& device, std::vector<std::uint8_t> bytes)
-    : device_(device), bytes_(std::move(bytes)) {
-  // Keep the parser's view of every frame write. Each one points into the
-  // stream, except the zero frame an empty FDRI burst leaves for MFWR: that
-  // lives in the parser, so the handle keeps its own copy.
-  struct Recorder : BitstreamReader::Sink {
-    explicit Recorder(ValidatedStream& stream) : stream(stream) {}
-    void write_frame(const FrameAddress& addr, std::span<const std::uint8_t> data) override {
-      const std::less<const std::uint8_t*> before;
-      const std::uint8_t* begin = stream.bytes_.data();
-      if (before(data.data(), begin) || !before(data.data(), begin + stream.bytes_.size())) {
-        if (stream.zero_frame_.empty()) stream.zero_frame_.assign(data.begin(), data.end());
-        data = stream.zero_frame_;
-      }
-      stream.frames_.push_back(Frame{addr, data});
-    }
-    ValidatedStream& stream;
-  };
-  Recorder recorder(*this);
-  result_ = BitstreamReader(device_, recorder).parse(bytes_);
+ValidatedStream::ValidatedStream(const DeviceModel& device, std::span<const std::uint8_t> bytes,
+                                 std::vector<Frame> frames, std::vector<std::uint8_t> zero_frame)
+    : device_(device),
+      bytes_(bytes.begin(), bytes.end()),
+      zero_frame_(std::move(zero_frame)),
+      frames_(std::move(frames)) {
+  // The parser's views point into `bytes`: move each onto the handle's
+  // copy. A view of the zero frame already points into zero_frame_, whose
+  // buffer moved here with it.
+  for (Frame& frame : frames_) {
+    if (!zero_frame_.empty() && frame.data.data() == zero_frame_.data()) continue;
+    const auto offset = static_cast<std::size_t>(frame.data.data() - bytes.data());
+    frame.data = std::span(bytes_).subspan(offset, frame.data.size());
+  }
 }
 
-void ValidatedStream::replay(BitstreamReader::Sink& sink) const {
-  for (const Frame& frame : frames_) sink.write_frame(frame.addr, frame.data);
-}
-
-std::vector<PacketAction> decode_packets(const DeviceModel& device,
-                                         std::span<const std::uint8_t> stream) {
-  // Re-parse, recording one action per FAR/FDRI/IDCODE/CRC/CMD packet.
-  // Structural validation is identical to BitstreamReader::parse (it is
-  // BitstreamReader::parse), so reuse it, then decode headers lightly.
-  BitstreamReader::validate(device, stream);  // throws if malformed
-
+std::vector<PacketAction> decode_packets(const ValidatedStream& stream) {
+  // The handle passed the parse, so only the packet headers need decoding.
+  const std::span<const std::uint8_t> bytes = stream.bytes();
   std::vector<PacketAction> actions;
-  const std::size_t total_words = stream.size() / 4;
+  const std::size_t total_words = bytes.size() / 4;
   std::size_t w = 0;
-  while (word_at(stream, w) != kSyncWord) ++w;
+  while (word_at(bytes, w) != kSyncWord) ++w;
   ++w;
   while (w < total_words) {
-    const std::uint32_t header = word_at(stream, w++);
+    const std::uint32_t header = word_at(bytes, w++);
     const auto reg = static_cast<ConfigReg>((header >> 13) & 0x3fffu);
     std::size_t count = header & kType1CountMask;
-    if (reg == ConfigReg::Fdri) count = word_at(stream, w++) & kType2CountMask;
+    if (reg == ConfigReg::Fdri) count = word_at(bytes, w++) & kType2CountMask;
     PacketAction action;
     action.reg = reg;
     action.payload.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) action.payload.push_back(word_at(stream, w++));
+    for (std::size_t i = 0; i < count; ++i) action.payload.push_back(word_at(bytes, w++));
     actions.push_back(std::move(action));
   }
   return actions;
 }
 
-std::string describe_bitstream(const DeviceModel& device, std::span<const std::uint8_t> stream) {
-  const ParseResult r = BitstreamReader::validate(device, stream);
-  return strprintf("%s bitstream: %s, %d frames, crc ok", device.name.c_str(),
-                   human_bytes(stream.size()).c_str(), r.frames_written);
+std::string describe_bitstream(const ValidatedStream& stream) {
+  return strprintf("%s bitstream: %s, %zu frames, crc ok", stream.device().name.c_str(),
+                   human_bytes(stream.bytes().size()).c_str(), stream.frames().size());
 }
 
 }  // namespace pdr::fabric

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -96,50 +95,15 @@ class BitstreamWriter {
   bool have_fdri_frame_ = false;  ///< MFWR legality
 };
 
-/// Result of parsing / applying a bitstream.
-struct ParseResult {
-  int frames_written = 0;
-  std::vector<FrameAddress> touched;  ///< every frame written, in order
-};
-
-/// Parses a bitstream and hands each frame write to a sink. Validates the
-/// sync word, the IDCODE against the device, word counts, frame
-/// alignment, the final CRC and the DESYNC trailer; throws pdr::Error with
-/// a precise message on any violation.
-class BitstreamReader {
- public:
-  /// Frame sink: receives (address, frame_bytes) for every frame. The
-  /// bytes are a view into the parsed stream itself (an MFWR repeats the
-  /// view of the last FDRI frame), valid only for the duration of the
-  /// call: a sink that needs them later copies them. All frames of an
-  /// FDRI burst reach the sink only once the whole burst is known to lie
-  /// inside the stream, so a truncated burst writes none of them.
-  class Sink {
-   public:
-    virtual ~Sink() = default;
-    virtual void write_frame(const FrameAddress& addr, std::span<const std::uint8_t> data) = 0;
-  };
-
-  BitstreamReader(const DeviceModel& device, Sink& sink);
-
-  /// Parses the full stream, applying all frame writes.
-  ParseResult parse(std::span<const std::uint8_t> stream);
-
-  /// Parses without a device-attached sink (validation only).
-  static ParseResult validate(const DeviceModel& device, std::span<const std::uint8_t> stream);
-
- private:
-  DeviceModel device_;
-  FrameMap frames_;
-  Sink& sink_;
-};
-
-/// A bitstream that passed one full BitstreamReader::parse against one
-/// device: its bytes, that parse's result, and one view per frame write in
-/// write order (an MFWR repeat gets its own view of the repeated frame).
-/// Immutable and shared by handle. The parse is the only way to make one,
-/// so no handle exists for bytes that failed sync, IDCODE, framing or CRC:
-/// whoever holds a handle may write its frames without parsing again.
+/// A bitstream that passed one full parse against one device: its bytes
+/// and one view per frame write in write order (an MFWR repeat gets its
+/// own view of the repeated frame). Immutable and shared by handle.
+///
+/// The parse checks the sync word, the IDCODE against the device, word
+/// counts, frame alignment, the final CRC and the DESYNC trailer, and
+/// throws pdr::Error with a precise message on any violation. It is the
+/// only reader of frame writes, so no handle exists for bytes that failed
+/// it: whoever holds a handle may write its frames without parsing again.
 class ValidatedStream {
  public:
   struct Frame {
@@ -147,41 +111,39 @@ class ValidatedStream {
     /// Into bytes(), or into the handle's copy of the zero frame that an
     /// empty FDRI burst leaves for a following MFWR.
     std::span<const std::uint8_t> data;
+    /// Byte offset just past the packet that wrote this frame. A transfer
+    /// cut after byte n has delivered exactly the frames with end <= n:
+    /// an FDRI burst's frames land only once the whole burst is in.
+    std::size_t end = 0;
   };
 
-  /// Parses `bytes` against `device`; throws pdr::Error wherever
-  /// BitstreamReader::parse does.
+  /// Parses `bytes` against `device`. The bytes are copied into the
+  /// handle only once the parse succeeds; a throw copies nothing.
   static std::shared_ptr<const ValidatedStream> parse(const DeviceModel& device,
-                                                       std::vector<std::uint8_t> bytes);
+                                                       std::span<const std::uint8_t> bytes);
 
   ValidatedStream(const ValidatedStream&) = delete;
   ValidatedStream& operator=(const ValidatedStream&) = delete;
 
   std::span<const std::uint8_t> bytes() const { return bytes_; }
   const DeviceModel& device() const { return device_; }
-  const ParseResult& result() const { return result_; }
   const std::vector<Frame>& frames() const { return frames_; }
 
-  /// Hands `sink` every frame write in stream order: the calls a parse of
-  /// bytes() would make, without the parse.
-  void replay(BitstreamReader::Sink& sink) const;
-
  private:
-  ValidatedStream(const DeviceModel& device, std::vector<std::uint8_t> bytes);
+  ValidatedStream(const DeviceModel& device, std::span<const std::uint8_t> bytes,
+                  std::vector<Frame> frames, std::vector<std::uint8_t> zero_frame);
 
   DeviceModel device_;
   std::vector<std::uint8_t> bytes_;
   std::vector<std::uint8_t> zero_frame_;
-  ParseResult result_;
   std::vector<Frame> frames_;
 };
 
-/// Decodes the packet list of a bitstream without applying it (debugging /
-/// tests). Performs the same structural validation as BitstreamReader.
-std::vector<PacketAction> decode_packets(const DeviceModel& device,
-                                         std::span<const std::uint8_t> stream);
+/// Decodes the packet list of a validated stream (debugging / inspection).
+std::vector<PacketAction> decode_packets(const ValidatedStream& stream);
 
-/// Human-readable one-line summary ("sync @byte 8, 88 frames, crc ok").
-std::string describe_bitstream(const DeviceModel& device, std::span<const std::uint8_t> stream);
+/// Human-readable one-line summary ("XC2V2000 bitstream: 65.4 KiB, 110
+/// frames, crc ok").
+std::string describe_bitstream(const ValidatedStream& stream);
 
 }  // namespace pdr::fabric

@@ -18,20 +18,19 @@
 #include <string>
 #include <vector>
 
-#include "fabric/bitstream.hpp"
 #include "fabric/frames.hpp"
 
 namespace pdr::fabric {
 
-class ConfigMemory : public BitstreamReader::Sink {
+class ConfigMemory {
  public:
   explicit ConfigMemory(const DeviceModel& device);
 
   const DeviceModel& device() const { return device_; }
 
-  /// BitstreamReader sink: stores the frame and tags it with the pending
-  /// writer tag (see set_writer_tag).
-  void write_frame(const FrameAddress& addr, std::span<const std::uint8_t> data) override;
+  /// Stores one frame and tags it with the pending writer tag (see
+  /// set_writer_tag).
+  void write_frame(const FrameAddress& addr, std::span<const std::uint8_t> data);
 
   /// Tag recorded on every subsequent frame write (typically the module
   /// name whose bitstream is being loaded).

@@ -42,66 +42,50 @@ double ConfigPort::bandwidth_bytes_per_s() const {
   return timing_.clock_hz * static_cast<double>(timing_.width_bits) / 8.0;
 }
 
-void ConfigPort::abort_load(std::span<const std::uint8_t> stream, const std::string& module_tag,
+void ConfigPort::abort_load(const ValidatedStream& stream, const std::string& module_tag,
                             double fraction) {
   // Cut on a word boundary strictly inside the stream: at least one word
   // goes through (the port accepted the sync sequence before dying), and
-  // the DESYNC word never arrives, so the parse below always throws.
-  const std::size_t words = stream.size() / 4;
-  const std::size_t keep =
-      std::clamp<std::size_t>(static_cast<std::size_t>(fraction * static_cast<double>(words)), 1,
-                              words - 1);
-  const auto prefix = stream.first(keep * 4);
+  // the DESYNC word never arrives.
+  const std::size_t size = stream.bytes().size();
+  const std::size_t words = size / 4;
+  const std::size_t cut =
+      4 * std::clamp<std::size_t>(static_cast<std::size_t>(fraction * static_cast<double>(words)),
+                                  1, words - 1);
 
   memory_.set_writer_tag(module_tag);
-  BitstreamReader reader(memory_.device(), memory_);
-  const int frames_before = memory_.frames_written();
-  try {
-    reader.parse(prefix);
-  } catch (const Error&) {
-    // Expected: a truncated stream cannot end cleanly. The frames fed
-    // before the cut are already committed to configuration memory.
+  int committed = 0;
+  for (const ValidatedStream::Frame& frame : stream.frames()) {
+    if (frame.end > cut) break;
+    memory_.write_frame(frame.addr, frame.data);
+    ++committed;
   }
 
   ++loads_;
   ++aborted_loads_;
-  total_busy_ += transfer_time(prefix.size());
-  total_bytes_ += prefix.size();
-  raise("ConfigPort",
-        strprintf("load of '%s' aborted after %zu of %zu bytes (%d frames committed)",
-                  module_tag.c_str(), prefix.size(), stream.size(),
-                  memory_.frames_written() - frames_before));
-}
-
-LoadReport ConfigPort::load(std::span<const std::uint8_t> stream, const std::string& module_tag) {
-  return transfer(stream, module_tag, nullptr);
+  total_busy_ += transfer_time(cut);
+  total_bytes_ += cut;
+  raise("ConfigPort", strprintf("load of '%s' aborted after %zu of %zu bytes (%d frames committed)",
+                                module_tag.c_str(), cut, size, committed));
 }
 
 LoadReport ConfigPort::load(const ValidatedStream& stream, const std::string& module_tag) {
   PDR_CHECK(stream.device() == memory_.device(), "ConfigPort",
             strprintf("stream was validated for device %s, not %s", stream.device().name.c_str(),
                       memory_.device().name.c_str()));
-  return transfer(stream.bytes(), module_tag, &stream);
-}
-
-LoadReport ConfigPort::transfer(std::span<const std::uint8_t> stream, const std::string& module_tag,
-                                const ValidatedStream* validated) {
+  const std::size_t size = stream.bytes().size();
   if (fault_hook_) {
-    const double fraction = fault_hook_(stream.size(), module_tag);
-    if (fraction > 0.0 && fraction < 1.0 && stream.size() / 4 > 1)
-      abort_load(stream, module_tag, fraction);
+    const double fraction = fault_hook_(size, module_tag);
+    if (fraction > 0.0 && fraction < 1.0 && size / 4 > 1) abort_load(stream, module_tag, fraction);
   }
   memory_.set_writer_tag(module_tag);
-  LoadReport report;
-  if (validated != nullptr) {
-    validated->replay(memory_);
-    report.frames_written = validated->result().frames_written;
-  } else {
-    report.frames_written = BitstreamReader(memory_.device(), memory_).parse(stream).frames_written;
-  }
-  report.stream_bytes = stream.size();
-  report.duration = transfer_time(stream.size());
+  for (const ValidatedStream::Frame& frame : stream.frames())
+    memory_.write_frame(frame.addr, frame.data);
 
+  LoadReport report;
+  report.frames_written = static_cast<int>(stream.frames().size());
+  report.stream_bytes = size;
+  report.duration = transfer_time(size);
   ++loads_;
   total_busy_ += report.duration;
   total_bytes_ += report.stream_bytes;

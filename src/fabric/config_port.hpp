@@ -13,16 +13,16 @@
 //    — the paper's case (b).
 //  - JTAG: 1-bit serial, the slow fallback.
 //
-// A raw byte span is parsed and checked (sync, IDCODE, framing, CRC) as
-// it streams. A ValidatedStream handle passed that check once when it was
-// made, so its recorded frame writes stream with no second parse.
+// A port takes only a ValidatedStream: the stream passed its check (sync,
+// IDCODE, framing, CRC) once when the handle was made, so the port writes
+// the handle's frames with no second parse.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 
+#include "fabric/bitstream.hpp"
 #include "fabric/config_memory.hpp"
 #include "util/units.hpp"
 
@@ -64,16 +64,9 @@ class ConfigPort {
   /// Peak sustained bandwidth in bytes per second.
   double bandwidth_bytes_per_s() const;
 
-  /// Parses and applies a full (partial) bitstream, tagging written frames
-  /// with `module_tag`. Throws pdr::Error if the stream is malformed; on
-  /// throw the configuration memory may hold a partially-written region
-  /// (exactly like real hardware after an aborted load).
-  LoadReport load(std::span<const std::uint8_t> stream, const std::string& module_tag);
-
-  /// Applies a stream already validated for this device: the same fault
-  /// hook, abort and accounting as the raw load, but the frames come from
-  /// the handle's views with no parse and no CRC. Throws pdr::Error if the
-  /// handle was validated for another device.
+  /// Writes a validated stream's frames, tagging them with `module_tag`,
+  /// and accounts the transfer. Throws pdr::Error if the handle was
+  /// validated for another device, or when the fault hook cuts the load.
   LoadReport load(const ValidatedStream& stream, const std::string& module_tag);
 
   /// Fault hook consulted at the start of every load: return a value in
@@ -91,14 +84,11 @@ class ConfigPort {
   Bytes total_bytes() const { return total_bytes_; }
 
  private:
-  /// The one load routine: fault hook, frame writes (replayed from
-  /// `validated` when given, else parsed from `stream`), accounting.
-  LoadReport transfer(std::span<const std::uint8_t> stream, const std::string& module_tag,
-                      const ValidatedStream* validated);
-
-  /// Feeds only `fraction` of the stream, then throws the abort error.
-  [[noreturn]] void abort_load(std::span<const std::uint8_t> stream,
-                               const std::string& module_tag, double fraction);
+  /// Feeds only `fraction` of the stream's words, then throws the abort
+  /// error. The frames whose packet ends inside the cut are committed, the
+  /// rest never arrive: real hardware after a dropped port clock.
+  [[noreturn]] void abort_load(const ValidatedStream& stream, const std::string& module_tag,
+                               double fraction);
 
   PortKind kind_;
   PortTiming timing_;

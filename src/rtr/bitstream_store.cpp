@@ -17,13 +17,7 @@ void BitstreamStore::add(const std::string& module,
                          std::shared_ptr<const fabric::ValidatedStream> image) {
   PDR_CHECK(!module.empty(), "BitstreamStore::add", "module name must not be empty");
   PDR_CHECK(image != nullptr, "BitstreamStore::add", "no stream for '" + module + "'");
-  streams_[module] = Image{std::move(image), {}, {}};
-}
-
-void BitstreamStore::add(const std::string& module, std::vector<std::uint8_t> bitstream) {
-  PDR_CHECK(!module.empty(), "BitstreamStore::add", "module name must not be empty");
-  PDR_CHECK(!bitstream.empty(), "BitstreamStore::add", "empty bitstream for '" + module + "'");
-  streams_[module] = Image{nullptr, std::move(bitstream), {}};
+  streams_[module] = Image{std::move(image), {}};
 }
 
 const BitstreamStore::Image& BitstreamStore::image(const std::string& module,
@@ -40,10 +34,11 @@ BitstreamStore::Image& BitstreamStore::image(const std::string& module, const ch
 void BitstreamStore::corrupt(const std::string& module, std::size_t byte_index,
                              std::uint8_t xor_mask) {
   Image& img = image(module, "BitstreamStore::corrupt");
-  PDR_CHECK(byte_index < img.original().size(), "BitstreamStore::corrupt",
+  const std::span<const std::uint8_t> original = img.validated->bytes();
+  PDR_CHECK(byte_index < original.size(), "BitstreamStore::corrupt",
             "byte index out of range for '" + module + "'");
   PDR_CHECK(xor_mask != 0, "BitstreamStore::corrupt", "xor mask must flip at least one bit");
-  if (img.damaged.empty()) img.damaged.assign(img.original().begin(), img.original().end());
+  if (img.damaged.empty()) img.damaged.assign(original.begin(), original.end());
   img.damaged[byte_index] ^= xor_mask;
   ++corruptions_;
 }
@@ -51,7 +46,7 @@ void BitstreamStore::corrupt(const std::string& module, std::size_t byte_index,
 void BitstreamStore::repair(const std::string& module) {
   Image& img = image(module, "BitstreamStore::repair");
   // Damage that cancelled itself out left the pristine bytes: not a repair.
-  if (!img.damaged.empty() && !std::ranges::equal(img.damaged, img.original())) ++repairs_;
+  if (!img.damaged.empty() && !std::ranges::equal(img.damaged, img.validated->bytes())) ++repairs_;
   img.damaged.clear();
 }
 

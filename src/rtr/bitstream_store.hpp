@@ -2,9 +2,9 @@
 //
 // In the paper's implementation the protocol builder "address[es]
 // external memory and drive[s] ICAP" — the partial bitstreams live in a
-// memory next to the FPGA. This models that memory: bitstream contents by
-// module name, plus the access-time model for streaming one out. An image
-// registered as a fabric::ValidatedStream keeps that handle while intact.
+// memory next to the FPGA. This models that memory: one
+// fabric::ValidatedStream per module name, plus the access-time model for
+// streaming one out. An image hands out its handle while intact.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +30,6 @@ class BitstreamStore {
   /// Re-registering replaces the image.
   void add(const std::string& module, std::shared_ptr<const fabric::ValidatedStream> image);
 
-  /// Registers unchecked bytes. They carry no handle, so every load of
-  /// them gets the builder's full check. Re-registering replaces the image.
-  void add(const std::string& module, std::vector<std::uint8_t> bitstream);
-
   /// Damages one byte of a stored image — an external-memory fault, with
   /// the CRC record as likely a victim as any payload word. The damage
   /// goes to a private copy, never through the registered (shared) bytes;
@@ -47,7 +43,7 @@ class BitstreamStore {
   void repair(const std::string& module);
 
   /// The handle of a module's current image: null while the image is
-  /// damaged or was added unchecked.
+  /// damaged.
   std::shared_ptr<const fabric::ValidatedStream> validated(const std::string& module) const;
 
   /// Number of bytes ever damaged through corrupt().
@@ -72,17 +68,12 @@ class BitstreamStore {
   double bandwidth_;
   TimeNs latency_;
   struct Image {
-    std::shared_ptr<const fabric::ValidatedStream> validated;  ///< null when added unchecked
-    std::vector<std::uint8_t> unchecked;  ///< the bytes of an unchecked add()
-    std::vector<std::uint8_t> damaged;    ///< corrupt()'s private copy; empty while intact
+    std::shared_ptr<const fabric::ValidatedStream> validated;  ///< the last add()
+    std::vector<std::uint8_t> damaged;  ///< corrupt()'s private copy; empty while intact
 
-    /// The bytes of the last add().
-    std::span<const std::uint8_t> original() const {
-      return validated != nullptr ? validated->bytes() : std::span<const std::uint8_t>(unchecked);
-    }
-    /// What a fetch reads: the damaged copy, if any, else original().
+    /// What a fetch reads: the damaged copy, if any, else the handle's bytes.
     std::span<const std::uint8_t> current() const {
-      return damaged.empty() ? original() : std::span<const std::uint8_t>(damaged);
+      return damaged.empty() ? validated->bytes() : std::span<const std::uint8_t>(damaged);
     }
   };
 

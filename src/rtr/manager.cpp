@@ -161,27 +161,19 @@ ReconfigManager::LoadFailure ReconfigManager::attempt_load(const std::string& re
   const std::span<const std::uint8_t> stored = store_.get(module);
   std::vector<std::uint8_t> corrupted;
   const bool intact = !fetch_fault_hook_ || !fetch_fault_hook_(module, stored, corrupted);
-  // Only the store's own intact image has a handle; a corrupted copy, a
-  // damaged image or unchecked bytes get the full check below.
-  const auto validated = intact ? store_.validated(module) : nullptr;
-  const std::span<const std::uint8_t> raw = intact ? stored : std::span<const std::uint8_t>(corrupted);
+  // Only the store's own intact image has a handle.
+  auto stream = intact ? store_.validated(module) : nullptr;
   // `failure` names the stage in flight, so a throw from it classifies.
   LoadFailure failure = LoadFailure::CrcReject;
   try {
-    // The builder's framing/CRC check runs before the stream ever reaches
-    // the port: a corrupted image is rejected while the region still
-    // holds its previous (intact) configuration. A handle passed that
-    // check when it was made; it is counted and priced, not walked again,
-    // and the port writes its frames with no parse.
-    if (validated != nullptr) {
-      builder_.record(raw);
-      failure = LoadFailure::PortAbort;  // the port dying mid-transfer
-      port_.load(*validated, module);
-    } else {
-      builder_.build(bundle_.device, raw);
-      failure = LoadFailure::PortAbort;
-      port_.load(raw, module);
-    }
+    // A damaged or corrupted image is parsed before it ever reaches the
+    // port: a bad one is rejected while the region still holds its
+    // previous (intact) configuration.
+    if (stream == nullptr)
+      stream = fabric::ValidatedStream::parse(bundle_.device, intact ? stored : corrupted);
+    builder_.record(*stream);
+    failure = LoadFailure::PortAbort;  // the port dying mid-transfer
+    port_.load(*stream, module);
     failure = LoadFailure::ReadbackMismatch;
     if (config_.verify_loads)
       PDR_CHECK(memory_.region_owned_by(bundle_.floorplan.region_frames(region), module),
@@ -208,8 +200,8 @@ ReconfigManager::LoadFailure ReconfigManager::attempt_load(const std::string& re
     sinks_.count("rtr.manager.load_failures");
     return failure;
   }
-  stats_.bytes_loaded += raw.size();
-  sinks_.count("rtr.manager.bytes_loaded", static_cast<double>(raw.size()));
+  stats_.bytes_loaded += stream->bytes().size();
+  sinks_.count("rtr.manager.bytes_loaded", static_cast<double>(stream->bytes().size()));
   return LoadFailure::None;
 }
 

@@ -245,10 +245,10 @@ class ReconfigManager {
   /// Fault hook consulted on every external-memory fetch with the store's
   /// own bytes of `module`. To damage this transfer (transient bus
   /// corruption) it fills `corrupted` with the damaged copy and returns
-  /// true; the load then uses that copy, which never carries the store's
-  /// handle and always gets the builder's full check and a parsing port
-  /// load. Returning false leaves `corrupted` untouched and the load
-  /// streams `stored` itself, with no copy. The hook must not keep
+  /// true; the load then parses that copy into a handle of its own (a
+  /// throw there is a CRC reject). Returning false leaves `corrupted`
+  /// untouched and the load uses the store's handle, with no copy and no
+  /// parse. The hook must not keep
   /// `stored`. Permanent store damage goes through BitstreamStore::corrupt.
   using FetchFaultHook = std::function<bool(const std::string& module,
                                             std::span<const std::uint8_t> stored,
@@ -301,8 +301,9 @@ class ReconfigManager {
   };
 
   /// The one physical load: fetch (the fault hook may swap in a corrupted
-  /// copy), builder validation (the CRC gate; a store handle passed it
-  /// when it was made), port transfer, readback verification. A failure is rethrown as its
+  /// copy), the CRC gate (the store's handle passed it when it was made; a
+  /// damaged or corrupted image is parsed here), build, port transfer,
+  /// readback verification. A failure is rethrown as its
   /// pdr::Error when `throw_on_failure`; otherwise it is counted
   /// (load_failures plus its cause) and returned as a classification.
   LoadFailure attempt_load(const std::string& region, const std::string& module,

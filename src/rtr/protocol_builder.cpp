@@ -17,19 +17,11 @@ double ProtocolBuilder::throughput_bytes_per_s() const {
   return placement_ == aaa::Placement::Cpu ? cpu_bytes_per_s_ : fpga_bytes_per_s_;
 }
 
-BuildResult ProtocolBuilder::build(const fabric::DeviceModel& device,
-                                   std::span<const std::uint8_t> raw) const {
-  // Structural validation IS the builder's job: framing, addresses, CRC.
-  BuildResult result;
-  result.frames = fabric::BitstreamReader::validate(device, raw).frames_written;
-  result.build_time = record(raw);
-  return result;
-}
-
-TimeNs ProtocolBuilder::record(std::span<const std::uint8_t> raw) const {
-  const TimeNs build_time = transfer_time_ns(raw.size(), throughput_bytes_per_s());
+TimeNs ProtocolBuilder::record(const fabric::ValidatedStream& stream) const {
+  const Bytes bytes = stream.bytes().size();
+  const TimeNs build_time = transfer_time_ns(bytes, throughput_bytes_per_s());
   sinks_.count("rtr.builder.builds");
-  sinks_.count("rtr.builder.bytes", static_cast<double>(raw.size()));
+  sinks_.count("rtr.builder.bytes", static_cast<double>(bytes));
   sinks_.observe("rtr.builder.build_time_ns", static_cast<double>(build_time),
                  "protocol builder framing time per stream");
   return build_time;

@@ -4,19 +4,14 @@
 // which is in charge to construct a valid reconfiguration stream in
 // agreement with the used protocol mode (e.g selectmap)." (§5)
 //
-// The builder checks a raw partial bitstream fetched from the store
-// against the target device (sync word, IDCODE, packet framing, CRC); the
-// port then streams those same bytes, so the builder copies nothing. A
-// fabric::ValidatedStream passed that check when it was made: record()
-// counts and prices its build without walking it, and the port streams
-// its frames with no parse.
+// The stream it builds is a fabric::ValidatedStream: the check against
+// the target device (sync word, IDCODE, packet framing, CRC) is the parse
+// that made the handle, so the builder only counts and prices the build,
+// and the port writes the handle's frames with no second parse.
 // Where it runs (paper's 'P' label: FPGA or CPU) determines its
 // throughput and therefore how much it contributes to reconfiguration
 // latency.
 #pragma once
-
-#include <cstdint>
-#include <span>
 
 #include "aaa/constraints.hpp"
 #include "fabric/bitstream.hpp"
@@ -24,11 +19,6 @@
 #include "util/units.hpp"
 
 namespace pdr::rtr {
-
-struct BuildResult {
-  TimeNs build_time = 0;  ///< time the builder itself needs
-  int frames = 0;
-};
 
 class ProtocolBuilder {
  public:
@@ -40,16 +30,9 @@ class ProtocolBuilder {
   aaa::Placement placement() const { return placement_; }
   double throughput_bytes_per_s() const;
 
-  /// Validates `raw` against `device`: the stream is port-ready as is.
-  /// Throws pdr::Error (with the precise packet defect) on malformed
-  /// streams — a corrupted external memory must never reach the fabric.
-  BuildResult build(const fabric::DeviceModel& device, std::span<const std::uint8_t> raw) const;
-
-  /// Counts one build of `raw` (rtr.builder.* metrics) and returns its
-  /// build time, without walking the stream. build() ends with it; a
-  /// caller passing the bytes of a fabric::ValidatedStream calls it
-  /// instead, so every build is still counted and priced.
-  TimeNs record(std::span<const std::uint8_t> raw) const;
+  /// Counts one build of `stream` (rtr.builder.* metrics) and returns the
+  /// time the builder itself needs for it.
+  TimeNs record(const fabric::ValidatedStream& stream) const;
 
   /// Mirrors build counts/bytes and a build-time histogram into `sinks`
   /// under "rtr.builder.".

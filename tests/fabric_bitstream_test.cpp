@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "fabric/bitstream.hpp"
 #include "fabric/config_memory.hpp"
@@ -60,16 +61,15 @@ TEST(BitstreamWriter, ApiMisuseThrows) {
 
 TEST(BitstreamReader, RoundTripWritesFrames) {
   const DeviceModel d = xc2v2000();
+  const auto handle = ValidatedStream::parse(d, small_stream(d));
+  ASSERT_EQ(handle->frames().size(), 1u);
+  const FrameAddress addr = handle->frames()[0].addr;
+  EXPECT_EQ(addr, (FrameAddress{BlockType::Clb, 2, 0}));
   ConfigMemory mem(d);
-  mem.set_writer_tag("mod_a");
-  BitstreamReader reader(d, mem);
-  const ParseResult r = reader.parse(small_stream(d));
-  EXPECT_EQ(r.frames_written, 1);
-  ASSERT_EQ(r.touched.size(), 1u);
-  EXPECT_EQ(r.touched[0], (FrameAddress{BlockType::Clb, 2, 0}));
-  const auto back = mem.read_frame(r.touched[0]);
-  EXPECT_EQ(back[0], 0xab);
-  EXPECT_EQ(mem.frame_owner(r.touched[0]), "mod_a");
+  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  port.load(*handle, "mod_a");
+  EXPECT_EQ(mem.read_frame(addr)[0], 0xab);
+  EXPECT_EQ(mem.frame_owner(addr), "mod_a");
 }
 
 TEST(BitstreamReader, MultiFrameBurstAutoIncrementsFar) {
@@ -86,62 +86,63 @@ TEST(BitstreamReader, MultiFrameBurstAutoIncrementsFar) {
   w.write_fdri(burst);
   w.end();
 
-  ConfigMemory mem(d);
-  BitstreamReader reader(d, mem);
-  const ParseResult r = reader.parse(w.bytes());
-  EXPECT_EQ(r.frames_written, 5);
-  for (int f = 0; f < 5; ++f)
-    EXPECT_EQ(mem.read_frame(FrameAddress{BlockType::Clb, 0, static_cast<std::uint16_t>(f)})[0],
-              static_cast<std::uint8_t>(f));
+  const auto handle = ValidatedStream::parse(d, w.bytes());
+  ASSERT_EQ(handle->frames().size(), 5u);
+  for (int f = 0; f < 5; ++f) {
+    const ValidatedStream::Frame& frame = handle->frames()[static_cast<std::size_t>(f)];
+    EXPECT_EQ(frame.addr, (FrameAddress{BlockType::Clb, 0, static_cast<std::uint16_t>(f)}));
+    EXPECT_EQ(frame.data[0], static_cast<std::uint8_t>(f));
+    EXPECT_EQ(frame.end, handle->frames().back().end);  // one packet wrote them all
+  }
 }
 
 TEST(BitstreamReader, DetectsCrcCorruption) {
   const DeviceModel d = xc2v2000();
   auto stream = small_stream(d);
   stream[stream.size() / 2] ^= 0x01;  // flip a payload bit
-  EXPECT_THROW(BitstreamReader::validate(d, stream), pdr::Error);
+  EXPECT_THROW(ValidatedStream::parse(d, stream), pdr::Error);
 }
 
 TEST(BitstreamReader, DetectsWrongDevice) {
   const auto stream = small_stream(xc2v2000());
-  EXPECT_THROW(BitstreamReader::validate(xc2v1000(), stream), pdr::Error);
+  EXPECT_THROW(ValidatedStream::parse(xc2v1000(), stream), pdr::Error);
 }
 
 TEST(BitstreamReader, DetectsTruncation) {
   const DeviceModel d = xc2v2000();
   auto stream = small_stream(d);
   stream.resize(stream.size() - 8);
-  EXPECT_THROW(BitstreamReader::validate(d, stream), pdr::Error);
+  EXPECT_THROW(ValidatedStream::parse(d, stream), pdr::Error);
 }
 
 TEST(BitstreamReader, DetectsGarbageBeforeSync) {
   const DeviceModel d = xc2v2000();
   auto stream = small_stream(d);
   stream[0] = 0x12;  // corrupt leading dummy word
-  EXPECT_THROW(BitstreamReader::validate(d, stream), pdr::Error);
+  EXPECT_THROW(ValidatedStream::parse(d, stream), pdr::Error);
 }
 
 TEST(BitstreamReader, DetectsMisalignedStream) {
   const DeviceModel d = xc2v2000();
   auto stream = small_stream(d);
   stream.push_back(0x00);
-  EXPECT_THROW(BitstreamReader::validate(d, stream), pdr::Error);
+  EXPECT_THROW(ValidatedStream::parse(d, stream), pdr::Error);
 }
 
 TEST(BitstreamReader, DetectsTrailingBytes) {
   const DeviceModel d = xc2v2000();
   auto stream = small_stream(d);
   for (int i = 0; i < 4; ++i) stream.push_back(0xff);
-  EXPECT_THROW(BitstreamReader::validate(d, stream), pdr::Error);
+  EXPECT_THROW(ValidatedStream::parse(d, stream), pdr::Error);
 }
 
 TEST(BitstreamReader, EmptyStreamRejected) {
-  EXPECT_THROW(BitstreamReader::validate(xc2v2000(), {}), pdr::Error);
+  EXPECT_THROW(ValidatedStream::parse(xc2v2000(), {}), pdr::Error);
 }
 
 TEST(DecodePackets, ListsActions) {
   const DeviceModel d = xc2v2000();
-  const auto actions = decode_packets(d, small_stream(d));
+  const auto actions = decode_packets(*ValidatedStream::parse(d, small_stream(d)));
   ASSERT_EQ(actions.size(), 5u);  // idcode, far, fdri, crc, cmd
   EXPECT_EQ(actions[0].reg, ConfigReg::Idcode);
   EXPECT_EQ(actions[1].reg, ConfigReg::Far);
@@ -153,7 +154,7 @@ TEST(DecodePackets, ListsActions) {
 
 TEST(DescribeBitstream, MentionsFramesAndCrc) {
   const DeviceModel d = xc2v2000();
-  const std::string s = describe_bitstream(d, small_stream(d));
+  const std::string s = describe_bitstream(*ValidatedStream::parse(d, small_stream(d)));
   EXPECT_NE(s.find("1 frames"), std::string::npos);
   EXPECT_NE(s.find("crc ok"), std::string::npos);
 }
@@ -273,7 +274,7 @@ TEST(ConfigPort, LoadAppliesFramesAndAccounts) {
   const DeviceModel d = xc2v2000();
   ConfigMemory mem(d);
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
-  const auto report = port.load(small_stream(d), "mod_b");
+  const auto report = port.load(*ValidatedStream::parse(d, small_stream(d)), "mod_b");
   EXPECT_EQ(report.frames_written, 1);
   EXPECT_GT(report.duration, 0);
   EXPECT_EQ(mem.frame_owner(FrameAddress{BlockType::Clb, 2, 0}), "mod_b");
@@ -282,12 +283,16 @@ TEST(ConfigPort, LoadAppliesFramesAndAccounts) {
 }
 
 TEST(ConfigPort, LoadRejectsCorruptStream) {
+  // The port takes only a handle, and a corrupt stream never becomes one:
+  // the parse that would make it throws, and nothing reaches the port.
   const DeviceModel d = xc2v2000();
   ConfigMemory mem(d);
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
   auto stream = small_stream(d);
   stream[20] ^= 0xff;
-  EXPECT_THROW(port.load(stream, "bad"), pdr::Error);
+  EXPECT_THROW(port.load(*ValidatedStream::parse(d, stream), "bad"), pdr::Error);
+  EXPECT_EQ(mem.frames_written(), 0);
+  EXPECT_EQ(port.loads(), 0);
 }
 
 TEST(ConfigPort, FaultHookAbortsMidStream) {
@@ -301,7 +306,7 @@ TEST(ConfigPort, FaultHookAbortsMidStream) {
   auto frames = map.clb_column_frames(3);
   const auto second = map.clb_column_frames(10);
   frames.insert(frames.end(), second.begin(), second.end());
-  const auto stream = synth::generate_partial_bitstream(d, frames, 11);
+  const auto stream = ValidatedStream::parse(d, synth::generate_partial_bitstream(d, frames, 11));
 
   ConfigMemory mem(d);
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
@@ -309,18 +314,18 @@ TEST(ConfigPort, FaultHookAbortsMidStream) {
   port.set_fault_hook([&calls](Bytes, const std::string&) {
     return ++calls == 1 ? 0.6 : -1.0;
   });
-  EXPECT_THROW(port.load(stream, "mod"), pdr::Error);
+  EXPECT_THROW(port.load(*stream, "mod"), pdr::Error);
   EXPECT_EQ(port.aborted_loads(), 1);
   EXPECT_EQ(port.loads(), 1);
   // Roughly half the stream went through before the cut.
   EXPECT_GT(port.total_bytes(), 0u);
-  EXPECT_LT(port.total_bytes(), stream.size());
+  EXPECT_LT(port.total_bytes(), stream->bytes().size());
   const int committed = mem.frames_written();
   EXPECT_GT(committed, 0);
   EXPECT_LT(committed, static_cast<int>(frames.size()));
 
   // The hook passed (-1): the retry succeeds and repairs the region.
-  const auto report = port.load(stream, "mod");
+  const auto report = port.load(*stream, "mod");
   EXPECT_EQ(report.frames_written, static_cast<int>(frames.size()));
   EXPECT_TRUE(mem.region_owned_by(frames, "mod"));
   EXPECT_EQ(port.aborted_loads(), 1);
@@ -333,11 +338,11 @@ TEST(Mfwr, UniformBitstreamLoadsAllFrames) {
   const DeviceModel d = xc2v2000();
   const FrameMap map(d);
   const auto frames = map.frames_for_clb_range(43, 47);
-  const auto stream = synth::generate_uniform_bitstream(d, frames, 0x00);
+  const auto stream = ValidatedStream::parse(d, synth::generate_uniform_bitstream(d, frames, 0x00));
 
   ConfigMemory mem(d);
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
-  const auto report = port.load(stream, "blank");
+  const auto report = port.load(*stream, "blank");
   EXPECT_EQ(report.frames_written, static_cast<int>(frames.size()));
   EXPECT_TRUE(mem.region_owned_by(frames, "blank"));
   for (const auto& f : {frames.front(), frames.back()}) {
@@ -361,7 +366,7 @@ TEST(Mfwr, RepeatsArbitraryFill) {
   const auto frames = map.clb_column_frames(3);
   ConfigMemory mem(d);
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
-  port.load(synth::generate_uniform_bitstream(d, frames, 0x5a), "fill");
+  port.load(*ValidatedStream::parse(d, synth::generate_uniform_bitstream(d, frames, 0x5a)), "fill");
   EXPECT_EQ(mem.read_frame(frames[5])[100], 0x5a);
 }
 
@@ -386,15 +391,15 @@ TEST(Mfwr, ReaderRejectsMfwrBeforeFdri) {
   auto stream = w.take();
   // Valid as written; now corrupt it so structure still parses but CRC breaks.
   stream[stream.size() / 2] ^= 1;
-  EXPECT_THROW(BitstreamReader::validate(d, stream), pdr::Error);
+  EXPECT_THROW(ValidatedStream::parse(d, stream), pdr::Error);
 }
 
 TEST(Mfwr, DecodePacketsSeesMfwr) {
   const DeviceModel d = xc2v2000();
   const FrameMap map(d);
   const auto frames = map.clb_column_frames(0);
-  const auto stream = synth::generate_uniform_bitstream(d, frames, 0);
-  const auto actions = decode_packets(d, stream);
+  const auto actions =
+      decode_packets(*ValidatedStream::parse(d, synth::generate_uniform_bitstream(d, frames, 0)));
   int mfwr = 0;
   for (const auto& a : actions)
     if (a.reg == ConfigReg::Mfwr) ++mfwr;
@@ -407,11 +412,12 @@ TEST(Bitgen, PartialBitstreamRoundTripsThroughPort) {
   const DeviceModel d = xc2v2000();
   const FrameMap map(d);
   const auto frames = map.frames_for_clb_range(43, 47);
-  const auto stream = synth::generate_partial_bitstream(d, frames, 0xdeadbeef);
+  const auto stream =
+      ValidatedStream::parse(d, synth::generate_partial_bitstream(d, frames, 0xdeadbeef));
 
   ConfigMemory mem(d);
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
-  const auto report = port.load(stream, "op_dyn");
+  const auto report = port.load(*stream, "op_dyn");
   EXPECT_EQ(report.frames_written, static_cast<int>(frames.size()));
   EXPECT_TRUE(mem.region_owned_by(frames, "op_dyn"));
 
@@ -423,7 +429,7 @@ TEST(Bitgen, PartialBitstreamRoundTripsThroughPort) {
 }
 
 TEST(Bitgen, PortLoadOfCaseStudyStreamsMatchesFramePayloadBytes) {
-  // The reader hands the port views into the stream; what lands in
+  // A handle gives the port views into the stream; what lands in
   // configuration memory must be exactly the generator's payload bytes,
   // for every variant (FDRI bursts) and for a blank (MFWR repeats).
   const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
@@ -433,7 +439,7 @@ TEST(Bitgen, PortLoadOfCaseStudyStreamsMatchesFramePayloadBytes) {
   int variants = 0;
   for (const auto& [region, artifacts] : bundle.dynamic_variants) {
     for (const auto& v : artifacts) {
-      port.load(v.bitstream, v.name);
+      port.load(*v.stream, v.name);
       for (const auto& addr : v.placement.frames) {
         const auto data = mem.read_frame(addr);
         for (int b = 0; b < bundle.device.frame_bytes(); ++b)
@@ -445,8 +451,9 @@ TEST(Bitgen, PortLoadOfCaseStudyStreamsMatchesFramePayloadBytes) {
       ++variants;
     }
     const auto frames = bundle.floorplan.region_frames(region);
-    const auto blank = synth::generate_uniform_bitstream(bundle.device, frames, 0);
-    EXPECT_EQ(port.load(blank, "blank").frames_written, static_cast<int>(frames.size()));
+    const auto blank = ValidatedStream::parse(
+        bundle.device, synth::generate_uniform_bitstream(bundle.device, frames, 0));
+    EXPECT_EQ(port.load(*blank, "blank").frames_written, static_cast<int>(frames.size()));
     for (const auto& addr : frames) {
       const auto data = mem.read_frame(addr);
       EXPECT_TRUE(std::all_of(data.begin(), data.end(), [](std::uint8_t x) { return x == 0; }))
@@ -478,31 +485,75 @@ TEST(Bitgen, SameInputsSameStream) {
 TEST(Bitgen, FullBitstreamCoversDevice) {
   const DeviceModel d = xc2v1000();  // smaller device keeps this quick
   const auto stream = synth::generate_full_bitstream(d, 42);
-  const auto result = BitstreamReader::validate(d, stream);
-  EXPECT_EQ(result.frames_written, d.total_frames());
+  EXPECT_EQ(ValidatedStream::parse(d, stream)->frames().size(),
+            static_cast<std::size_t>(d.total_frames()));
 }
 
 // --- validated streams ------------------------------------------------------------
 
-/// Sink that keeps a copy of every frame write, in order.
-struct RecordingSink : BitstreamReader::Sink {
-  void write_frame(const FrameAddress& addr, std::span<const std::uint8_t> data) override {
-    writes.emplace_back(addr, std::vector<std::uint8_t>(data.begin(), data.end()));
-  }
-  std::vector<std::pair<FrameAddress, std::vector<std::uint8_t>>> writes;
+/// One frame write, kept by value.
+struct Write {
+  FrameAddress addr;
+  std::vector<std::uint8_t> data;
+  std::size_t end = 0;  ///< byte offset just past the packet that wrote it
+  bool operator==(const Write&) const = default;
 };
 
-/// Every frame, owner tag and the write count of two memories agree.
-void expect_same_memory(const ConfigMemory& a, const ConfigMemory& b, const std::string& what) {
-  const FrameMap map(a.device());
-  ASSERT_EQ(a.frames_written(), b.frames_written()) << what;
-  for (int f = 0; f < map.total_frames(); ++f) {
-    const FrameAddress addr = map.from_linear(f);
-    const auto x = a.read_frame(addr);
-    const auto y = b.read_frame(addr);
-    ASSERT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end())) << what << " frame " << f;
-    ASSERT_EQ(a.frame_owner(addr), b.frame_owner(addr)) << what << " frame " << f;
+/// The handle's frame writes, copied.
+std::vector<Write> writes_of(const ValidatedStream& stream) {
+  std::vector<Write> writes;
+  for (const ValidatedStream::Frame& f : stream.frames())
+    writes.push_back({f.addr, std::vector<std::uint8_t>(f.data.begin(), f.data.end()), f.end});
+  return writes;
+}
+
+/// The frame writes the packet list describes, rebuilt from
+/// decode_packets alone: FAR sets the address, FDRI frames auto-increment
+/// through FrameMap::next, MFWR repeats the last FDRI frame (a zero frame
+/// after an empty burst). Each packet's end offset is summed from the
+/// words before it: the pad words up to and including sync, then per
+/// packet its header (two for FDRI) and payload.
+std::vector<Write> packet_writes(const ValidatedStream& stream) {
+  const DeviceModel& d = stream.device();
+  const FrameMap map(d);
+  const auto frame_words = static_cast<std::size_t>(d.frame_words());
+  const auto bytes = stream.bytes();
+  const std::uint8_t sync[] = {0xaa, 0x99, 0x55, 0x66};
+  std::size_t offset = 0;
+  while (!std::equal(std::begin(sync), std::end(sync), bytes.begin() + offset)) offset += 4;
+  offset += 4;
+  std::optional<FrameAddress> far;
+  std::vector<std::uint8_t> last;
+  std::vector<Write> writes;
+  for (const PacketAction& a : decode_packets(stream)) {
+    offset += 4 * (1 + (a.reg == ConfigReg::Fdri ? 1 : 0) + a.payload.size());
+    switch (a.reg) {
+      case ConfigReg::Far:
+        far = FrameAddress::decode(a.payload.at(0));
+        break;
+      case ConfigReg::Fdri: {
+        const std::size_t n = a.payload.size() / frame_words;
+        last.assign(static_cast<std::size_t>(d.frame_bytes()), 0);
+        for (std::size_t f = 0; f < n; ++f) {
+          last.clear();
+          for (std::size_t i = 0; i < frame_words; ++i) {
+            const std::uint32_t word = a.payload[f * frame_words + i];
+            for (const int shift : {24, 16, 8, 0})
+              last.push_back(static_cast<std::uint8_t>(word >> shift));
+          }
+          writes.push_back({far.value(), last, offset});
+          if (f + 1 < n) far = map.next(*far);
+        }
+        break;
+      }
+      case ConfigReg::Mfwr:
+        writes.push_back({far.value(), last, offset});
+        break;
+      default:
+        break;
+    }
   }
+  return writes;
 }
 
 /// The case-study streams: every partial, each region's blank stream and
@@ -522,58 +573,79 @@ std::vector<std::pair<std::string, std::vector<std::uint8_t>>> case_study_stream
 TEST(ValidatedStream, ViewsReplayTheParsersFrameWrites) {
   const DeviceModel& d = mccdma::shared_case_study().bundle.device;
   for (const auto& [name, bytes] : case_study_streams()) {
-    RecordingSink parsed;
-    const ParseResult raw = BitstreamReader(d, parsed).parse(bytes);
     const auto handle = ValidatedStream::parse(d, bytes);
-    RecordingSink replayed;
-    handle->replay(replayed);
-    EXPECT_EQ(replayed.writes, parsed.writes) << name;
-    EXPECT_EQ(handle->result().frames_written, raw.frames_written) << name;
-    EXPECT_EQ(handle->result().touched, raw.touched) << name;
+    EXPECT_EQ(writes_of(*handle), packet_writes(*handle)) << name;
+    EXPECT_NE(handle->bytes().data(), bytes.data()) << name;  // the handle owns a copy
     EXPECT_TRUE(std::equal(handle->bytes().begin(), handle->bytes().end(), bytes.begin(),
                            bytes.end()))
         << name;
   }
 }
 
-TEST(ValidatedStream, HandleLoadMatchesRawLoad) {
-  // load(handle) and load(span) must leave the same frames, owner tags,
-  // write count, LoadReport and port accounting — also when the fault hook
-  // cuts the transfer, where both throw the same error.
-  const DeviceModel& d = mccdma::shared_case_study().bundle.device;
-  for (const auto& [name, bytes] : case_study_streams()) {
-    const auto handle = ValidatedStream::parse(d, bytes);
-    for (const double fraction : {-1.0, 0.1, 0.5, 0.93}) {
-      const std::string what = name + " abort " + std::to_string(fraction);
-      ConfigMemory raw_mem(d);
-      ConfigMemory handle_mem(d);
-      ConfigPort raw_port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), raw_mem);
-      ConfigPort handle_port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap),
-                             handle_mem);
-      for (ConfigPort* port : {&raw_port, &handle_port})
-        port->set_fault_hook([fraction](Bytes, const std::string&) { return fraction; });
-      const auto attempt = [](const auto& load) -> std::pair<LoadReport, std::string> {
-        try {
-          return {load(), ""};
-        } catch (const Error& e) {
-          return {LoadReport{}, e.what()};
-        }
-      };
-      const auto [raw_report, raw_error] = attempt([&] { return raw_port.load(bytes, name); });
-      const auto [handle_report, handle_error] =
-          attempt([&] { return handle_port.load(*handle, name); });
-      EXPECT_EQ(handle_error, raw_error) << what;
-      EXPECT_EQ(raw_error.empty(), fraction < 0) << what;
-      EXPECT_EQ(handle_report.stream_bytes, raw_report.stream_bytes) << what;
-      EXPECT_EQ(handle_report.frames_written, raw_report.frames_written) << what;
-      EXPECT_EQ(handle_report.duration, raw_report.duration) << what;
-      EXPECT_EQ(handle_port.loads(), raw_port.loads()) << what;
-      EXPECT_EQ(handle_port.aborted_loads(), raw_port.aborted_loads()) << what;
-      EXPECT_EQ(handle_port.total_busy(), raw_port.total_busy()) << what;
-      EXPECT_EQ(handle_port.total_bytes(), raw_port.total_bytes()) << what;
-      expect_same_memory(raw_mem, handle_mem, what);
-    }
+TEST(ValidatedStream, PortAbortCommitsThePacketsThatEndInsideTheCut) {
+  // The fault hook cuts a load after k words, for every k the port allows
+  // (1 to words - 1). The frames committed must be exactly those whose
+  // packet ends inside the cut, by the offsets summed from decode_packets;
+  // they carry this cut's tag and its bytes, every other frame of the
+  // stream keeps an earlier tag, and the port accounts one aborted load
+  // of the cut's bytes and throws the abort text.
+  const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
+  std::vector<std::pair<std::string, std::shared_ptr<const ValidatedStream>>> streams;
+  for (const auto& [region, artifacts] : bundle.dynamic_variants) {
+    for (const auto& v : artifacts) streams.emplace_back(v.name, v.stream);
+    streams.emplace_back("blank_" + region, bundle.blank_streams.at(region));
   }
+  for (const auto& [name, handle] : streams) {
+    const std::vector<Write> expected = packet_writes(*handle);
+    const std::size_t size = handle->bytes().size();
+    const std::size_t words = size / 4;
+    ConfigMemory mem(bundle.device);
+    ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+    std::size_t keep = 0;
+    port.set_fault_hook([&keep, words](Bytes, const std::string&) {
+      return (static_cast<double>(keep) + 0.5) / static_cast<double>(words);
+    });
+    std::size_t most_committed = 0;
+    for (keep = 1; keep < words; ++keep) {
+      const std::size_t cut = keep * 4;
+      const std::string tag = strprintf("%s@%zu", name.c_str(), keep);
+      const int written_before = mem.frames_written();
+      const TimeNs busy_before = port.total_busy();
+      const Bytes bytes_before = port.total_bytes();
+      std::string error;
+      try {
+        port.load(*handle, tag);
+      } catch (const Error& e) {
+        error = e.what();
+      }
+      std::size_t committed = 0;
+      while (committed < expected.size() && expected[committed].end <= cut) ++committed;
+      const std::string what = tag + " committed " + std::to_string(committed);
+      ASSERT_EQ(error, strprintf("ConfigPort: load of '%s' aborted after %zu of %zu bytes "
+                                 "(%zu frames committed)",
+                                 tag.c_str(), cut, size, committed))
+          << what;
+      ASSERT_EQ(mem.frames_written() - written_before, static_cast<int>(committed)) << what;
+      for (std::size_t f = 0; f < expected.size(); ++f) {
+        ASSERT_EQ(mem.frame_owner(expected[f].addr) == tag, f < committed)
+            << what << " frame " << f;
+        if (f + 1 == committed) {
+          const auto data = mem.read_frame(expected[f].addr);
+          ASSERT_TRUE(std::equal(data.begin(), data.end(), expected[f].data.begin(),
+                                 expected[f].data.end()))
+              << what;
+        }
+      }
+      ASSERT_EQ(port.loads(), static_cast<int>(keep)) << what;
+      ASSERT_EQ(port.aborted_loads(), static_cast<int>(keep)) << what;
+      ASSERT_EQ(port.total_bytes() - bytes_before, cut) << what;
+      ASSERT_EQ(port.total_busy() - busy_before, port.transfer_time(cut)) << what;
+      most_committed = std::max(most_committed, committed);
+    }
+    // Only the DESYNC word is left out of the longest cut.
+    EXPECT_EQ(most_committed, expected.size()) << name;
+  }
+  EXPECT_GE(streams.size(), 3u);
 }
 
 TEST(ValidatedStream, OnlyAFullParseMakesOne) {
@@ -600,7 +672,7 @@ TEST(ValidatedStream, PortRejectsAHandleOfAnotherDevice) {
 TEST(ValidatedStream, MfwrAfterAnEmptyBurstRepeatsAZeroFrame) {
   // Packet headers are outside the CRC, so an empty FDRI burst spliced in
   // before an MFWR still validates; the MFWR then repeats a zero frame
-  // that lives in the parser, not in the stream. The handle keeps its own.
+  // that is in no packet of the stream. The handle keeps its own.
   const DeviceModel d = xc2v2000();
   const FrameMap map(d);
   const auto frames = map.clb_column_frames(4);
@@ -611,23 +683,21 @@ TEST(ValidatedStream, MfwrAfterAnEmptyBurstRepeatsAZeroFrame) {
   const std::uint8_t empty_burst[] = {0x28, 0x00, 0x40, 0x00, 0x48, 0x00, 0x00, 0x00};
   stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(at), std::begin(empty_burst),
                 std::end(empty_burst));
-  RecordingSink parsed;
-  BitstreamReader(d, parsed).parse(stream);
-  ASSERT_EQ(parsed.writes.size(), 2u);
-  EXPECT_EQ(parsed.writes[1].second, frame_data(d, 0));
   const auto handle = ValidatedStream::parse(d, stream);
-  RecordingSink replayed;
-  handle->replay(replayed);
-  EXPECT_EQ(replayed.writes, parsed.writes);
+  const std::vector<Write> writes = writes_of(*handle);
+  ASSERT_EQ(writes.size(), 2u);
+  EXPECT_EQ(writes[0].data, frame_data(d, 0x5a));
+  EXPECT_EQ(writes[1].data, frame_data(d, 0));
+  EXPECT_EQ(writes, packet_writes(*handle));
 }
 
 TEST(ValidatedStream, SeededMutantsThrowOrReplayTheRawParse) {
   // A fixed corpus of mutants of the case-study partials and blank streams
   // (the full-device stream is left out to keep the run short) — bit
-  // flips, word swaps, truncations and insertions. Each must either fail with a
-  // pdr::Error both ways, or give a handle whose views replay exactly the
-  // raw parse's frame writes. Headers, pad words and repeated words lie
-  // outside the CRC, so some mutants do validate.
+  // flips, word swaps, truncations and insertions. Each must either fail
+  // with a pdr::Error, or give a handle whose views are exactly the frame
+  // writes its packet list describes. Headers, pad words and repeated
+  // words lie outside the CRC, so some mutants do validate.
   const DeviceModel& d = mccdma::shared_case_study().bundle.device;
   const auto corpus = case_study_streams();
   Rng rng(0xb175);
@@ -687,31 +757,15 @@ TEST(ValidatedStream, SeededMutantsThrowOrReplayTheRawParse) {
     }
     const std::string what = strprintf("mutant %d (%s of %s)", m, kind.c_str(), name.c_str());
 
-    RecordingSink parsed;
-    std::string raw_error;
-    ParseResult raw;
-    try {
-      raw = BitstreamReader(d, parsed).parse(bytes);
-    } catch (const Error& e) {
-      raw_error = e.what();
-    }
     std::shared_ptr<const ValidatedStream> handle;
-    std::string handle_error;
     try {
       handle = ValidatedStream::parse(d, bytes);
-    } catch (const Error& e) {
-      handle_error = e.what();
-    }
-    ASSERT_EQ(handle_error, raw_error) << what;
-    if (!raw_error.empty()) {
+    } catch (const Error&) {
       ++rejected;
       continue;
     }
     ++accepted;
-    RecordingSink replayed;
-    handle->replay(replayed);
-    ASSERT_EQ(replayed.writes, parsed.writes) << what;
-    ASSERT_EQ(handle->result().frames_written, raw.frames_written) << what;
+    ASSERT_EQ(writes_of(*handle), packet_writes(*handle)) << what;
   }
   // The corpus exercises both outcomes.
   EXPECT_GT(accepted, 0);

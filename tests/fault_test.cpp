@@ -320,7 +320,7 @@ TEST(SelfHealing, RecoveryDisabledStillThrows) {
     EXPECT_EQ(s.fallbacks, 0) << mode;
   };
   const std::string crc_message =
-      "BitstreamReader: CRC mismatch: stream 0x26d3bd6d, computed 0x468a7653";
+      "ValidatedStream: CRC mismatch: stream 0x26d3bd6d, computed 0x468a7653";
   expect_throw(
       "crc reject",
       [](rtr::BitstreamStore& store, rtr::ReconfigManager&) { store.corrupt("qam16", 100); },
@@ -337,7 +337,9 @@ TEST(SelfHealing, RecoveryDisabledStillThrows) {
         // A valid stream covering half the region leaves foreign frames.
         auto frames = bundle.floorplan.region_frames("D1");
         frames.resize(frames.size() / 2);
-        store.add("qam16", synth::generate_uniform_bitstream(bundle.device, frames, 0));
+        store.add("qam16", fabric::ValidatedStream::parse(
+                               bundle.device,
+                               synth::generate_uniform_bitstream(bundle.device, frames, 0)));
       },
       "ReconfigManager: after loading 'qam16', region 'D1' frames are not all owned by it");
 
@@ -356,7 +358,7 @@ TEST(SelfHealing, RecoveryDisabledStillThrows) {
     EXPECT_EQ(manager.stats().crc_rejects, 0);
   }
 
-  // Recovery on: a stream the builder rejects never counts as a build, and
+  // Recovery on: a stream whose parse fails never counts as a build, and
   // the fetch hook corrupts a private copy — the stored image is untouched.
   {
     rtr::BitstreamStore store(100e6, 0);
@@ -387,12 +389,12 @@ TEST(SelfHealing, RecoveryDisabledStillThrows) {
 }
 
 TEST(SelfHealing, StoreDamageAfterACleanLoadIsStillRejected) {
-  // The builder's check is skipped only for bytes it already accepted: a
-  // clean load of qam16, then damage to its stored image, must still be
+  // The parse is skipped only for the store's intact handle: a clean load
+  // of qam16, then damage to its stored image, must still be
   // caught before the port, and a repair must make it loadable again.
   const synth::DesignBundle bundle = test_bundle();
   const std::string crc_message =
-      "BitstreamReader: CRC mismatch: stream 0x26d3bd6d, computed 0x468a7653";
+      "ValidatedStream: CRC mismatch: stream 0x26d3bd6d, computed 0x468a7653";
   for (const bool recovery : {true, false}) {
     SCOPED_TRACE(recovery ? "recovery on" : "recovery off");
     rtr::BitstreamStore store(100e6, 0);
@@ -466,9 +468,8 @@ TEST(SelfHealing, StoreDamageNeverReachesTheSharedHandle) {
 TEST(SelfHealing, FetchHookCopiesOnlyWhenItCorrupts) {
   // The hook sees the store's own bytes, not a copy. When it declines, the
   // load streams those bytes and ignores whatever `corrupted` holds. When
-  // it corrupts a module whose stored image the builder already accepted,
-  // the copy still gets the builder's full check: a CrcReject, and the
-  // port never sees it.
+  // it corrupts a module whose stored image already has a handle, the
+  // copy is parsed in full: a CrcReject, and the port never sees it.
   const synth::DesignBundle bundle = test_bundle();
   rtr::BitstreamStore store(100e6, 0);
   rtr::NonePrefetch policy;

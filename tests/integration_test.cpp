@@ -132,7 +132,9 @@ TEST(Integration, ManagerLoadsMatchFloorplanFrames) {
   fabric::ConfigMemory mem(cs.bundle.device);
   fabric::ConfigPort port(fabric::PortKind::Icap,
                           fabric::ConfigPort::default_timing(fabric::PortKind::Icap), mem);
-  port.load(cs.bundle.variant("D1", "qpsk").bitstream, "qpsk");
+  port.load(*fabric::ValidatedStream::parse(cs.bundle.device,
+                                            cs.bundle.variant("D1", "qpsk").bitstream),
+            "qpsk");
   EXPECT_TRUE(mem.region_owned_by(frames, "qpsk"));
 }
 

@@ -43,7 +43,7 @@ TEST_P(BitstreamFuzzTest, AnySingleBitFlipIsDetected) {
     const auto byte = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(stream.size()) - 1));
     corrupted[byte] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
-    EXPECT_THROW(fabric::BitstreamReader::validate(device, corrupted), pdr::Error)
+    EXPECT_THROW(fabric::ValidatedStream::parse(device, corrupted), pdr::Error)
         << "flip at byte " << byte << " went undetected";
   }
 }
@@ -58,7 +58,7 @@ TEST(BitstreamFuzz, TruncationAtEveryWordBoundaryDetected) {
   for (std::size_t keep = 4; keep < stream.size(); keep += 616) {
     std::vector<std::uint8_t> cut(stream.begin(),
                                   stream.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_THROW(fabric::BitstreamReader::validate(device, cut), pdr::Error) << keep;
+    EXPECT_THROW(fabric::ValidatedStream::parse(device, cut), pdr::Error) << keep;
   }
 }
 

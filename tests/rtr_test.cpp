@@ -25,25 +25,38 @@ synth::DesignBundle test_bundle() {
 
 // --- store -----------------------------------------------------------------------
 
+/// A validated stream of the first `n` frames of CLB column 3.
+std::shared_ptr<const fabric::ValidatedStream> column_stream(std::size_t n) {
+  const fabric::DeviceModel device = fabric::xc2v2000();
+  auto frames = fabric::FrameMap(device).clb_column_frames(3);
+  frames.resize(n);
+  return fabric::ValidatedStream::parse(device,
+                                        synth::generate_partial_bitstream(device, frames, 5));
+}
+
 TEST(BitstreamStore, AddGetFetchTime) {
   BitstreamStore store(1e6, 1000);  // 1 MB/s, 1 us latency
-  store.add("m", std::vector<std::uint8_t>(1000, 0xaa));
+  const auto stream = column_stream(1);
+  const Bytes size = stream->bytes().size();
+  store.add("m", stream);
   EXPECT_TRUE(store.contains("m"));
   EXPECT_FALSE(store.contains("x"));
-  EXPECT_EQ(store.size_of("m"), 1000u);
-  EXPECT_EQ(store.fetch_time("m"), 1000 + 1'000'000);  // 1 ms stream + latency
+  EXPECT_EQ(store.size_of("m"), size);
+  EXPECT_EQ(store.fetch_time("m"), 1000 + static_cast<TimeNs>(size) * 1000);  // 1 us per byte
   EXPECT_EQ(store.count(), 1u);
-  EXPECT_EQ(store.total_bytes(), 1000u);
+  EXPECT_EQ(store.total_bytes(), size);
 }
 
 TEST(BitstreamStore, ReplaceAndErrors) {
   BitstreamStore store(1e6, 0);
-  store.add("m", std::vector<std::uint8_t>(10, 1));
-  store.add("m", std::vector<std::uint8_t>(20, 2));
-  EXPECT_EQ(store.size_of("m"), 20u);
+  store.add("m", column_stream(1));
+  const auto replacement = column_stream(2);
+  store.add("m", replacement);
+  EXPECT_EQ(store.validated("m"), replacement);
+  EXPECT_EQ(store.size_of("m"), replacement->bytes().size());
   EXPECT_THROW(store.get("ghost"), pdr::Error);
-  EXPECT_THROW(store.add("", std::vector<std::uint8_t>(1)), pdr::Error);
-  EXPECT_THROW(store.add("e", std::vector<std::uint8_t>{}), pdr::Error);
+  EXPECT_THROW(store.add("", replacement), pdr::Error);
+  EXPECT_THROW(store.add("e", nullptr), pdr::Error);
   EXPECT_THROW(BitstreamStore(0.0, 0), pdr::Error);
 }
 
@@ -73,10 +86,6 @@ TEST(BitstreamStore, SharesTheHandleAndDamagesOnlyAPrivateCopy) {
   store.repair("qam16");
   EXPECT_EQ(store.repairs(), 1);
   EXPECT_EQ(store.validated("qam16"), artifact.stream);
-
-  // Unchecked bytes never carry a handle.
-  store.add("raw", artifact.bitstream);
-  EXPECT_EQ(store.validated("raw"), nullptr);
   EXPECT_THROW(store.add("none", std::shared_ptr<const fabric::ValidatedStream>()), pdr::Error);
 }
 
@@ -246,21 +255,13 @@ TEST(Prefetch, FactoryMatchesChoice) {
 
 TEST(ProtocolBuilder, ValidatesAndTimes) {
   const synth::DesignBundle bundle = test_bundle();
-  const auto& stream = bundle.variant("D1", "qpsk").bitstream;
+  const auto stream =
+      fabric::ValidatedStream::parse(bundle.device, bundle.variant("D1", "qpsk").bitstream);
+  EXPECT_FALSE(stream->frames().empty());
   ProtocolBuilder fpga_builder(aaa::Placement::Fpga, 40e6, 1e9);
-  const BuildResult r = fpga_builder.build(bundle.device, stream);
-  EXPECT_GT(r.frames, 0);
-
   ProtocolBuilder cpu_builder(aaa::Placement::Cpu, 40e6, 1e9);
-  EXPECT_GT(cpu_builder.build(bundle.device, stream).build_time, r.build_time);
-}
-
-TEST(ProtocolBuilder, RejectsCorruptedMemory) {
-  const synth::DesignBundle bundle = test_bundle();
-  auto stream = bundle.variant("D1", "qpsk").bitstream;
-  stream[stream.size() / 2] ^= 0x10;
-  ProtocolBuilder builder(aaa::Placement::Fpga, 40e6, 1e9);
-  EXPECT_THROW(builder.build(bundle.device, stream), pdr::Error);
+  EXPECT_GT(fpga_builder.record(*stream), 0);
+  EXPECT_GT(cpu_builder.record(*stream), fpga_builder.record(*stream));
 }
 
 // --- manager ---------------------------------------------------------------------------
@@ -276,6 +277,32 @@ struct ManagerFixture {
     manager = std::make_unique<ReconfigManager>(bundle, config, store, policy);
   }
 };
+
+TEST(ProtocolBuilder, RejectsCorruptedMemory) {
+  // A corrupted image in external memory never reaches the port: the
+  // parse that would make its handle throws, so the manager counts a CRC
+  // reject and no build of it.
+  ManagerConfig config;
+  config.recovery.enabled = true;
+  config.recovery.max_retries = 0;
+  ManagerFixture f(config);
+  obs::Recorder recorder;
+  f.manager->set_sinks(obs::Sinks(recorder));
+  f.manager->request("D1", "qpsk", 0);
+  f.store.corrupt("qam16", f.store.size_of("qam16") / 2, 0x10);
+  f.manager->request("D1", "qam16", f.manager->port_free_at());
+
+  const ManagerStats& s = f.manager->stats();
+  EXPECT_EQ(s.crc_rejects, 1);
+  EXPECT_EQ(s.load_failures, 1);
+  EXPECT_EQ(s.port_aborts, 0);
+  EXPECT_EQ(recorder.metrics.counter("rtr.manager.crc_rejects").value(), 1.0);
+  // Every build went through the port: qpsk and the fallback's blank.
+  EXPECT_EQ(recorder.metrics.counter("rtr.builder.builds").value(), 2.0);
+  EXPECT_EQ(f.manager->port().loads(), 2);
+  const auto frames = f.bundle.floorplan.region_frames("D1");
+  for (const auto& addr : frames) EXPECT_NE(f.manager->memory().frame_owner(addr), "qam16");
+}
 
 TEST(Manager, RegistersVariantBitstreams) {
   ManagerFixture f;

@@ -212,8 +212,8 @@ TEST(Flow, EndToEndBundleInvariants) {
 
   // Bitstreams validate against the device.
   for (const auto& v : variants)
-    EXPECT_NO_THROW(fabric::BitstreamReader::validate(bundle.device, v.bitstream));
-  EXPECT_NO_THROW(fabric::BitstreamReader::validate(bundle.device, bundle.initial_bitstream));
+    EXPECT_NO_THROW(fabric::ValidatedStream::parse(bundle.device, v.bitstream));
+  EXPECT_NO_THROW(fabric::ValidatedStream::parse(bundle.device, bundle.initial_bitstream));
 
   // Report is filled.
   EXPECT_EQ(bundle.report.modules, 4);

@@ -256,10 +256,11 @@ int cmd_inspect(int argc, char** argv) {
   const fabric::DeviceModel device = fabric::device_by_name(*device_name);
 
   const std::string blob = read_file(args.positional(0));
-  const std::vector<std::uint8_t> stream(blob.begin(), blob.end());
-  std::puts(fabric::describe_bitstream(device, stream).c_str());
+  const auto stream = fabric::ValidatedStream::parse(
+      device, std::span(reinterpret_cast<const std::uint8_t*>(blob.data()), blob.size()));
+  std::puts(fabric::describe_bitstream(*stream).c_str());
 
-  const auto actions = fabric::decode_packets(device, stream);
+  const auto actions = fabric::decode_packets(*stream);
   Table t({"packet", "register", "payload words", "detail"});
   int i = 0;
   for (const auto& a : actions) {
