@@ -1,7 +1,5 @@
 #include "fabric/bitstream.hpp"
 
-#include <optional>
-
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -107,151 +105,181 @@ void BitstreamWriter::end() {
 
 namespace {
 
-/// The parser: checks `stream` whole against `device` and returns its
+/// Where the listing run of the parser puts the frame writes: the
+/// handle's frame list, and its zero frame for an MFWR after an empty
+/// FDRI burst.
+struct Listing {
+  std::vector<ValidatedStream::Frame>& frames;
+  std::vector<std::uint8_t>& zero_frame;
+};
+
+// Returns the failure message of a rejected stream from read_frames.
+#define PDR_EXPECT(cond, ...)                                                  \
+  do {                                                                         \
+    if (!(cond)) return strprintf("ValidatedStream: " __VA_ARGS__);            \
+  } while (false)
+
+/// The parser. Checks `stream` whole against `device` and returns the
+/// failure message, or "" when it passes, with the number of frame writes
+/// in `frame_count`. Run again with a `listing` over a stream that passed
+/// (nothing can fail then, so the CRC is not summed twice), it lists the
 /// frame writes in order, each a view into `stream` or, for an MFWR after
-/// an empty FDRI burst, into `zero_frame`.
-std::vector<ValidatedStream::Frame> read_frames(const DeviceModel& device,
-                                                std::span<const std::uint8_t> stream,
-                                                std::vector<std::uint8_t>& zero_frame) {
-  PDR_CHECK(stream.size() % 4 == 0, "ValidatedStream", "stream is not word aligned");
+/// an empty FDRI burst, into the listing's zero frame. A frame's index is
+/// the FAR's, advanced by one per frame of a burst.
+std::string read_frames(const DeviceModel& device, std::span<const std::uint8_t> stream,
+                        std::size_t& frame_count, const Listing* listing) {
+  PDR_EXPECT(stream.size() % 4 == 0, "stream is not word aligned");
   const std::size_t total_words = stream.size() / 4;
 
   // Hunt for the sync word over leading dummy padding.
   std::size_t w = 0;
   while (w < total_words && word_at(stream, w) != kSyncWord) {
-    PDR_CHECK(word_at(stream, w) == kDummyWord, "ValidatedStream",
-              "garbage before sync word at word " + std::to_string(w));
+    PDR_EXPECT(word_at(stream, w) == kDummyWord, "garbage before sync word at word %zu", w);
     ++w;
   }
-  PDR_CHECK(w < total_words, "ValidatedStream", "no sync word found");
+  PDR_EXPECT(w < total_words, "no sync word found");
   ++w;  // consume sync
 
   const FrameMap map(device);
-  std::vector<ValidatedStream::Frame> frames;
+  const auto total_frames = static_cast<std::size_t>(device.total_frames());
   dsp::Crc32 crc;
-  std::optional<FrameAddress> far;
+  bool have_far = false;
+  int index = 0;  ///< the FAR's linear frame index
   bool idcode_checked = false;
   bool crc_checked = false;
   const auto frame_words = static_cast<std::size_t>(device.frame_words());
   const auto frame_bytes = static_cast<std::size_t>(device.frame_bytes());
+  bool have_last_frame = false;
   std::span<const std::uint8_t> last_frame;  ///< most recent FDRI frame, for MFWR
+  frame_count = 0;
 
   while (w < total_words) {
     const std::uint32_t header = word_at(stream, w++);
-    PDR_CHECK((header >> 29) == 0b001u, "ValidatedStream",
-              "expected type-1 packet header at word " + std::to_string(w - 1));
-    PDR_CHECK(((header >> 27) & 0x3u) == 0b01u, "ValidatedStream", "only write packets are supported");
+    PDR_EXPECT((header >> 29) == 0b001u, "expected type-1 packet header at word %zu", w - 1);
+    PDR_EXPECT(((header >> 27) & 0x3u) == 0b01u, "only write packets are supported");
     const auto reg = static_cast<ConfigReg>((header >> 13) & 0x3fffu);
     std::size_t count = header & kType1CountMask;
     if (reg == ConfigReg::Fdri) {
-      PDR_CHECK(count == 0, "ValidatedStream", "FDRI type-1 header must carry count 0");
-      PDR_CHECK(w < total_words, "ValidatedStream", "truncated FDRI type-2 header");
+      PDR_EXPECT(count == 0, "FDRI type-1 header must carry count 0");
+      PDR_EXPECT(w < total_words, "truncated FDRI type-2 header");
       const std::uint32_t t2 = word_at(stream, w++);
-      PDR_CHECK((t2 >> 29) == 0b010u, "ValidatedStream", "expected type-2 header after FDRI");
+      PDR_EXPECT((t2 >> 29) == 0b010u, "expected type-2 header after FDRI");
       count = t2 & kType2CountMask;
     }
-    PDR_CHECK(w + count <= total_words, "ValidatedStream", "packet payload runs past end of stream");
+    PDR_EXPECT(w + count <= total_words, "packet payload runs past end of stream");
 
     switch (reg) {
       case ConfigReg::Idcode: {
-        PDR_CHECK(count == 1, "ValidatedStream", "IDCODE packet must have 1 word");
+        PDR_EXPECT(count == 1, "IDCODE packet must have 1 word");
         const std::uint32_t id = word_at(stream, w++);
-        PDR_CHECK(id == device.idcode, "ValidatedStream",
-                  strprintf("IDCODE mismatch: stream 0x%08x, device %s has 0x%08x", id,
-                            device.name.c_str(), device.idcode));
+        PDR_EXPECT(id == device.idcode, "IDCODE mismatch: stream 0x%08x, device %s has 0x%08x", id,
+                   device.name.c_str(), device.idcode);
         idcode_checked = true;
         break;
       }
       case ConfigReg::Far: {
-        PDR_CHECK(count == 1, "ValidatedStream", "FAR packet must have 1 word");
-        crc.update(stream.subspan(w * 4, 4));
-        far = FrameAddress::decode(word_at(stream, w++));
-        PDR_CHECK(map.valid(*far), "ValidatedStream",
-                  "FAR " + far->to_string() + " not on device " + device.name);
+        PDR_EXPECT(count == 1, "FAR packet must have 1 word");
+        if (listing == nullptr) crc.update(stream.subspan(w * 4, 4));
+        const std::uint32_t word = word_at(stream, w++);
+        PDR_EXPECT(((word >> 24) & 0x3u) <= 2, "unknown block type in FAR 0x%08x", word);
+        const FrameAddress far = FrameAddress::decode(word);
+        PDR_EXPECT(map.valid(far), "FAR %s not on device %s", far.to_string().c_str(),
+                   device.name.c_str());
+        index = map.linear_index(far);
+        have_far = true;
         break;
       }
       case ConfigReg::Fdri: {
-        PDR_CHECK(idcode_checked, "ValidatedStream", "FDRI before IDCODE check");
-        PDR_CHECK(far.has_value(), "ValidatedStream", "FDRI with no FAR set");
-        PDR_CHECK(count % frame_words == 0, "ValidatedStream",
-                  "FDRI word count is not a whole number of frames");
+        PDR_EXPECT(idcode_checked, "FDRI before IDCODE check");
+        PDR_EXPECT(have_far, "FDRI with no FAR set");
+        PDR_EXPECT(count % frame_words == 0, "FDRI word count is not a whole number of frames");
         const std::size_t n_frames = count / frame_words;
+        PDR_EXPECT(static_cast<std::size_t>(index) + n_frames <= total_frames,
+                   "FDRI burst runs past the last frame of device %s", device.name.c_str());
         // The burst's bytes are the frames' bytes in order: CRC it as one
         // span and view each frame in the stream, no copy.
         const auto burst = stream.subspan(w * 4, count * 4);
         w += count;
-        crc.update(burst);
+        if (listing == nullptr) crc.update(burst);
         for (std::size_t f = 0; f < n_frames; ++f) {
-          frames.push_back({*far, burst.subspan(f * frame_bytes, frame_bytes), w * 4});
-          if (f + 1 < n_frames) far = map.next(*far);
+          if (listing != nullptr)
+            listing->frames.push_back({index, burst.subspan(f * frame_bytes, frame_bytes), w * 4});
+          if (f + 1 < n_frames) ++index;
         }
+        frame_count += n_frames;
         if (n_frames > 0) {
           last_frame = burst.last(frame_bytes);
-        } else {
-          zero_frame.assign(frame_bytes, 0);
-          last_frame = zero_frame;
+        } else if (listing != nullptr) {
+          listing->zero_frame.assign(frame_bytes, 0);
+          last_frame = listing->zero_frame;
         }
+        have_last_frame = true;
         break;
       }
       case ConfigReg::Mfwr: {
-        PDR_CHECK(count == 2, "ValidatedStream", "MFWR packet must have 2 words");
-        PDR_CHECK(!last_frame.empty(), "ValidatedStream", "MFWR with no preceding FDRI frame");
-        PDR_CHECK(far.has_value(), "ValidatedStream", "MFWR with no FAR set");
-        crc.update(stream.subspan(w * 4, 8));
+        PDR_EXPECT(count == 2, "MFWR packet must have 2 words");
+        PDR_EXPECT(have_last_frame, "MFWR with no preceding FDRI frame");
+        PDR_EXPECT(have_far, "MFWR with no FAR set");
+        if (listing == nullptr) crc.update(stream.subspan(w * 4, 8));
         w += 2;
-        frames.push_back({*far, last_frame, w * 4});
+        if (listing != nullptr)
+          listing->frames.push_back({index, last_frame, w * 4});
+        ++frame_count;
         break;
       }
       case ConfigReg::Crc: {
-        PDR_CHECK(count == 1, "ValidatedStream", "CRC packet must have 1 word");
+        PDR_EXPECT(count == 1, "CRC packet must have 1 word");
         const std::uint32_t expect = word_at(stream, w++);
-        PDR_CHECK(expect == crc.value(), "ValidatedStream",
-                  strprintf("CRC mismatch: stream 0x%08x, computed 0x%08x", expect, crc.value()));
+        PDR_EXPECT(listing != nullptr || expect == crc.value(),
+                   "CRC mismatch: stream 0x%08x, computed 0x%08x", expect, crc.value());
         crc_checked = true;
         break;
       }
       case ConfigReg::Cmd: {
-        PDR_CHECK(count == 1, "ValidatedStream", "CMD packet must have 1 word");
+        PDR_EXPECT(count == 1, "CMD packet must have 1 word");
         const auto cmd = static_cast<ConfigCmd>(word_at(stream, w++));
         if (cmd == ConfigCmd::Desync) {
-          PDR_CHECK(crc_checked, "ValidatedStream", "DESYNC before CRC check");
-          PDR_CHECK(w == total_words, "ValidatedStream", "trailing bytes after DESYNC");
-          return frames;
+          PDR_EXPECT(crc_checked, "DESYNC before CRC check");
+          PDR_EXPECT(w == total_words, "trailing bytes after DESYNC");
+          return {};
         }
         break;
       }
       default:
-        raise("ValidatedStream", "write to unsupported register");
+        return "ValidatedStream: write to unsupported register";
     }
   }
-  raise("ValidatedStream", "stream ended without DESYNC");
+  return "ValidatedStream: stream ended without DESYNC";
 }
+
+#undef PDR_EXPECT
 
 }  // namespace
 
 std::shared_ptr<const ValidatedStream> ValidatedStream::parse(const DeviceModel& device,
                                                               std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> zero_frame;
-  std::vector<Frame> frames = read_frames(device, bytes, zero_frame);
-  return std::shared_ptr<const ValidatedStream>(
-      new ValidatedStream(device, bytes, std::move(frames), std::move(zero_frame)));
+  std::string error;
+  auto handle = try_parse(device, bytes, error);
+  if (handle == nullptr) throw Error(std::move(error));
+  return handle;
 }
 
-ValidatedStream::ValidatedStream(const DeviceModel& device, std::span<const std::uint8_t> bytes,
-                                 std::vector<Frame> frames, std::vector<std::uint8_t> zero_frame)
-    : device_(device),
-      bytes_(bytes.begin(), bytes.end()),
-      zero_frame_(std::move(zero_frame)),
-      frames_(std::move(frames)) {
-  // The parser's views point into `bytes`: move each onto the handle's
-  // copy. A view of the zero frame already points into zero_frame_, whose
-  // buffer moved here with it.
-  for (Frame& frame : frames_) {
-    if (!zero_frame_.empty() && frame.data.data() == zero_frame_.data()) continue;
-    const auto offset = static_cast<std::size_t>(frame.data.data() - bytes.data());
-    frame.data = std::span(bytes_).subspan(offset, frame.data.size());
-  }
+std::shared_ptr<const ValidatedStream> ValidatedStream::try_parse(
+    const DeviceModel& device, std::span<const std::uint8_t> bytes, std::string& error) {
+  std::size_t frame_count = 0;
+  error = read_frames(device, bytes, frame_count, nullptr);
+  if (!error.empty()) return nullptr;
+  // The stream passed: copy it into the handle and list the frame writes
+  // as views into the copy.
+  std::shared_ptr<ValidatedStream> handle(new ValidatedStream(device, bytes));
+  handle->frames_.reserve(frame_count);
+  const Listing listing{handle->frames_, handle->zero_frame_};
+  read_frames(device, handle->bytes_, frame_count, &listing);
+  return handle;
 }
+
+ValidatedStream::ValidatedStream(const DeviceModel& device, std::span<const std::uint8_t> bytes)
+    : device_(device), bytes_(bytes.begin(), bytes.end()) {}
 
 std::vector<PacketAction> decode_packets(const ValidatedStream& stream) {
   // The handle passed the parse, so only the packet headers need decoding.

@@ -97,17 +97,18 @@ class BitstreamWriter {
 
 /// A bitstream that passed one full parse against one device: its bytes
 /// and one view per frame write in write order (an MFWR repeat gets its
-/// own view of the repeated frame). Immutable and shared by handle.
+/// own view of the repeated frame). Immutable and always shared-owned, so
+/// a configuration memory may point into it and keep it alive.
 ///
 /// The parse checks the sync word, the IDCODE against the device, word
-/// counts, frame alignment, the final CRC and the DESYNC trailer, and
-/// throws pdr::Error with a precise message on any violation. It is the
-/// only reader of frame writes, so no handle exists for bytes that failed
-/// it: whoever holds a handle may write its frames without parsing again.
-class ValidatedStream {
+/// counts, frame addresses, frame alignment, the final CRC and the DESYNC
+/// trailer. It is the only reader of frame writes, so no handle exists
+/// for bytes that failed it: whoever holds a handle may write its frames
+/// without parsing again.
+class ValidatedStream : public std::enable_shared_from_this<ValidatedStream> {
  public:
   struct Frame {
-    FrameAddress addr;
+    int index = 0;  ///< the frame's FrameMap::linear_index
     /// Into bytes(), or into the handle's copy of the zero frame that an
     /// empty FDRI burst leaves for a following MFWR.
     std::span<const std::uint8_t> data;
@@ -117,10 +118,18 @@ class ValidatedStream {
     std::size_t end = 0;
   };
 
-  /// Parses `bytes` against `device`. The bytes are copied into the
-  /// handle only once the parse succeeds; a throw copies nothing.
+  /// Parses `bytes` against `device`; throws pdr::Error with the failure
+  /// message on any violation.
   static std::shared_ptr<const ValidatedStream> parse(const DeviceModel& device,
                                                        std::span<const std::uint8_t> bytes);
+
+  /// The same parse, failing by value: null, with `error` set to the
+  /// message parse() would throw. A rejected stream allocates nothing but
+  /// that message; the bytes are copied and the frame list built only
+  /// once the whole stream, CRC included, has passed.
+  static std::shared_ptr<const ValidatedStream> try_parse(const DeviceModel& device,
+                                                           std::span<const std::uint8_t> bytes,
+                                                           std::string& error);
 
   ValidatedStream(const ValidatedStream&) = delete;
   ValidatedStream& operator=(const ValidatedStream&) = delete;
@@ -130,8 +139,7 @@ class ValidatedStream {
   const std::vector<Frame>& frames() const { return frames_; }
 
  private:
-  ValidatedStream(const DeviceModel& device, std::span<const std::uint8_t> bytes,
-                  std::vector<Frame> frames, std::vector<std::uint8_t> zero_frame);
+  ValidatedStream(const DeviceModel& device, std::span<const std::uint8_t> bytes);
 
   DeviceModel device_;
   std::vector<std::uint8_t> bytes_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace pdr::fabric {
 
@@ -42,51 +41,34 @@ double ConfigPort::bandwidth_bytes_per_s() const {
   return timing_.clock_hz * static_cast<double>(timing_.width_bits) / 8.0;
 }
 
-void ConfigPort::abort_load(const ValidatedStream& stream, const std::string& module_tag,
-                            double fraction) {
-  // Cut on a word boundary strictly inside the stream: at least one word
-  // goes through (the port accepted the sync sequence before dying), and
-  // the DESYNC word never arrives.
-  const std::size_t size = stream.bytes().size();
-  const std::size_t words = size / 4;
-  const std::size_t cut =
-      4 * std::clamp<std::size_t>(static_cast<std::size_t>(fraction * static_cast<double>(words)),
-                                  1, words - 1);
-
-  memory_.set_writer_tag(module_tag);
-  int committed = 0;
-  for (const ValidatedStream::Frame& frame : stream.frames()) {
-    if (frame.end > cut) break;
-    memory_.write_frame(frame.addr, frame.data);
-    ++committed;
-  }
-
-  ++loads_;
-  ++aborted_loads_;
-  total_busy_ += transfer_time(cut);
-  total_bytes_ += cut;
-  raise("ConfigPort", strprintf("load of '%s' aborted after %zu of %zu bytes (%d frames committed)",
-                                module_tag.c_str(), cut, size, committed));
-}
-
 LoadReport ConfigPort::load(const ValidatedStream& stream, const std::string& module_tag) {
-  PDR_CHECK(stream.device() == memory_.device(), "ConfigPort",
-            strprintf("stream was validated for device %s, not %s", stream.device().name.c_str(),
-                      memory_.device().name.c_str()));
   const std::size_t size = stream.bytes().size();
+  const std::span<const ValidatedStream::Frame> frames = stream.frames();
+  LoadReport report;
+  report.stream_bytes = size;
+  report.frames_written = static_cast<int>(frames.size());
   if (fault_hook_) {
     const double fraction = fault_hook_(size, module_tag);
-    if (fraction > 0.0 && fraction < 1.0 && size / 4 > 1) abort_load(stream, module_tag, fraction);
+    const std::size_t words = size / 4;
+    if (fraction > 0.0 && fraction < 1.0 && words > 1) {
+      // Cut on a word boundary strictly inside the stream: at least one
+      // word goes through (the port accepted the sync sequence before
+      // dying), and the DESYNC word never arrives.
+      const std::size_t cut =
+          4 * std::clamp<std::size_t>(
+                  static_cast<std::size_t>(fraction * static_cast<double>(words)), 1, words - 1);
+      const auto delivered = std::ranges::partition_point(
+          frames, [cut](const ValidatedStream::Frame& frame) { return frame.end <= cut; });
+      report.stream_bytes = cut;
+      report.frames_written = static_cast<int>(delivered - frames.begin());
+      report.aborted = true;
+    }
   }
-  memory_.set_writer_tag(module_tag);
-  for (const ValidatedStream::Frame& frame : stream.frames())
-    memory_.write_frame(frame.addr, frame.data);
+  memory_.write_frames(stream, static_cast<std::size_t>(report.frames_written), module_tag);
 
-  LoadReport report;
-  report.frames_written = static_cast<int>(stream.frames().size());
-  report.stream_bytes = size;
-  report.duration = transfer_time(size);
+  report.duration = transfer_time(report.stream_bytes);
   ++loads_;
+  if (report.aborted) ++aborted_loads_;
   total_busy_ += report.duration;
   total_bytes_ += report.stream_bytes;
   return report;

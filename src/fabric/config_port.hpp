@@ -15,7 +15,10 @@
 //
 // A port takes only a ValidatedStream: the stream passed its check (sync,
 // IDCODE, framing, CRC) once when the handle was made, so the port writes
-// the handle's frames with no second parse.
+// the handle's frames with no second parse, each as a pointer store into
+// the configuration memory (no frame bytes are copied). A load the fault
+// hook cuts short is not an error but a returned LoadReport with
+// `aborted` set and the frames it committed.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +42,12 @@ struct PortTiming {
   TimeNs setup_overhead = 0;   ///< fixed per-load overhead (sync, startup)
 };
 
-/// Summary of one completed load.
+/// Summary of one load, whole or cut short by the fault hook.
 struct LoadReport {
-  Bytes stream_bytes = 0;
-  int frames_written = 0;
-  TimeNs duration = 0;
+  Bytes stream_bytes = 0;  ///< bytes through the port: all, or those before the cut
+  int frames_written = 0;  ///< frames committed
+  TimeNs duration = 0;     ///< port busy time for stream_bytes
+  bool aborted = false;    ///< the fault hook cut the transfer
 };
 
 class ConfigPort {
@@ -65,15 +69,17 @@ class ConfigPort {
   double bandwidth_bytes_per_s() const;
 
   /// Writes a validated stream's frames, tagging them with `module_tag`,
-  /// and accounts the transfer. Throws pdr::Error if the handle was
-  /// validated for another device, or when the fault hook cuts the load.
+  /// and accounts the transfer. Throws pdr::Error only if the handle was
+  /// validated for another device (the memory's check, before any
+  /// accounting); a cut load returns `aborted`.
   LoadReport load(const ValidatedStream& stream, const std::string& module_tag);
 
   /// Fault hook consulted at the start of every load: return a value in
-  /// (0, 1) to cut the transfer after that fraction of the stream's words
-  /// (the frames delivered before the cut stay written — real hardware
-  /// after a dropped port clock — and load() throws pdr::Error); any
-  /// other value lets the load proceed normally.
+  /// (0, 1) to cut the transfer after that fraction of the stream's words,
+  /// on a word boundary strictly inside the stream. The frames whose
+  /// packet ends inside the cut stay written — real hardware after a
+  /// dropped port clock — the rest never arrive, and load() reports
+  /// `aborted`. Any other value lets the load proceed normally.
   using FaultHook = std::function<double(Bytes stream_bytes, const std::string& module_tag)>;
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
@@ -84,12 +90,6 @@ class ConfigPort {
   Bytes total_bytes() const { return total_bytes_; }
 
  private:
-  /// Feeds only `fraction` of the stream's words, then throws the abort
-  /// error. The frames whose packet ends inside the cut are committed, the
-  /// rest never arrive: real hardware after a dropped port clock.
-  [[noreturn]] void abort_load(const ValidatedStream& stream, const std::string& module_tag,
-                               double fraction);
-
   PortKind kind_;
   PortTiming timing_;
   ConfigMemory& memory_;

@@ -71,6 +71,10 @@ const Region& Floorplan::add_region(const std::string& name, int col_lo, int col
   }
 
   region_frames_.push_back(frames_.frames_for_clb_range(col_lo, col_hi));
+  std::vector<int>& indices = region_indices_.emplace_back();
+  indices.reserve(region_frames_.back().size());
+  for (const FrameAddress& addr : region_frames_.back())
+    indices.push_back(frames_.linear_index(addr));
   regions_.push_back(std::move(r));
   return regions_.back();
 }
@@ -104,8 +108,16 @@ std::vector<int> Floorplan::free_columns() const {
   return out;
 }
 
+std::size_t Floorplan::region_slot(const std::string& name) const {
+  return static_cast<std::size_t>(&region(name) - regions_.data());
+}
+
 const std::vector<FrameAddress>& Floorplan::region_frames(const std::string& name) const {
-  return region_frames_[static_cast<std::size_t>(&region(name) - regions_.data())];
+  return region_frames_[region_slot(name)];
+}
+
+const std::vector<int>& Floorplan::region_frame_indices(const std::string& name) const {
+  return region_indices_[region_slot(name)];
 }
 
 Bytes Floorplan::region_payload_bytes(const std::string& name) const {

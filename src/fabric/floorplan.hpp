@@ -103,6 +103,9 @@ class Floorplan {
   /// reference is valid as long as this Floorplan (a copy has its own).
   const std::vector<FrameAddress>& region_frames(const std::string& name) const;
 
+  /// The same frames by FrameMap::linear_index, built alongside.
+  const std::vector<int>& region_frame_indices(const std::string& name) const;
+
   /// Frame-data payload bytes of a partial bitstream covering the region.
   Bytes region_payload_bytes(const std::string& name) const;
 
@@ -119,11 +122,13 @@ class Floorplan {
 
  private:
   void check_overlap(int col_lo, int col_hi) const;
+  std::size_t region_slot(const std::string& name) const;
 
   DeviceModel device_;
   FrameMap frames_;
   std::vector<Region> regions_;
   std::vector<std::vector<FrameAddress>> region_frames_;  ///< parallel to regions_
+  std::vector<std::vector<int>> region_indices_;          ///< parallel to regions_
 };
 
 }  // namespace pdr::fabric

@@ -93,12 +93,6 @@ bool FrameMap::valid(const FrameAddress& addr) const {
   return addr.major < columns(addr.block) && addr.minor < frames_in_column(addr.block);
 }
 
-FrameAddress FrameMap::next(const FrameAddress& addr) const {
-  const int index = linear_index(addr) + 1;
-  PDR_CHECK(index < total_frames(), "FrameMap::next", "ran past last frame of device");
-  return from_linear(index);
-}
-
 std::vector<FrameAddress> FrameMap::clb_column_frames(int clb_col) const {
   PDR_CHECK(clb_col >= 0 && clb_col < device_.clb_cols, "FrameMap::clb_column_frames",
             "CLB column out of range");
@@ -126,10 +120,11 @@ std::vector<FrameAddress> FrameMap::frames_for_clb_range(int col_lo, int col_hi)
   PDR_CHECK(0 <= col_lo && col_lo <= col_hi && col_hi < device_.clb_cols,
             "FrameMap::frames_for_clb_range", "bad CLB column range");
   std::vector<FrameAddress> out;
-  for (int c = col_lo; c <= col_hi; ++c) {
-    const auto col = clb_column_frames(c);
-    out.insert(out.end(), col.begin(), col.end());
-  }
+  out.reserve(static_cast<std::size_t>((col_hi - col_lo + 1) * device_.frames_per_clb_col));
+  for (int c = col_lo; c <= col_hi; ++c)
+    for (int minor = 0; minor < device_.frames_per_clb_col; ++minor)
+      out.push_back(FrameAddress{BlockType::Clb, static_cast<std::uint16_t>(c),
+                                 static_cast<std::uint16_t>(minor)});
   const auto brams = bram_positions();
   for (std::size_t b = 0; b < brams.size(); ++b) {
     if (brams[b] >= col_lo && brams[b] < col_hi) {

@@ -62,10 +62,6 @@ class FrameMap {
   /// True if the address names an existing frame on this device.
   bool valid(const FrameAddress& addr) const;
 
-  /// The frame that follows `addr` in linear order (used for multi-frame
-  /// FDRI writes, which auto-increment the FAR). Throws past the end.
-  FrameAddress next(const FrameAddress& addr) const;
-
   /// All frames of one CLB column (the unit reconfigurable modules occupy).
   std::vector<FrameAddress> clb_column_frames(int clb_col) const;
 

@@ -161,48 +161,57 @@ ReconfigManager::LoadFailure ReconfigManager::attempt_load(const std::string& re
   const std::span<const std::uint8_t> stored = store_.get(module);
   std::vector<std::uint8_t> corrupted;
   const bool intact = !fetch_fault_hook_ || !fetch_fault_hook_(module, stored, corrupted);
-  // Only the store's own intact image has a handle.
+  // Only the store's own intact image has a handle. A damaged or corrupted
+  // image is parsed before it ever reaches the port: a bad one is rejected
+  // while the region still holds its previous (intact) configuration.
   auto stream = intact ? store_.validated(module) : nullptr;
-  // `failure` names the stage in flight, so a throw from it classifies.
-  LoadFailure failure = LoadFailure::CrcReject;
-  try {
-    // A damaged or corrupted image is parsed before it ever reaches the
-    // port: a bad one is rejected while the region still holds its
-    // previous (intact) configuration.
-    if (stream == nullptr)
-      stream = fabric::ValidatedStream::parse(bundle_.device, intact ? stored : corrupted);
+  std::string error;
+  if (stream == nullptr)
+    stream = fabric::ValidatedStream::try_parse(bundle_.device, intact ? stored : corrupted, error);
+  LoadFailure failure = LoadFailure::None;
+  if (stream == nullptr) {
+    failure = LoadFailure::CrcReject;
+  } else {
     builder_.record(*stream);
-    failure = LoadFailure::PortAbort;  // the port dying mid-transfer
-    port_.load(*stream, module);
-    failure = LoadFailure::ReadbackMismatch;
-    if (config_.verify_loads)
-      PDR_CHECK(memory_.region_owned_by(bundle_.floorplan.region_frames(region), module),
-                "ReconfigManager",
-                "after loading '" + module + "', region '" + region +
-                    "' frames are not all owned by it");
-  } catch (const Error&) {
-    if (throw_on_failure) throw;
-    switch (failure) {
-      case LoadFailure::CrcReject:
-        ++stats_.crc_rejects;
-        sinks_.count("rtr.manager.crc_rejects");
-        break;
-      case LoadFailure::PortAbort:
-        ++stats_.port_aborts;
-        sinks_.count("rtr.manager.port_aborts");
-        break;
-      default:
-        ++stats_.readback_failures;
-        sinks_.count("rtr.manager.readback_failures");
-        break;
+    const fabric::LoadReport report = port_.load(*stream, module);
+    if (report.aborted) {
+      failure = LoadFailure::PortAbort;  // the port died mid-transfer
+      if (throw_on_failure)
+        error = strprintf("ConfigPort: load of '%s' aborted after %llu of %zu bytes (%d frames "
+                          "committed)",
+                          module.c_str(), static_cast<unsigned long long>(report.stream_bytes),
+                          stream->bytes().size(), report.frames_written);
+    } else if (config_.verify_loads &&
+               !memory_.region_owned_by(bundle_.floorplan.region_frame_indices(region), module)) {
+      failure = LoadFailure::ReadbackMismatch;
+      if (throw_on_failure)
+        error = "ReconfigManager: after loading '" + module + "', region '" + region +
+                "' frames are not all owned by it";
     }
-    ++stats_.load_failures;
-    sinks_.count("rtr.manager.load_failures");
+  }
+  if (failure == LoadFailure::None) {
+    stats_.bytes_loaded += stream->bytes().size();
+    sinks_.count("rtr.manager.bytes_loaded", static_cast<double>(stream->bytes().size()));
     return failure;
   }
-  stats_.bytes_loaded += stream->bytes().size();
-  sinks_.count("rtr.manager.bytes_loaded", static_cast<double>(stream->bytes().size()));
-  return LoadFailure::None;
+  if (throw_on_failure) throw Error(std::move(error));
+  switch (failure) {
+    case LoadFailure::CrcReject:
+      ++stats_.crc_rejects;
+      sinks_.count("rtr.manager.crc_rejects");
+      break;
+    case LoadFailure::PortAbort:
+      ++stats_.port_aborts;
+      sinks_.count("rtr.manager.port_aborts");
+      break;
+    default:
+      ++stats_.readback_failures;
+      sinks_.count("rtr.manager.readback_failures");
+      break;
+  }
+  ++stats_.load_failures;
+  sinks_.count("rtr.manager.load_failures");
+  return failure;
 }
 
 bool ReconfigManager::fallback_load(const std::string& region, const std::string& module,
@@ -538,8 +547,12 @@ int ReconfigManager::verify_resident(const std::string& region) const {
             "region '" + region + "' has no resident module");
   int corrupted = 0;
   for (const auto& frame : bundle_.variant(region, module).stream->frames()) {
-    const auto data = memory_.read_frame(frame.addr);
-    if (std::memcmp(data.data(), frame.data.data(), data.size()) != 0) ++corrupted;
+    // A frame that points at the golden view holds its bytes: handles are
+    // immutable, so only a frame pointing elsewhere needs the compare.
+    const auto data = memory_.read_frame(frame.index);
+    if (data.data() != frame.data.data() &&
+        std::memcmp(data.data(), frame.data.data(), data.size()) != 0)
+      ++corrupted;
   }
   return corrupted;
 }

@@ -205,10 +205,11 @@ class ReconfigManager {
   TimeNs blank(const std::string& region, TimeNs now);
 
   /// Readback verification: compares each frame the resident module's
-  /// stream writes (memcmp) against that frame's view in its
+  /// stream writes against that frame's view in its
   /// ModuleArtifact::stream — immutable, shared by every device, and
   /// independent of any store damage; returns the number of corrupted
-  /// frames (0 = clean). Throws if nothing is resident.
+  /// frames (0 = clean). A frame that points at that very view is clean
+  /// without a memcmp. Throws if nothing is resident.
   int verify_resident(const std::string& region) const;
 
   /// Scrubbing: rewrites the resident module's frames (full fetch+build+
@@ -246,7 +247,7 @@ class ReconfigManager {
   /// own bytes of `module`. To damage this transfer (transient bus
   /// corruption) it fills `corrupted` with the damaged copy and returns
   /// true; the load then parses that copy into a handle of its own (a
-  /// throw there is a CRC reject). Returning false leaves `corrupted`
+  /// rejected parse is a CRC reject). Returning false leaves `corrupted`
   /// untouched and the load uses the store's handle, with no copy and no
   /// parse. The hook must not keep
   /// `stored`. Permanent store damage goes through BitstreamStore::corrupt.
@@ -303,9 +304,10 @@ class ReconfigManager {
   /// The one physical load: fetch (the fault hook may swap in a corrupted
   /// copy), the CRC gate (the store's handle passed it when it was made; a
   /// damaged or corrupted image is parsed here), build, port transfer,
-  /// readback verification. A failure is rethrown as its
-  /// pdr::Error when `throw_on_failure`; otherwise it is counted
-  /// (load_failures plus its cause) and returned as a classification.
+  /// readback verification. Each stage reports its failure as a value; it
+  /// is thrown as a pdr::Error with the stage's message when
+  /// `throw_on_failure`, otherwise counted (load_failures plus its cause)
+  /// and returned as a classification.
   LoadFailure attempt_load(const std::string& region, const std::string& module,
                            bool throw_on_failure);
 

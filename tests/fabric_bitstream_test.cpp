@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstdlib>
+#include <new>
 #include <optional>
 
 #include "fabric/bitstream.hpp"
@@ -12,6 +15,29 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+
+// Counts heap allocations, so a test can show a rejected parse makes
+// only its message.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() in a replacement operator delete even though the
+// matching operator new above allocates with malloc().
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace pdr::fabric {
 namespace {
@@ -28,6 +54,26 @@ std::vector<std::uint8_t> small_stream(const DeviceModel& d) {
   w.write_fdri(frame_data(d, 0xab));
   w.end();
   return w.take();
+}
+
+/// A validated stream writing `data` (whole frames) from `first` on, in
+/// one FDRI burst.
+std::shared_ptr<const ValidatedStream> burst_stream(const DeviceModel& d, const FrameAddress& first,
+                                                    std::span<const std::uint8_t> data) {
+  BitstreamWriter w(d);
+  w.begin();
+  w.write_idcode();
+  w.write_far(first);
+  w.write_fdri(data);
+  w.end();
+  return ValidatedStream::parse(d, w.bytes());
+}
+
+/// The linear indices of `addrs`.
+std::vector<int> indices_of(const FrameMap& map, std::span<const FrameAddress> addrs) {
+  std::vector<int> out;
+  for (const FrameAddress& a : addrs) out.push_back(map.linear_index(a));
+  return out;
 }
 
 TEST(BitstreamWriter, ProducesWordAlignedStream) {
@@ -63,7 +109,7 @@ TEST(BitstreamReader, RoundTripWritesFrames) {
   const DeviceModel d = xc2v2000();
   const auto handle = ValidatedStream::parse(d, small_stream(d));
   ASSERT_EQ(handle->frames().size(), 1u);
-  const FrameAddress addr = handle->frames()[0].addr;
+  const FrameAddress addr = FrameMap(d).from_linear(handle->frames()[0].index);
   EXPECT_EQ(addr, (FrameAddress{BlockType::Clb, 2, 0}));
   ConfigMemory mem(d);
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
@@ -90,7 +136,8 @@ TEST(BitstreamReader, MultiFrameBurstAutoIncrementsFar) {
   ASSERT_EQ(handle->frames().size(), 5u);
   for (int f = 0; f < 5; ++f) {
     const ValidatedStream::Frame& frame = handle->frames()[static_cast<std::size_t>(f)];
-    EXPECT_EQ(frame.addr, (FrameAddress{BlockType::Clb, 0, static_cast<std::uint16_t>(f)}));
+    EXPECT_EQ(FrameMap(d).from_linear(frame.index),
+              (FrameAddress{BlockType::Clb, 0, static_cast<std::uint16_t>(f)}));
     EXPECT_EQ(frame.data[0], static_cast<std::uint8_t>(f));
     EXPECT_EQ(frame.end, handle->frames().back().end);  // one packet wrote them all
   }
@@ -166,18 +213,22 @@ TEST(ConfigMemory, TracksOwnership) {
   ConfigMemory mem(d);
   const FrameAddress a{BlockType::Clb, 0, 0};
   EXPECT_EQ(mem.frame_owner(a), "");
-  mem.set_writer_tag("x");
-  mem.write_frame(a, frame_data(d, 1));
+  mem.write_frames(*burst_stream(d, a, frame_data(d, 1)), 1, "x");
   EXPECT_EQ(mem.frame_owner(a), "x");
-  const FrameAddress addrs[] = {a};
-  EXPECT_TRUE(mem.region_owned_by(addrs, "x"));
-  EXPECT_FALSE(mem.region_owned_by(addrs, "y"));
+  const int indices[] = {FrameMap(d).linear_index(a)};
+  EXPECT_TRUE(mem.region_owned_by(indices, "x"));
+  EXPECT_FALSE(mem.region_owned_by(indices, "y"));
 }
 
 TEST(ConfigMemory, RejectsWrongFrameSize) {
+  // XC2V1000 frames are shorter: its streams never reach an XC2V2000
+  // memory.
+  const DeviceModel small = xc2v1000();
+  ASSERT_NE(small.frame_bytes(), xc2v2000().frame_bytes());
   ConfigMemory mem(xc2v2000());
-  std::vector<std::uint8_t> tiny(4);
-  EXPECT_THROW(mem.write_frame(FrameAddress{BlockType::Clb, 0, 0}, tiny), pdr::Error);
+  const auto stream = burst_stream(small, FrameAddress{BlockType::Clb, 0, 0}, frame_data(small, 1));
+  EXPECT_THROW(mem.write_frames(*stream, 1, "x"), pdr::Error);
+  EXPECT_EQ(mem.frames_written(), 0);
 }
 
 TEST(ConfigMemory, FlipBitBoundsChecked) {
@@ -210,22 +261,27 @@ TEST(ConfigMemory, AdjacentFramesKeepTheirOwnBytesAndUnwrittenFramesReadZero) {
   const DeviceModel d = xc2v2000();
   const FrameMap map(d);
   const FrameAddress a{BlockType::Clb, 5, 3};
-  const FrameAddress b = map.next(a);
-  const FrameAddress unwritten = map.next(b);
+  const FrameAddress b = map.from_linear(map.linear_index(a) + 1);
+  const FrameAddress unwritten = map.from_linear(map.linear_index(a) + 2);
   std::vector<std::uint8_t> pattern_a(static_cast<std::size_t>(d.frame_bytes()));
   std::vector<std::uint8_t> pattern_b(pattern_a.size());
   for (std::size_t i = 0; i < pattern_a.size(); ++i) {
     pattern_a[i] = static_cast<std::uint8_t>(i * 7 + 1);
     pattern_b[i] = static_cast<std::uint8_t>(0xff - i * 3);
   }
-  // Each round's memory may reuse the storage of the one before it, which
-  // ends with every frame written to 0xff: a never-written frame must
-  // still read, and flip, as zeros.
+  std::vector<std::uint8_t> both = pattern_a;
+  both.insert(both.end(), pattern_b.begin(), pattern_b.end());
+  const auto stream = burst_stream(d, a, both);
+  const std::vector<std::uint8_t> all_ones(
+      static_cast<std::size_t>(map.total_frames()) * pattern_a.size(), 0xff);
+  const auto ones = burst_stream(d, map.from_linear(0), all_ones);
+  // Each round's memory may reuse the heap blocks (zero frame, upset
+  // slots) of the one before it, which ends with every frame loaded as
+  // 0xff: a never-written frame must still read, and flip, as zeros.
   for (int round = 0; round < 3; ++round) {
     ConfigMemory mem(d);
     EXPECT_EQ(set_bits(mem.read_frame(a)), 0) << "round " << round;
-    mem.write_frame(a, pattern_a);
-    mem.write_frame(b, pattern_b);
+    mem.write_frames(*stream, 2, "");
     const auto read_a = mem.read_frame(a);
     EXPECT_TRUE(std::equal(read_a.begin(), read_a.end(), pattern_a.begin(), pattern_a.end()));
     const auto read_b = mem.read_frame(b);
@@ -241,8 +297,7 @@ TEST(ConfigMemory, AdjacentFramesKeepTheirOwnBytesAndUnwrittenFramesReadZero) {
     EXPECT_EQ(mem.frames_written(), 2);
     EXPECT_EQ(mem.upsets(), 1);
 
-    const auto ones = frame_data(d, 0xff);
-    for (int i = 0; i < map.total_frames(); ++i) mem.write_frame(map.from_linear(i), ones);
+    mem.write_frames(*ones, ones->frames().size(), "");
   }
 }
 
@@ -297,8 +352,8 @@ TEST(ConfigPort, LoadRejectsCorruptStream) {
 
 TEST(ConfigPort, FaultHookAbortsMidStream) {
   // A fault hook returning a fraction in (0,1) cuts the transfer there:
-  // the load throws, the complete FDRI bursts before the cut stay
-  // committed, and both the abort and its bytes are accounted. Two
+  // the load reports the abort, the complete FDRI bursts before the cut
+  // stay committed, and both the abort and its bytes are accounted. Two
   // non-adjacent columns give the stream two bursts, so a cut past the
   // midpoint lands inside the second one.
   const DeviceModel d = xc2v2000();
@@ -314,20 +369,25 @@ TEST(ConfigPort, FaultHookAbortsMidStream) {
   port.set_fault_hook([&calls](Bytes, const std::string&) {
     return ++calls == 1 ? 0.6 : -1.0;
   });
-  EXPECT_THROW(port.load(*stream, "mod"), pdr::Error);
+  const auto cut = port.load(*stream, "mod");
+  EXPECT_TRUE(cut.aborted);
   EXPECT_EQ(port.aborted_loads(), 1);
   EXPECT_EQ(port.loads(), 1);
   // Roughly half the stream went through before the cut.
   EXPECT_GT(port.total_bytes(), 0u);
   EXPECT_LT(port.total_bytes(), stream->bytes().size());
+  EXPECT_EQ(cut.stream_bytes, port.total_bytes());
+  EXPECT_EQ(cut.duration, port.total_busy());
   const int committed = mem.frames_written();
   EXPECT_GT(committed, 0);
   EXPECT_LT(committed, static_cast<int>(frames.size()));
+  EXPECT_EQ(cut.frames_written, committed);
 
   // The hook passed (-1): the retry succeeds and repairs the region.
   const auto report = port.load(*stream, "mod");
+  EXPECT_FALSE(report.aborted);
   EXPECT_EQ(report.frames_written, static_cast<int>(frames.size()));
-  EXPECT_TRUE(mem.region_owned_by(frames, "mod"));
+  EXPECT_TRUE(mem.region_owned_by(indices_of(map, frames), "mod"));
   EXPECT_EQ(port.aborted_loads(), 1);
   EXPECT_EQ(port.loads(), 2);
 }
@@ -344,7 +404,7 @@ TEST(Mfwr, UniformBitstreamLoadsAllFrames) {
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
   const auto report = port.load(*stream, "blank");
   EXPECT_EQ(report.frames_written, static_cast<int>(frames.size()));
-  EXPECT_TRUE(mem.region_owned_by(frames, "blank"));
+  EXPECT_TRUE(mem.region_owned_by(indices_of(map, frames), "blank"));
   for (const auto& f : {frames.front(), frames.back()}) {
     const auto data = mem.read_frame(f);
     for (std::size_t b = 0; b < data.size(); b += 101) EXPECT_EQ(data[b], 0x00);
@@ -419,7 +479,7 @@ TEST(Bitgen, PartialBitstreamRoundTripsThroughPort) {
   ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
   const auto report = port.load(*stream, "op_dyn");
   EXPECT_EQ(report.frames_written, static_cast<int>(frames.size()));
-  EXPECT_TRUE(mem.region_owned_by(frames, "op_dyn"));
+  EXPECT_TRUE(mem.region_owned_by(indices_of(map, frames), "op_dyn"));
 
   // Payload must match the deterministic generator.
   const auto f0 = mem.read_frame(frames[0]);
@@ -501,15 +561,17 @@ struct Write {
 
 /// The handle's frame writes, copied.
 std::vector<Write> writes_of(const ValidatedStream& stream) {
+  const FrameMap map(stream.device());
   std::vector<Write> writes;
   for (const ValidatedStream::Frame& f : stream.frames())
-    writes.push_back({f.addr, std::vector<std::uint8_t>(f.data.begin(), f.data.end()), f.end});
+    writes.push_back({map.from_linear(f.index),
+                      std::vector<std::uint8_t>(f.data.begin(), f.data.end()), f.end});
   return writes;
 }
 
 /// The frame writes the packet list describes, rebuilt from
 /// decode_packets alone: FAR sets the address, FDRI frames auto-increment
-/// through FrameMap::next, MFWR repeats the last FDRI frame (a zero frame
+/// it in linear frame order, MFWR repeats the last FDRI frame (a zero frame
 /// after an empty burst). Each packet's end offset is summed from the
 /// words before it: the pad words up to and including sync, then per
 /// packet its header (two for FDRI) and payload.
@@ -542,7 +604,7 @@ std::vector<Write> packet_writes(const ValidatedStream& stream) {
               last.push_back(static_cast<std::uint8_t>(word >> shift));
           }
           writes.push_back({far.value(), last, offset});
-          if (f + 1 < n) far = map.next(*far);
+          if (f + 1 < n) far = map.from_linear(map.linear_index(*far) + 1);
         }
         break;
       }
@@ -587,8 +649,8 @@ TEST(ValidatedStream, PortAbortCommitsThePacketsThatEndInsideTheCut) {
   // (1 to words - 1). The frames committed must be exactly those whose
   // packet ends inside the cut, by the offsets summed from decode_packets;
   // they carry this cut's tag and its bytes, every other frame of the
-  // stream keeps an earlier tag, and the port accounts one aborted load
-  // of the cut's bytes and throws the abort text.
+  // stream keeps an earlier tag, and the port reports and accounts one
+  // aborted load of the cut's bytes.
   const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
   std::vector<std::pair<std::string, std::shared_ptr<const ValidatedStream>>> streams;
   for (const auto& [region, artifacts] : bundle.dynamic_variants) {
@@ -612,19 +674,14 @@ TEST(ValidatedStream, PortAbortCommitsThePacketsThatEndInsideTheCut) {
       const int written_before = mem.frames_written();
       const TimeNs busy_before = port.total_busy();
       const Bytes bytes_before = port.total_bytes();
-      std::string error;
-      try {
-        port.load(*handle, tag);
-      } catch (const Error& e) {
-        error = e.what();
-      }
+      const LoadReport report = port.load(*handle, tag);
       std::size_t committed = 0;
       while (committed < expected.size() && expected[committed].end <= cut) ++committed;
       const std::string what = tag + " committed " + std::to_string(committed);
-      ASSERT_EQ(error, strprintf("ConfigPort: load of '%s' aborted after %zu of %zu bytes "
-                                 "(%zu frames committed)",
-                                 tag.c_str(), cut, size, committed))
-          << what;
+      ASSERT_TRUE(report.aborted) << what;
+      ASSERT_EQ(report.stream_bytes, cut) << what;
+      ASSERT_EQ(report.frames_written, static_cast<int>(committed)) << what;
+      ASSERT_EQ(report.duration, port.transfer_time(cut)) << what;
       ASSERT_EQ(mem.frames_written() - written_before, static_cast<int>(committed)) << what;
       for (std::size_t f = 0; f < expected.size(); ++f) {
         ASSERT_EQ(mem.frame_owner(expected[f].addr) == tag, f < committed)
@@ -770,6 +827,126 @@ TEST(ValidatedStream, SeededMutantsThrowOrReplayTheRawParse) {
   // The corpus exercises both outcomes.
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+TEST(ValidatedStream, ARejectedParseAllocatesOnlyItsMessage) {
+  // The parse checks the whole stream, CRC included, before it copies the
+  // bytes or lists a frame: a rejected fetch costs one string.
+  const synth::DesignBundle& bundle = mccdma::shared_case_study().bundle;
+  const synth::ModuleArtifact& artifact = bundle.dynamic_variants.begin()->second.front();
+  std::vector<std::uint8_t> bytes = artifact.bitstream;
+  bytes[bytes.size() / 2] ^= 0x04;
+  std::string error;
+  long before = g_allocations.load();
+  const auto rejected = ValidatedStream::try_parse(bundle.device, bytes, error);
+  const long rejected_allocations = g_allocations.load() - before;
+  EXPECT_EQ(rejected, nullptr);
+  EXPECT_EQ(error.rfind("ValidatedStream: CRC mismatch: ", 0), 0u) << error;
+  EXPECT_LE(rejected_allocations, 1);
+
+  before = g_allocations.load();
+  const auto accepted = ValidatedStream::try_parse(bundle.device, artifact.bitstream, error);
+  const long accepted_allocations = g_allocations.load() - before;
+  ASSERT_NE(accepted, nullptr);
+  EXPECT_TRUE(error.empty());
+  EXPECT_GE(accepted_allocations, 3);  // control block, bytes, frame list
+}
+
+// --- configuration memory over validated streams ---------------------------------
+
+TEST(ConfigMemory, AnUpsetCopiesItsFrameAndLeavesTheHandleClean) {
+  // A load points each frame into the handle; flip_bit copies the frame
+  // off it first, so the handle keeps the parsed bytes and a second
+  // memory loading it reads clean data.
+  const DeviceModel d = xc2v2000();
+  const auto bytes = synth::generate_partial_bitstream(d, FrameMap(d).clb_column_frames(7), 21);
+  const auto handle = ValidatedStream::parse(d, bytes);
+  const ValidatedStream::Frame& hit = handle->frames()[4];
+  const std::vector<std::uint8_t> parsed(hit.data.begin(), hit.data.end());
+
+  ConfigMemory first(d);
+  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), first);
+  port.load(*handle, "m");
+  EXPECT_EQ(first.read_frame(hit.index).data(), hit.data.data());  // a pointer, not a copy
+  first.flip_bit(FrameMap(d).from_linear(hit.index), 9, 6);
+  const auto flipped = first.read_frame(hit.index);
+  EXPECT_NE(flipped.data(), hit.data.data());
+  EXPECT_EQ(flipped[9], parsed[9] ^ (1u << 6));
+  EXPECT_EQ(first.frame_owner(hit.index), "m");
+  EXPECT_TRUE(std::ranges::equal(hit.data, parsed));
+  EXPECT_TRUE(std::ranges::equal(handle->bytes(), bytes));
+
+  ConfigMemory second(d);
+  ConfigPort(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), second).load(*handle, "m");
+  for (const ValidatedStream::Frame& frame : handle->frames())
+    EXPECT_TRUE(std::ranges::equal(second.read_frame(frame.index), frame.data));
+
+  // A reload points the upset frame back into the handle.
+  port.load(*handle, "m");
+  EXPECT_EQ(first.read_frame(hit.index).data(), hit.data.data());
+}
+
+TEST(ConfigMemory, AHandleIsReleasedOnceEveryFrameItBackedIsRewritten) {
+  const DeviceModel d = xc2v2000();
+  const auto column = FrameMap(d).clb_column_frames(5);
+  const std::vector<FrameAddress> lower(column.begin(), column.begin() + 10);
+  const std::vector<FrameAddress> upper(column.begin() + 10, column.end());
+  const auto parse = [&d](const std::vector<FrameAddress>& frames, std::uint64_t hash) {
+    return ValidatedStream::parse(d, synth::generate_partial_bitstream(d, frames, hash));
+  };
+  const auto whole = parse(column, 1);
+  const auto low = parse(lower, 2);
+  const auto high = parse(upper, 3);
+  const auto single = parse({column[0]}, 4);
+
+  ConfigMemory mem(d);
+  mem.write_frames(*whole, whole->frames().size(), "whole");
+  EXPECT_EQ(whole.use_count(), 2);  // the memory shares the handle
+  mem.write_frames(*whole, whole->frames().size(), "whole");
+  EXPECT_EQ(whole.use_count(), 2);  // a rewrite by the same handle keeps one hold
+  mem.write_frames(*low, low->frames().size(), "low");
+  EXPECT_EQ(whole.use_count(), 2);  // frames 10.. still point into it
+  mem.write_frames(*high, high->frames().size(), "high");
+  EXPECT_EQ(whole.use_count(), 1);
+  EXPECT_EQ(low.use_count(), 2);
+  EXPECT_EQ(high.use_count(), 2);
+
+  // An upset copies its frame off the handle: the last one lets it go.
+  mem.write_frames(*single, 1, "single");
+  EXPECT_EQ(single.use_count(), 2);
+  mem.flip_bit(column[0], 0, 0);
+  EXPECT_EQ(single.use_count(), 1);
+  EXPECT_EQ(low.use_count(), 2);  // frames 1..9 are still low's
+}
+
+TEST(ConfigMemory, IndexAndAddressPathsAgreeOnEveryFrame) {
+  // Every other frame of the device filled, one region loaded over it,
+  // one upset, and the rest never written: each frame reads the same
+  // bytes and owner by index and by address.
+  const DeviceModel d = xc2v2000();
+  const FrameMap map(d);
+  ConfigMemory mem(d);
+  std::vector<FrameAddress> every_other;
+  for (int i = 0; i < map.total_frames(); i += 2) every_other.push_back(map.from_linear(i));
+  mem.write_frames(
+      *ValidatedStream::parse(d, synth::generate_uniform_bitstream(d, every_other, 0x3c)),
+      every_other.size(), "fill");
+  const auto region = map.frames_for_clb_range(20, 23);
+  const auto partial = ValidatedStream::parse(d, synth::generate_partial_bitstream(d, region, 9));
+  mem.write_frames(*partial, partial->frames().size(), "part");
+  mem.flip_bit(region[3], 1, 1);
+
+  for (int i = 0; i < map.total_frames(); ++i) {
+    const FrameAddress a = map.from_linear(i);
+    ASSERT_EQ(mem.read_frame(i).data(), mem.read_frame(a).data()) << a.to_string();
+    ASSERT_EQ(mem.read_frame(i).size(), static_cast<std::size_t>(d.frame_bytes()));
+    ASSERT_EQ(mem.frame_owner(i), mem.frame_owner(a)) << a.to_string();
+  }
+  EXPECT_EQ(mem.frame_owner(0), "fill");
+  EXPECT_EQ(mem.frame_owner(1), "");
+  EXPECT_EQ(mem.frame_owner(region[3]), "part");
+  EXPECT_THROW(mem.read_frame(-1), Error);
+  EXPECT_THROW(mem.read_frame(map.total_frames()), Error);
 }
 
 }  // namespace

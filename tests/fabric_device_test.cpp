@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fabric/bitstream.hpp"
 #include "fabric/device.hpp"
 #include "fabric/frames.hpp"
 #include "util/error.hpp"
@@ -78,13 +79,27 @@ TEST_P(FrameMapDeviceTest, LinearIndexBijective) {
 }
 
 TEST_P(FrameMapDeviceTest, NextWalksLinearly) {
-  const FrameMap map(device_by_name(GetParam()));
-  FrameAddress a = map.from_linear(0);
-  for (int i = 1; i < map.total_frames(); ++i) {
-    a = map.next(a);
-    EXPECT_EQ(map.linear_index(a), i);
-  }
-  EXPECT_THROW(map.next(a), Error);  // past the last frame
+  // An FDRI burst auto-increments the FAR to the next frame in linear
+  // order: one burst over the whole device from frame 0 writes frame i
+  // at index i, and the same burst from frame 1 runs past the last frame.
+  const DeviceModel d = device_by_name(GetParam());
+  const FrameMap map(d);
+  const std::vector<std::uint8_t> every_frame(
+      static_cast<std::size_t>(map.total_frames()) * static_cast<std::size_t>(d.frame_bytes()));
+  const auto burst_from = [&](int first) {
+    BitstreamWriter w(d);
+    w.begin();
+    w.write_idcode();
+    w.write_far(map.from_linear(first));
+    w.write_fdri(every_frame);
+    w.end();
+    return w.take();
+  };
+  const auto handle = ValidatedStream::parse(d, burst_from(0));
+  ASSERT_EQ(handle->frames().size(), static_cast<std::size_t>(map.total_frames()));
+  for (int i = 0; i < map.total_frames(); ++i)
+    EXPECT_EQ(handle->frames()[static_cast<std::size_t>(i)].index, i);
+  EXPECT_THROW(ValidatedStream::parse(d, burst_from(1)), Error);  // past the last frame
 }
 
 TEST_P(FrameMapDeviceTest, BramPositionsInsideArray) {

@@ -114,7 +114,7 @@ TEST(Integration, ManagerLoadsMatchFloorplanFrames) {
   rtr::ReconfigManager manager(cs.bundle, rtr::sundance_manager_config(), store, policy);
 
   manager.request("D1", "qam16", 0);
-  const auto frames = cs.bundle.floorplan.region_frames("D1");
+  const auto& frames = cs.bundle.floorplan.region_frame_indices("D1");
   EXPECT_EQ(static_cast<int>(frames.size()),
             static_cast<int>(cs.bundle.variant("D1", "qam16").placement.frames.size()));
   EXPECT_TRUE(manager.memory().region_owned_by(frames, "qam16"));

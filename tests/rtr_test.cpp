@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "obs/sinks.hpp"
 #include "rtr/bitstream_store.hpp"
 #include "rtr/cache.hpp"
@@ -334,10 +336,38 @@ TEST(Manager, RepeatRequestIsFree) {
 TEST(Manager, LoadPhysicallyConfiguresRegion) {
   ManagerFixture f;
   f.manager->request("D1", "qam16", 0);
-  const auto frames = f.bundle.floorplan.region_frames("D1");
+  const auto& frames = f.bundle.floorplan.region_frame_indices("D1");
   EXPECT_TRUE(f.manager->memory().region_owned_by(frames, "qam16"));
   f.manager->request("D1", "qpsk", 10_ms);
   EXPECT_TRUE(f.manager->memory().region_owned_by(frames, "qpsk"));
+}
+
+TEST(Manager, MemoryOutlivesItsStoreAndBundle) {
+  // Loaded frames point into the bundle's validated streams, which the
+  // memory shares: moved out of a manager whose store and bundle are gone,
+  // it still reads the loaded bytes.
+  std::optional<fabric::ConfigMemory> memory;
+  std::uint64_t hash = 0;
+  std::vector<fabric::FrameAddress> frames;
+  {
+    const synth::DesignBundle bundle = test_bundle();
+    BitstreamStore store(1e6, 0);
+    NonePrefetch policy;
+    ReconfigManager manager(bundle, ManagerConfig{}, store, policy);
+    manager.request("D1", "qam16", 0);
+    hash = bundle.variant("D1", "qam16").netlist_hash;
+    frames = bundle.floorplan.region_frames("D1");
+    memory.emplace(std::move(manager.memory()));
+  }
+  const fabric::FrameMap map(memory->device());
+  for (const auto& addr : frames) {
+    const auto data = memory->read_frame(addr);
+    for (int b = 0; b < memory->device().frame_bytes(); ++b)
+      ASSERT_EQ(data[static_cast<std::size_t>(b)],
+                synth::frame_payload_byte(hash, map.linear_index(addr), b))
+          << addr.to_string() << " byte " << b;
+    EXPECT_EQ(memory->frame_owner(addr), "qam16");
+  }
 }
 
 TEST(Manager, AnnounceThenRequestIsPrefetchHit) {
@@ -360,7 +390,7 @@ TEST(Manager, AnnounceDoesNotTouchTheRegion) {
   // demand rewrites the region's frames.
   ManagerFixture f;
   f.manager->request("D1", "qpsk", 0);
-  const auto frames = f.bundle.floorplan.region_frames("D1");
+  const auto& frames = f.bundle.floorplan.region_frame_indices("D1");
   f.manager->announce("D1", "qam16", 10_ms);
   EXPECT_EQ(f.manager->loaded("D1"), "qpsk");
   EXPECT_TRUE(f.manager->memory().region_owned_by(frames, "qpsk"));
@@ -570,7 +600,7 @@ TEST(Manager, BlankAccountsBytesAndVerifies) {
   EXPECT_GT(f.manager->stats().bytes_loaded, before);
   // The readback path ran: the region's frames are owned by the blank
   // stream, not left tagged with the old module.
-  const auto frames = f.bundle.floorplan.region_frames("D1");
+  const auto& frames = f.bundle.floorplan.region_frame_indices("D1");
   EXPECT_TRUE(f.manager->memory().region_owned_by(frames, "__blank_D1"));
   EXPECT_FALSE(f.manager->memory().region_owned_by(frames, "qpsk"));
 }

@@ -244,6 +244,8 @@ int cmd_build(int argc, char** argv) {
     }
   }
   t.print();
+  for (const auto& [region, blank] : bundle->blank_streams)
+    write_file(out_dir / (region + "_blank.bit"), blank->bytes());
   write_file(out_dir / "initial_full.bit", bundle->initial_bitstream);
   recorder.write(args.string_or("--trace-out", ""), args.string_or("--metrics-out", ""));
   return 0;
@@ -272,6 +274,7 @@ int cmd_inspect(int argc, char** argv) {
     const char* reg_name = a.reg == fabric::ConfigReg::Crc      ? "CRC"
                            : a.reg == fabric::ConfigReg::Far    ? "FAR"
                            : a.reg == fabric::ConfigReg::Fdri   ? "FDRI"
+                           : a.reg == fabric::ConfigReg::Mfwr   ? "MFWR"
                            : a.reg == fabric::ConfigReg::Cmd    ? "CMD"
                            : a.reg == fabric::ConfigReg::Idcode ? "IDCODE"
                                                                 : "?";
