@@ -1,5 +1,6 @@
 #include "fault/campaign.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <optional>
@@ -51,28 +52,61 @@ std::string CampaignReport::to_string() const {
   return out;
 }
 
-CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamStore& store,
-                            const FaultSpec& spec, const CampaignConfig& config,
-                            obs::Sinks sinks) {
-  PDR_CHECK(!bundle.dynamic_variants.empty(), "run_campaign", "bundle has no dynamic regions");
-
-  // Validate every name the spec mentions against the bundle up front, so
-  // a typo in a .faults file fails loudly instead of injecting nothing.
+void check_spec_names(const FaultSpec& spec, const synth::DesignBundle& bundle,
+                      const char* where) {
   std::set<std::string> known_modules;
   for (const auto& [region, variants] : bundle.dynamic_variants)
     for (const auto& v : variants) known_modules.insert(v.name);
   for (const auto& s : spec.seus)
-    PDR_CHECK(bundle.dynamic_variants.count(s.region) > 0, "run_campaign",
+    PDR_CHECK(bundle.dynamic_variants.count(s.region) > 0, where,
               "fault spec names unknown region '" + s.region + "'");
-  for (const auto& f : spec.fetch_faults)
-    PDR_CHECK(known_modules.count(f.module) > 0, "run_campaign",
-              "fault spec names unknown module '" + f.module + "'");
-  for (const auto& d : spec.store_damages)
-    PDR_CHECK(known_modules.count(d.module) > 0, "run_campaign",
-              "fault spec names unknown module '" + d.module + "'");
-  for (const auto& r : spec.store_repairs)
-    PDR_CHECK(known_modules.count(r.module) > 0, "run_campaign",
-              "fault spec names unknown module '" + r.module + "'");
+  const auto check_module = [&](const std::string& module) {
+    PDR_CHECK(known_modules.count(module) > 0, where,
+              "fault spec names unknown module '" + module + "'");
+  };
+  for (const auto& f : spec.fetch_faults) check_module(f.module);
+  for (const auto& d : spec.store_damages) check_module(d.module);
+  for (const auto& r : spec.store_repairs) check_module(r.module);
+}
+
+std::map<std::string, std::string> safe_modules(const FaultSpec& spec,
+                                                const synth::DesignBundle& bundle) {
+  const auto targeted = [&spec](const std::string& name) {
+    return spec.find_fetch_fault(name) != nullptr ||
+           std::any_of(spec.store_damages.begin(), spec.store_damages.end(),
+                       [&name](const StoreDamage& d) { return d.module == name; });
+  };
+  std::map<std::string, std::string> safe;
+  for (const auto& [region, variants] : bundle.dynamic_variants) {
+    const auto it = std::find_if(variants.begin(), variants.end(),
+                                 [&](const synth::ModuleArtifact& v) { return !targeted(v.name); });
+    safe[region] = (it != variants.end() ? *it : variants.front()).name;
+  }
+  return safe;
+}
+
+void bring_up(rtr::ReconfigManager& manager, const std::map<std::string, std::string>& safe) {
+  for (const auto& [region, module] : safe) {
+    manager.set_safe_module(region, module);
+    manager.set_resident(region, module);
+  }
+}
+
+void arm(rtr::ReconfigManager& manager, FaultInjector& injector) {
+  manager.port().set_fault_hook(
+      [&injector](Bytes, const std::string&) { return injector.next_port_abort(); });
+  manager.set_fetch_fault_hook(
+      [&injector](const std::string& module, std::span<const std::uint8_t> stored,
+                  std::vector<std::uint8_t>& corrupted) {
+        return injector.maybe_corrupt_fetch(module, stored, corrupted);
+      });
+}
+
+CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamStore& store,
+                            const FaultSpec& spec, const CampaignConfig& config,
+                            obs::Sinks sinks) {
+  PDR_CHECK(!bundle.dynamic_variants.empty(), "run_campaign", "bundle has no dynamic regions");
+  check_spec_names(spec, bundle, "run_campaign");
 
   FaultInjector injector(spec, config.seed);
   CampaignReport report;
@@ -92,35 +126,9 @@ CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamSto
   rtr::NonePrefetch policy;
   rtr::ReconfigManager manager(bundle, manager_config, store, policy);
   manager.set_sinks(sinks);
-
-  // Safe module per region: the first variant the spec never targets with
-  // a permanent store damage or a fetch fault — the image we can trust.
-  std::map<std::string, std::string> safe_of;
-  for (const auto& region : regions) {
-    const auto& names = variants_of.at(region);
-    std::string safe = names.front();
-    for (const auto& name : names) {
-      bool targeted = spec.find_fetch_fault(name) != nullptr;
-      for (const auto& d : spec.store_damages) targeted = targeted || d.module == name;
-      if (!targeted) {
-        safe = name;
-        break;
-      }
-    }
-    safe_of[region] = safe;
-    manager.set_safe_module(region, safe);
-    // Initial bring-up happens before the hooks arm: the full-device
-    // bitstream configured the fabric on the bench, not in the field.
-    manager.set_resident(region, safe);
-  }
-
-  manager.port().set_fault_hook(
-      [&injector](Bytes, const std::string&) { return injector.next_port_abort(); });
-  manager.set_fetch_fault_hook(
-      [&injector](const std::string& module, std::span<const std::uint8_t> stored,
-                  std::vector<std::uint8_t>& corrupted) {
-        return injector.maybe_corrupt_fetch(module, stored, corrupted);
-      });
+  const std::map<std::string, std::string> safe_of = safe_modules(spec, bundle);
+  bring_up(manager, safe_of);
+  arm(manager, injector);
 
   sim::EventQueue queue;
   queue.set_sinks(sinks);

@@ -11,9 +11,13 @@
 //  - runs the periodic scrub scheduler,
 // then reports per-region outcomes. Everything derives from the seed:
 // the same (bundle, spec, seed) triple produces a bit-identical report.
+//
+// The wiring steps (name check, safe modules, bring-up, hook arming) are
+// shared with svc::FleetService, which runs one manager per device.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,7 +38,7 @@ struct CampaignConfig {
   TimeNs scrub_period = 10'000'000;  ///< 10 ms; 0 disables scrubbing
   ScrubScheduler::Mode scrub_mode = ScrubScheduler::Mode::Blind;
   TimeNs demand_period = 5'000'000;  ///< variant-rotation period; 0 disables
-  rtr::ManagerConfig manager;  ///< recovery + safe modules filled in by the run
+  rtr::ManagerConfig manager;  ///< `recovery.enabled` is set from `recovery`
 };
 
 struct RegionOutcome {
@@ -72,6 +76,26 @@ struct CampaignReport {
   /// (bundle, spec, seed) triple.
   std::string to_string() const;
 };
+
+/// Throws pdr::Error, attributed to `where`, when `spec` names a region
+/// or a module that `bundle` lacks, so a typo in a .faults file fails
+/// loudly instead of injecting nothing.
+void check_spec_names(const FaultSpec& spec, const synth::DesignBundle& bundle, const char* where);
+
+/// Region -> safe module: the first variant that no fetch fault and no
+/// store damage of `spec` targets (the image a fallback can trust), else
+/// the region's first variant.
+std::map<std::string, std::string> safe_modules(const FaultSpec& spec,
+                                                const synth::DesignBundle& bundle);
+
+/// Initial bring-up: designates each region's safe module and makes it
+/// resident. Runs before `arm`: the full-device bitstream configured the
+/// fabric on the bench, not in the field.
+void bring_up(rtr::ReconfigManager& manager, const std::map<std::string, std::string>& safe);
+
+/// Routes the manager's port aborts and fetch corruption through
+/// `injector`, which must outlive the manager's loads.
+void arm(rtr::ReconfigManager& manager, FaultInjector& injector);
 
 /// Runs one campaign to the spec's horizon. Validates that every module
 /// the spec names exists in the bundle. The manager and event queue

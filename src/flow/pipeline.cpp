@@ -10,6 +10,7 @@
 #include "lint/executive_rules.hpp"
 #include "lint/schedule_rules.hpp"
 #include "rtr/bitstream_store.hpp"
+#include "rtr/manager.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "verify/verify.hpp"
@@ -202,7 +203,7 @@ std::shared_ptr<const fault::CampaignReport> Pipeline::fault_campaign(
       .mix(static_cast<std::uint64_t>(opts.scrub_period))
       .mix(std::uint64_t{static_cast<unsigned>(opts.scrub_mode)})
       .mix(static_cast<std::uint64_t>(opts.demand_period))
-      .mix(opts.manager_tag)
+      .mix(opts.cache_capacity)
       .mix(opts.store_bandwidth)
       .mix(static_cast<std::uint64_t>(opts.store_latency));
   return cached<fault::CampaignReport>(stage::kFaultCampaign, key, [&] {
@@ -213,7 +214,8 @@ std::shared_ptr<const fault::CampaignReport> Pipeline::fault_campaign(
     config.scrub_period = opts.scrub_period;
     config.scrub_mode = opts.scrub_mode;
     config.demand_period = opts.demand_period;
-    config.manager = opts.manager;
+    config.manager = rtr::sundance_manager_config();
+    config.manager.cache_capacity = opts.cache_capacity;
     rtr::BitstreamStore store(opts.store_bandwidth, opts.store_latency);
     return fault::run_campaign(*bun, store, spec, config, sinks_);
   });

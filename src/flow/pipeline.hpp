@@ -93,16 +93,15 @@ struct CodegenArtifacts {
   std::map<std::string, std::string> files;
 };
 
-/// FaultCampaign-stage inputs beyond the spec text. `manager_tag` must
-/// change whenever `manager` does (the cache cannot see into the struct).
+/// FaultCampaign-stage inputs beyond the spec text; all of them key the
+/// cache. The manager runs rtr::sundance_manager_config().
 struct FaultCampaignOptions {
   std::uint64_t seed = 0;  ///< 0 = the spec's own seed
   bool recovery = true;
   TimeNs scrub_period = 10'000'000;
   fault::ScrubScheduler::Mode scrub_mode = fault::ScrubScheduler::Mode::Blind;
   TimeNs demand_period = 5'000'000;
-  rtr::ManagerConfig manager;
-  std::string manager_tag;
+  Bytes cache_capacity = 0;  ///< on-chip bitstream cache (0 = off)
   double store_bandwidth = 16.7e6;  ///< external bitstream memory model
   TimeNs store_latency = 10'000;
 };

@@ -72,6 +72,9 @@ constexpr const char* kPortTrack = "cfg_port";
 constexpr const char* kStagingTrack = "staging";
 constexpr const char* kHealthTrack = "health";
 
+constexpr TimeNs kManagerOverhead = 500;      ///< request bookkeeping per load
+constexpr double kFpgaBuilderBytesPerS = 1e9;  ///< hardware protocol builder
+
 }  // namespace
 
 ManagerConfig sundance_manager_config() {
@@ -79,7 +82,6 @@ ManagerConfig sundance_manager_config() {
   cfg.manager = aaa::Placement::Fpga;
   cfg.builder = aaa::Placement::Fpga;
   cfg.port_kind = fabric::PortKind::Icap;
-  cfg.manager_overhead = 500;
   return cfg;
 }
 
@@ -89,13 +91,10 @@ ReconfigManager::ReconfigManager(const synth::DesignBundle& bundle, ManagerConfi
       config_(config),
       store_(store),
       policy_(policy),
-      builder_(config.builder, config.cpu_builder_bytes_per_s, config.fpga_builder_bytes_per_s),
+      builder_(config.builder, config.cpu_builder_bytes_per_s, kFpgaBuilderBytesPerS),
       memory_(bundle.device),
-      port_(config.port_kind,
-            config.port_timing.value_or(fabric::ConfigPort::default_timing(config.port_kind)),
-            memory_),
-      cache_(config.cache_capacity),
-      recovery_rng_(config.recovery.jitter_seed) {
+      port_(config.port_kind, fabric::ConfigPort::default_timing(config.port_kind), memory_),
+      cache_(config.cache_capacity) {
   // Register every dynamic variant's bitstream with the external store.
   for (const auto& [region, variants] : bundle_.dynamic_variants) {
     loaded_.emplace(region, "");
@@ -137,18 +136,14 @@ TimeNs ReconfigManager::staging_time(const std::string& module) const {
 }
 
 TimeNs ReconfigManager::staged_load_latency(const std::string& module) const {
-  TimeNs latency = config_.manager_overhead + port_.transfer_time(store_.size_of(module));
+  TimeNs latency = kManagerOverhead + port_.transfer_time(store_.size_of(module));
   if (config_.manager == aaa::Placement::Cpu) latency += config_.interrupt_latency;
   return latency;
 }
 
 TimeNs ReconfigManager::cold_load_latency(const std::string& module) const {
-  const Bytes bytes = store_.size_of(module);
-  const TimeNs fetch = store_.fetch_time(module);
-  const TimeNs build = transfer_time_ns(bytes, builder_.throughput_bytes_per_s());
-  const TimeNs load = port_.transfer_time(bytes);
-  // The three stages are pipelined; the slowest dominates.
-  TimeNs latency = config_.manager_overhead + std::max({fetch, build, load});
+  TimeNs latency =
+      kManagerOverhead + std::max(staging_time(module), port_.transfer_time(store_.size_of(module)));
   if (config_.manager == aaa::Placement::Cpu) latency += config_.interrupt_latency;
   return latency;
 }
@@ -181,8 +176,7 @@ ReconfigManager::LoadFailure ReconfigManager::attempt_load(const std::string& re
                           "committed)",
                           module.c_str(), static_cast<unsigned long long>(report.stream_bytes),
                           stream->bytes().size(), report.frames_written);
-    } else if (config_.verify_loads &&
-               !memory_.region_owned_by(bundle_.floorplan.region_frame_indices(region), module)) {
+    } else if (!memory_.region_owned_by(bundle_.floorplan.region_frame_indices(region), module)) {
       failure = LoadFailure::ReadbackMismatch;
       if (throw_on_failure)
         error = "ReconfigManager: after loading '" + module + "', region '" + region +
@@ -251,7 +245,7 @@ RegionHealth ReconfigManager::health(const std::string& region) const {
 void ReconfigManager::set_safe_module(const std::string& region, const std::string& module) {
   PDR_CHECK(loaded_.count(region) > 0, "ReconfigManager::set_safe_module",
             "unknown region '" + region + "'");
-  config_.safe_modules[region] = module;
+  safe_modules_[region] = module;
 }
 
 void ReconfigManager::enable_certified_replay(
@@ -290,7 +284,6 @@ ReconfigManager::LoadResult ReconfigManager::perform_load(const std::string& reg
   }
 
   TimeNs backoff = config_.recovery.retry_backoff;
-  TimeNs backoff_spent = 0;
   for (int attempt = 0;; ++attempt) {
     if (attempt_load(region, module, /*throw_on_failure=*/false) == LoadFailure::None) {
       // A clean verified load rewrote the whole region: whatever state it
@@ -302,25 +295,10 @@ ReconfigManager::LoadResult ReconfigManager::perform_load(const std::string& reg
     set_health(region, RegionHealth::Degraded,
                now, std::string(category) + " of '" + module + "' failed");
     if (attempt >= config_.recovery.max_retries) break;
-    // Scale the wait by the jitter stream so a fleet of managers retrying
-    // the same broken module spreads out instead of retrying in lockstep.
-    TimeNs wait = backoff;
-    if (config_.recovery.jitter_frac > 0.0) {
-      const double scale =
-          recovery_rng_.uniform(1.0 - config_.recovery.jitter_frac,
-                                1.0 + config_.recovery.jitter_frac);
-      wait = std::max<TimeNs>(1, static_cast<TimeNs>(static_cast<double>(backoff) * scale));
-    }
-    // A cumulative ceiling bounds how long one request may monopolize the
-    // port retrying: past it, go straight to the fallback path.
-    if (config_.recovery.max_total_backoff > 0 &&
-        backoff_spent + wait > config_.recovery.max_total_backoff)
-      break;
-    backoff_spent += wait;
     // Requeue the whole fetch+build+load pipeline after the backoff.
     ++stats_.retries;
     sinks_.count("rtr.manager.retries");
-    result.extra += wait + cold_load_latency(module);
+    result.extra += backoff + cold_load_latency(module);
     backoff = static_cast<TimeNs>(static_cast<double>(backoff) * config_.recovery.backoff_factor);
   }
 
@@ -342,8 +320,8 @@ ReconfigManager::LoadResult ReconfigManager::perform_load(const std::string& reg
     ++stats_.blanks;
     sinks_.count("rtr.manager.blanks");
   }
-  const auto safe = config_.safe_modules.find(region);
-  const bool safe_loaded = blanked && safe != config_.safe_modules.end() &&
+  const auto safe = safe_modules_.find(region);
+  const bool safe_loaded = blanked && safe != safe_modules_.end() &&
                            safe->second != module &&
                            fallback_load(region, safe->second, result.extra);
   if (safe_loaded) {

@@ -28,7 +28,16 @@
 // Placement of the manager (M) and builder (P) — paper Figure 2 —
 // determines latency contributions: a CPU-hosted manager adds the
 // interrupt round trip (case b), a CPU-hosted builder throttles staging
-// to software framing throughput.
+// to software framing throughput. Every load also pays a fixed 500 ns of
+// request bookkeeping; the port runs at its kind's default timing and an
+// FPGA-hosted builder frames at 1 GB/s, above every port's rate.
+//
+// Self-healing (RecoveryConfig::enabled): a failed load — CRC reject,
+// port abort or readback mismatch — is retried up to max_retries times,
+// each after a backoff that starts at retry_backoff and grows by
+// backoff_factor. When the budget runs out the region is blanked and
+// brought up on its safe module (set_safe_module). With recovery off, a
+// failed load throws.
 #pragma once
 
 #include <functional>
@@ -47,48 +56,26 @@
 #include "rtr/prefetch.hpp"
 #include "rtr/protocol_builder.hpp"
 #include "synth/flow.hpp"
-#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace pdr::rtr {
 
-/// Self-healing policy knobs (all off by default: a failed load then
-/// throws exactly as before the fault framework existed).
+/// Self-healing policy (off by default: a failed load then throws).
 struct RecoveryConfig {
   bool enabled = false;       ///< catch failed loads and repair instead of throwing
   int max_retries = 3;        ///< failed attempts retried before falling back
   TimeNs retry_backoff = 200'000;  ///< wait before the first retry (200 us)
   double backoff_factor = 2.0;     ///< backoff multiplier per further retry
-  /// Each backoff wait is scaled by a uniform factor in
-  /// [1 - jitter_frac, 1 + jitter_frac], drawn from a per-manager stream
-  /// seeded by `jitter_seed` — so a fleet of devices retrying the same
-  /// broken module desynchronizes instead of hammering the store in
-  /// lockstep, while any single manager stays bit-reproducible.
-  double jitter_frac = 0.0;
-  std::uint64_t jitter_seed = 0x5eed;
-  /// Cumulative backoff ceiling per request (0 = unbounded): once the
-  /// total backoff a demand has accumulated would exceed this, remaining
-  /// retries are abandoned and the fallback path runs immediately — a
-  /// retry storm can delay one request only so long before it yields the
-  /// port to the rest of the queue.
-  TimeNs max_total_backoff = 0;
 };
 
 struct ManagerConfig {
   aaa::Placement manager = aaa::Placement::Fpga;  ///< 'M' placement
   aaa::Placement builder = aaa::Placement::Fpga;  ///< 'P' placement
   fabric::PortKind port_kind = fabric::PortKind::Icap;
-  std::optional<fabric::PortTiming> port_timing;  ///< default: per kind
   TimeNs interrupt_latency = 5000;   ///< FPGA->CPU request signalling (case b)
-  TimeNs manager_overhead = 500;     ///< request bookkeeping
-  double cpu_builder_bytes_per_s = 40e6;
-  double fpga_builder_bytes_per_s = 1e9;
+  double cpu_builder_bytes_per_s = 40e6;  ///< software framing (builder on the CPU)
   Bytes cache_capacity = 0;          ///< on-chip bitstream cache (0 = off)
-  bool verify_loads = true;          ///< readback-verify region ownership
   RecoveryConfig recovery;           ///< retry / fallback policy
-  /// Region -> module loaded (after a blank) when the retry budget for a
-  /// demanded module is exhausted — the known-good fallback personality.
-  std::map<std::string, std::string> safe_modules;
 };
 
 /// Case-study configuration (paper §6): self reconfiguration through
@@ -227,8 +214,8 @@ class ReconfigManager {
   /// Current health of a region.
   RegionHealth health(const std::string& region) const;
 
-  /// Designates the fallback personality loaded after the retry budget
-  /// for a demanded module is exhausted (overrides config.safe_modules).
+  /// Designates the fallback personality loaded (after a blank) once the
+  /// retry budget for a demanded module is exhausted.
   void set_safe_module(const std::string& region, const std::string& module);
 
   /// Certified-replay debug assert mode (pdr::verify integration): arms
@@ -259,7 +246,8 @@ class ReconfigManager {
   /// Module resident in a region ("" if never configured).
   const std::string& loaded(const std::string& region) const;
 
-  /// End-to-end latency of one cold (unstaged) load of `module`.
+  /// End-to-end latency of one cold (unstaged) load of `module`: staging
+  /// and port transfer are pipelined, so the slower one dominates.
   TimeNs cold_load_latency(const std::string& module) const;
 
   /// Latency of a demand whose stream is already staged on chip (port
@@ -357,7 +345,7 @@ class ReconfigManager {
   TimeNs port_free_ = 0;
   TimeNs staging_free_ = 0;  ///< the staging engine handles one fetch at a time
   ManagerStats stats_;
-  Rng recovery_rng_;  ///< retry-jitter stream (seeded from recovery.jitter_seed)
+  std::map<std::string, std::string> safe_modules_;  ///< region -> fallback personality
   FetchFaultHook fetch_fault_hook_;
   obs::Sinks sinks_;
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "fault/injector.hpp"
+#include "fault/campaign.hpp"
 #include "rtr/prefetch.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -111,7 +111,7 @@ std::string ServiceReport::to_string() const {
       out += "]";
     }
     out += "\n";
-    for (const auto& [region, health] : dev.health) {
+    for (const auto& [region, health] : dev.stats.region_health) {
       const auto res = dev.resident.find(region);
       out += strprintf("  region %-10s %s, resident '%s'\n", region.c_str(),
                        rtr::region_health_name(health),
@@ -190,21 +190,7 @@ FleetService::~FleetService() = default;
 
 void FleetService::arm_faults(const fault::FaultSpec& spec) {
   PDR_CHECK(!ran_, "FleetService::arm_faults", "service already ran");
-  std::set<std::string> known_modules;
-  for (const auto& [region, variants] : bundle_.dynamic_variants)
-    for (const auto& v : variants) known_modules.insert(v.name);
-  for (const auto& s : spec.seus)
-    PDR_CHECK(bundle_.dynamic_variants.count(s.region) > 0, "FleetService::arm_faults",
-              "fault spec names unknown region '" + s.region + "'");
-  for (const auto& f : spec.fetch_faults)
-    PDR_CHECK(known_modules.count(f.module) > 0, "FleetService::arm_faults",
-              "fault spec names unknown module '" + f.module + "'");
-  for (const auto& d : spec.store_damages)
-    PDR_CHECK(known_modules.count(d.module) > 0, "FleetService::arm_faults",
-              "fault spec names unknown module '" + d.module + "'");
-  for (const auto& r : spec.store_repairs)
-    PDR_CHECK(known_modules.count(r.module) > 0, "FleetService::arm_faults",
-              "fault spec names unknown module '" + r.module + "'");
+  fault::check_spec_names(spec, bundle_, "FleetService::arm_faults");
   spec_ = spec;
 }
 
@@ -213,32 +199,8 @@ void FleetService::set_sinks(obs::Sinks sinks) {
   sinks_ = sinks;
 }
 
-const std::string& FleetService::safe_module_of(const std::string& region) const {
-  static const std::string kNone;
-  const auto it = safe_of_.find(region);
-  return it != safe_of_.end() ? it->second : kNone;
-}
-
 void FleetService::build_fleet(int devices) {
-  for (const auto& [region, variants] : bundle_.dynamic_variants) {
-    // Safe module: the first variant the armed spec never targets with a
-    // permanent store damage or a fetch fault (campaign idiom).
-    const auto names = bundle_.variant_names(region);
-    std::string safe = names.front();
-    for (const auto& name : names) {
-      bool targeted = false;
-      if (spec_.has_value()) {
-        targeted = spec_->find_fetch_fault(name) != nullptr;
-        for (const auto& d : spec_->store_damages) targeted = targeted || d.module == name;
-      }
-      if (!targeted) {
-        safe = name;
-        break;
-      }
-    }
-    safe_of_[region] = safe;
-  }
-
+  safe_of_ = fault::safe_modules(spec_.value_or(fault::FaultSpec{}), bundle_);
   const std::uint64_t base_seed =
       spec_.has_value() ? (config_.fault_seed != 0 ? config_.fault_seed : spec_->seed) : 0;
   const int frame_bytes = bundle_.device.frame_bytes();
@@ -246,35 +208,20 @@ void FleetService::build_fleet(int devices) {
   for (int d = 0; d < devices; ++d) {
     auto dev = std::make_unique<Device>(config_.breaker);
     dev->index = d;
-    rtr::ManagerConfig mc = config_.manager;
-    // Per-device jitter stream: a fleet retrying one broken module must
-    // not back off in lockstep.
-    mc.recovery.jitter_seed += static_cast<std::uint64_t>(d);
-    dev->manager = std::make_unique<rtr::ReconfigManager>(bundle_, mc, *store_, dev->policy);
+    dev->manager =
+        std::make_unique<rtr::ReconfigManager>(bundle_, config_.manager, *store_, dev->policy);
     if (sinks_.attached()) dev->manager->set_sinks(obs::Sinks(dev->recorder));
-    for (const auto& [region, safe] : safe_of_) {
-      dev->manager->set_safe_module(region, safe);
-      // Initial bring-up before any fault hook arms: the full-device
-      // bitstream configured the fabric on the bench, not in the field.
-      dev->manager->set_resident(region, safe);
-    }
+    fault::bring_up(*dev->manager, safe_of_);
     // Register blank streams now, serially: no worker thread may write
     // the shared store mid-drain.
     dev->manager->prepare_blank_streams();
     if (spec_.has_value()) {
       dev->injector.emplace(*spec_, base_seed + 7919ull * static_cast<std::uint64_t>(d));
-      fault::FaultInjector* inj = &*dev->injector;
-      dev->manager->port().set_fault_hook(
-          [inj](Bytes, const std::string&) { return inj->next_port_abort(); });
-      dev->manager->set_fetch_fault_hook(
-          [inj](const std::string& module, std::span<const std::uint8_t> stored,
-                std::vector<std::uint8_t>& corrupted) {
-            return inj->maybe_corrupt_fetch(module, stored, corrupted);
-          });
+      fault::arm(*dev->manager, *dev->injector);
       for (const auto& [region, variants] : bundle_.dynamic_variants) {
         Device::SeuCursor cursor;
         cursor.timeline =
-            inj->seu_timeline(region, bundle_.floorplan.region_frames(region).size(), frame_bytes);
+            dev->injector->seu_timeline(region, bundle_.floorplan.region_frames(region).size(), frame_bytes);
         dev->seus[region] = std::move(cursor);
       }
     }
@@ -386,14 +333,13 @@ void FleetService::admit(const ServiceRequest& req, std::size_t index) {
 
   const int n = static_cast<int>(devices_.size());
   const auto degrade_onto = [&](int device) {
-    const std::string& safe = safe_module_of(req.region);
-    if (req.klass != RequestClass::Demand || safe.empty() || !config_.degraded_routes) {
+    if (req.klass != RequestClass::Demand || !config_.degraded_routes) {
       rec.disposition = req.klass == RequestClass::Maintenance
                             ? Disposition::Shed
                             : Disposition::RejectedBreakerOpen;
       return;
     }
-    work.module = safe;
+    work.module = safe_of_.at(req.region);
     work.degraded_route = true;
     enqueue(device, std::move(work), false);
   };
@@ -613,7 +559,6 @@ ServiceReport FleetService::run(const RequestLog& log) {
     summary.breaker_opens = dev->breaker.opens();
     summary.breaker_transitions = dev->breaker.transitions();
     summary.stats = dev->manager->stats();
-    summary.health = summary.stats.region_health;
     for (const auto& [region, variants] : bundle_.dynamic_variants)
       summary.resident[region] = dev->manager->loaded(region);
     report_.device_summaries.push_back(std::move(summary));

@@ -12,8 +12,9 @@
 //  - load-shedding priorities: maintenance yields to demand under
 //    pressure (a maintenance arrival at a saturated shard is Shed);
 //  - per-request deadlines with timeout classification;
-//  - retry-with-backoff riding rtr::RecoveryConfig (jitter seeded per
-//    device so a fleet never retries in lockstep);
+//  - retry-with-backoff riding rtr::RecoveryConfig: each device's
+//    manager retries a failed load, then falls back to the region's safe
+//    module;
 //  - a per-device circuit breaker fed by the manager's health/fallback
 //    signals: Open reroutes any-device traffic to healthy shards and
 //    serves pinned requests degraded via the safe module;
@@ -109,7 +110,6 @@ struct DeviceSummary {
   BreakerState breaker = BreakerState::Closed;
   int breaker_opens = 0;
   std::vector<std::string> breaker_transitions;
-  std::map<std::string, rtr::RegionHealth> health;
   std::map<std::string, std::string> resident;
   rtr::ManagerStats stats;
 };
@@ -179,7 +179,6 @@ class FleetService {
   void drain_device(Device& dev, TimeNs now, TimeNs tick_end);
   void execute(Device& dev, const Work& work, TimeNs now);
   void apply_fault_events(TimeNs now);
-  const std::string& safe_module_of(const std::string& region) const;
 
   const synth::DesignBundle& bundle_;
   ServiceConfig config_;

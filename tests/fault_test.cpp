@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -505,63 +506,6 @@ TEST(SelfHealing, FetchHookCopiesOnlyWhenItCorrupts) {
   EXPECT_EQ(manager.verify_resident("D1"), 0);
 }
 
-TEST(SelfHealing, RetryJitterIsSeededAndReproducible) {
-  const synth::DesignBundle bundle = test_bundle();
-  rtr::ManagerConfig cfg = recovering_config();
-  cfg.recovery.max_retries = 2;
-  cfg.recovery.retry_backoff = 1_ms;
-  cfg.recovery.backoff_factor = 1.0;
-  cfg.recovery.jitter_frac = 0.5;
-  cfg.recovery.jitter_seed = 77;
-  const auto run_once = [&bundle](const rtr::ManagerConfig& config) {
-    rtr::BitstreamStore store(100e6, 0);
-    rtr::NonePrefetch policy;
-    rtr::ReconfigManager manager(bundle, config, store, policy);
-    manager.set_safe_module("D1", "qpsk");
-    store.corrupt("qam16", 100);  // every fetch fails: full retry chain runs
-    return manager.request("D1", "qam16", 0);
-  };
-  // Same seed, same jittered backoff chain — bit-reproducible.
-  const auto a = run_once(cfg);
-  const auto b = run_once(cfg);
-  EXPECT_EQ(a.ready_at, b.ready_at);
-  EXPECT_EQ(a.stall, b.stall);
-  // The jitter stream really scales the waits: a different seed and a
-  // disabled jitter both shift the retry chain's completion.
-  rtr::ManagerConfig reseeded = cfg;
-  reseeded.recovery.jitter_seed = 78;
-  EXPECT_NE(run_once(reseeded).ready_at, a.ready_at);
-  rtr::ManagerConfig no_jitter = cfg;
-  no_jitter.recovery.jitter_frac = 0.0;
-  EXPECT_NE(run_once(no_jitter).ready_at, a.ready_at);
-}
-
-TEST(SelfHealing, TotalBackoffCeilingCutsRetriesExactly) {
-  const synth::DesignBundle bundle = test_bundle();
-  rtr::ManagerConfig cfg = recovering_config();
-  cfg.recovery.max_retries = 5;
-  cfg.recovery.retry_backoff = 1_ms;
-  cfg.recovery.backoff_factor = 1.0;
-  const auto retries_with_cap = [&bundle, &cfg](TimeNs cap) {
-    rtr::ManagerConfig capped = cfg;
-    capped.recovery.max_total_backoff = cap;
-    rtr::BitstreamStore store(100e6, 0);
-    rtr::NonePrefetch policy;
-    rtr::ReconfigManager manager(bundle, capped, store, policy);
-    manager.set_safe_module("D1", "qpsk");
-    store.corrupt("qam16", 100);
-    manager.request("D1", "qam16", 0);
-    EXPECT_EQ(manager.stats().fallbacks, 1);
-    EXPECT_EQ(manager.loaded("D1"), "qpsk");
-    return manager.stats().retries;
-  };
-  // Unbounded: the full retry budget runs. A 2.5 ms ceiling admits two
-  // 1 ms waits and abandons the third; a sub-backoff ceiling admits none.
-  EXPECT_EQ(retries_with_cap(0), 5);
-  EXPECT_EQ(retries_with_cap(2'500'000), 2);
-  EXPECT_EQ(retries_with_cap(500'000), 0);
-}
-
 TEST(SelfHealing, StatsReportPerRegionTransitionCounts) {
   const synth::DesignBundle bundle = test_bundle();
   rtr::BitstreamStore store(100e6, 0);
@@ -739,13 +683,62 @@ TEST(Campaign, StoreRepairClosesTheOutageWindow) {
 TEST(Campaign, RejectsSpecNamingUnknownTargets) {
   const synth::DesignBundle bundle = test_bundle();
   rtr::BitstreamStore store(100e6, 0);
-  CampaignConfig config;
-  FaultSpec bad_region;
-  bad_region.seus.push_back(SeuProcess{"D9", 10.0});
-  EXPECT_THROW(run_campaign(bundle, store, bad_region, config), pdr::Error);
-  FaultSpec bad_module;
-  bad_module.store_damages.push_back(StoreDamage{"ghost", 1_ms});
-  EXPECT_THROW(run_campaign(bundle, store, bad_module, config), pdr::Error);
+  const auto error_of = [&](const std::string& spec_text) -> std::string {
+    try {
+      run_campaign(bundle, store, parse_fault_spec(spec_text), CampaignConfig{});
+    } catch (const pdr::Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of("seu D9 rate 10\n"), "run_campaign: fault spec names unknown region 'D9'");
+  EXPECT_EQ(error_of("fetch corrupt ghost prob 0.5\n"),
+            "run_campaign: fault spec names unknown module 'ghost'");
+  EXPECT_EQ(error_of("store damage ghost at_ms 1\n"),
+            "run_campaign: fault spec names unknown module 'ghost'");
+  EXPECT_EQ(error_of("store repair ghost at_ms 1\n"),
+            "run_campaign: fault spec names unknown module 'ghost'");
+}
+
+// --- shared fault wiring ----------------------------------------------------
+
+synth::DesignBundle two_region_bundle() {
+  synth::ModularDesignFlow flow(fabric::xc2v2000());
+  flow.add_region("D1", {{"qpsk", "qpsk_mapper", {}},
+                         {"qam16", "qam16_mapper", {}},
+                         {"qam64", "qam64_mapper", {}}});
+  flow.add_region("D2", {{"lut_a", "custom", {{"luts", 200}, {"ffs", 100}}},
+                         {"lut_b", "custom", {{"luts", 100}, {"ffs", 50}}}});
+  return flow.run();
+}
+
+using SafeMap = std::map<std::string, std::string>;
+
+TEST(FaultWiring, SafeModuleIsTheFirstUntargetedVariant) {
+  // Fetch faults and store damages disqualify a variant; an SEU process or
+  // a store repair does not.
+  const FaultSpec spec = parse_fault_spec(
+      "seu D1 rate 10\n"
+      "fetch corrupt qpsk prob 0.5\n"
+      "store damage qam16 at_ms 1\n"
+      "store repair qam64 at_ms 2\n"
+      "fetch corrupt lut_a prob 0.1\n");
+  EXPECT_EQ(safe_modules(spec, two_region_bundle()), (SafeMap{{"D1", "qam64"}, {"D2", "lut_b"}}));
+}
+
+TEST(FaultWiring, SafeModuleIsTheFirstVariantWhenEveryVariantIsTargeted) {
+  const FaultSpec spec = parse_fault_spec(
+      "fetch corrupt qpsk prob 0.5\n"
+      "store damage qam16 at_ms 1\n"
+      "fetch corrupt qam64 prob 0.5\n"
+      "store damage lut_a at_ms 1\n"
+      "store damage lut_b at_ms 3\n");
+  EXPECT_EQ(safe_modules(spec, two_region_bundle()), (SafeMap{{"D1", "qpsk"}, {"D2", "lut_a"}}));
+}
+
+TEST(FaultWiring, EmptySpecPicksEachRegionsFirstVariant) {
+  EXPECT_EQ(safe_modules(FaultSpec{}, two_region_bundle()),
+            (SafeMap{{"D1", "qpsk"}, {"D2", "lut_a"}}));
 }
 
 }  // namespace

@@ -284,6 +284,13 @@ TEST(Pipeline, FaultCampaignCachedBySeed) {
   opts.seed = 4;
   pipeline.fault_campaign(spec, opts);
   EXPECT_EQ(store->runs(flow::stage::kFaultCampaign), 2u);
+  // The on-chip cache size keys the stage too: a new size re-runs it, the
+  // same size is served from the cache.
+  opts.cache_capacity = 200'000;
+  const auto cached = pipeline.fault_campaign(spec, opts);
+  EXPECT_EQ(store->runs(flow::stage::kFaultCampaign), 3u);
+  EXPECT_EQ(pipeline.fault_campaign(spec, opts).get(), cached.get());
+  EXPECT_EQ(store->runs(flow::stage::kFaultCampaign), 3u);
 }
 
 // --- scenario runner --------------------------------------------------

@@ -592,7 +592,6 @@ TEST(FleetServiceTest, ReportIsByteIdenticalAcrossJobs) {
     ServiceConfig config;
     config.jobs = jobs;
     config.manager.recovery.enabled = true;
-    config.manager.recovery.jitter_frac = 0.25;
     FleetService service(bundle, config);
     service.arm_faults(spec);
     return service.run(log).to_string();
@@ -626,9 +625,20 @@ TEST(FleetServiceTest, ObservabilityMergesUnderDevicePrefixes) {
 TEST(FleetServiceTest, RunsOnceAndValidatesSpecNames) {
   const auto bundle = test_bundle();
   FleetService service(bundle, ServiceConfig{});
-  EXPECT_THROW(service.arm_faults(fault::parse_fault_spec("seu D9 rate 10\n")), pdr::Error);
-  EXPECT_THROW(service.arm_faults(fault::parse_fault_spec("store damage bogus at_ms 1\n")),
-               pdr::Error);
+  const auto error_of = [&service](const std::string& spec_text) -> std::string {
+    try {
+      service.arm_faults(fault::parse_fault_spec(spec_text));
+    } catch (const pdr::Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of("seu D9 rate 10\n"),
+            "FleetService::arm_faults: fault spec names unknown region 'D9'");
+  EXPECT_EQ(error_of("store damage bogus at_ms 1\n"),
+            "FleetService::arm_faults: fault spec names unknown module 'bogus'");
+  EXPECT_EQ(error_of("fetch corrupt bogus prob 0.5\n"),
+            "FleetService::arm_faults: fault spec names unknown module 'bogus'");
   const RequestLog log = parse_request_log(
       "fleet devices 1\n"
       "request at_us 0 device 0 region D1 module qpsk class demand\n");

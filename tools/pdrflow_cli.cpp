@@ -467,18 +467,11 @@ int cmd_floorplan(int argc, char** argv) {
 }
 
 /// Maps the simulate/sweep fault flags onto pipeline FaultCampaignOptions.
-/// The manager_tag keys the opaque ManagerConfig for the artifact cache.
 flow::FaultCampaignOptions fault_options_from(const ArgParser& args) {
   flow::FaultCampaignOptions opts;
   opts.seed = args.uint_or("--seed", 0);  // 0 = the spec's own seed
   opts.recovery = !args.has("--no-recovery");
-  opts.manager = rtr::sundance_manager_config();
-  opts.manager_tag = "sundance";
-  if (args.has("--cache")) {
-    opts.manager.cache_capacity = static_cast<Bytes>(args.uint_or("--cache", 0));
-    opts.manager_tag += strprintf("/cache=%llu",
-                                  static_cast<unsigned long long>(opts.manager.cache_capacity));
-  }
+  opts.cache_capacity = static_cast<Bytes>(args.uint_or("--cache", 0));
   if (args.has("--scrub-ms"))
     opts.scrub_period = static_cast<TimeNs>(args.double_or("--scrub-ms", 0.0) * 1e6);
   if (const std::string* mode = args.value("--scrub-mode")) {
