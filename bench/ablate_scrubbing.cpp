@@ -42,7 +42,6 @@ fault::CampaignReport run_scrub_campaign(TimeNs period, double seu_rate_hz, Time
   spec.seus.push_back(fault::SeuProcess{"D1", seu_rate_hz});
 
   fault::CampaignConfig config;
-  config.manager = rtr::sundance_manager_config();
   config.recovery = false;   // pure scrub measurement: no retry/fallback/drain
   config.scrub_period = period;
   config.demand_period = 0;  // no adaptive-modulation traffic

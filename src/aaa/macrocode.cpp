@@ -92,8 +92,10 @@ std::string Executive::to_string() const {
 Executive generate_executive(const Schedule& schedule, const AlgorithmGraph& algorithm,
                              const ArchitectureGraph& architecture) {
   PDR_CHECK(schedule.size() <= 0xffffffffu, "generate_executive", "schedule too large");
-  // The executive's name table, shared by every program.
-  const auto names = std::make_shared<util::Interner>();
+  // The executive's name table, shared by every program. It continues
+  // the schedule's base (a scheduled run's problem table), so only the
+  // schedule's own symbols and the buffers are copied in.
+  const auto names = std::make_shared<util::Interner>(schedule.symbols.base());
   Executive exec;
   exec.names = names;
   // Programs in architecture declaration order (operators then media).
@@ -136,8 +138,8 @@ Executive generate_executive(const Schedule& schedule, const AlgorithmGraph& alg
     return slot;
   };
 
-  // Names enter the table unindexed: first the schedule's symbols, each
-  // under its own id, then one buffer "<src>_to_<dst>" per edge (a
+  // Names enter the table unindexed: first the schedule's own symbols,
+  // each under its own id, then one buffer "<src>_to_<dst>" per edge (a
   // multi-hop route's hops share it), or per endpoint pair for rows
   // without an edge. Texts that repeat (parallel edges, say) are merged
   // after.

@@ -1,9 +1,11 @@
 #include "aaa/schedule.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -20,30 +22,6 @@ const char* item_kind_name(ItemKind kind) {
     case ItemKind::Reconfig: return "reconfig";
   }
   return "?";
-}
-
-void TransferPlan::clear() {
-  start.clear();
-  end.clear();
-  resource.clear();
-  medium.clear();
-  src.clear();
-  dst.clear();
-  bytes.clear();
-  edge.clear();
-}
-
-void TransferPlan::push(TimeNs tstart, TimeNs tend, util::SymbolId resource_sym,
-                        graph::NodeId medium_node, util::SymbolId src_sym, util::SymbolId dst_sym,
-                        Bytes nbytes, graph::EdgeId e) {
-  start.push_back(tstart);
-  end.push_back(tend);
-  resource.push_back(resource_sym);
-  medium.push_back(medium_node);
-  src.push_back(src_sym);
-  dst.push_back(dst_sym);
-  bytes.push_back(nbytes);
-  edge.push_back(e);
 }
 
 std::string_view Schedule::name(util::SymbolId sym) const {
@@ -132,23 +110,6 @@ std::size_t Schedule::push_reconfig(util::SymbolId resource_sym, TimeNs tstart, 
   module_[i] = module_sym;
   exposed_stall_[i] = stall;
   return i;
-}
-
-void Schedule::splice_transfers(const TransferPlan& plan) {
-  const std::size_t n = plan.size();
-  kind_.insert(kind_.end(), n, ItemKind::Transfer);
-  start_.insert(start_.end(), plan.start.begin(), plan.start.end());
-  end_.insert(end_.end(), plan.end.begin(), plan.end.end());
-  resource_.insert(resource_.end(), plan.resource.begin(), plan.resource.end());
-  op_.insert(op_.end(), n, graph::kNoNode);
-  label_.insert(label_.end(), n, util::kNoSymbol);
-  variant_.insert(variant_.end(), n, util::kEmptySymbol);
-  src_.insert(src_.end(), plan.src.begin(), plan.src.end());
-  dst_.insert(dst_.end(), plan.dst.begin(), plan.dst.end());
-  bytes_.insert(bytes_.end(), plan.bytes.begin(), plan.bytes.end());
-  edge_.insert(edge_.end(), plan.edge.begin(), plan.edge.end());
-  module_.insert(module_.end(), n, util::kEmptySymbol);
-  exposed_stall_.insert(exposed_stall_.end(), n, 0);
 }
 
 void Schedule::push_item(const ScheduledItem& item) {
@@ -280,11 +241,14 @@ void Schedule::sort_items() {
 
   // Fast path: when (start, rank, index) fit in 35 + 8 + 21 bits — starts
   // under ~34 s, at most 256 resources, at most 2M items — pack the whole
-  // key into one u64 so the sort compares machine words instead of
-  // three-field structs. Both paths produce the identical lexicographic
-  // (start, resource-name rank, emit index) order.
+  // key into one u64 and order the keys by stable LSD radix passes of 8
+  // bits over the (start, rank) bits, up to the highest set one. Keys
+  // enter in index order and every pass is stable, so ties keep emit
+  // order without a pass over the index bits. Both paths produce the
+  // identical lexicographic (start, resource-name rank, emit index) order.
   constexpr unsigned kIndexBits = 21;
   constexpr unsigned kRankBits = 8;
+  constexpr unsigned kDigitBits = 8;
   constexpr TimeNs kMaxPackedStart = TimeNs{1} << (64 - kIndexBits - kRankBits);
   TimeNs lo = 0;
   TimeNs hi = 0;
@@ -295,11 +259,24 @@ void Schedule::sort_items() {
   if (lo >= 0 && hi < kMaxPackedStart && rank_count <= (std::size_t{1} << kRankBits) &&
       n <= (std::size_t{1} << kIndexBits)) {
     std::vector<std::uint64_t> order(n);
-    for (std::size_t i = 0; i < n; ++i)
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < n; ++i) {
       order[i] = (static_cast<std::uint64_t>(start_[i]) << (kIndexBits + kRankBits)) |
                  (static_cast<std::uint64_t>(rank[resource_[i]]) << kIndexBits) |
                  static_cast<std::uint64_t>(i);
-    std::sort(order.begin(), order.end());
+      any |= order[i];
+    }
+    std::vector<std::uint64_t> spare(n);
+    for (unsigned shift = kIndexBits; shift < 64 && (any >> shift) != 0; shift += kDigitBits) {
+      std::array<std::size_t, std::size_t{1} << kDigitBits> at{};
+      const auto digit = [shift](std::uint64_t k) { return (k >> shift) & 0xff; };
+      for (const std::uint64_t k : order) ++at[digit(k)];
+      if (at[digit(order.front())] == n) continue;  // one digit everywhere: order unchanged
+      std::size_t sum = 0;
+      for (std::size_t& slot : at) sum += std::exchange(slot, sum);
+      for (const std::uint64_t k : order) spare[at[digit(k)]++] = k;
+      order.swap(spare);
+    }
     apply_order(order, [](std::uint64_t k) {
       return static_cast<std::size_t>(k & ((std::uint64_t{1} << kIndexBits) - 1));
     });

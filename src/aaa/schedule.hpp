@@ -3,13 +3,18 @@
 // A Schedule is the result of one adequation run — potentially millions
 // of scheduled activities. It is stored as parallel columns (one vector
 // per field) with every name — resource, variant, module, label,
-// transfer endpoints — held as a util::SymbolId into the schedule's own
-// Interner, seeded from the architecture graph so resource ids are dense
-// array indices. Consequences:
+// transfer endpoints — held as a util::SymbolId into the schedule's
+// Interner. A scheduled run's interner continues its problem's name table
+// (aaa::Problem::names, a shared base holding the architecture's
+// resources first, so resource ids are dense array indices, then the
+// operation names and compute labels). Consequences:
 //
-//  - the scheduler hot path never builds or hashes a std::string: state
-//    is SymbolId/NodeId-indexed vectors, and committing a candidate plan
-//    splices plain-old-data columns (see TransferPlan);
+//  - the scheduler hot path never builds, copies or hashes a std::string:
+//    state is SymbolId/NodeId-indexed vectors, and committing a placement
+//    appends its rows straight to the columns (push_transfer and
+//    friends), naming symbols of the shared table;
+//  - finishing a run orders the rows with a stable radix pass over one
+//    packed u64 key per row (sort_items);
 //  - `resource_busy` and `placement` are SymbolId-indexed vectors, not
 //    string-keyed maps;
 //  - names are resolved to text only at the rendering boundary:
@@ -77,35 +82,15 @@ struct ScheduledItem {
   TimeNs exposed_stall = 0; ///< part of this reconfiguration not hidden by prefetch
 };
 
-/// The transfer rows of one placement: the same SoA columns a Schedule
-/// stores transfers in, plus the architecture node of each medium (the
-/// state write commit() performs). commit() records the winner's rows here
-/// and splices them into the schedule column by column — no per-field
-/// string copies, ever. One plan serves a whole run: clear() keeps
-/// capacity, so recording is allocation-free once warm.
-struct TransferPlan {
-  std::vector<TimeNs> start;
-  std::vector<TimeNs> end;
-  std::vector<util::SymbolId> resource;  ///< medium name symbol
-  std::vector<graph::NodeId> medium;     ///< architecture node of the medium
-  std::vector<util::SymbolId> src;
-  std::vector<util::SymbolId> dst;
-  std::vector<Bytes> bytes;
-  std::vector<graph::EdgeId> edge;
-
-  std::size_t size() const { return start.size(); }
-  void clear();
-  void push(TimeNs tstart, TimeNs tend, util::SymbolId resource_sym, graph::NodeId medium_node,
-            util::SymbolId src_sym, util::SymbolId dst_sym, Bytes nbytes, graph::EdgeId e);
-};
-
 /// Result of one adequation run. Items are sorted by (start, resource
 /// name) once the run finalizes.
 class Schedule {
  public:
-  /// Symbol table: resource/label/variant/module names. Seeded by the
-  /// scheduler with the architecture's operators and media in
-  /// declaration order, so resource symbols are dense array indices.
+  /// Symbol table: resource/label/variant/module names. A scheduled
+  /// run's table continues its problem's shared name table, whose first
+  /// symbols are the architecture's operators and media in declaration
+  /// order, so resource symbols are dense array indices. Copies of the
+  /// schedule share that base.
   util::Interner symbols;
 
   TimeNs makespan = 0;
@@ -170,8 +155,6 @@ class Schedule {
                             graph::EdgeId e);
   std::size_t push_reconfig(util::SymbolId resource_sym, TimeNs tstart, TimeNs tend,
                             util::SymbolId module_sym, TimeNs stall);
-  /// Appends every plan row to the schedule, column by column.
-  void splice_transfers(const TransferPlan& plan);
 
   /// String-faced shim: interns the item's names and appends one row.
   /// The label is stored verbatim (see the label storage rule above).
@@ -192,6 +175,9 @@ class Schedule {
   void erase_items_if(const std::function<bool(const ScheduledItem&)>& pred);
 
   /// Canonical order: (start, resource name); ties keep emit order.
+  /// Starts under 2^35 ns, at most 256 resources and at most 2^21 rows
+  /// sort by a stable LSD radix pass over packed keys; anything larger
+  /// by a comparison sort of the same key.
   void sort_items();
   /// Recomputes makespan and the resource_busy column from the rows.
   void recompute_totals();

@@ -17,9 +17,13 @@ Finding finding(FindingKind kind, std::size_t first, std::size_t item,
 }
 
 void sort_by_time(const Schedule& s, std::vector<std::size_t>& items) {
-  std::stable_sort(items.begin(), items.end(), [&](std::size_t a, std::size_t b) {
+  const auto before = [&](std::size_t a, std::size_t b) {
     return s.start(a) != s.start(b) ? s.start(a) < s.start(b) : s.end(a) < s.end(b);
-  });
+  };
+  // A finished schedule's rows are in start order, so its timelines
+  // usually are already; a stable sort would leave them as they are.
+  if (!std::is_sorted(items.begin(), items.end(), before))
+    std::stable_sort(items.begin(), items.end(), before);
 }
 
 /// The max-reach sweep over items in (start, end) order.

@@ -1,7 +1,9 @@
 #include "aaa/scheduler.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -67,6 +69,38 @@ Problem::Problem(const AlgorithmGraph& algorithm, const ArchitectureGraph& archi
     for (const auto& alt : op.alternatives) table_of(alt.kind);
   }
 
+  // The name table, built once: a run reads every symbol it stores from
+  // here. Operation names are unique (the graph validates them), so they
+  // and the labels derived from them go in unindexed.
+  auto table = std::make_shared<util::Interner>();
+  arch_sym.assign(arch_cap, util::kNoSymbol);
+  for (NodeId w : operators) arch_sym[w] = table->intern(op_ptr[w]->name);
+  for (NodeId m : media) arch_sym[m] = table->intern(media_ptr[m]->name);
+  op_sym.assign(algo_cap, util::kNoSymbol);
+  for (graph::NodeId n = 0; n < algo_cap; ++n)
+    if (algo_op[n] != nullptr) op_sym[n] = table->append(algo_op[n]->name);
+  alt_first.assign(algo_cap, 0);
+  std::string label;
+  for (graph::NodeId n = 0; n < algo_cap; ++n) {
+    if (algo_op[n] == nullptr || !algo_op[n]->conditioned()) continue;
+    const Operation& op = *algo_op[n];
+    alt_first[n] = static_cast<std::uint32_t>(alts.size());
+    for (const auto& alt : op.alternatives) {
+      const util::SymbolId variant = table->intern(alt.name);
+      // An unnamed alternative computes under the plain operation name.
+      util::SymbolId label_sym = op_sym[n];
+      if (variant != util::kEmptySymbol) {
+        label = op.name;
+        label += '(';
+        label += alt.name;
+        label += ')';
+        label_sym = table->append(label);
+      }
+      alts.push_back({variant, label_sym, &kind(alt.kind)});
+    }
+  }
+  names = std::move(table);
+
   // In-edge CSR from two sequential edge scans: each consumer's rows sit
   // in one contiguous block, in edge-id order (for_each_in_edge's order).
   in_off.assign(algo_cap + 1, 0);
@@ -79,6 +113,13 @@ Problem::Problem(const AlgorithmGraph& algorithm, const ArchitectureGraph& archi
   });
 
   remainder = tracker.critical_path_remainder([this](graph::NodeId n) { return weight(n); });
+  for (graph::NodeId n = 0; n < algo_cap; ++n)
+    if (algo_op[n] != nullptr) by_priority.push_back(n);
+  std::stable_sort(by_priority.begin(), by_priority.end(),
+                   [this](graph::NodeId a, graph::NodeId b) { return remainder[a] > remainder[b]; });
+  priority_rank.assign(algo_cap, 0);
+  for (std::size_t r = 0; r < by_priority.size(); ++r)
+    priority_rank[by_priority[r]] = static_cast<std::uint32_t>(r);
 }
 
 double Problem::weight(graph::NodeId n) const {
@@ -97,17 +138,14 @@ Scheduler::Scheduler(const Adequation& adequation, const AdequationOptions& opti
   PDR_CHECK(adequation.durations_.version() == p_.durations_version, "Adequation::run",
             "the duration table was edited after the Adequation was built; build a new one");
 
-  // Seed the schedule's interner with the architecture's resources in
-  // declaration order: resource symbols become dense array indices, so
-  // resource_busy and the renderers index straight into vectors.
-  arch_sym_.assign(p_.arch_cap, util::kNoSymbol);
-  for (NodeId w : p_.operators) arch_sym_[w] = schedule_.intern(p_.op_ptr[w]->name);
-  for (NodeId m : p_.media) arch_sym_[m] = schedule_.intern(p_.media_ptr[m]->name);
+  // The schedule's names continue the problem's table: resource symbols
+  // are dense array indices, so resource_busy and the renderers index
+  // straight into vectors, and no run copies a name.
+  schedule_.symbols = util::Interner(p_.names);
   schedule_.placement.assign(p_.algo_cap, util::kNoSymbol);
   // One compute per operation plus its transfers: reserving 2x the node
   // count absorbs the common case without repeated 13-column regrowth.
   schedule_.reserve(p_.algo_cap * 2);
-  algo_sym_.assign(p_.algo_cap, util::kNoSymbol);
 
   st_.operator_free.assign(p_.arch_cap, 0);
   st_.medium_free.assign(p_.arch_cap, 0);
@@ -123,23 +161,11 @@ Scheduler::Scheduler(const Adequation& adequation, const AdequationOptions& opti
   scratch_generation_.assign(p_.arch_cap, 0);
 }
 
-// Operation labels are appended index-free: the graph validates operation
-// names as duplicate-free and nothing looks them up by text, so indexing a
-// million unique labels would be pure rehash cost.
-util::SymbolId Scheduler::op_sym(graph::NodeId n) {
-  util::SymbolId& sym = algo_sym_[n];
-  if (sym == util::kNoSymbol) sym = schedule_.symbols.append(p_.algo_op[n]->name);
-  return sym;
-}
-
-// Views into the operation's own strings — no per-placement copies.
-std::pair<std::string_view, std::string_view> Scheduler::resolve(const Operation& op) const {
-  if (!op.conditioned()) return {{}, op.kind};
+std::size_t Scheduler::resolve(const Operation& op) const {
   const auto sel = options_.selection.find(op.name);
-  if (sel == options_.selection.end())
-    return {op.alternatives.front().name, op.alternatives.front().kind};
-  for (const auto& a : op.alternatives)
-    if (a.name == sel->second) return {a.name, a.kind};
+  if (sel == options_.selection.end()) return 0;
+  for (std::size_t k = 0; k < op.alternatives.size(); ++k)
+    if (op.alternatives[k].name == sel->second) return k;
   throw Error("Adequation: selection '" + sel->second + "' is not an alternative of '" + op.name +
               "'");
 }
@@ -168,11 +194,11 @@ const std::vector<NodeId>& Scheduler::candidates(graph::NodeId n, const Operatio
 }
 
 // Pricing runs once per candidate and recording once, for the winner at
-// commit, so rejected candidates never touch the plan. State is unchanged
-// between the two runs, so the recorded rows are exactly the priced ones.
-// Media this operation's own transfers occupy are reserved in the scratch
-// view, so two in-edges sharing a medium serialize in the estimate exactly
-// as they will in the committed schedule.
+// commit, so rejected candidates never touch the schedule. State is
+// unchanged between the runs, so the recorded rows are exactly the priced
+// ones. Media this operation's own transfers occupy are reserved in the
+// scratch view, so two in-edges sharing a medium serialize in the estimate
+// exactly as they will in the committed schedule.
 TimeNs Scheduler::price_transfers(NodeId w, util::SymbolId nsym, bool record) {
   ++generation_;
   TimeNs data_avail = 0;
@@ -186,8 +212,13 @@ TimeNs Scheduler::price_transfers(NodeId w, util::SymbolId nsym, bool record) {
         const TimeNs tend = tstart + p_.media_ptr[m]->transfer_time(in.bytes);
         scratch_generation_[m] = generation_;
         scratch_reserved_[m] = tend;
-        // label derived at render time — plans never carry one
-        if (record) plan_.push(tstart, tend, arch_sym_[m], m, in.psym, nsym, in.bytes, in.e);
+        if (record) {
+          // Booking the medium now is safe: the rest of this pass reads
+          // it through the scratch slot just stamped. The label is
+          // derived at render time, so the row carries none.
+          st_.medium_free[m] = tend;
+          schedule_.push_transfer(p_.arch_sym[m], tstart, tend, in.psym, nsym, in.bytes, in.e);
+        }
         t = tend;
       }
     }
@@ -196,13 +227,13 @@ TimeNs Scheduler::price_transfers(NodeId w, util::SymbolId nsym, bool record) {
   return data_avail;
 }
 
-void Scheduler::evaluate(graph::NodeId n, NodeId w, util::SymbolId nsym, std::string_view variant,
-                         util::SymbolId variant_sym, TimeNs duration, Candidate& cand) {
+void Scheduler::evaluate(graph::NodeId n, NodeId w, util::SymbolId variant_sym, TimeNs duration,
+                         Candidate& cand) {
   const OperatorNode& target = *p_.op_ptr[w];
   cand = Candidate{};
   cand.target = w;
-  cand.target_sym = arch_sym_[w];
-  const TimeNs data_avail = price_transfers(w, nsym, /*record=*/false);
+  cand.target_sym = p_.arch_sym[w];
+  const TimeNs data_avail = price_transfers(w, util::kNoSymbol, /*record=*/false);
 
   // Reconfiguration, when targeting a region holding a different module.
   const TimeNs free_before = st_.operator_free[w];
@@ -210,9 +241,10 @@ void Scheduler::evaluate(graph::NodeId n, NodeId w, util::SymbolId nsym, std::st
   if (target.kind == OperatorKind::FpgaRegion && variant_sym != util::kEmptySymbol &&
       st_.region_loaded[w] != variant_sym) {
     cand.needs_reconfig = true;
-    cand.reconfig_duration = options_.reconfig_cost
-                                 ? options_.reconfig_cost(target.name, std::string(variant))
-                                 : kPaperReconfigCost;
+    cand.reconfig_duration =
+        options_.reconfig_cost
+            ? options_.reconfig_cost(target.name, std::string(p_.names->name(variant_sym)))
+            : kPaperReconfigCost;
     const TimeNs earliest = std::max(st_.port_free, free_before);
     cand.reconfig_start = options_.prefetch ? earliest : std::max(earliest, data_avail);
     cand.reconfig_end = cand.reconfig_start + cand.reconfig_duration;
@@ -229,19 +261,14 @@ void Scheduler::evaluate(graph::NodeId n, NodeId w, util::SymbolId nsym, std::st
   if (options_.eval_log != nullptr) options_.eval_log->push_back({n, target.name, cand.end, false});
 }
 
-// No number is recomputed and no string is copied here: the plan's symbol
-// columns move into the schedule wholesale.
-void Scheduler::commit(graph::NodeId n, const Operation& op, const Candidate& cand,
-                       std::string_view variant, util::SymbolId variant_sym) {
-  // Record the winner's transfer rows: a second pricing run over the same,
-  // still unmutated, state. Sources have no in-edges to record.
-  if (!in_buf_.empty()) {
-    plan_.clear();
-    price_transfers(cand.target, op_sym(n), /*record=*/true);
-    // per medium, transfers are planned in time order
-    for (std::size_t r = 0; r < plan_.size(); ++r) st_.medium_free[plan_.medium[r]] = plan_.end[r];
-    schedule_.splice_transfers(plan_);
-  }
+// No number is recomputed and no string is copied here: every row goes
+// straight into the schedule's columns, naming symbols of the problem's
+// table.
+void Scheduler::commit(graph::NodeId n, const Candidate& cand, util::SymbolId variant_sym,
+                       util::SymbolId label_sym) {
+  // The winner's transfer rows: a second pricing run over the same, still
+  // unbooked, state. Sources have no in-edges to record.
+  if (!in_buf_.empty()) price_transfers(cand.target, p_.op_sym[n], /*record=*/true);
   if (cand.needs_reconfig) {
     st_.port_free = cand.reconfig_end;
     st_.region_loaded[cand.target] = variant_sym;
@@ -254,19 +281,6 @@ void Scheduler::commit(graph::NodeId n, const Operation& op, const Candidate& ca
   st_.operator_free[cand.target] = cand.end;
   st_.finish[n] = cand.end;
   st_.placed_on[n] = cand.target;
-  // An unconditioned compute's label is exactly the operation name (one
-  // shared symbol); conditioned vertices render "name(variant)", a fresh
-  // string since each operation commits once and names are unique.
-  util::SymbolId label_sym = op_sym(n);
-  if (variant_sym != util::kEmptySymbol) {
-    std::string composite;
-    composite.reserve(op.name.size() + variant.size() + 2);
-    composite += op.name;
-    composite += '(';
-    composite += variant;
-    composite += ')';
-    label_sym = schedule_.symbols.append(composite);
-  }
   schedule_.push_compute(cand.target_sym, cand.start, cand.end, n, label_sym, variant_sym);
   schedule_.placement[n] = cand.target_sym;
   if (options_.eval_log != nullptr)
@@ -275,25 +289,26 @@ void Scheduler::commit(graph::NodeId n, const Operation& op, const Candidate& ca
 
 void Scheduler::place(graph::NodeId n) {
   const Operation& op = *p_.algo_op[n];
-  const auto [variant, exec_kind] = resolve(op);
-  const util::SymbolId nsym = op_sym(n);
-  const util::SymbolId variant_sym =
-      variant.empty() ? util::kEmptySymbol : schedule_.intern(variant);
-  const Problem::KindTable& tbl = p_.op_kind[n] != nullptr ? *p_.op_kind[n] : p_.kind(exec_kind);
+  // A plain operation computes under its own name and kind; a conditioned
+  // vertex under its resolved alternative's.
+  const Problem::Alternative* alt =
+      op.conditioned() ? &p_.alts[p_.alt_first[n] + resolve(op)] : nullptr;
+  const util::SymbolId variant_sym = alt != nullptr ? alt->variant : util::kEmptySymbol;
+  const util::SymbolId label_sym = alt != nullptr ? alt->label : p_.op_sym[n];
+  const Problem::KindTable& tbl = alt != nullptr ? *alt->kind : *p_.op_kind[n];
   const std::vector<TimeNs>& durations = tbl.durations;
   const auto& cands = candidates(n, op, tbl);
   in_buf_.clear();
   for (std::size_t i = p_.in_off[n]; i < p_.in_off[n + 1]; ++i) {
     const Problem::InEdgeRow& r = p_.in_rows[i];
-    // a committed producer's symbol is already resolved — pure read
-    in_buf_.push_back({st_.finish[r.src], st_.placed_on[r.src], r.bytes, r.e, op_sym(r.src)});
+    in_buf_.push_back({st_.finish[r.src], st_.placed_on[r.src], r.bytes, r.e, p_.op_sym[r.src]});
   }
   if (options_.strategy != MappingStrategy::SynDExList) {
     const NodeId w = options_.strategy == MappingStrategy::RoundRobin
                          ? cands[round_robin_cursor_++ % cands.size()]
                          : cands.front();
-    evaluate(n, w, nsym, variant, variant_sym, durations[w], best_);
-    commit(n, op, best_, variant, variant_sym);
+    evaluate(n, w, variant_sym, durations[w], best_);
+    commit(n, best_, variant_sym, label_sym);
     return;
   }
   // Lower-bound prune: a candidate cannot finish before its operator frees
@@ -309,42 +324,33 @@ void Scheduler::place(graph::NodeId n) {
   for (NodeId w : cands) {
     if (have && prune && std::max(st_.operator_free[w], max_pred_finish) + durations[w] >= best_.end)
       continue;
-    evaluate(n, w, nsym, variant, variant_sym, durations[w], scratch_);
+    evaluate(n, w, variant_sym, durations[w], scratch_);
     if (!have || scratch_.end < best_.end) {
       std::swap(best_, scratch_);
       have = true;
     }
   }
-  commit(n, op, best_, variant, variant_sym);
+  commit(n, best_, variant_sym, label_sym);
 }
 
 void Scheduler::place_ready_set() {
   // Indegree counters surface operations the instant their last
-  // predecessor commits; a heap orders them by critical-path remainder
-  // (SynDEx) or not at all (the naive baselines store 0.0), ties breaking
-  // on node id either way. Entries carry their priority inline, so
-  // comparisons stay in the heap's own cache lines.
+  // predecessor commits; a rank queue hands them out by critical-path
+  // remainder, ties on node id (SynDEx: the problem's priority ranks), or
+  // by node id alone (the naive baselines).
   const bool by_priority = options_.strategy == MappingStrategy::SynDExList;
-  using ReadyEntry = std::pair<double, graph::NodeId>;
-  const auto after = [](const ReadyEntry& a, const ReadyEntry& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second > b.second;
-  };
-  std::vector<ReadyEntry> heap_storage;
-  heap_storage.reserve(p_.algo_cap);
-  std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, decltype(after)> ready(
-      after, std::move(heap_storage));
-  const auto priority_of = [&](graph::NodeId n) { return by_priority ? p_.remainder[n] : 0.0; };
+  const auto rank_of = [&](graph::NodeId n) { return by_priority ? p_.priority_rank[n] : n; };
+  graph::RankQueue ready(p_.algo_cap);
   graph::ReadyTracker tracker(p_.tracker);
-  for (graph::NodeId n : tracker.initial()) ready.emplace(priority_of(n), n);
+  for (graph::NodeId n : tracker.initial()) ready.push(rank_of(n));
   std::vector<graph::NodeId> newly_ready;
   while (!ready.empty()) {
-    const graph::NodeId n = ready.top().second;
-    ready.pop();
+    const std::uint32_t rank = ready.pop();
+    const graph::NodeId n = by_priority ? p_.by_priority[rank] : rank;
     place(n);
     newly_ready.clear();
     tracker.complete(n, newly_ready);
-    for (graph::NodeId s : newly_ready) ready.emplace(priority_of(s), s);
+    for (graph::NodeId s : newly_ready) ready.push(rank_of(s));
   }
   PDR_CHECK(tracker.done(), "Adequation", "no ready operation (cycle?)");
 }

@@ -5,12 +5,19 @@
 // include this header. Its one other client is
 // bench::schedule_rescan_reference, which drives place() in the
 // rescanning order the indexed heap replaced.
+//
+// A run builds its Schedule once, in place: every name it stores is a
+// read of the problem's name table (Problem::names, the base of the
+// schedule's interner), the ready set copies only its counters, commit()
+// writes the winner's rows straight into the schedule's columns, and
+// finish() orders them with a radix pass over packed keys
+// (Schedule::sort_items).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "aaa/adequation.hpp"
@@ -33,6 +40,13 @@ struct Problem {
     std::vector<NodeId> plain;        ///< feasible targets, regions excluded
     std::vector<NodeId> conditioned;  ///< feasible targets incl. regions
     double mean = 0;                  ///< operator-agnostic mean duration
+  };
+
+  /// One alternative of a conditioned vertex, resolved once.
+  struct Alternative {
+    util::SymbolId variant;  ///< the alternative's name
+    util::SymbolId label;    ///< its compute label, "name(variant)"
+    const KindTable* kind;   ///< its kind's table
   };
 
   /// One row of the in-edge CSR: producer, payload and edge id of a
@@ -71,8 +85,23 @@ struct Problem {
   /// Every operation and alternative kind; keys view the graph's strings.
   std::unordered_map<std::string_view, KindTable> kinds;
   std::vector<const KindTable*> op_kind;  ///< own kind's table; null for conditioned vertices
-  graph::ReadyTracker tracker;            ///< pristine ready-set snapshot
-  std::vector<double> remainder;          ///< critical-path priorities
+  /// The name table every run's schedule continues: "", the operators
+  /// and then the media in declaration order (so resource ids are dense
+  /// array indices), the operation names, and per conditioned vertex its
+  /// alternative names and compute labels. Resources and alternative
+  /// names are indexed; operation names and labels are appended
+  /// unindexed, as nothing looks them up by text.
+  std::shared_ptr<const util::Interner> names;
+  std::vector<util::SymbolId> arch_sym;  ///< resource name, by architecture NodeId
+  std::vector<util::SymbolId> op_sym;    ///< operation name, by algorithm NodeId
+  std::vector<std::uint32_t> alt_first;  ///< a conditioned vertex's first row in alts
+  std::vector<Alternative> alts;         ///< every conditioned vertex's, in graph order
+  graph::ReadyTracker tracker;           ///< pristine ready set; copies share its CSR
+  std::vector<double> remainder;         ///< critical-path priorities
+  /// The SynDEx pick order: live operations by remainder, highest first,
+  /// ties on the smaller id.
+  std::vector<graph::NodeId> by_priority;
+  std::vector<std::uint32_t> priority_rank;  ///< position in by_priority, by algorithm NodeId
 };
 
 /// One run of the heuristic over an Adequation's problem. Everything it
@@ -86,7 +115,7 @@ class Scheduler {
 
   const Problem& problem() const { return p_; }
 
-  /// Ready set: places every operation, in indexed-heap order.
+  /// Ready set: places every operation, in priority order.
   void place_ready_set();
   /// Place: chooses the operator for `n` per the mapping strategy and
   /// commits it. Every predecessor of `n` must already be placed.
@@ -132,35 +161,32 @@ class Scheduler {
     util::SymbolId psym;  ///< producer's name symbol
   };
 
-  /// Operation-name symbol, appended on first use.
-  util::SymbolId op_sym(graph::NodeId n);
-  /// The (variant, kind) an operation executes: the selected alternative
-  /// of a conditioned vertex (the first when unselected), else ("", kind).
-  std::pair<std::string_view, std::string_view> resolve(const Operation& op) const;
+  /// The alternative a conditioned vertex executes, as an index into its
+  /// alternatives: the selected one, the first when unselected.
+  std::size_t resolve(const Operation& op) const;
   /// Feasible operators for `n` under `tbl` (its resolved kind's table).
   const std::vector<NodeId>& candidates(graph::NodeId n, const Operation& op,
                                         const Problem::KindTable& tbl);
-  /// The time all of in_buf_'s inputs are available on `w`.
+  /// The time all of in_buf_'s inputs are available on `w`. With
+  /// `record`, also books the media and appends the transfer rows to the
+  /// schedule, with `nsym` as their destination.
   TimeNs price_transfers(NodeId w, util::SymbolId nsym, bool record);
-  void evaluate(graph::NodeId n, NodeId w, util::SymbolId nsym, std::string_view variant,
-                util::SymbolId variant_sym, TimeNs duration, Candidate& cand);
-  void commit(graph::NodeId n, const Operation& op, const Candidate& cand,
-              std::string_view variant, util::SymbolId variant_sym);
+  void evaluate(graph::NodeId n, NodeId w, util::SymbolId variant_sym, TimeNs duration,
+                Candidate& cand);
+  void commit(graph::NodeId n, const Candidate& cand, util::SymbolId variant_sym,
+              util::SymbolId label_sym);
 
   const Problem& p_;
   const std::vector<NodeId>& pinned_;
   const AdequationOptions& options_;
   Schedule schedule_;
   State st_;
-  std::vector<util::SymbolId> arch_sym_;  ///< by architecture NodeId
-  std::vector<util::SymbolId> algo_sym_;  ///< by algorithm NodeId
   /// Medium reservations of the candidate being priced, generation-stamped
   /// so clearing them between candidates is O(1).
   std::vector<TimeNs> scratch_reserved_;
   std::vector<std::uint32_t> scratch_generation_;
   std::uint32_t generation_ = 0;
   std::vector<InEdge> in_buf_;
-  TransferPlan plan_;               ///< the winner's transfer rows
   std::vector<NodeId> pinned_buf_;  ///< candidates() result for a pinned operation
   std::size_t round_robin_cursor_ = 0;
   Candidate best_;

@@ -121,7 +121,8 @@ CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamSto
     variants_of[region] = bundle.variant_names(region);
   }
 
-  rtr::ManagerConfig manager_config = config.manager;
+  rtr::ManagerConfig manager_config;
+  manager_config.cache_capacity = config.cache_capacity;
   manager_config.recovery.enabled = config.recovery;
   rtr::NonePrefetch policy;
   rtr::ReconfigManager manager(bundle, manager_config, store, policy);

@@ -38,7 +38,7 @@ struct CampaignConfig {
   TimeNs scrub_period = 10'000'000;  ///< 10 ms; 0 disables scrubbing
   ScrubScheduler::Mode scrub_mode = ScrubScheduler::Mode::Blind;
   TimeNs demand_period = 5'000'000;  ///< variant-rotation period; 0 disables
-  rtr::ManagerConfig manager;  ///< `recovery.enabled` is set from `recovery`
+  Bytes cache_capacity = 0;  ///< the manager's on-chip bitstream cache (0 = off)
 };
 
 struct RegionOutcome {

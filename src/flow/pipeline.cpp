@@ -214,8 +214,7 @@ std::shared_ptr<const fault::CampaignReport> Pipeline::fault_campaign(
     config.scrub_period = opts.scrub_period;
     config.scrub_mode = opts.scrub_mode;
     config.demand_period = opts.demand_period;
-    config.manager = rtr::sundance_manager_config();
-    config.manager.cache_capacity = opts.cache_capacity;
+    config.cache_capacity = opts.cache_capacity;
     rtr::BitstreamStore store(opts.store_bandwidth, opts.store_latency);
     return fault::run_campaign(*bun, store, spec, config, sinks_);
   });

@@ -94,7 +94,8 @@ struct CodegenArtifacts {
 };
 
 /// FaultCampaign-stage inputs beyond the spec text; all of them key the
-/// cache. The manager runs rtr::sundance_manager_config().
+/// cache. The manager runs rtr::ManagerConfig's defaults (the case
+/// study's) with `cache_capacity`.
 struct FaultCampaignOptions {
   std::uint64_t seed = 0;  ///< 0 = the spec's own seed
   bool recovery = true;

@@ -6,9 +6,16 @@
 // the indegrees once, then each complete() decrements the counters of the
 // node's successors and hands back exactly the nodes that just became
 // ready — O(V + E) total across the run.
+//
+// The snapshot's successor CSR is immutable and shared: copying a
+// tracker copies only its counters, so a scheduler that keeps one pristine
+// tracker per problem starts each run for the price of two flat arrays.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -27,7 +34,8 @@ std::vector<std::size_t> indegree_counts(const Digraph<V, E>& g) {
 
 /// Incremental ready-set over a DAG snapshot. Construction captures
 /// indegrees and successor lists (flattened CSR — one allocation, not one
-/// vector per node); complete(n) returns the successors whose last
+/// vector per node, shared by every copy); complete(n) returns the
+/// successors whose last
 /// outstanding predecessor was n. Completing every node exactly once
 /// visits each edge exactly once; completing a node twice is a checked
 /// error, since the second completion would decrement successor indegrees
@@ -42,27 +50,29 @@ class ReadyTracker {
     // hold ascending edge ids, so scanning edges in id order fills each
     // CSR row in exactly the order for_each_successor would visit.
     const std::size_t cap = g.node_capacity();
+    auto csr = std::make_shared<Csr>();
     indeg_.assign(cap, 0);
     completed_.assign(cap, 0);
-    succ_offset_.assign(cap + 1, 0);
+    csr->offset.assign(cap + 1, 0);
     g.for_each_live_edge([&](EdgeId, NodeId from, NodeId to) {
       ++indeg_[to];
-      ++succ_offset_[from + 1];
+      ++csr->offset[from + 1];
     });
-    for (std::size_t n = 0; n < cap; ++n) succ_offset_[n + 1] += succ_offset_[n];
-    succ_.resize(succ_offset_[cap]);
-    std::vector<std::size_t> cursor(succ_offset_.begin(), succ_offset_.end() - 1);
-    g.for_each_live_edge([&](EdgeId, NodeId from, NodeId to) { succ_[cursor[from]++] = to; });
+    for (std::size_t n = 0; n < cap; ++n) csr->offset[n + 1] += csr->offset[n];
+    csr->succ.resize(csr->offset[cap]);
+    std::vector<std::size_t> cursor(csr->offset.begin(), csr->offset.end() - 1);
+    g.for_each_live_edge([&](EdgeId, NodeId from, NodeId to) { csr->succ[cursor[from]++] = to; });
     for (NodeId n = 0; n < cap; ++n) {
       if (!g.valid(n)) continue;
-      if (indeg_[n] == 0) initial_.push_back(n);
+      if (indeg_[n] == 0) csr->initial.push_back(n);
       ++remaining_;
     }
-    total_ = remaining_;
+    csr->total = remaining_;
+    csr_ = std::move(csr);
   }
 
   /// Nodes ready before any completion (indegree 0), in id order.
-  const std::vector<NodeId>& initial() const { return initial_; }
+  const std::vector<NodeId>& initial() const { return csr_->initial; }
 
   /// Marks `n` complete, appending the successors that just became ready
   /// to `newly_ready` (not cleared — callers reuse one buffer across the
@@ -74,8 +84,9 @@ class ReadyTracker {
     PDR_CHECK(!completed_[n], "ReadyTracker::complete", "node completed twice");
     completed_[n] = 1;
     --remaining_;
-    for (std::size_t i = succ_offset_[n]; i < succ_offset_[n + 1]; ++i) {
-      const NodeId s = succ_[i];
+    const Csr& csr = *csr_;
+    for (std::size_t i = csr.offset[n]; i < csr.offset[n + 1]; ++i) {
+      const NodeId s = csr.succ[i];
       PDR_CHECK(indeg_[s] > 0, "ReadyTracker::complete",
                 "successor completed before its predecessor");
       if (--indeg_[s] == 0) newly_ready.push_back(s);
@@ -100,25 +111,26 @@ class ReadyTracker {
   /// still hold the snapshot indegrees, so call before any complete().
   template <typename Weight>
   std::vector<double> critical_path_remainder(const Weight& weight) const {
-    PDR_CHECK(remaining_ == total_, "ReadyTracker::critical_path_remainder",
+    const Csr& csr = *csr_;
+    PDR_CHECK(remaining_ == csr.total, "ReadyTracker::critical_path_remainder",
               "tracker already partially consumed");
-    std::vector<std::size_t> indeg(indeg_);
+    std::vector<std::uint32_t> indeg(indeg_);
     std::vector<NodeId> order;
-    order.reserve(total_);
-    order.insert(order.end(), initial_.begin(), initial_.end());
+    order.reserve(csr.total);
+    order.insert(order.end(), csr.initial.begin(), csr.initial.end());
     for (std::size_t head = 0; head < order.size(); ++head) {
       const NodeId n = order[head];
-      for (std::size_t i = succ_offset_[n]; i < succ_offset_[n + 1]; ++i)
-        if (--indeg[succ_[i]] == 0) order.push_back(succ_[i]);
+      for (std::size_t i = csr.offset[n]; i < csr.offset[n + 1]; ++i)
+        if (--indeg[csr.succ[i]] == 0) order.push_back(csr.succ[i]);
     }
-    PDR_CHECK(order.size() == total_, "ReadyTracker::critical_path_remainder",
+    PDR_CHECK(order.size() == csr.total, "ReadyTracker::critical_path_remainder",
               "graph has a cycle");
     std::vector<double> dist(indeg_.size(), 0.0);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const NodeId n = *it;
       double best = 0.0;
-      for (std::size_t i = succ_offset_[n]; i < succ_offset_[n + 1]; ++i)
-        best = std::max(best, dist[succ_[i]]);
+      for (std::size_t i = csr.offset[n]; i < csr.offset[n + 1]; ++i)
+        best = std::max(best, dist[csr.succ[i]]);
       dist[n] = weight(n) + best;
     }
     return dist;
@@ -129,13 +141,62 @@ class ReadyTracker {
   bool done() const { return remaining_ == 0; }
 
  private:
-  std::vector<std::size_t> indeg_;
+  /// The snapshot's immutable part, shared by every copy.
+  struct Csr {
+    std::vector<std::size_t> offset;  ///< row offsets into succ
+    std::vector<NodeId> succ;         ///< flattened successor lists
+    std::vector<NodeId> initial;
+    std::size_t total = 0;  ///< live nodes in the snapshot
+  };
+
+  std::shared_ptr<const Csr> csr_;
+  std::vector<std::uint32_t> indeg_;  ///< outstanding predecessors
   std::vector<char> completed_;
-  std::vector<std::size_t> succ_offset_;  ///< CSR row offsets into succ_
-  std::vector<NodeId> succ_;              ///< flattened successor lists
-  std::vector<NodeId> initial_;
   std::size_t remaining_ = 0;
-  std::size_t total_ = 0;  ///< live nodes in the snapshot
+};
+
+/// A set of ranks in [0, n) that pops its smallest first: one bit per
+/// rank plus one summary bit per word on each level above, so push and
+/// pop cost a few word operations per level (log64 n levels), where a
+/// binary heap takes a data-dependent branch per level of log2 n. A list
+/// scheduler whose priorities are fixed per problem numbers its nodes by
+/// priority once and keeps its ready set here.
+class RankQueue {
+ public:
+  explicit RankQueue(std::size_t n) {
+    do {
+      n = (n + 63) / 64;
+      levels_.emplace_back(std::max<std::size_t>(n, 1), 0);
+    } while (n > 1);
+  }
+
+  bool empty() const { return levels_.back()[0] == 0; }
+
+  /// Adds `rank` (< n); adding a rank already present changes nothing.
+  void push(std::uint32_t rank) {
+    for (std::vector<std::uint64_t>& level : levels_) {
+      level[rank >> 6] |= std::uint64_t{1} << (rank & 63);
+      rank >>= 6;
+    }
+  }
+
+  /// Removes and returns the smallest rank. The queue must not be empty.
+  std::uint32_t pop() {
+    std::uint32_t rank = 0;
+    for (std::size_t l = levels_.size(); l-- > 0;)
+      rank = (rank << 6) | static_cast<std::uint32_t>(std::countr_zero(levels_[l][rank]));
+    // Clear the rank's bit, and each summary bit whose word it emptied.
+    for (std::uint32_t r = rank; std::vector<std::uint64_t>& level : levels_) {
+      std::uint64_t& word = level[r >> 6];
+      word &= ~(std::uint64_t{1} << (r & 63));
+      if (word != 0) break;
+      r >>= 6;
+    }
+    return rank;
+  }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> levels_;  ///< levels_[0]: one bit per rank
 };
 
 }  // namespace pdr::graph

@@ -5,6 +5,7 @@
 #include <functional>
 #include <numeric>
 #include <limits>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -17,6 +18,14 @@ constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
 
 Interner::Interner() { intern(""); }
 
+Interner::Interner(std::shared_ptr<const Interner> base) : base_(std::move(base)) {
+  if (base_ == nullptr) {
+    intern("");
+    return;
+  }
+  base_size_ = base_->size();
+}
+
 Interner::Interner(const Interner& other) { assign(other); }
 
 Interner& Interner::operator=(const Interner& other) {
@@ -26,6 +35,8 @@ Interner& Interner::operator=(const Interner& other) {
 }
 
 void Interner::assign(const Interner& other) {
+  base_ = other.base_;
+  base_size_ = other.base_size_;
   spans_.clear();
   chunks_.clear();
   chunk_used_ = 0;
@@ -33,13 +44,11 @@ void Interner::assign(const Interner& other) {
   index_.clear();
   spans_.reserve(other.spans_.size());
   index_.reserve(other.spans_.size());
-  // Rebuild the index from storage: appended symbols *are* findable in
-  // the copy, and emplace keeps the first id when texts collide.
-  for (SymbolId id = 0; id < other.spans_.size(); ++id) {
-    const std::string_view s = other.name(id);
-    const char* data = store(s);
-    spans_.push_back({data, static_cast<std::uint32_t>(s.size())});
-    index_.emplace(std::string_view(data, s.size()), id);
+  // Rebuild the index from storage: own appended symbols *are* findable
+  // in the copy, and emplace keeps the first id when texts collide.
+  for (const Span& span : other.spans_) {
+    const SymbolId id = push({span.data, span.len}, "Interner::assign");
+    index_.emplace(name(id), id);
   }
 }
 
@@ -56,31 +65,29 @@ const char* Interner::store(std::string_view s) {
   return dst;
 }
 
-SymbolId Interner::intern(std::string_view s) {
-  const auto it = index_.find(s);
-  if (it != index_.end()) return it->second;
-  PDR_CHECK(s.size() <= std::numeric_limits<std::uint32_t>::max(), "Interner::intern",
-            "symbol too long");
-  const SymbolId id = static_cast<SymbolId>(spans_.size());
-  const char* data = store(s);
-  spans_.push_back({data, static_cast<std::uint32_t>(s.size())});
-  index_.emplace(std::string_view(data, s.size()), id);
+SymbolId Interner::push(std::string_view s, const char* where) {
+  PDR_CHECK(s.size() <= std::numeric_limits<std::uint32_t>::max(), where, "symbol too long");
+  const auto id = static_cast<SymbolId>(size());
+  spans_.push_back({store(s), static_cast<std::uint32_t>(s.size())});
   return id;
 }
 
-SymbolId Interner::append(std::string_view s) {
-  PDR_CHECK(s.size() <= std::numeric_limits<std::uint32_t>::max(), "Interner::append",
-            "symbol too long");
-  const SymbolId id = static_cast<SymbolId>(spans_.size());
-  const char* data = store(s);
-  spans_.push_back({data, static_cast<std::uint32_t>(s.size())});
+SymbolId Interner::intern(std::string_view s) {
+  const SymbolId found = find(s);
+  if (found != kNoSymbol) return found;
+  const SymbolId id = push(s, "Interner::intern");
+  index_.emplace(name(id), id);
   return id;
 }
+
+SymbolId Interner::append(std::string_view s) { return push(s, "Interner::append"); }
 
 void Interner::append_all(const Interner& other) {
-  spans_.reserve(spans_.size() + other.spans_.size() - 1);
-  for (SymbolId id = 1; id < other.spans_.size(); ++id) {
-    const Span& span = other.spans_[id];
+  PDR_CHECK(base_ == other.base_ && size() <= other.size(), "Interner::append_all",
+            "the source does not extend this interner");
+  spans_.reserve(other.spans_.size());
+  for (std::size_t k = spans_.size(); k < other.spans_.size(); ++k) {
+    const Span& span = other.spans_[k];
     spans_.push_back({store({span.data, span.len}), span.len});
   }
 }
@@ -93,7 +100,7 @@ std::vector<SymbolId> Interner::first_ids() const {
   // ones the slot in its table.
   constexpr int kBucketBits = 10;
   const auto bucket_of = [](std::uint32_t hash) { return hash >> (32 - kBucketBits); };
-  std::vector<std::uint32_t> hash(spans_.size());
+  std::vector<std::uint32_t> hash(size());
   std::vector<std::size_t> bucket_end((std::size_t{1} << kBucketBits) + 1, 0);
   for (SymbolId id = 0; id < hash.size(); ++id) {
     hash[id] = static_cast<std::uint32_t>(std::hash<std::string_view>{}(name(id)) >> 32);
@@ -124,7 +131,7 @@ std::vector<SymbolId> Interner::first_ids() const {
         const Keyed& earlier = keyed[begin + slots[i] - 1];
         if (earlier.hash != key.hash || name(earlier.id) != name(key.id)) continue;
         if (first.empty()) {
-          first.resize(spans_.size());
+          first.resize(size());
           std::iota(first.begin(), first.end(), SymbolId{0});
         }
         first[key.id] = earlier.id;
@@ -138,13 +145,19 @@ std::vector<SymbolId> Interner::first_ids() const {
 }
 
 SymbolId Interner::find(std::string_view s) const {
+  if (base_ != nullptr) {
+    const SymbolId id = base_->find(s);
+    if (id != kNoSymbol) return id;
+  }
   const auto it = index_.find(s);
   return it == index_.end() ? kNoSymbol : it->second;
 }
 
 std::string_view Interner::name(SymbolId id) const {
-  PDR_CHECK(id < spans_.size(), "Interner::name", "unknown symbol id");
-  return {spans_[id].data, spans_[id].len};
+  if (id < base_size_) return base_->name(id);
+  PDR_CHECK(id - base_size_ < spans_.size(), "Interner::name", "unknown symbol id");
+  const Span& span = spans_[id - base_size_];
+  return {span.data, span.len};
 }
 
 }  // namespace pdr::util

@@ -725,5 +725,49 @@ TEST(ScheduleSort, StartsBeyondThePackedRange) {
   expect_reference_order(hand_built(4, 5, 300, base, /*monotone=*/false));
 }
 
+TEST(ScheduleSort, EqualStartAndResourceKeepEmitOrder) {
+  // One resource, one instant: the order is emission alone.
+  Schedule s = hand_built(3, 1, 400, 7, /*monotone=*/true);
+  for (std::size_t i = 0; i < s.size(); ++i) s.set_start(i, 7);
+  expect_reference_order(s);
+  // The same rows with a few earlier ones mixed in.
+  for (std::size_t i = 0; i < s.size(); i += 5) s.set_start(i, 3);
+  expect_reference_order(std::move(s));
+}
+
+TEST(ScheduleSort, ZeroLengthRows) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Schedule s = hand_built(seed, 6, 300, 0, /*monotone=*/seed != 2);
+    for (std::size_t i = 0; i < s.size(); i += 2) s.set_end(i, s.start(i));
+    expect_reference_order(std::move(s));
+  }
+}
+
+TEST(ScheduleSort, StartsAcrossEveryRadixDigit) {
+  // Starts drawn over the whole packed range, so every 8-bit digit of the
+  // key varies, and over a narrow band high in it, so the high digits
+  // are equal everywhere; both with ties kept by reusing starts.
+  const TimeNs top = (TimeNs{1} << 35) - 1;
+  for (const TimeNs lo : {TimeNs{0}, top - 5'000}) {
+    Rng rng(static_cast<std::uint64_t>(lo) + 17);
+    Schedule s = hand_built(5, 40, 2'000, 0, /*monotone=*/true);
+    for (std::size_t i = 0; i < s.size(); ++i)
+      s.set_start(i, i % 7 == 3 ? s.start(i - 1) : rng.uniform_int(lo, top));
+    expect_reference_order(std::move(s));
+  }
+}
+
+TEST(ScheduleSort, StartsAtThePackedBoundary) {
+  // The largest packed start sorts on the radix path, one more on the
+  // comparison path; both give the reference order.
+  const TimeNs limit = TimeNs{1} << 35;
+  for (const TimeNs last : {limit - 1, limit}) {
+    Schedule s = hand_built(6, 8, 500, 0, /*monotone=*/false);
+    s.set_start(s.size() / 2, last);
+    s.set_start(s.size() / 3, last);
+    expect_reference_order(std::move(s));
+  }
+}
+
 }  // namespace
 }  // namespace pdr::aaa

@@ -5,6 +5,8 @@
 //    rehash; name() views stay valid for the interner's lifetime;
 //  - copies rebuild the index against their own storage (the string_view
 //    keys must never dangle into the source);
+//  - an interner on a shared base continues the base's ids, looks names
+//    up there first, never writes to it, and shares it with its copies;
 //  - the adequation engine seeds the schedule's interner from the
 //    architecture graph, so resource ids are dense array indices;
 //  - the SoA renderers (to_string / to_csv / gantt) and the generated
@@ -13,6 +15,7 @@
 //    the rescanning reference alike.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,6 +25,7 @@
 #include "aaa/macrocode.hpp"
 #include "bench/generators.hpp"
 #include "bench/rescan_reference.hpp"
+#include "util/error.hpp"
 #include "util/interner.hpp"
 #include "util/strings.hpp"
 
@@ -183,6 +187,104 @@ TEST(InternerProperty, OversizedSymbolsGetDedicatedChunksAndViewsStay) {
   EXPECT_EQ(interner.find(big), big_id);
 }
 
+// --- shared base ------------------------------------------------------------
+
+std::shared_ptr<const Interner> make_base() {
+  auto base = std::make_shared<Interner>();
+  base->intern("CPU");    // 1
+  base->intern("BUS");    // 2
+  base->append("op1");    // 3, unindexed
+  base->intern("mod_a");  // 4
+  return base;
+}
+
+TEST(InternerBase, IdsContinueAfterTheBase) {
+  const auto base = make_base();
+  Interner own(base);
+  EXPECT_EQ(own.size(), base->size());
+  EXPECT_EQ(own.base(), base);
+  EXPECT_EQ(own.intern("D1"), 5u);
+  EXPECT_EQ(own.append("op2"), 6u);
+  EXPECT_EQ(own.size(), 7u);
+  for (SymbolId id = 0; id < base->size(); ++id) EXPECT_EQ(own.name(id), base->name(id));
+  EXPECT_EQ(own.name(5), "D1");
+  EXPECT_EQ(own.name(6), "op2");
+  EXPECT_THROW((void)own.name(7), pdr::Error);
+  // A null base is a fresh interner.
+  const Interner fresh(nullptr);
+  EXPECT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh.find(""), kEmptySymbol);
+}
+
+TEST(InternerBase, FindAndInternSeeBaseAndOwnSymbols) {
+  const auto base = make_base();
+  Interner own(base);
+  const SymbolId d1 = own.intern("D1");
+  EXPECT_EQ(own.find(""), kEmptySymbol);
+  EXPECT_EQ(own.find("CPU"), 1u);
+  EXPECT_EQ(own.intern("BUS"), 2u);  // the base's id, no new symbol
+  EXPECT_EQ(own.intern("mod_a"), 4u);
+  EXPECT_EQ(own.find("D1"), d1);
+  EXPECT_EQ(own.intern("D1"), d1);
+  EXPECT_EQ(own.size(), 6u);
+  // The base's appended symbols stay unindexed, as in the base itself.
+  EXPECT_EQ(own.find("op1"), kNoSymbol);
+  EXPECT_EQ(own.find("never-seen"), kNoSymbol);
+}
+
+TEST(InternerBase, AppendNeverTouchesTheBase) {
+  const auto base = make_base();
+  const std::size_t base_size = base->size();
+  Interner a(base);
+  Interner b(base);
+  const SymbolId a_id = a.append("CPU");  // a repeat of a base text
+  const SymbolId b_id = b.intern("only_in_b");
+  EXPECT_EQ(a_id, b_id);  // both first own ids
+  EXPECT_EQ(base->size(), base_size);
+  EXPECT_EQ(base->find("only_in_b"), kNoSymbol);
+  EXPECT_EQ(a.find("only_in_b"), kNoSymbol);
+  EXPECT_EQ(a.find("CPU"), 1u);  // the base's id wins
+  EXPECT_EQ(a.name(a_id), "CPU");
+  EXPECT_EQ(b.name(b_id), "only_in_b");
+}
+
+TEST(InternerBase, CopiesShareTheBaseAndAppendAllCopiesOwnSymbols) {
+  const auto base = make_base();
+  Interner own(base);
+  own.intern("D1");
+  own.append("op2");
+  const Interner copy = own;
+  EXPECT_EQ(copy.base(), base);  // shared, not copied
+  ASSERT_EQ(copy.size(), own.size());
+  for (SymbolId id = 0; id < own.size(); ++id) EXPECT_EQ(copy.name(id), own.name(id));
+  EXPECT_EQ(copy.name(1).data(), own.name(1).data());  // base text, one copy
+  EXPECT_NE(copy.name(5).data(), own.name(5).data());  // own text, its own bytes
+  EXPECT_EQ(copy.find("op2"), 6u);  // copies index their own appended symbols
+
+  Interner extended(base);
+  extended.append_all(own);
+  ASSERT_EQ(extended.size(), own.size());
+  for (SymbolId id = 0; id < own.size(); ++id) EXPECT_EQ(extended.name(id), own.name(id));
+  EXPECT_EQ(extended.find("D1"), kNoSymbol);  // appended, so not in the index
+  Interner unrelated;
+  EXPECT_THROW(unrelated.append_all(own), pdr::Error);  // a different base
+}
+
+TEST(InternerBase, FirstIdsDedupAcrossBaseAndOwnSymbols) {
+  const auto base = make_base();
+  Interner own(base);
+  EXPECT_TRUE(own.first_ids().empty());
+  const SymbolId op1 = own.append("op1");  // repeats the base's op1 (id 3)
+  const SymbolId fresh = own.append("fresh");
+  const SymbolId again = own.append("fresh");
+  const std::vector<SymbolId> first = own.first_ids();
+  ASSERT_EQ(first.size(), own.size());
+  for (SymbolId id = 0; id < base->size(); ++id) EXPECT_EQ(first[id], id);
+  EXPECT_EQ(first[op1], 3u);
+  EXPECT_EQ(first[fresh], fresh);
+  EXPECT_EQ(first[again], fresh);
+}
+
 // --- dense seeding from the architecture graph -------------------------------
 
 TEST(InternerSeeding, ScheduleSymbolsStartWithArchitectureResources) {
@@ -210,6 +312,39 @@ TEST(InternerSeeding, ScheduleSymbolsStartWithArchitectureResources) {
   }
   // Dense seeding makes resource_busy a direct-indexed table over them.
   EXPECT_GE(s.resource_busy.size(), static_cast<std::size_t>(next));
+}
+
+TEST(InternerSeeding, RunsShareTheProblemsNameTable) {
+  const aaa::ArchitectureGraph arch = bench::bench_architecture(/*cpus=*/2, /*regions=*/2);
+  bench::GeneratorConfig cfg;
+  cfg.shape = bench::GraphShape::Layered;
+  cfg.n_ops = 30;
+  cfg.width = 5;
+  cfg.fanout = 2;
+  cfg.conditioned_every = 3;
+  cfg.seed = 11;
+  const aaa::AlgorithmGraph g = bench::generate_graph(cfg);
+  const aaa::DurationTable durations = bench::bench_durations();
+  const aaa::Adequation adequation(g, arch, durations);
+  const aaa::Schedule s = adequation.run();
+  aaa::AdequationOptions options;
+  options.prefetch = false;
+  const aaa::Schedule t = adequation.run(options);
+
+  // Every run continues one base, and every name a run stores is in it.
+  ASSERT_NE(s.symbols.base(), nullptr);
+  EXPECT_EQ(s.symbols.base(), t.symbols.base());
+  EXPECT_EQ(s.symbols.size(), s.symbols.base()->size());
+  // A copied schedule shares the base and renders identically.
+  const aaa::Schedule copy = s;
+  EXPECT_EQ(copy.symbols.base(), s.symbols.base());
+  EXPECT_EQ(copy.to_string(), s.to_string());
+  EXPECT_EQ(copy.to_csv(), s.to_csv());
+  EXPECT_EQ(copy.gantt(), s.gantt());
+  // So does the executive generated from it.
+  const aaa::Executive exec = aaa::generate_executive(copy, g, arch);
+  EXPECT_EQ(exec.names->base(), s.symbols.base());
+  EXPECT_EQ(exec.to_string(), aaa::generate_executive(s, g, arch).to_string());
 }
 
 // --- exporter byte-identity over a strategy-fuzz corpus ----------------------
