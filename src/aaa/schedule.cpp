@@ -242,8 +242,8 @@ void Schedule::sort_items() {
   // Fast path: when (start, rank, index) fit in 35 + 8 + 21 bits — starts
   // under ~34 s, at most 256 resources, at most 2M items — pack the whole
   // key into one u64 and order the keys by stable LSD radix passes of 8
-  // bits over the (start, rank) bits, up to the highest set one. Keys
-  // enter in index order and every pass is stable, so ties keep emit
+  // bits over the (start, rank) bits, up to the highest one any key sets.
+  // Keys enter in index order and every pass is stable, so ties keep emit
   // order without a pass over the index bits. Both paths produce the
   // identical lexicographic (start, resource-name rank, emit index) order.
   constexpr unsigned kIndexBits = 21;
@@ -268,12 +268,11 @@ void Schedule::sort_items() {
     }
     std::vector<std::uint64_t> spare(n);
     for (unsigned shift = kIndexBits; shift < 64 && (any >> shift) != 0; shift += kDigitBits) {
-      std::array<std::size_t, std::size_t{1} << kDigitBits> at{};
       const auto digit = [shift](std::uint64_t k) { return (k >> shift) & 0xff; };
+      std::array<std::uint32_t, std::size_t{1} << kDigitBits> at{};
       for (const std::uint64_t k : order) ++at[digit(k)];
-      if (at[digit(order.front())] == n) continue;  // one digit everywhere: order unchanged
-      std::size_t sum = 0;
-      for (std::size_t& slot : at) sum += std::exchange(slot, sum);
+      std::uint32_t sum = 0;
+      for (std::uint32_t& slot : at) sum += std::exchange(slot, sum);
       for (const std::uint64_t k : order) spare[at[digit(k)]++] = k;
       order.swap(spare);
     }

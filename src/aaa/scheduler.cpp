@@ -112,14 +112,15 @@ Problem::Problem(const AlgorithmGraph& algorithm, const ArchitectureGraph& archi
     in_rows[cursor[to]++] = {from, g.edge(e).bytes, e};
   });
 
-  remainder = tracker.critical_path_remainder([this](graph::NodeId n) { return weight(n); });
+  const std::vector<double> remainder =
+      tracker.critical_path_remainder([this](graph::NodeId n) { return weight(n); });
   for (graph::NodeId n = 0; n < algo_cap; ++n)
-    if (algo_op[n] != nullptr) by_priority.push_back(n);
-  std::stable_sort(by_priority.begin(), by_priority.end(),
-                   [this](graph::NodeId a, graph::NodeId b) { return remainder[a] > remainder[b]; });
+    if (algo_op[n] != nullptr) priority_order.push_back(n);
+  std::stable_sort(priority_order.begin(), priority_order.end(),
+                   [&](graph::NodeId a, graph::NodeId b) { return remainder[a] > remainder[b]; });
   priority_rank.assign(algo_cap, 0);
-  for (std::size_t r = 0; r < by_priority.size(); ++r)
-    priority_rank[by_priority[r]] = static_cast<std::uint32_t>(r);
+  for (std::size_t r = 0; r < priority_order.size(); ++r)
+    priority_rank[priority_order[r]] = static_cast<std::uint32_t>(r);
 }
 
 double Problem::weight(graph::NodeId n) const {
@@ -346,7 +347,7 @@ void Scheduler::place_ready_set() {
   std::vector<graph::NodeId> newly_ready;
   while (!ready.empty()) {
     const std::uint32_t rank = ready.pop();
-    const graph::NodeId n = by_priority ? p_.by_priority[rank] : rank;
+    const graph::NodeId n = by_priority ? p_.priority_order[rank] : rank;
     place(n);
     newly_ready.clear();
     tracker.complete(n, newly_ready);

@@ -4,7 +4,7 @@
 // Schedule. Not part of the public API: aaa/adequation.hpp does not
 // include this header. Its one other client is
 // bench::schedule_rescan_reference, which drives place() in the
-// rescanning order the indexed heap replaced.
+// rescanning order the ready queue replaced.
 //
 // A run builds its Schedule once, in place: every name it stores is a
 // read of the problem's name table (Problem::names, the base of the
@@ -97,11 +97,10 @@ struct Problem {
   std::vector<std::uint32_t> alt_first;  ///< a conditioned vertex's first row in alts
   std::vector<Alternative> alts;         ///< every conditioned vertex's, in graph order
   graph::ReadyTracker tracker;           ///< pristine ready set; copies share its CSR
-  std::vector<double> remainder;         ///< critical-path priorities
-  /// The SynDEx pick order: live operations by remainder, highest first,
-  /// ties on the smaller id.
-  std::vector<graph::NodeId> by_priority;
-  std::vector<std::uint32_t> priority_rank;  ///< position in by_priority, by algorithm NodeId
+  /// The SynDEx pick order: live operations by critical-path remainder,
+  /// highest first, ties on the smaller id.
+  std::vector<graph::NodeId> priority_order;
+  std::vector<std::uint32_t> priority_rank;  ///< position in priority_order, by algorithm NodeId
 };
 
 /// One run of the heuristic over an Adequation's problem. Everything it

@@ -746,7 +746,7 @@ TEST(ScheduleSort, ZeroLengthRows) {
 TEST(ScheduleSort, StartsAcrossEveryRadixDigit) {
   // Starts drawn over the whole packed range, so every 8-bit digit of the
   // key varies, and over a narrow band high in it, so the high digits
-  // are equal everywhere; both with ties kept by reusing starts.
+  // are equal everywhere; both with ties made by reusing starts.
   const TimeNs top = (TimeNs{1} << 35) - 1;
   for (const TimeNs lo : {TimeNs{0}, top - 5'000}) {
     Rng rng(static_cast<std::uint64_t>(lo) + 17);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
 
 #include "graph/digraph.hpp"
 #include "graph/dot.hpp"
@@ -261,6 +263,53 @@ TEST(ReadyTracker, MatchesRescanOnRandomDags) {
     }
     EXPECT_EQ(completed, g.node_count());
     EXPECT_TRUE(tracker.done());
+  }
+}
+
+TEST(ReadyTracker, CopiesShareTheSnapshotButNotTheCounters) {
+  const G g = diamond();
+  const ReadyTracker pristine(g);
+  ReadyTracker run(pristine);
+  EXPECT_EQ(run.complete(0), (std::vector<NodeId>{1, 2}));
+  EXPECT_TRUE(run.complete(1).empty());
+  // The pristine tracker saw none of it, and a second copy starts over.
+  EXPECT_EQ(pristine.remaining(), 4u);
+  EXPECT_FALSE(pristine.is_completed(0));
+  ReadyTracker again(pristine);
+  EXPECT_EQ(again.initial(), (std::vector<NodeId>{0}));
+  EXPECT_EQ(again.complete(0), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(run.complete(2), (std::vector<NodeId>{3}));
+  const auto dist = pristine.critical_path_remainder([](NodeId) { return 1.0; });
+  EXPECT_EQ(dist[0], 3.0);
+}
+
+TEST(RankQueue, PopsTheSmallestRankFirst) {
+  // Sizes around each level boundary: one word, two, a second summary
+  // level, a third.
+  Rng rng(77);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{64}, std::size_t{65}, std::size_t{4096},
+                              std::size_t{4097}, std::size_t{300'000}}) {
+    RankQueue queue(n);
+    std::set<std::uint32_t> reference;
+    EXPECT_TRUE(queue.empty());
+    for (int step = 0; step < 4000; ++step) {
+      if (reference.empty() || rng.chance(0.55)) {
+        const auto rank = static_cast<std::uint32_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        queue.push(rank);
+        reference.insert(rank);
+      } else {
+        ASSERT_EQ(queue.pop(), *reference.begin()) << "n " << n << " step " << step;
+        reference.erase(reference.begin());
+      }
+      ASSERT_EQ(queue.empty(), reference.empty());
+    }
+    while (!reference.empty()) {
+      ASSERT_EQ(queue.pop(), *reference.begin());
+      reference.erase(reference.begin());
+    }
+    EXPECT_TRUE(queue.empty());
+    queue.push(static_cast<std::uint32_t>(n - 1));  // the largest rank fits
+    EXPECT_EQ(queue.pop(), n - 1);
   }
 }
 

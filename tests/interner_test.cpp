@@ -11,7 +11,7 @@
 //    architecture graph, so resource ids are dense array indices;
 //  - the SoA renderers (to_string / to_csv / gantt) and the generated
 //    executive are byte-identical to a legacy AoS rendering of the same
-//    schedule, across a strategy-fuzz corpus, for the indexed heap and
+//    schedule, across a strategy-fuzz corpus, for the ready queue and
 //    the rescanning reference alike.
 #include <gtest/gtest.h>
 
@@ -409,7 +409,7 @@ TEST(ExporterByteIdentity, SoARenderersMatchLegacyAcrossStrategyFuzzCorpus) {
         EXPECT_EQ(s.to_string(), legacy_to_string(s)) << context;
         EXPECT_EQ(s.to_csv(), legacy_to_csv(s)) << context;
 
-        // The indexed heap and the rescanning reference must emit
+        // The ready queue and the rescanning reference must emit
         // byte-identical schedules, renderings and generated executives.
         const aaa::Schedule r =
             bench::schedule_rescan_reference(aaa::Adequation(g, arch, durations), options);
