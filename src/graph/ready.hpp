@@ -35,12 +35,11 @@ std::vector<std::size_t> indegree_counts(const Digraph<V, E>& g) {
 /// Incremental ready-set over a DAG snapshot. Construction captures
 /// indegrees and successor lists (flattened CSR — one allocation, not one
 /// vector per node, shared by every copy); complete(n) returns the
-/// successors whose last
-/// outstanding predecessor was n. Completing every node exactly once
-/// visits each edge exactly once; completing a node twice is a checked
-/// error, since the second completion would decrement successor indegrees
-/// again and surface nodes as ready before their real predecessors
-/// finished.
+/// successors whose last outstanding predecessor was n. Completing every
+/// node exactly once visits each edge exactly once; completing a node
+/// twice is a checked error, since the second completion would decrement
+/// successor indegrees again and surface nodes as ready before their real
+/// predecessors finished.
 class ReadyTracker {
  public:
   template <typename V, typename E>
